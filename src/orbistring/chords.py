@@ -11,6 +11,7 @@ module canonicalizes and compares.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,28 +187,29 @@ def _face_units(
     return out
 
 
-def _region_of_point(vertices, arc_labels, z: Fraction) -> int:
-    """Label of the region whose arc strictly contains the non-vertex point z."""
-    V = len(vertices)
-    i = bisect_right(vertices, z) - 1
-    if i < 0:
-        i = V - 1
-    return arc_labels[i]
+def _arc_of_point(vertices: Sequence[Fraction], z: Fraction) -> int:
+    """Index i of the arc starting at vertices[i] that strictly contains the
+    non-vertex point z; vertices must be sorted and non-empty."""
+    return (bisect_right(vertices, z) - 1) % len(vertices)
 
 
-def validate_diagram(
-    n: int,
-    chords: Iterable[Sequence[Fraction]],
-    marks: Iterable[Fraction],
-    forced_arc_labels: Sequence[int] | None = None,
-) -> Diagram:
-    """Check all diagram invariants and compute the labeled region decomposition.
+@dataclass(frozen=True)
+class _Decomposition:
+    """Checked chords with their clusters and unlabeled region boundaries."""
 
-    Region labels are implied by the marks: region i is the one carrying z_i.
-    A mark sitting on a cluster vertex is ambiguous between the regions that
-    touch the cluster; the lexicographically least perfect matching is used.
-    Canonical-class input carries explicit interval labels instead.
-    """
+    chords: tuple[tuple[Fraction, Fraction], ...]
+    clusters: list[list[Fraction]]
+    cluster_index: dict[Fraction, int]
+    vertices: tuple[Fraction, ...]
+    faces: list[list[tuple]]
+    arc_face: tuple[int, ...]  # face holding the arc that starts at vertices[i]
+
+    def face_of_point(self, z: Fraction) -> int:
+        return self.arc_face[_arc_of_point(self.vertices, z)] if self.vertices else 0
+
+
+def _decompose(n: int, chords: Iterable[Sequence[Fraction]]) -> _Decomposition:
+    """First validation step: coordinates, arity, crossings, clusters, regions."""
     if n < 1:
         raise DiagramError("bad-coordinate", "n must be at least 1", n)
     cl = []
@@ -218,18 +220,12 @@ def validate_diagram(
         if x == y:
             raise DiagramError("bad-coordinate", "chord endpoints coincide", (x, y))
         cl.append((x, y))
-    ml = [_mod1(Fraction(z)) for z in marks]
     if len(cl) != n - 1:
         raise DiagramError("arity", f"{n} regions need {n - 1} chords, got {len(cl)}", len(cl))
-    if len(ml) != n:
-        raise DiagramError("arity", f"{n} regions need {n} marks, got {len(ml)}", len(ml))
 
     _check_crossings(cl)
     clusters = _clusters(cl)
-    cluster_index: dict[Fraction, int] = {}
-    for ci, grp in enumerate(clusters):
-        for v in grp:
-            cluster_index[v] = ci
+    cluster_index = {v: ci for ci, grp in enumerate(clusters) for v in grp}
     vertices = tuple(sorted(cluster_index))
     chords_t = tuple(cl)
 
@@ -239,6 +235,22 @@ def validate_diagram(
         faces = _face_units(vertices, chords_t, cluster_index)
     if len(faces) != n:
         raise DiagramError("zero-measure", f"expected {n} regions, found {len(faces)}", len(faces))
+    arc_start_face: dict[Fraction, int] = {}
+    for fi, units in enumerate(faces):
+        for u in units:
+            if u[0] == "seg":
+                arc_start_face[u[1]] = fi
+    arc_face = tuple(arc_start_face[v] for v in vertices)
+    return _Decomposition(chords_t, clusters, cluster_index, vertices, faces, arc_face)
+
+
+def _label(dec: _Decomposition, marks: Sequence[Fraction], forced_arc_labels=None) -> Diagram:
+    """Second validation step: number the regions by the marks they carry.
+
+    marks must already be reduced mod 1, one per region.
+    """
+    faces, vertices, cluster_index = dec.faces, dec.vertices, dec.cluster_index
+    n = len(faces)
 
     # face ordering key for deterministic matching
     def face_key(units):
@@ -252,33 +264,21 @@ def validate_diagram(
             if u[0] == "pass":
                 t.add(u[1])
         touched.append(t)
-    arc_start_face: dict[Fraction, int] = {}
-    for fi, units in enumerate(faces):
-        for u in units:
-            if u[0] == "seg":
-                arc_start_face[u[1]] = fi
 
     def candidates(z: Fraction) -> list[int]:
         if z in cluster_index:
             ci = cluster_index[z]
             return [f for f in order if ci in touched[f]]
-        V = len(vertices)
-        if V == 0:
-            return [0]
-        i = bisect_right(vertices, z) - 1
-        if i < 0:
-            i = V - 1
-        return [arc_start_face[vertices[i]]]
+        return [dec.face_of_point(z)]
 
-    cand = [candidates(z) for z in ml]
+    cand = [candidates(z) for z in marks]
 
     assignment: list[int | None] = [None] * n  # mark index -> face index
     if forced_arc_labels is not None:
         if len(vertices) != len(forced_arc_labels):
             raise DiagramError("arity", "interval label count does not match vertices", None)
         face_label: dict[int, int] = {}
-        for vi, v in enumerate(vertices):
-            f = arc_start_face[v]
+        for vi, f in enumerate(dec.arc_face):
             lab = forced_arc_labels[vi]
             if face_label.setdefault(f, lab) != lab:
                 raise DiagramError("mark-off-region", "inconsistent interval labels", vi)
@@ -313,16 +313,35 @@ def validate_diagram(
     face_of_label = {mi + 1: assignment[mi] for mi in range(n)}
     regions = tuple(tuple(tuple(u) for u in faces[face_of_label[lab]]) for lab in range(1, n + 1))
     label_of_face = {f: lab for lab, f in face_of_label.items()}
-    arc_labels = tuple(label_of_face[arc_start_face[v]] for v in vertices)
+    arc_labels = tuple(label_of_face[f] for f in dec.arc_face)
     return Diagram(
         n,
-        chords_t,
-        tuple(ml),
+        dec.chords,
+        tuple(marks),
         vertices,
-        tuple(tuple(g) for g in clusters),
+        tuple(tuple(g) for g in dec.clusters),
         regions,
         arc_labels,
     )
+
+
+def validate_diagram(
+    n: int,
+    chords: Iterable[Sequence[Fraction]],
+    marks: Iterable[Fraction],
+    forced_arc_labels: Sequence[int] | None = None,
+) -> Diagram:
+    """Check all diagram invariants and compute the labeled region decomposition.
+
+    Region labels are implied by the marks: region i is the one carrying z_i.
+    A mark sitting on a cluster vertex is ambiguous between the regions that
+    touch the cluster; the lexicographically least perfect matching is used.
+    Canonical-class input carries explicit interval labels instead.
+    """
+    ml = [_mod1(Fraction(z)) for z in marks]
+    if len(ml) != n:
+        raise DiagramError("arity", f"{n} regions need {n} marks, got {len(ml)}", len(ml))
+    return _label(_decompose(n, chords), ml, forced_arc_labels)
 
 
 def regions_report(d: Diagram) -> list[dict]:
@@ -519,7 +538,6 @@ def compose(base: MDClass, parts: Sequence[MDClass]) -> MDClass:
         raise DiagramError("arity", f"need {base.n} parts, got {len(parts)}", len(parts))
     new_chords: list[tuple[Fraction, Fraction]] = list(rep_diagram(base).chords)
     new_marks: list[Fraction] = []
-    placements: list[tuple[int, int, Fraction]] = []  # (part index, part label, witness coord)
     tapes = [region_walk(base, i + 1) for i in range(base.n)]
 
     def place(tape, r, t):
@@ -535,47 +553,24 @@ def compose(base: MDClass, parts: Sequence[MDClass]) -> MDClass:
             new_marks.append(place(tape, r, z))
 
     total_n = sum(p.n for p in parts)
+    dec = _decompose(total_n, new_chords)
     # label the composite regions through interior witness points: the region
     # containing a transported interior point of part i's region j gets the
     # corresponding renumbered label, so marks on shared clusters stay unambiguous
-    cl = [(_mod1(Fraction(c[0])), _mod1(Fraction(c[1]))) for c in new_chords]
-    _check_crossings(cl)
-    clusters = _clusters(cl)
-    cluster_index = {v: ci for ci, grp in enumerate(clusters) for v in grp}
-    vertices = tuple(sorted(cluster_index))
-    faces = (
-        [[("seg", Fraction(0), Fraction(1))]]
-        if not vertices
-        else _face_units(vertices, tuple(cl), cluster_index)
-    )
-    if len(faces) != total_n:
-        raise DiagramError("zero-measure", "composite region count mismatch", len(faces))
-    arc_start_face = {}
-    for fi, units in enumerate(faces):
-        for u in units:
-            if u[0] == "seg":
-                arc_start_face[u[1]] = fi
-    vertex_set = set(vertices)
+    vertex_set = set(dec.vertices)
     offset = 0
     face_label: dict[int, int] = {}
     for pi, part in enumerate(parts):
         tape = tapes[pi]
         for j in range(1, part.n + 1):
-            w = _interior_witness(part, j, tape, vertex_set)
-            if vertices:
-                i = bisect_right(vertices, w) - 1
-                if i < 0:
-                    i = len(vertices) - 1
-                fi = arc_start_face[vertices[i]]
-            else:
-                fi = 0
+            fi = dec.face_of_point(_interior_witness(part, j, tape, vertex_set))
             lab = offset + j
             if face_label.setdefault(fi, lab) != lab:
                 raise DiagramError("traversal", "two part regions map to one composite region", (pi, j))
         offset += part.n
-    arc_labels = tuple(face_label[arc_start_face[v]] for v in vertices)
-    out = validate_diagram(total_n, new_chords, new_marks, forced_arc_labels=arc_labels)
-    return canonical_md(out)
+    arc_labels = tuple(face_label[f] for f in dec.arc_face)
+    # new_marks are locate() coordinates, already reduced mod 1, one per part region
+    return canonical_md(_label(dec, new_marks, arc_labels))
 
 
 # cactus correspondence ------------------------------------------------------
@@ -647,18 +642,21 @@ def to_cactus(md: MDClass) -> Cactus:
         lobe = d.arc_labels[vi]
         ci = d.cluster_of(u)
         return Cactus(perims, tuple(sorted(joints)), lobe, _pass_offset(tapes[lobe - 1], ci), True)
-    if d.vertices:
-        lobe = _region_of_point(d.vertices, d.arc_labels, u)
-    else:
-        lobe = 1
+    lobe = d.arc_labels[_arc_of_point(d.vertices, u)] if d.vertices else 1
     return Cactus(perims, tuple(sorted(joints)), lobe, _walk_position(md, lobe, u), False)
 
 
-def from_cactus(c: Cactus) -> MDClass:
-    """Unroll the cactus boundary from the base point into the unit circle."""
+def _cactus_walk(c: Cactus):
+    """Checked boundary walk of a cactus from its base point.
+
+    Returns the segments as (global start, length, lobe, lobe offset) tuples
+    and, per joint, the global positions at which the walk visits it.
+    """
     n = len(c.perimeters)
-    if sum(c.perimeters, Fraction(0)) != 1:
-        raise CactusError("lobe perimeters must sum to 1")
+    if sum(c.perimeters, Fraction(0)) != 1 or any(p <= 0 for p in c.perimeters):
+        raise CactusError("lobe perimeters must be positive and sum to 1")
+    if not 1 <= c.base_lobe <= n:
+        raise CactusError(f"base point on unknown lobe {c.base_lobe}")
     by_lobe: dict[int, list[tuple[Fraction, int]]] = {i + 1: [] for i in range(n)}
     for qi, joint in enumerate(c.joints):
         if len(joint) < 2:
@@ -751,7 +749,13 @@ def from_cactus(c: Cactus) -> MDClass:
     for qi, joint in enumerate(c.joints):
         if len(visits.get(qi, [])) != len(joint):
             raise CactusError(f"joint {qi} was not visited once per incident lobe")
+    return segments, visits
 
+
+def from_cactus(c: Cactus) -> MDClass:
+    """Unroll the cactus boundary from the base point into the unit circle."""
+    n = len(c.perimeters)
+    segments, visits = _cactus_walk(c)
     chords: list[tuple[Fraction, Fraction]] = []
     for qi in sorted(visits):
         pos = sorted(visits[qi])
@@ -789,18 +793,20 @@ def from_cactus(c: Cactus) -> MDClass:
 # JSON interchange -----------------------------------------------------------
 
 
-def parse_diagram(data: str | dict) -> MDClass:
-    """Diagram from JSON {"n", "chords": [[xn,xd,yn,yd],...], "marks": [[n,d],...]};
-    canonical-class output also carries "clusters" and "interval_labels"."""
-    import json as _json
-
+def _load_json(data: str | dict, error) -> dict:
+    """The JSON object in data; error(message) builds the domain error to raise."""
     if isinstance(data, str):
         try:
-            data = _json.loads(data)
-        except _json.JSONDecodeError as e:
-            raise DiagramError("bad-coordinate", f"malformed JSON: {e}") from None
+            data = json.loads(data)
+        except json.JSONDecodeError as e:
+            raise error(f"malformed JSON: {e}") from None
     if not isinstance(data, dict):
-        raise DiagramError("bad-coordinate", "diagram JSON must be an object")
+        raise error("JSON input must be an object")
+    return data
+
+
+def _diagram_fields(data: dict):
+    """(n, chords, marks, interval labels or None) of a diagram JSON object."""
     try:
         n = int(data["n"])
         chords = [
@@ -808,22 +814,23 @@ def parse_diagram(data: str | dict) -> MDClass:
             for c in data.get("chords", [])
         ]
         marks = [Fraction(int(m[0]), int(m[1])) for m in data["marks"]]
-    except (KeyError, IndexError, TypeError, ZeroDivisionError) as e:
+        labels = data.get("interval_labels")
+        if labels is not None:
+            labels = [int(v) for v in labels]
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
         raise DiagramError("bad-coordinate", f"bad diagram JSON: {e}") from None
-    labels = data.get("interval_labels")
-    if labels is not None:
-        labels = [int(v) for v in labels]
-    return md_from_data(n, chords, marks, labels)
+    return n, chords, marks, labels
+
+
+def parse_diagram(data: str | dict) -> MDClass:
+    """Diagram from JSON {"n", "chords": [[xn,xd,yn,yd],...], "marks": [[n,d],...]};
+    canonical-class output also carries "clusters" and "interval_labels"."""
+    data = _load_json(data, lambda msg: DiagramError("bad-coordinate", msg))
+    return md_from_data(*_diagram_fields(data))
 
 
 def parse_cactus(data: str | dict) -> Cactus:
-    import json as _json
-
-    if isinstance(data, str):
-        try:
-            data = _json.loads(data)
-        except _json.JSONDecodeError as e:
-            raise CactusError(f"malformed JSON: {e}") from None
+    data = _load_json(data, CactusError)
     try:
         perims = tuple(Fraction(int(p[0]), int(p[1])) for p in data["perimeters"])
         joints = tuple(
@@ -834,7 +841,7 @@ def parse_cactus(data: str | dict) -> Cactus:
         bo = data["base_offset"]
         base_offset = Fraction(int(bo[0]), int(bo[1]))
         base_on_joint = bool(data.get("base_on_joint", False))
-    except (KeyError, IndexError, TypeError, ZeroDivisionError) as e:
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
         raise CactusError(f"bad cactus JSON: {e}") from None
     return Cactus(perims, tuple(sorted(joints)), base_lobe, base_offset, base_on_joint)
 
@@ -880,14 +887,14 @@ def random_md(rng, n: int, max_den: int = 16) -> MDClass:
                 ]
                 if any(x == y for x, y in chords):
                     continue
-            d0 = validate_diagram_unmarked(n, chords)
+            dec = _decompose(n, chords)
             marks = []
-            for lab in range(1, n + 1):
-                segs = [u for u in d0[lab - 1] if u[0] == "seg"]
+            for face in dec.faces:
+                segs = [u for u in face if u[0] == "seg"]
                 u = segs[rng.randrange(len(segs))]
                 if rng.random() < 0.2:
                     # place the mark on a vertex of a touching cluster
-                    passes = [p for p in d0[lab - 1] if p[0] == "pass"]
+                    passes = [p for p in face if p[0] == "pass"]
                     if passes:
                         p = passes[rng.randrange(len(passes))]
                         marks.append(p[2])
@@ -895,86 +902,10 @@ def random_md(rng, n: int, max_den: int = 16) -> MDClass:
                 den = u[2].denominator * rng.randint(2, 5)
                 num = rng.randrange(1, int(u[2] * den)) if int(u[2] * den) > 1 else 0
                 marks.append(_mod1(u[1] + Fraction(num, den)))
-            return md_from_data(n, chords, marks)
+            return canonical_md(_label(dec, marks))
         except DiagramError:
             continue
     raise RuntimeError("random diagram generation failed")
-
-
-def validate_diagram_unmarked(n: int, chords) -> list[list[tuple]]:
-    """Region unit lists for a chord set, without marks (used by the generator)."""
-    cl = [(_mod1(Fraction(c[0])), _mod1(Fraction(c[1]))) for c in chords]
-    _check_crossings(cl)
-    clusters = _clusters(cl)
-    cluster_index = {v: ci for ci, grp in enumerate(clusters) for v in grp}
-    vertices = tuple(sorted(cluster_index))
-    if not vertices:
-        return [[("seg", Fraction(0), Fraction(1))]]
-    faces = _face_units(vertices, tuple(cl), cluster_index)
-    if len(faces) != n:
-        raise DiagramError("zero-measure", "region count mismatch", len(faces))
-    return faces
-
-
-def _cactus_walk_segments(c: Cactus):
-    """Boundary walk of a cactus as (global start, length, lobe, lobe offset) tuples.
-
-    Shares the traversal rules with from_cactus; used by the independent
-    cactus-side composition.
-    """
-    n = len(c.perimeters)
-    by_lobe: dict[int, list[tuple[Fraction, int]]] = {i + 1: [] for i in range(n)}
-    for qi, joint in enumerate(c.joints):
-        for lobe, off in joint:
-            by_lobe[lobe].append((off, qi))
-    for offs in by_lobe.values():
-        offs.sort()
-
-    def next_joint(lobe, off):
-        offs = by_lobe[lobe]
-        if not offs:
-            return None
-        r = c.perimeters[lobe - 1]
-        best = None
-        for o, qi in offs:
-            d = (o - off) % r
-            if d == 0:
-                d = r
-            if best is None or d < best[0]:
-                best = (d, o, qi)
-        return best[1], best[2]
-
-    segments = []
-    cur_lobe, cur_off = c.base_lobe, c.base_offset
-    s = Fraction(0)
-    guard = 0
-    while s < 1:
-        r = c.perimeters[cur_lobe - 1]
-        nj = next_joint(cur_lobe, cur_off)
-        remaining = 1 - s
-        if nj is None:
-            segments.append((s, r, cur_lobe, cur_off))
-            s += r
-            break
-        off2, qi = nj
-        delta = (off2 - cur_off) % r
-        if delta == 0:
-            delta = r
-        if delta > remaining:
-            segments.append((s, remaining, cur_lobe, cur_off))
-            s = Fraction(1)
-            break
-        segments.append((s, delta, cur_lobe, cur_off))
-        s += delta
-        joint = c.joints[qi]
-        pos = next(k for k, (lo, of) in enumerate(joint) if lo == cur_lobe and of == off2)
-        cur_lobe, cur_off = joint[(pos + 1) % len(joint)]
-        guard += 1
-        if guard > 4 + sum(len(j) for j in c.joints) + n:
-            raise CactusError("boundary walk does not close")
-    if s != 1:
-        raise CactusError("boundary walk came back early")
-    return segments
 
 
 def compose_cactus(base: Cactus, parts: Sequence[Cactus]) -> Cactus:
@@ -994,7 +925,7 @@ def compose_cactus(base: Cactus, parts: Sequence[Cactus]) -> Cactus:
     for p in parts:
         offsets.append(acc)
         acc += len(p.perimeters)
-    walks = [_cactus_walk_segments(p) for p in parts]
+    walks = [_cactus_walk(p)[0] for p in parts]
 
     def locate(i: int, off: Fraction) -> tuple[int, Fraction]:
         """Base-lobe-i offset -> (composite lobe, composite lobe offset)."""

@@ -130,21 +130,15 @@ def cmd_classes(args) -> str:
     return _render(payload, args.format, rows, f"conjugacy classes of {G.name}")
 
 
-def _ring_rows(ring: sector.SectorRing):
-    rows = []
-    for i in range(ring.dim):
-        for j in range(ring.dim):
-            for k in range(ring.dim):
-                c = ring.structure[i][j][k]
-                if c:
-                    rows.append([i, j, k, str(c)])
-    return (["i", "j", "k", "coeff"], rows)
+def _render_ring(ring: sector.SectorRing, fmt: str, title: str) -> str:
+    payload = ring.to_json()
+    return _render(payload, fmt, (["i", "j", "k", "coeff"], payload["structure"]), title)
 
 
 def cmd_dw(args) -> str:
     G = resolve_group(args.group)
     ring = sector.dw_frobenius(G)
-    return _render(ring.to_json(), args.format, _ring_rows(ring), f"Z(Q[{G.name}]) structure constants")
+    return _render_ring(ring, args.format, f"Z(Q[{G.name}]) structure constants")
 
 
 def cmd_torsion(args) -> str:
@@ -164,13 +158,13 @@ def cmd_twisted_center(args) -> str:
     G = resolve_group(args.group)
     alpha = _resolve_cocycle(G, args.cocycle)
     ring = sector.twisted_center(G, alpha)
-    return _render(ring.to_json(), args.format, _ring_rows(ring), f"twisted center of Q(zeta)[{G.name}]")
+    return _render_ring(ring, args.format, f"twisted center of Q(zeta)[{G.name}]")
 
 
 def cmd_string_ring(args) -> str:
     X = _resolve_gset(args.gset)
     ring = sector.orbifold_string_ring(X)
-    return _render(ring.to_json(), args.format, _ring_rows(ring), "orbifold string ring")
+    return _render_ring(ring, args.format, "orbifold string ring")
 
 
 def cmd_morita(args) -> str:

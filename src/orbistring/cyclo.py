@@ -9,24 +9,11 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable
 
 
 _F0 = Fraction(0)
-
-
-def _int_poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    # exact long division over Z, denominator monic
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        q = num[k + len(den) - 1]
-        out[k] = q
-        for i, d in enumerate(den):
-            num[k + i] -= q * d
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -36,16 +23,33 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
         raise ValueError("level must be positive")
     if n == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
+    poly = [Fraction(-1)] + [_F0] * (n - 1) + [Fraction(1)]
     for d in range(1, n):
         if n % d == 0:
-            poly = _int_poly_divexact(poly, list(cyclotomic_poly(d)))
-    return tuple(poly)
+            poly, rem = _poly_divmod(poly, [Fraction(c) for c in cyclotomic_poly(d)])
+            if any(rem):
+                raise ArithmeticError("inexact polynomial division")
+    return tuple(int(c) for c in poly)
 
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(level: int) -> tuple[Fraction, ...]:
+    """Tr(zeta^i)/phi(level) for i < phi(level).
+
+    zeta^i is a primitive m-th root of unity, m = level/gcd(level, i); the
+    primitive m-th roots sum to mu(m), minus the subleading coefficient of
+    the m-th cyclotomic polynomial, and each has the same trace.
+    """
+    out = []
+    for i in range(euler_phi(level)):
+        m = level // gcd(level, i)
+        out.append(Fraction(-cyclotomic_poly(m)[-2], euler_phi(m)))
+    return tuple(out)
 
 
 def _reduce(level: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
@@ -217,12 +221,12 @@ class Cyclo:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.level, self.coeffs))
+        # the normalised trace Tr(x)/phi(N) does not depend on the level and
+        # equals x when x is rational, so equal values hash alike
+        return hash(sum(a * w for a, w in zip(self.coeffs, _trace_weights(self.level)) if a))
 
     def galois(self, c: int) -> "Cyclo":
         """Apply the Galois automorphism zeta -> zeta**c (gcd(c, level) must be 1)."""
-        from math import gcd
-
         if gcd(c, self.level) != 1:
             raise ValueError("not a Galois exponent")
         out = [Fraction(0)] * self.level
@@ -278,12 +282,6 @@ class Cyclo:
         for t in terms[1:]:
             out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         return out
-
-
-def lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 # polynomial helpers over Q ------------------------------------------------
@@ -356,10 +354,6 @@ def mat_inverse(a: list[list], zero, one):
     n = len(a)
     eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
     return mat_solve(a, eye, zero, one)
-
-
-def mat_mul_vec(a: list[list], v: list, zero):
-    return [sum((aij * vj for aij, vj in zip(row, v)), zero) for row in a]
 
 
 def mat_det(a: list[list], zero, one):

@@ -18,11 +18,12 @@ from .chords import (
     Diagram,
     MDClass,
     WalkTape,
+    _diagram_fields,
+    _load_json,
     canonical_md,
     compose as compose_md,
     identity_md,
     locate,
-    parse_diagram,
     region_walk,
     relabel as relabel_md,
     rep_diagram,
@@ -145,28 +146,16 @@ def decorate(
 
 
 def from_gdiagram_json(data, resolve_group) -> GDiagram:
-    import json as _json
-
-    if isinstance(data, str):
-        data = _json.loads(data)
-    md_part = parse_diagram({k: data[k] for k in ("n", "chords", "marks") if k in data}
-                            | ({"interval_labels": data["interval_labels"]} if "interval_labels" in data else {}))
-    G = resolve_group(data["group"])
-    chords = [
-        (Fraction(int(c[0]), int(c[1])), Fraction(int(c[2]), int(c[3])))
-        for c in data.get("chords", [])
-    ]
-    marks = [Fraction(int(m[0]), int(m[1])) for m in data["marks"]]
-    return decorate(
-        int(data["n"]),
-        chords,
-        marks,
-        G,
-        int(data["outer"]),
-        [int(v) for v in data.get("delta", [])],
-        [int(v) for v in data["lifts"]],
-        data.get("interval_labels"),
-    )
+    data = _load_json(data, HolonomyError)
+    n, chords, marks, labels = _diagram_fields(data)
+    try:
+        group = str(data["group"])
+        outer = int(data["outer"])
+        delta = [int(v) for v in data.get("delta", [])]
+        lifts = [int(v) for v in data["lifts"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise HolonomyError(f"bad decorated diagram JSON: {e}") from None
+    return decorate(n, chords, marks, resolve_group(group), outer, delta, lifts, labels)
 
 
 def _seam_crossings(seg_start: Fraction, length: Fraction) -> int:
@@ -264,10 +253,7 @@ def _transport_to(W: GDiagram, tape: WalkTape, s: Fraction) -> int:
             return acc
         seg_len = u[2]
         if s < cum + seg_len:
-            o = (0 - u[1]) % 1
-            if o == 0:
-                o = Fraction(1)
-            if 0 < o <= s - cum:
+            if _seam_crossings(u[1], s - cum):
                 acc = G.mul(W.outer, acc)
             return acc
         if _seam_crossings(u[1], seg_len):

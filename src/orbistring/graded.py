@@ -355,9 +355,10 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
     """Verify the BV axioms on the window basis.
 
     The bracket has degree +1 and the axioms checked are: Delta raises degree
-    by exactly 1, Delta^2 = 0, graded antisymmetry, the Leibniz rule
-    {a, bc} = {a,b}c + (-1)^{(|a|+1)|b|} b{a,c}, and graded Jacobi with the
-    shifted signs.  Tuples whose products leave the window are skipped.
+    by exactly 1, Delta^2 = 0, graded antisymmetry
+    {a,b} = -(-1)^{(|a|+1)(|b|+1)} {b,a} (Getzler's convention), the Leibniz
+    rule {a, bc} = {a,b}c + (-1)^{(|a|+1)|b|} b{a,c}, and graded Jacobi with
+    the shifted signs.  Tuples whose products leave the window are skipped.
     """
     rep = BVReport(True)
     counts = {"degree": 0, "delta2": 0, "antisym": 0, "leibniz": 0, "jacobi": 0, "skipped": 0}
@@ -393,7 +394,6 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
             try:
                 lhs = brk(x, y)
                 rhs = el_scale(brk(y, x), -1 if ((D.degree(x) + 1) * (D.degree(y) + 1)) % 2 else 1)
-                rhs = el_scale(rhs, -1)
             except WindowOverflow:
                 counts["skipped"] += 1
                 continue

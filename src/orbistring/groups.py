@@ -187,19 +187,6 @@ def subgroup_closure(G: FiniteGroup, gens: Iterable[int]) -> list[int]:
     return sorted(out)
 
 
-def subgroup_as_group(G: FiniteGroup, elems: Sequence[int], name: str = "H") -> FiniteGroup:
-    """The subgroup on the given (closed) element list, reindexed 0..k-1."""
-    elems = list(elems)
-    if elems[0] != 0:
-        raise GroupError("subgroup element list must start with the identity")
-    pos = {e: i for i, e in enumerate(elems)}
-    try:
-        mult = [[pos[G.mul(a, b)] for b in elems] for a in elems]
-    except KeyError:
-        raise GroupError("element list is not closed under multiplication") from None
-    return FiniteGroup.from_table(name, mult, [G.names[e] for e in elems])
-
-
 def coset_gset(G: FiniteGroup, subgroup_elems: Sequence[int]) -> GSet:
     """Right cosets Hx with the right translation action of G."""
     H = list(subgroup_elems)
@@ -270,15 +257,6 @@ def cycle_name(p: tuple[int, ...]) -> str:
             j = p[j]
         parts.append("(" + ",".join(str(v + 1) for v in cyc) + ")")
     return "".join(parts) if parts else "e"
-
-
-def perm_from_cycles(k: int, cycles: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Permutation of 0..k-1 from 1-based cycles."""
-    img = list(range(k))
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
-            img[a - 1] = b - 1
-    return tuple(img)
 
 
 def group_from_perm_gens(name: str, gens: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -399,12 +377,12 @@ def catalog_group(name: str) -> FiniteGroup:
 
 CATALOG_NAMES = ("Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "S3", "S4", "D4", "Q8", "Z2xZ2")
 
-# subgroups used by the Morita comparisons, as generator lists in the parent
+# subgroups used by the Morita comparisons, as generator names in the parent
 _CATALOG_SUBGROUPS = {
-    ("S3", "Z2"): [[1, 0, 2]],
-    ("S3", "Z3"): [[1, 2, 0]],
-    ("S4", "S3"): [[1, 0, 2, 3], [1, 2, 0, 3]],
-    ("Z4", "Z2"): [2],
+    ("S3", "Z2"): ["(1,2)"],
+    ("S3", "Z3"): ["(1,2,3)"],
+    ("S4", "S3"): ["(1,2)", "(1,2,3)"],
+    ("Z4", "Z2"): ["g2"],
 }
 
 
@@ -414,11 +392,4 @@ def catalog_subgroup(parent: str, name: str) -> tuple[FiniteGroup, list[int]]:
     key = (parent, name)
     if key not in _CATALOG_SUBGROUPS:
         raise GroupError(f"unknown catalog subgroup {name!r} of {parent!r}")
-    spec = _CATALOG_SUBGROUPS[key]
-    if parent == "Z4":
-        gens = [int(v) for v in spec]
-    else:
-        elems = perm_closure([[1, 0, 2], [1, 2, 0]] if parent == "S3" else [[1, 0, 2, 3], [1, 2, 3, 0]])
-        pos = {p: i for i, p in enumerate(elems)}
-        gens = [pos[tuple(g)] for g in spec]
-    return G, subgroup_closure(G, gens)
+    return G, subgroup_closure(G, [G.index_of_name(g) for g in _CATALOG_SUBGROUPS[key]])

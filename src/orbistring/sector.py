@@ -8,13 +8,14 @@ diagonal square is restriction to the intersection of fixed-point sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 import numpy as np
 
-from .cyclo import Cyclo, mat_det, mat_inverse
+from .cyclo import Cyclo, _poly_divmod, _poly_trim, mat_det, mat_inverse
 from .groups import FiniteGroup, GSet, conjugacy_classes, fixed_points, point_gset
 from .phases import TwoCocycle, alpha_regular_reps
 
@@ -64,6 +65,36 @@ def sector_orbits(X: GSet) -> list[tuple[tuple[int, int], ...]]:
     return orbits
 
 
+def _nonzero(vec: Sequence) -> dict:
+    """Sparse form {index: coefficient} of a dense coefficient vector."""
+    return {i: c for i, c in enumerate(vec) if c}
+
+
+def _sparse_structure(structure: Sequence) -> dict:
+    """{(i, j): ((k, c), ...)} over the nonzero dense constants structure[i][j][k]."""
+    return {
+        (i, j): row
+        for i, mat in enumerate(structure)
+        for j, dense in enumerate(mat)
+        if (row := tuple(_nonzero(dense).items()))
+    }
+
+
+def _ring_product(sparse: dict, u: dict, v: dict) -> dict:
+    """Product of sparse vectors under sparse structure constants.
+
+    Coefficients may be Cyclo (all at one level) or Fraction; zero terms are dropped.
+    """
+    out: dict = {}
+    for i, ci in u.items():
+        for j, cj in v.items():
+            c = ci * cj
+            for k, s in sparse.get((i, j), ()):
+                acc = out.get(k)
+                out[k] = c * s if acc is None else acc + c * s
+    return {k: c for k, c in out.items() if c}
+
+
 @dataclass(frozen=True)
 class SectorRing:
     """A finite-dimensional associative algebra over Q(zeta_level) in a fixed basis."""
@@ -79,53 +110,39 @@ class SectorRing:
     def dim(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def _sparse(self) -> dict:
+        return _sparse_structure(self.structure)
+
     def mult(self, u: Sequence[Cyclo], v: Sequence[Cyclo]) -> list[Cyclo]:
+        prod = _ring_product(self._sparse, _nonzero(u), _nonzero(v))
         zero = Cyclo.zero(self.level)
-        out = [zero] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                c = ui * vj
-                row = self.structure[i][j]
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k] = out[k] + c * row[k]
-        return out
+        return [prod.get(k, zero) for k in range(self.dim)]
 
     def basis_vector(self, i: int) -> list[Cyclo]:
         zero = Cyclo.zero(self.level)
         return [Cyclo.one(self.level) if j == i else zero for j in range(self.dim)]
 
-    def _mult_sparse(self, u: dict, v: dict) -> dict:
-        out: dict = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                c = ci * cj
-                row = self.structure[i][j]
-                for k in range(self.dim):
-                    if row[k]:
-                        acc = out.get(k)
-                        out[k] = c * row[k] if acc is None else acc + c * row[k]
-        return {k: c for k, c in out.items() if c}
-
     def check_associative(self) -> None:
+        S = self._sparse
         one = Cyclo.one(self.level)
         for i in range(self.dim):
             ei = {i: one}
             for j in range(self.dim):
-                ij = self._mult_sparse(ei, {j: one})
+                ej = {j: one}
+                ij = _ring_product(S, ei, ej)
                 for k in range(self.dim):
                     ek = {k: one}
-                    if self._mult_sparse(ij, ek) != self._mult_sparse(ei, self._mult_sparse({j: one}, ek)):
+                    if _ring_product(S, ij, ek) != _ring_product(S, ei, _ring_product(S, ej, ek)):
                         raise SectorError(f"associativity fails at basis triple ({i},{j},{k})")
 
     def check_unit(self) -> None:
+        S = self._sparse
+        unit = _nonzero(self.unit)
+        one = Cyclo.one(self.level)
         for i in range(self.dim):
-            ei = self.basis_vector(i)
-            if self.mult(list(self.unit), ei) != ei or self.mult(ei, list(self.unit)) != ei:
+            ei = {i: one}
+            if _ring_product(S, unit, ei) != ei or _ring_product(S, ei, unit) != ei:
                 raise SectorError(f"unit law fails at basis element {i}")
 
     def trace_of(self, v: Sequence[Cyclo]) -> Cyclo:
@@ -151,19 +168,12 @@ class SectorRing:
         return True
 
     def to_json(self) -> dict:
-        triples = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    c = self.structure[i][j][k]
-                    if c:
-                        triples.append([i, j, k, str(c)])
         out = {
             "level": self.level,
             "dim": self.dim,
             "basis": list(self.labels),
             "unit": [str(c) for c in self.unit],
-            "structure": triples,
+            "structure": [[i, j, k, str(c)] for (i, j), row in self._sparse.items() for k, c in row],
         }
         if self.trace is not None:
             out["trace"] = [str(c) for c in self.trace]
@@ -418,16 +428,6 @@ def _min_poly(mat: list[list[Fraction]]) -> list[Fraction]:
     raise SectorError("minimal polynomial computation failed")
 
 
-def _poly_eval_cyclo(poly: Sequence[Fraction], x: Cyclo) -> Cyclo:
-    out = Cyclo.zero(x.level)
-    p = Cyclo.one(x.level)
-    for c in poly:
-        if c:
-            out = out + p * c
-        p = p * x
-    return out
-
-
 def _factor_monic_over_q(poly: list[Fraction]) -> list[list[Fraction]]:
     """Factor a squarefree monic rational polynomial into monic irreducible factors.
 
@@ -446,16 +446,6 @@ def _factor_monic_over_q(poly: list[Fraction]) -> list[list[Fraction]]:
     ipoly = [int(poly[k] * den ** (n - k)) for k in range(n + 1)]
     assert ipoly[-1] == 1
 
-    def divexact(num: list[Fraction], d: list[Fraction]):
-        q, r = [Fraction(0)] * (len(num) - len(d) + 1), list(num)
-        for k in range(len(q) - 1, -1, -1):
-            c = r[k + len(d) - 1] / d[-1]
-            q[k] = c
-            if c:
-                for i, di in enumerate(d):
-                    r[k + i] -= c * di
-        return (q, True) if not any(r) else (None, False)
-
     roots = list(np.roots([float(c) for c in reversed(ipoly)]))
     remaining = [Fraction(c) for c in ipoly]
     idx = list(range(len(roots)))
@@ -471,8 +461,8 @@ def _factor_monic_over_q(poly: list[Fraction]) -> list[list[Fraction]]:
                 cand = [Fraction(round(c.real)) for c in prod]
                 if any(abs(c.real - round(c.real)) > 1e-4 or abs(c.imag) > 1e-4 for c in prod):
                     continue
-                q, ok = divexact(remaining, cand)
-                if ok:
+                q, r = _poly_divmod(remaining, cand)
+                if not any(r):
                     factors.append(cand)
                     remaining = q
                     idx = [i for i in idx if i not in comb]
@@ -589,8 +579,6 @@ def _roots_in_cyclotomic(factor: list[Fraction]) -> tuple[list[Cyclo], Fraction 
 def _probe_split(ring: SectorRing, rng) -> tuple[list[Fraction], list[list[Fraction]]] | None:
     """A probe element whose minimal polynomial is squarefree of full degree,
     together with the sorted irreducible factors of that polynomial."""
-    from .cyclo import _poly_divmod, _poly_trim
-
     sc = _rational_structure(ring)
     n = ring.dim
     for _ in range(200):
@@ -610,42 +598,26 @@ def _probe_split(ring: SectorRing, rng) -> tuple[list[Fraction], list[list[Fract
     return None
 
 
-def ring_mult_lifted(ring: SectorRing, level: int, u: list[Cyclo], v: list[Cyclo]) -> list[Cyclo]:
-    zero = Cyclo.zero(level)
-    n = ring.dim
-    out = [zero] * n
-    for i in range(n):
-        if not u[i]:
-            continue
-        for j in range(n):
-            if not v[j]:
-                continue
-            c = u[i] * v[j]
-            for k in range(n):
-                s = ring.structure[i][j][k]
-                if s:
-                    out[k] = out[k] + c * s.lift(level)
-    return out
-
-
 def _idempotents(ring: SectorRing, probe: list[Fraction], roots: list[Cyclo], level: int) -> list[list[Cyclo]]:
     """Lagrange idempotents prod_{j != i} (probe - r_j)/(r_i - r_j), exactly verified."""
     n = ring.dim
     zero, one = Cyclo.zero(level), Cyclo.one(level)
+    S = {ij: tuple((k, c.lift(level)) for k, c in row) for ij, row in ring._sparse.items()}
     unit = [c.lift(level) for c in ring.unit]
     probe_vec = [Cyclo.rational(q, level) for q in probe]
     out = []
     for i, ri in enumerate(roots):
-        vec = list(unit)
+        vec = _nonzero(unit)
         denom = one
         for j, rj in enumerate(roots):
             if j == i:
                 continue
             shifted = [a - rj * b for a, b in zip(probe_vec, unit)]
-            vec = ring_mult_lifted(ring, level, vec, shifted)
+            vec = _ring_product(S, vec, _nonzero(shifted))
             denom = denom * (ri - rj)
-        e = [c / denom for c in vec]
-        if ring_mult_lifted(ring, level, e, e) != e:
+        e = [vec.get(k, zero) / denom for k in range(n)]
+        es = _nonzero(e)
+        if _ring_product(S, es, es) != es:
             raise SectorError("idempotent verification failed")
         out.append(e)
     total = [sum((e[k] for e in out), zero) for k in range(n)]
@@ -752,22 +724,10 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7, check: bool = True) -> Morit
         Tq.append(out_row)
 
     sa = _rational_structure(A)
-    sb = _rational_structure(B)
+    sb = _sparse_structure(_rational_structure(B))
 
     def apply(v):
         return [sum(Tq[r][c] * v[c] for c in range(n)) for r in range(n)]
-
-    def mult_b(u, v):
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if u[i]:
-                for j in range(n):
-                    if v[j]:
-                        f = u[i] * v[j]
-                        for k in range(n):
-                            if sb[i][j][k]:
-                                out[k] += f * sb[i][j][k]
-        return out
 
     unit_a = [c.rational_part() for c in A.unit]
     unit_b = [c.rational_part() for c in B.unit]
@@ -779,7 +739,7 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7, check: bool = True) -> Morit
         for j in range(n):
             ej = [Fraction(1) if t == j else Fraction(0) for t in range(n)]
             prod_a = [sa[i][j][k] for k in range(n)]
-            if apply(prod_a) != mult_b(apply(ei), apply(ej)):
+            if _nonzero(apply(prod_a)) != _ring_product(sb, _nonzero(apply(ei)), _nonzero(apply(ej))):
                 rep.detail = "witness failed the homomorphism check; inconclusive"
                 return rep
     rep.isomorphic = True

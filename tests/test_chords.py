@@ -6,6 +6,7 @@ import pytest
 
 from orbistring.chords import (
     Cactus,
+    _face_units,
     CactusError,
     DiagramError,
     canonical_md,
@@ -52,6 +53,37 @@ def test_mark_off_region():
     with pytest.raises(DiagramError) as exc:
         validate_diagram(2, [(F(1, 4), F(3, 4))], [F(1, 8), F(7, 8)])  # both in the outer region
     assert exc.value.kind == "mark-off-region"
+
+
+# One input per DiagramError kind that validation can reach, plus one input with
+# two faults, pinning which check runs first.
+ERROR_KIND_CASES = [
+    ("bad-coordinate", 2, [(F(1, 4), F(5, 4))], [F(0), F(1, 2)]),
+    ("arity", 3, [(F(1, 4), F(3, 4))], [F(0), F(1, 2), F(7, 8)]),  # chord count
+    ("arity", 2, [(F(1, 4), F(3, 4))], [F(0)]),  # mark count
+    ("crossing", 3, [(F(1, 10), F(4, 10)), (F(2, 10), F(6, 10))], [F(0), F(15, 100), F(3, 10)]),
+    ("cycle", 4, [(F(1, 8), F(3, 8)), (F(3, 8), F(5, 8)), (F(5, 8), F(1, 8))], [F(0), F(2, 8), F(4, 8), F(6, 8)]),
+    ("mark-off-region", 2, [(F(1, 4), F(3, 4))], [F(1, 8), F(7, 8)]),
+    ("arity", 3, [(F(1, 10), F(4, 10)), (F(2, 10), F(6, 10))], [F(0), F(15, 100)]),  # marks + crossing
+]
+
+
+@pytest.mark.parametrize("validate", [validate_diagram, md_from_data])
+@pytest.mark.parametrize("kind,n,chords,marks", ERROR_KIND_CASES)
+def test_error_kinds(validate, kind, n, chords, marks):
+    with pytest.raises(DiagramError) as exc:
+        validate(n, chords, marks)
+    assert exc.value.kind == kind
+
+
+def test_zero_measure_region_rejected():
+    # a non-crossing forest of n-1 chords always bounds n regions with arcs, so
+    # validation cannot reach this check; a chord triangle exercises it directly
+    v = (F(1, 8), F(3, 8), F(5, 8))
+    chords = ((v[0], v[1]), (v[1], v[2]), (v[2], v[0]))
+    with pytest.raises(DiagramError) as exc:
+        _face_units(v, chords, {x: 0 for x in v})
+    assert exc.value.kind == "zero-measure"
 
 
 def test_shared_endpoint_three_regions():

@@ -194,3 +194,24 @@ def test_byte_identical_reports_small():
     p1 = subprocess.run([sys.executable, "-m", "orbistring.cli", *args], capture_output=True)
     p2 = subprocess.run([sys.executable, "-m", "orbistring.cli", *args], capture_output=True)
     assert p1.stdout == p2.stdout
+
+
+def test_malformed_inputs_are_domain_errors(capsys, tmp_path):
+    cactus = tmp_path / "cactus.json"
+    cactus.write_text(
+        json.dumps({"perimeters": [["x", 1]], "joints": [], "base_lobe": 1, "base_offset": [0, 1]})
+    )
+    nolifts = tmp_path / "w.json"
+    nolifts.write_text(
+        json.dumps({"n": 1, "chords": [], "marks": [[0, 1]], "group": "Z2", "outer": 0, "delta": []})
+    )
+    cases = [
+        (["validate", "--diagram", '{"n":"x","marks":[]}'], "DiagramError"),
+        (["uncactus", "--cactus", f"@{cactus}"], "CactusError"),
+        (["ih", "--gdiagram", f"@{nolifts}"], "HolonomyError"),
+    ]
+    for argv, kind in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert json.loads(err)["kind"] == kind

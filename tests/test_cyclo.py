@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbistring.cyclo import Cyclo, cyclotomic_poly, euler_phi, mat_det, mat_inverse
 
@@ -78,3 +80,28 @@ def test_exact_linear_algebra():
     assert prod == [[one, zero], [zero, one]]
     assert mat_det(m, zero, one) == one - i * i  # 1 - i^2 = 2
     assert mat_det([[one, one], [one, one]], zero, one) == zero
+
+
+coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def cyclos(draw):
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12]))
+    return Cyclo(n, draw(st.lists(coeff, min_size=euler_phi(n), max_size=euler_phi(n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclos(), st.sampled_from([1, 2, 3, 4, 6]))
+def test_lift_keeps_equality_and_hash(x, k):
+    y = x.lift(k * x.level)
+    assert y == x and x == y
+    assert hash(y) == hash(x)
+    assert len({x, y}) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff, st.sampled_from([1, 2, 4, 6, 8, 12]))
+def test_rational_cyclo_hashes_like_its_fraction(q, n):
+    x = Cyclo.rational(q, n)
+    assert x == q and hash(x) == hash(q)

@@ -199,3 +199,44 @@ def test_presentation_json():
     assert {"name": "b", "degree": 1} in blob["generators"]
     assert any("y^2 = 1" in r for r in blob["relations"])
     assert "a^2" in blob["relations"][0]
+
+
+# Menichi's BV operator on the loop homology of odd spheres, extended to the
+# lens presentation: Delta(a u^k v^j) = k u^(k-1) v^j (Comment. Math. Helv. 84,
+# 2009).  The windows are the ones the benchmark probes use.
+MENICHI_WINDOWS = [(3, 1, -3, 6), (3, 2, -3, 6), (3, 3, -3, 4), (5, 2, -5, 8)]
+
+
+def menichi_delta(P, lo, hi, power=1):
+    """Delta(a u^k v^j) = k^power u^(k-1) v^j on the window basis."""
+    ia, iu = P.index("a"), P.index("u")
+    delta = {}
+    for mono in basis_window(P, lo, hi):
+        k = mono[iu]
+        if mono[ia] == 1 and k > 0:
+            target = list(mono)
+            target[ia], target[iu] = 0, k - 1
+            delta[mono] = {tuple(target): F(k**power)}
+    return delta
+
+
+@pytest.mark.parametrize("n,p,lo,hi", MENICHI_WINDOWS)
+def test_bv_check_accepts_menichi_delta(n, p, lo, hi):
+    P = lens_ring(n, p)
+    rep = bv_check(graded_window_bv(P, lo, hi, menichi_delta(P, lo, hi)))
+    assert rep.ok, rep.failures
+    assert rep.checked["antisym"] > 0 and rep.checked["jacobi"] > 0
+
+
+@pytest.mark.parametrize("n,p,lo,hi", MENICHI_WINDOWS)
+def test_bv_check_rejects_squared_menichi_delta(n, p, lo, hi):
+    P = lens_ring(n, p)
+    rep = bv_check(graded_window_bv(P, lo, hi, menichi_delta(P, lo, hi, power=2)))
+    assert not rep.ok
+    assert rep.failures[0]["axiom"] == "jacobi"
+
+
+def test_squared_menichi_delta_also_breaks_leibniz():
+    P = lens_ring(3, 1)
+    rep = bv_check(graded_window_bv(P, -3, 6, menichi_delta(P, -3, 6, power=2)), max_failures=10**6)
+    assert {f["axiom"] for f in rep.failures} == {"jacobi", "leibniz"}

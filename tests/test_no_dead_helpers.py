@@ -1,0 +1,50 @@
+"""Every top-level name defined in the package is used somewhere.
+
+A function, class or constant defined at the top level of a module under
+src/orbistring must be named in some Python file under src, tests, demos or
+perfbench outside its own definition.  Dunder names are exempt.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "orbistring"
+SEARCHED = ("src", "tests", "demos", "perfbench")
+
+
+def _definitions(path: Path):
+    """(name, first line, last line) of each top-level definition in a module."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, node.lineno, node.end_lineno
+
+
+def test_no_dead_top_level_names():
+    words = {  # path -> the identifier-like words of each line
+        p: [set(re.findall(r"\w+", line)) for line in p.read_text().splitlines()]
+        for d in SEARCHED
+        for p in sorted((ROOT / d).rglob("*.py"))
+    }
+    dead = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for name, first, last in _definitions(module):
+            used = any(
+                name in line
+                for path, lines in words.items()
+                for i, line in enumerate(lines, start=1)
+                if not (path == module and first <= i <= last)
+            )
+            if not used:
+                dead.append(f"{module.name}:{first} {name}")
+    assert not dead, "top-level names with no use: " + ", ".join(dead)
