@@ -24,13 +24,12 @@ class UsageError(Exception):
 def _load_json_arg(value: str):
     """Inline JSON, or @path / bare path to a JSON file."""
     text = value
-    if value.startswith("@"):
-        text = Path(value[1:]).read_text()
-    elif not value.lstrip().startswith(("{", "[")):
-        p = Path(value)
-        if not p.exists():
-            raise UsageError(f"no such file: {value}")
-        text = p.read_text()
+    if value.startswith("@") or not value.lstrip().startswith(("{", "[")):
+        path = value[1:] if value.startswith("@") else value
+        try:
+            text = Path(path).read_text()
+        except OSError as e:
+            raise UsageError(f"cannot read {path}: {e.strerror}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -62,7 +61,10 @@ def _resolve_gset(spec: str) -> groups.GSet:
     if spec.startswith("self:"):
         return groups.translation_gset(resolve_group(spec[5:]))
     if spec.startswith("coset:"):
-        _, gn, hn = spec.split(":")
+        fields = spec.split(":")
+        if len(fields) != 3:
+            raise UsageError(f"bad G-set {spec!r}; expected coset:G:H")
+        _, gn, hn = fields
         G, H = groups.catalog_subgroup(gn, hn)
         return groups.coset_gset(G, H)
     return groups.parse_gset(_load_json_arg(spec), resolve_group)
@@ -285,8 +287,34 @@ def cmd_ring(args) -> str:
     return _render(payload, args.format, rows, "multiplication over the window")
 
 
+def _parse_delta(spec: str, basis: list) -> dict:
+    """Delta from {"entries": [[from, to, coeff], ...]}, indices into the window basis."""
+    data = _load_json_arg(spec)
+    entries = data.get("entries", []) if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise UsageError('bad --delta; expected {"entries": [[from, to, coeff], ...]}')
+    delta = {}
+    for entry in entries:
+        bad = f"bad --delta entry {json.dumps(entry)}"
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise UsageError(f"{bad}; expected [from, to, coeff]")
+        src, dst, coeff = entry
+        try:
+            i, j = int(str(src)), int(str(dst))
+            num, _, den = str(coeff).partition("/")
+            c = Fraction(int(num), int(den) if den else 1)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"{bad}; expected integer indices and a coefficient p or p/q") from None
+        if not (0 <= i < len(basis) and 0 <= j < len(basis)):
+            raise UsageError(f"{bad}; indices run from 0 to {len(basis) - 1}")
+        delta.setdefault(basis[i], {})[basis[j]] = c
+    return delta
+
+
 def cmd_bvcheck(args) -> str:
     lo, hi = _parse_window(args.window)
+    if args.dw and args.delta:
+        raise UsageError("--delta applies to a presentation window, not to --dw")
     if args.dw:
         ring = sector.dw_frobenius(resolve_group(args.dw))
         D = graded.ring_window_bv(ring)
@@ -294,13 +322,7 @@ def cmd_bvcheck(args) -> str:
     else:
         P = _resolve_presentation(args)
         basis = graded.basis_window(P, lo, hi)
-        delta = {}
-        if args.delta:
-            data = _load_json_arg(args.delta)
-            for src, dst, coeff in data.get("entries", []):
-                num, _, den = str(coeff).partition("/")
-                c = Fraction(int(num), int(den) if den else 1)
-                delta.setdefault(basis[int(src)], {})[basis[int(dst)]] = c
+        delta = _parse_delta(args.delta, basis) if args.delta else {}
         D = graded.graded_window_bv(P, lo, hi, delta)
         basis_names = [P.mono_str(m) for m in basis]
     rep = graded.bv_check(D)

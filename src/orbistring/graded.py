@@ -268,13 +268,35 @@ def sphere_quotient_ring(p: int) -> GradedPresentation:
 # BV checker -----------------------------------------------------------------
 
 
+def _tabulated(table: dict, fn: Callable, *key):
+    """fn(*key), computed once per key and then read from table.
+
+    An overflow is stored as its message and raised afresh on every lookup.
+    A stored exception would hold, through its traceback, the frame of the
+    check that owns the table: a reference cycle that only the garbage
+    collector frees.
+    """
+    try:
+        val = table[key]
+    except KeyError:
+        try:
+            val = fn(*key)
+        except WindowOverflow as e:
+            val = str(e)
+        table[key] = val
+    if isinstance(val, str):
+        raise WindowOverflow(val)
+    return val
+
+
 @dataclass
 class BVData:
     """A degree window of an algebra together with a candidate degree +1 operator.
 
     basis entries are opaque hashable labels; mult returns the product as a
     dict over basis labels or raises WindowOverflow when it leaves the window.
-    delta maps basis labels to elements.
+    delta maps basis labels to elements.  Products of basis labels are read
+    through product, which calls mult once per pair for the life of the data.
     """
 
     basis: tuple
@@ -282,6 +304,11 @@ class BVData:
     mult: Callable
     delta: dict
     window: tuple[int, int]
+    _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def product(self, a, b) -> Element:
+        """mult(a, b), computed at most once per basis pair; do not mutate the result."""
+        return _tabulated(self._products, self.mult, a, b)
 
     def apply_delta(self, x: Element) -> Element:
         out: Element = {}
@@ -298,7 +325,7 @@ class BVData:
         out: Element = {}
         for bx, cx in x.items():
             for by, cy in y.items():
-                for bz, cz in self.mult(bx, by).items():
+                for bz, cz in self.product(bx, by).items():
                     acc = out.get(bz, 0) + cx * cy * cz
                     if acc:
                         out[bz] = acc
@@ -359,8 +386,17 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
     {a,b} = -(-1)^{(|a|+1)(|b|+1)} {b,a} (Getzler's convention), the Leibniz
     rule {a, bc} = {a,b}c + (-1)^{(|a|+1)|b|} b{a,c}, and graded Jacobi with
     the shifted signs.  Tuples whose products leave the window are skipped.
+
+    Products and brackets are tabulated once per check: each basis product
+    is computed at most once (D.product keeps it for the life of D) and each
+    basis bracket {x,y} at most once (a table local to this call, since it
+    depends on Delta).  Brackets whose second argument is an element are
+    summed from the basis brackets by linearity; when a summand overflows,
+    the bracket is recomputed elementwise, so a tuple is skipped exactly
+    when the elementwise bracket overflows.
     """
     rep = BVReport(True)
+    one = Fraction(1)
     counts = {"degree": 0, "delta2": 0, "antisym": 0, "leibniz": 0, "jacobi": 0, "skipped": 0}
 
     def fail(kind, witness):
@@ -380,14 +416,37 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
         if D.degree(b) + 2 > hi and any(D.delta.get(b, {}).values()):
             counts["skipped"] += 1
             continue
-        if D.apply_delta(D.apply_delta({b: Fraction(1)})):
+        if D.apply_delta(D.apply_delta({b: one})):
             fail("delta-squared", f"Delta^2({b}) != 0")
             if len(rep.failures) >= max_failures:
                 return rep
         counts["delta2"] += 1
 
+    brackets: dict = {}
+
+    def basis_bracket(x, y):
+        return bracket(D, {x: one}, {y: one}, D.degree(x))
+
     def brk(x, y):
-        return bracket(D, {x: Fraction(1)}, {y: Fraction(1)}, D.degree(x))
+        return _tabulated(brackets, basis_bracket, x, y)
+
+    def brk_el(x, e, dx):
+        """{x, e} for an element e."""
+        out: Element = {}
+        try:
+            for w, c in e.items():
+                for m, v in brk(x, w).items():
+                    acc = out.get(m, 0) + c * v
+                    if acc:
+                        out[m] = acc
+                    else:
+                        out.pop(m, None)
+        except WindowOverflow:
+            if len(e) == 1:
+                raise  # the elementwise bracket forms exactly the same products
+            # terms of Delta(e) may cancel, so the elementwise bracket may stay in the window
+            return bracket(D, {x: one}, e, dx)
+        return out
 
     for x in D.basis:
         for y in D.basis:
@@ -408,11 +467,10 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
             dy = D.degree(y)
             for z in D.basis:
                 try:
-                    bc = D.mult(y, z)
-                    lhs = bracket(D, {x: Fraction(1)}, bc, dx)
-                    t1 = D.mult_el(brk(x, y), {z: Fraction(1)})
+                    lhs = brk_el(x, D.product(y, z), dx)
+                    t1 = D.mult_el(brk(x, y), {z: one})
                     t2 = el_scale(
-                        D.mult_el({y: Fraction(1)}, brk(x, z)),
+                        D.mult_el({y: one}, brk(x, z)),
                         -1 if ((dx + 1) * dy) % 2 else 1,
                     )
                     rhs = el_add(t1, t2)
@@ -425,11 +483,11 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
                         return rep
                 counts["leibniz"] += 1
                 try:
-                    byz = brk(y, z)
-                    l2 = bracket(D, {x: Fraction(1)}, byz, dx)
-                    r1 = bracket(D, brk(x, y), {z: Fraction(1)}, dx + dy + 1)
+                    l2 = brk_el(x, brk(y, z), dx)
+                    # the first argument has the forced degree dx+dy+1, so no linearity here
+                    r1 = bracket(D, brk(x, y), {z: one}, dx + dy + 1)
                     r2 = el_scale(
-                        bracket(D, {y: Fraction(1)}, brk(x, z), dy),
+                        brk_el(y, brk(x, z), dy),
                         -1 if ((dx + 1) * (dy + 1)) % 2 else 1,
                     )
                 except WindowOverflow:

@@ -29,9 +29,12 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_unreadable_input_is_usage_error(capsys, tmp_path):
-    code, out, err = run(capsys, "validate", "--diagram", str(tmp_path / "missing.json"))
-    assert code == 2
-    assert json.loads(err)["kind"] == "usage"
+    missing = str(tmp_path / "missing.json")
+    for spec in (missing, "@" + missing, "@" + str(tmp_path)):
+        code, out, err = run(capsys, "validate", "--diagram", spec)
+        assert code == 2
+        blob = json.loads(err)
+        assert blob["kind"] == "usage" and spec.lstrip("@") in blob["error"]
 
 
 def test_dw_formats(capsys):
@@ -215,3 +218,45 @@ def test_malformed_inputs_are_domain_errors(capsys, tmp_path):
         assert code == 1, argv
         assert out == ""
         assert json.loads(err)["kind"] == kind
+
+
+def test_bad_bvcheck_delta_is_usage_error(capsys):
+    lens = ["bvcheck", "--name", "lens", "--n", "3", "--p", "2", "--window=-3:6", "--delta"]
+    cases = [
+        (lens + ['{"entries":[[99,0,"1"]]}'], '[99, 0, "1"]'),
+        (lens + ['{"entries":[[-1,0,"1"]]}'], '[-1, 0, "1"]'),
+        (lens + ['{"entries":[[1,2,"1/0"]]}'], '[1, 2, "1/0"]'),
+        (lens + ['{"entries":[["x",2,"1"]]}'], '["x", 2, "1"]'),
+        (lens + ['{"entries":[[1.5,2,"1"]]}'], '[1.5, 2, "1"]'),
+        (lens + ['{"entries":[[1,2]]}'], "[1, 2]"),
+        (lens + ['{"entries":"x"}'], "entries"),
+        (["bvcheck", "--dw", "S3", "--delta", '{"entries":[]}'], "--dw"),
+    ]
+    for argv, named in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "Traceback" not in err
+        blob = json.loads(err)
+        assert blob["kind"] == "usage" and named in blob["error"], argv
+
+
+def test_valid_bvcheck_delta_is_read(capsys):
+    code, out, _ = run(
+        capsys, "bvcheck", "--name", "lens", "--n", "3", "--p", "2", "--window=-3:6",
+        "--delta", '{"entries":[[0,2,"1/2"]]}',
+    )
+    assert code == 0
+    assert json.loads(out)["failures"] == [
+        {"axiom": "delta-degree", "witness": "Delta((1, 0, 0)) hits (1, 1, 0): degree -1 != -2"}
+    ]
+
+
+def test_short_coset_spec_is_usage_error(capsys):
+    for spec in ("coset:S3", "coset:S3:A3:x"):
+        code, out, err = run(capsys, "morita", "--left", spec, "--right", "point:Z2")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        blob = json.loads(err)
+        assert blob["kind"] == "usage" and spec in blob["error"] and "coset:G:H" in blob["error"]

@@ -1,9 +1,12 @@
+import gc
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from orbistring.graded import (
+    BVData,
     GradedError,
     GradedPresentation,
     WindowOverflow,
@@ -240,3 +243,90 @@ def test_squared_menichi_delta_also_breaks_leibniz():
     P = lens_ring(3, 1)
     rep = bv_check(graded_window_bv(P, -3, 6, menichi_delta(P, -3, 6, power=2)), max_failures=10**6)
     assert {f["axiom"] for f in rep.failures} == {"jacobi", "leibniz"}
+
+
+CHECKED_KEYS = ("degree", "delta2", "antisym", "leibniz", "jacobi", "skipped")
+
+
+def test_bv_check_counts_and_witnesses_are_pinned():
+    P = lens_ring(3, 2)
+    zero = bv_check(graded_window_bv(P, -3, 9))
+    assert zero.ok
+    assert list(zero.checked.items()) == list(zip(CHECKED_KEYS, (24, 24, 456, 7824, 7824, 6120)))
+    menichi = bv_check(graded_window_bv(P, -3, 9, menichi_delta(P, -3, 9)))
+    assert menichi.ok
+    assert list(menichi.checked.items()) == list(zip(CHECKED_KEYS, (24, 22, 356, 5112, 4272, 9774)))
+    P1 = lens_ring(3, 1)
+    rep = bv_check(graded_window_bv(P1, -3, 6, menichi_delta(P1, -3, 6, power=2)), max_failures=10**6)
+    assert Counter(f["axiom"] for f in rep.failures) == {"jacobi": 84, "leibniz": 75}
+    assert rep.failures[:3] == [
+        {"axiom": "jacobi", "witness": "jacobi fails at ((1, 0, 0),(1, 1, 0),(1, 2, 0))"},
+        {"axiom": "leibniz", "witness": "{(1, 0, 0), (1, 1, 0)*(0, 1, 0)} fails the derivation rule"},
+        {"axiom": "jacobi", "witness": "jacobi fails at ((1, 0, 0),(1, 1, 0),(0, 1, 0))"},
+    ]
+
+
+def _lens_window():
+    return graded_window_bv(lens_ring(3, 2), -3, 6), True
+
+
+def _lens_window_menichi():
+    P = lens_ring(3, 2)
+    return graded_window_bv(P, -3, 6, menichi_delta(P, -3, 6)), True
+
+
+def _dw_ring_s3():
+    return ring_window_bv(dw_frobenius(catalog_group("S3"))), False
+
+
+@pytest.mark.parametrize("make", [_lens_window, _lens_window_menichi, _dw_ring_s3])
+def test_bv_check_multiplies_each_basis_pair_at_most_once(make):
+    D, overflows = make()
+    calls, overflowed = Counter(), set()
+    mult = D.mult
+
+    def counted(a, b):
+        calls[a, b] += 1
+        try:
+            return mult(a, b)
+        except WindowOverflow:
+            overflowed.add((a, b))
+            raise
+
+    D.mult = counted
+    rep = bv_check(D, max_failures=10**6)
+    assert rep.ok and rep.checked["leibniz"] > 0
+    assert calls and max(calls.values()) == 1
+    assert bool(overflowed) == overflows
+
+
+def test_bv_check_skips_only_where_the_elementwise_bracket_overflows():
+    # {x, {y,y}} = {x, w1 - w2}: each basis bracket {x, wi} contains x*t, which
+    # overflows, but Delta(w1 - w2) = t - t = 0, so the bracket itself is 0.
+    # The Jacobi tuples (x, y, y) must be checked, not skipped.
+    deg = {"x": 0, "y": 0, "m": 0, "w1": 1, "w2": 1, "t": 2}
+
+    def mult(a, b):
+        if (a, b) == ("x", "t"):
+            raise WindowOverflow("x*t leaves the window")
+        return {"m": F(1)} if (a, b) == ("y", "y") else {}
+
+    delta = {"m": {"w1": F(1), "w2": F(-1)}, "w1": {"t": F(1)}, "w2": {"t": F(1)}}
+    rep = bv_check(BVData(tuple(deg), deg.__getitem__, mult, delta, (0, 2)), max_failures=100)
+    assert rep.ok
+    assert list(rep.checked.items()) == list(zip(CHECKED_KEYS, (6, 4, 30, 184, 174, 50)))
+
+
+def test_bv_check_leaves_little_garbage():
+    # an overflow kept as an exception object would tie the check's frame into
+    # a reference cycle of thousands of objects per check; a check leaves about 35
+    P = lens_ring(3, 2)
+    bv_check(graded_window_bv(P, -3, 6))
+    gc.collect()
+    gc.disable()
+    try:
+        bv_check(graded_window_bv(P, -3, 6))
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found < 100
