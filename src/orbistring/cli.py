@@ -312,14 +312,15 @@ def _parse_delta(spec: str, basis: list) -> dict:
 
 
 def cmd_bvcheck(args) -> str:
-    lo, hi = _parse_window(args.window)
-    if args.dw and args.delta:
-        raise UsageError("--delta applies to a presentation window, not to --dw")
     if args.dw:
+        for flag in ("name", "n", "p", "window", "delta"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} applies to a presentation window, not to --dw")
         ring = sector.dw_frobenius(resolve_group(args.dw))
         D = graded.ring_window_bv(ring)
         basis_names = list(ring.labels)
     else:
+        lo, hi = _parse_window("-6:6" if args.window is None else args.window)
         P = _resolve_presentation(args)
         basis = graded.basis_window(P, lo, hi)
         delta = _parse_delta(args.delta, basis) if args.delta else {}
@@ -403,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--dw", help="use Z(Q[GROUP]) in degree 0 instead of a presentation")
-    p.add_argument("--window", default="-6:6")
+    p.add_argument("--window")  # a presentation's default is -6:6
     p.add_argument("--delta", help="JSON {entries: [[from,to,coeff],...]} over the window basis")
     p = add("selftest", cmd_selftest, help="run the full acceptance property suite")
     return ap

@@ -6,7 +6,6 @@ modulo the N-th cyclotomic polynomial.  Everything is immutable and hashable.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -171,19 +170,8 @@ class Cyclo:
     def inverse(self) -> "Cyclo":
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # extended Euclid in Q[x] against the cyclotomic polynomial
         mod = [Fraction(c) for c in cyclotomic_poly(self.level)]
-        r0, r1 = mod, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        r0 = _poly_trim(list(r0))
-        if len(r0) != 1 or not r0[0]:
-            raise ZeroDivisionError("not invertible modulo cyclotomic polynomial")
-        inv = [c / r0[0] for c in s0]
-        return Cyclo(self.level, inv)
+        return Cyclo(self.level, _poly_inverse_mod(list(self.coeffs), mod))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -254,10 +242,6 @@ class Cyclo:
             return None
         return self.coeffs[0]
 
-    def to_complex(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.level)
-        return sum(float(a) * z**i for i, a in enumerate(self.coeffs))
-
     def __repr__(self):
         return f"Cyclo({self.level}, {self})"
 
@@ -326,6 +310,20 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], 
             for i, bi in enumerate(b):
                 a[k + i] -= c * bi
     return _poly_trim(q), _poly_trim(a)
+
+
+def _poly_inverse_mod(a: list[Fraction], m: list[Fraction]) -> list[Fraction]:
+    """b with a*b = 1 modulo m, by extended Euclid in Q[x]."""
+    r0, r1 = m, a
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while any(r1):
+        q, rem = _poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    r0 = _poly_trim(list(r0))
+    if len(r0) != 1 or not r0[0]:
+        raise ZeroDivisionError("not invertible modulo the polynomial")
+    return [c / r0[0] for c in s0]
 
 
 # generic exact linear algebra (works over Fraction or Cyclo) ---------------

@@ -201,15 +201,14 @@ def basis_window(P: GradedPresentation, lo: int, hi: int) -> list[Monomial]:
                 raise GradedError(
                     f"generator {name} has unbounded negative degree; window is infinite"
                 )
-    INF = float("inf")
-    min_rest = [0.0] * (k + 1)
-    max_rest = [0.0] * (k + 1)
+    # degree range reachable by generators i.. ; None is an unbounded maximum
+    min_rest = [0] * (k + 1)
+    max_rest: list[int | None] = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
         d, cap = degs[i], caps[i]
-        hi_c = INF if cap is None else max(0, d * cap)
-        lo_c = 0 if cap is None else min(0, d * cap)
-        min_rest[i] = min_rest[i + 1] + lo_c
-        max_rest[i] = max_rest[i + 1] + hi_c
+        min_rest[i] = min_rest[i + 1] + (0 if cap is None else min(0, d * cap))
+        above = max_rest[i + 1]
+        max_rest[i] = None if cap is None or above is None else above + max(0, d * cap)
     out: list[Monomial] = []
 
     def rec(i: int, cur: int, mono: list[int]):
@@ -221,13 +220,14 @@ def basis_window(P: GradedPresentation, lo: int, hi: int) -> list[Monomial]:
             return
         d, cap = degs[i], caps[i]
         if cap is None:
-            top = (hi - cur - int(min_rest[i + 1])) // d
+            top = (hi - cur - min_rest[i + 1]) // d
             if top < 0:
                 return
             cap = top
         for e in range(cap + 1):
             nxt = cur + e * d
-            if nxt + min_rest[i + 1] > hi or nxt + max_rest[i + 1] < lo:
+            above = max_rest[i + 1]
+            if nxt + min_rest[i + 1] > hi or (above is not None and nxt + above < lo):
                 continue
             mono.append(e)
             rec(i + 1, nxt, mono)

@@ -10,12 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import isqrt, lcm
 from typing import Sequence
 
-import numpy as np
-
-from .cyclo import Cyclo, _poly_divmod, _poly_trim, mat_det, mat_inverse
+from .cyclo import Cyclo, _poly_divmod, _poly_inverse_mod, _poly_mul, _poly_sub, _poly_trim, mat_det, mat_solve
 from .groups import FiniteGroup, GSet, conjugacy_classes, fixed_points, point_gset
 from .phases import TwoCocycle, alpha_regular_reps
 
@@ -190,7 +189,7 @@ def _ring_from_rational(labels, structure_q, unit_q, trace_q=None, meta=None) ->
     return SectorRing(tuple(labels), lvl, structure, unit, trace, meta or {})
 
 
-def orbifold_string_ring(X: GSet, check: bool = True) -> SectorRing:
+def orbifold_string_ring(X: GSet) -> SectorRing:
     """The G-invariant sector ring: basis = orbit sums, product = transfer then project.
 
     The transfer sums a class over its orbit members and the projection averages
@@ -219,25 +218,23 @@ def orbifold_string_ring(X: GSet, check: bool = True) -> SectorRing:
                     continue
                 done.add(k)
                 structure[i][j][k] = c
-            if check:
-                for p, c in acc.items():
-                    if structure[i][j][index[p]] != c:
-                        raise SectorError("product failed to be orbit-constant")
+            for p, c in acc.items():
+                if structure[i][j][index[p]] != c:
+                    raise SectorError("product failed to be orbit-constant")
     unit = [Fraction(0)] * dim
     for i, orb in enumerate(orbits):
         if orb[0][0] == 0:
             unit[i] = Fraction(1)
     labels = tuple("{" + ",".join(f"({G.names[g]},{x})" for g, x in orb) + "}" for orb in orbits)
     ring = _ring_from_rational(labels, structure, unit, meta={"orbits": orbits, "gset": X})
-    if check:
-        ring.check_associative()
-        ring.check_unit()
+    ring.check_associative()
+    ring.check_unit()
     return ring
 
 
-def dw_frobenius(G: FiniteGroup, check: bool = True) -> SectorRing:
+def dw_frobenius(G: FiniteGroup) -> SectorRing:
     """Z(Q[G]) on class sums with trace = (coefficient of the identity class) / |G|."""
-    ring = orbifold_string_ring(point_gset(G), check=check)
+    ring = orbifold_string_ring(point_gset(G))
     data = conjugacy_classes(G)
     assert ring.dim == len(data.classes)
     trace = []
@@ -252,7 +249,7 @@ def dw_frobenius(G: FiniteGroup, check: bool = True) -> SectorRing:
         tuple(Cyclo.rational(c, 1) for c in trace),
         {"classes": data},
     )
-    if check and not out.pairing_nondegenerate():
+    if not out.pairing_nondegenerate():
         raise SectorError("Frobenius pairing is degenerate")
     return out
 
@@ -265,7 +262,7 @@ def _twisted_conjugation_factor(alpha: TwoCocycle, h: int, x: int):
     return alpha.table[h][x] * alpha.table[hx][hi] / alpha.table[h][hi]
 
 
-def twisted_center(G: FiniteGroup, alpha: TwoCocycle, check: bool = True) -> SectorRing:
+def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
     """The center of the alpha-twisted group algebra over Q(zeta_N).
 
     One basis vector per alpha-regular conjugacy class; coefficients are the
@@ -295,13 +292,12 @@ def twisted_center(G: FiniteGroup, alpha: TwoCocycle, check: bool = True) -> Sec
                 c = Cyclo.from_phase(_twisted_conjugation_factor(alpha, h, x).q, N)
                 coeff[y] = c * coeff[x]
                 frontier.append(y)
-        if check:
-            for h in range(G.order):
-                for x in cls:
-                    y = G.mul(G.mul(h, x), G.invert(h))
-                    c = Cyclo.from_phase(_twisted_conjugation_factor(alpha, h, x).q, N)
-                    if coeff[y] != c * coeff[x]:
-                        raise SectorError(f"twisted class sum for rep {rep} is not central")
+        for h in range(G.order):
+            for x in cls:
+                y = G.mul(G.mul(h, x), G.invert(h))
+                c = Cyclo.from_phase(_twisted_conjugation_factor(alpha, h, x).q, N)
+                if coeff[y] != c * coeff[x]:
+                    raise SectorError(f"twisted class sum for rep {rep} is not central")
         vectors.append(coeff)
         reps.append(rep)
 
@@ -320,14 +316,13 @@ def twisted_center(G: FiniteGroup, alpha: TwoCocycle, check: bool = True) -> Sec
                     c = Cyclo.from_phase(alpha.table[x][y].q, N)
                     prod[z] = prod[z] + vectors[i][x] * vectors[j][y] * c
             coords = [prod[r] for r in reps]  # vectors are normalized to 1 at their rep
-            if check:
-                recon = [zero] * G.order
-                for k, ck in enumerate(coords):
-                    if ck:
-                        for x in range(G.order):
-                            recon[x] = recon[x] + ck * vectors[k][x]
-                if recon != prod:
-                    raise SectorError("twisted product left the span of the twisted class sums")
+            recon = [zero] * G.order
+            for k, ck in enumerate(coords):
+                if ck:
+                    for x in range(G.order):
+                        recon[x] = recon[x] + ck * vectors[k][x]
+            if recon != prod:
+                raise SectorError("twisted product left the span of the twisted class sums")
             structure[i][j] = coords
     unit = [one if r == 0 else zero for r in reps]
     trace = [Cyclo.rational(Fraction(1, G.order), N) if r == 0 else zero for r in reps]
@@ -340,11 +335,10 @@ def twisted_center(G: FiniteGroup, alpha: TwoCocycle, check: bool = True) -> Sec
         tuple(trace),
         {"regular_reps": reps, "u_vectors": vectors, "alpha": alpha},
     )
-    if check:
-        ring.check_associative()
-        ring.check_unit()
-        if not ring.pairing_nondegenerate():
-            raise SectorError("twisted Frobenius pairing is degenerate")
+    ring.check_associative()
+    ring.check_unit()
+    if not ring.pairing_nondegenerate():
+        raise SectorError("twisted Frobenius pairing is degenerate")
     return ring
 
 
@@ -428,16 +422,46 @@ def _min_poly(mat: list[list[Fraction]]) -> list[Fraction]:
     raise SectorError("minimal polynomial computation failed")
 
 
-def _factor_monic_over_q(poly: list[Fraction]) -> list[list[Fraction]]:
-    """Factor a squarefree monic rational polynomial into monic irreducible factors.
+def _eval_mod(poly: list[int], x: int, m: int) -> int:
+    """poly(x) mod m, Horner, for ascending integer coefficients."""
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % m
+    return acc
 
-    Numeric roots suggest candidate factors (minimal root subsets with integer
-    symmetric functions after clearing denominators); every factor is certified
-    by exact division, so float error can only cause a failure, never a wrong
-    factorization.  Returns factors sorted by (degree, coefficients).
+
+def _split_prime(ipoly: list[int], e: int) -> tuple[int, list[int]]:
+    """The first prime p = 1 (mod e) modulo which ipoly has deg(ipoly) distinct roots, and the roots.
+
+    Primes p = 1 (mod e) split completely in Q(zeta_e), so every prime of this
+    kind that does not divide the discriminant qualifies; the search gives up
+    after 1000 of them.
     """
-    from itertools import combinations
+    n = len(ipoly) - 1
+    tried = 0
+    p = 1
+    while tried < 1000:
+        p += e
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            continue
+        tried += 1
+        roots = [x for x in range(p) if not _eval_mod(ipoly, x, p)]
+        if len(roots) == n:
+            return p, roots
+    raise SectorError("rational factorization failed")
 
+
+def _factor_monic_over_q(poly: list[Fraction], e: int) -> list[list[Fraction]]:
+    """Factor a squarefree monic rational polynomial whose roots lie in Q(zeta_e)
+    into monic irreducible factors, sorted by (degree, coefficients).
+
+    Hensel factorization (Zassenhaus): with denominators cleared, the roots
+    modulo a prime p = 1 (mod e) are lifted by Newton's iteration modulo
+    p^(2^k) past twice the bound 2^n * sum|a_i| on the coefficients of any
+    factor.  Products over root subsets, smallest subsets first and read as
+    symmetric residues, are the candidate factors; each is certified by exact
+    division.
+    """
     den = 1
     for c in poly:
         den = lcm(den, c.denominator)
@@ -446,33 +470,40 @@ def _factor_monic_over_q(poly: list[Fraction]) -> list[list[Fraction]]:
     ipoly = [int(poly[k] * den ** (n - k)) for k in range(n + 1)]
     assert ipoly[-1] == 1
 
-    roots = list(np.roots([float(c) for c in reversed(ipoly)]))
+    p, roots = _split_prime(ipoly, e)
+    bound = 2**n * sum(abs(c) for c in ipoly)
+    deriv = [k * c for k, c in enumerate(ipoly)][1:]
+    m = p
+    while m <= 2 * bound:
+        m *= m
+        roots = [(r - _eval_mod(ipoly, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m for r in roots]
+
+    def candidate(comb) -> list[Fraction]:
+        prod = [1]
+        for i in comb:
+            prod = [((prod[k - 1] if k else 0) - roots[i] * c) % m for k, c in enumerate(prod)] + [1]
+        return [Fraction(c - m if 2 * c > m else c) for c in prod]
+
     remaining = [Fraction(c) for c in ipoly]
-    idx = list(range(len(roots)))
+    idx = list(range(n))
     factors: list[list[Fraction]] = []
-    while len(remaining) > 2:
-        found = False
-        for size in range(1, len(idx) + 1):
-            for comb in combinations(idx, size):
-                prod = [1.0]
-                for i in comb:
-                    r = roots[i]
-                    prod = [a * (-r) + (prod[k - 1] if k else 0) for k, a in enumerate(prod)] + [prod[-1]]
-                cand = [Fraction(round(c.real)) for c in prod]
-                if any(abs(c.real - round(c.real)) > 1e-4 or abs(c.imag) > 1e-4 for c in prod):
-                    continue
-                q, r = _poly_divmod(remaining, cand)
-                if not any(r):
-                    factors.append(cand)
-                    remaining = q
-                    idx = [i for i in idx if i not in comb]
-                    found = True
-                    break
-            if found:
+    size = 1
+    # a reducible remainder has a factor of at most half its degree
+    while 2 * size <= len(idx):
+        for comb in combinations(idx, size):
+            cand = candidate(comb)
+            c0 = cand[0]
+            if remaining[0] % c0 if c0 else remaining[0]:  # a factor's constant term divides the remainder's
+                continue
+            q, r = _poly_divmod(remaining, cand)
+            if not any(r):
+                factors.append(cand)
+                remaining = q
+                idx = [i for i in idx if i not in comb]
                 break
-        if not found:
-            raise SectorError("rational factorization failed")
-    if len(remaining) == 2:
+        else:
+            size += 1
+    if idx:
         factors.append(remaining)
     # undo the substitution: factor g(s) of degree d becomes g(den*t)/den^d
     out = []
@@ -506,73 +537,13 @@ def _squarefree_core(q: Fraction) -> tuple[Fraction, int]:
     return s, sign * d
 
 
-def _sqrt_squarefree(d: int) -> Cyclo:
-    """An exact square root of the squarefree integer d in a cyclotomic field."""
-    assert d != 0
-    level = 1
-    res = Cyclo.one(1)
-    need_i = d < 0
-    for p in sorted(set(_prime_factors(abs(d)))):
-        if p == 2:
-            lvl = 8
-            g = Cyclo.root(8, 1) + Cyclo.root(8, 7)  # zeta8 + zeta8^-1 = sqrt(2)
-        else:
-            lvl = p
-            g = Cyclo.zero(p)
-            for a in range(1, p):
-                g = g + Cyclo.root(p, a) * _legendre(a, p)
-            # g^2 = p if p = 1 mod 4, else -p
-            if p % 4 == 3:
-                need_i = not need_i
-        nl = lcm(level, lvl)
-        res = res.lift(nl) * g.lift(nl)
-        level = nl
-    if need_i:
-        nl = lcm(level, 4)
-        res = res.lift(nl) * Cyclo.root(4, 1).lift(nl) if nl != 4 else res.lift(4) * Cyclo.root(4, 1)
-        level = nl
-    if res * res != Cyclo.rational(d, level):
-        raise SectorError("square root construction failed verification")
-    return res
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out.append(p)
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _legendre(a: int, p: int) -> int:
-    t = pow(a, (p - 1) // 2, p)
-    return -1 if t == p - 1 else t
-
-
-def _roots_in_cyclotomic(factor: list[Fraction]) -> tuple[list[Cyclo], Fraction | None] | None:
-    """Exact roots of a monic irreducible rational polynomial of degree <= 2.
-
-    Returns (roots at some cyclotomic level, squarefree discriminant core) or
-    None for degrees this comparator does not resolve.
-    """
-    d = len(factor) - 1
-    if d == 1:
-        return [Cyclo.rational(-factor[0], 1)], Fraction(0)
-    if d == 2:
-        b, c = factor[1], factor[0]
-        disc = b * b - 4 * c
-        s, core = _squarefree_core(disc)
-        r = _sqrt_squarefree(core) * s
-        lvl = r.level
-        half = Fraction(1, 2)
-        r1 = (r - Cyclo.rational(b, lvl)) * half
-        r2 = (Cyclo.rational(-b, lvl) - r) * half
-        return [r1, r2], Fraction(core)
+def _splitting(factor: list[Fraction]) -> tuple[Fraction, int] | None:
+    """(s, core) with disc = s^2 * core for a quadratic factor, (1, 0) for a linear
+    one, and None for degrees this comparator does not resolve."""
+    if len(factor) == 2:
+        return Fraction(1), 0
+    if len(factor) == 3:
+        return _squarefree_core(factor[1] ** 2 - 4 * factor[0])
     return None
 
 
@@ -594,53 +565,38 @@ def _probe_split(ring: SectorRing, rng) -> tuple[list[Fraction], list[list[Fract
             a, b = b, r
         if len(_poly_trim(a)) != 1:
             continue
-        return probe, _factor_monic_over_q(list(mp))
+        return probe, _factor_monic_over_q(list(mp), ring.meta["gset"].group.exponent())
     return None
 
 
-def _idempotents(ring: SectorRing, probe: list[Fraction], roots: list[Cyclo], level: int) -> list[list[Cyclo]]:
-    """Lagrange idempotents prod_{j != i} (probe - r_j)/(r_i - r_j), exactly verified."""
-    n = ring.dim
-    zero, one = Cyclo.zero(level), Cyclo.one(level)
-    S = {ij: tuple((k, c.lift(level)) for k, c in row) for ij, row in ring._sparse.items()}
-    unit = [c.lift(level) for c in ring.unit]
-    probe_vec = [Cyclo.rational(q, level) for q in probe]
-    out = []
-    for i, ri in enumerate(roots):
-        vec = _nonzero(unit)
-        denom = one
-        for j, rj in enumerate(roots):
-            if j == i:
-                continue
-            shifted = [a - rj * b for a, b in zip(probe_vec, unit)]
-            vec = _ring_product(S, vec, _nonzero(shifted))
-            denom = denom * (ri - rj)
-        e = [vec.get(k, zero) / denom for k in range(n)]
-        es = _nonzero(e)
-        if _ring_product(S, es, es) != es:
-            raise SectorError("idempotent verification failed")
-        out.append(e)
-    total = [sum((e[k] for e in out), zero) for k in range(n)]
-    if total != unit:
-        raise SectorError("idempotents do not sum to the unit")
-    return out
+def _powers(sparse: dict, unit: dict, x: dict, n: int) -> list[list[Fraction]]:
+    """Dense vectors of 1, x, ..., x^(n-1)."""
+    out = [unit]
+    for _ in range(n - 1):
+        out.append(_ring_product(sparse, out[-1], x))
+    return [[v.get(k, Fraction(0)) for k in range(n)] for v in out]
 
 
-def morita_compare(X: GSet, Y: GSet, seed: int = 7, check: bool = True) -> MoritaReport:
+def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
     """Compare the orbifold string rings of two G-sets.
 
-    Both rings are commutative and semisimple with rational structure constants.
-    A generic probe splits each into number-field components; components are
-    matched by (degree, squarefree discriminant core), and the matched
-    eigenvalue idempotents over a common cyclotomic field assemble into a
-    rational basis change that is then verified exactly as a unital algebra
-    isomorphism.  Dimension or component mismatches are certified obstructions;
-    anything this search cannot resolve is reported as inconclusive.
+    Both rings are commutative and semisimple with rational structure
+    constants, and their components are subfields of Q(zeta_e), e the exponent
+    of the acting group.  A generic probe of each ring has a squarefree
+    minimal polynomial of full degree whose irreducible factors, found exactly
+    by Hensel lifting, are the components; they are matched by (degree,
+    squarefree discriminant core).  For matched factors f of A and g of B the
+    root map alpha (a rational polynomial) sends a root of g to the root of f
+    under the same square root, and the Chinese remainder theorem gives h with
+    h = alpha (mod g) on every component.  The rational map sending probe_a^k
+    to h(probe_b)^k is then verified exactly as a unital algebra isomorphism.
+    Dimension or component mismatches are certified obstructions; components
+    of degree > 2 are reported as inconclusive.
     """
     import random
 
-    A = orbifold_string_ring(X, check=check)
-    B = orbifold_string_ring(Y, check=check)
+    A = orbifold_string_ring(X)
+    B = orbifold_string_ring(Y)
     rep = MoritaReport(A.dim, B.dim, None, None)
     if A.dim != B.dim:
         rep.isomorphic = False
@@ -657,89 +613,63 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7, check: bool = True) -> Morit
     probe_b, factors_b = pb
     rep.component_degrees_left = sorted(len(f) - 1 for f in factors_a)
     rep.component_degrees_right = sorted(len(f) - 1 for f in factors_b)
-
-    roots_a: list[tuple[list[Cyclo], Fraction | None, int]] = []
-    roots_b: list[tuple[list[Cyclo], Fraction | None, int]] = []
-    for factors, acc in ((factors_a, roots_a), (factors_b, roots_b)):
-        for f in factors:
-            got = _roots_in_cyclotomic(f)
-            if got is None:
-                acc.append(([], None, len(f) - 1))
-            else:
-                acc.append((got[0], got[1], len(f) - 1))
-
-    sig_a = sorted((d, core) for _, core, d in roots_a if core is not None)
-    sig_b = sorted((d, core) for _, core, d in roots_b if core is not None)
     if rep.component_degrees_left != rep.component_degrees_right:
         rep.isomorphic = False
         rep.obstruction = "spectrum mismatch: component degrees differ"
         return rep
-    if any(core is None for _, core, _ in roots_a) or any(core is None for _, core, _ in roots_b):
+    split_a = [_splitting(f) for f in factors_a]
+    split_b = [_splitting(g) for g in factors_b]
+    if None in split_a or None in split_b:
         rep.detail = "component of degree > 2; inconclusive"
         return rep
-    if sig_a != sig_b:
+    sig_a = [(len(f), core) for f, (_, core) in zip(factors_a, split_a)]
+    sig_b = [(len(g), core) for g, (_, core) in zip(factors_b, split_b)]
+    if sorted(sig_a) != sorted(sig_b):
         rep.isomorphic = False
         rep.obstruction = "spectrum mismatch: splitting fields differ"
         return rep
 
-    level = 1
-    for rs, _, _ in roots_a + roots_b:
-        for r in rs:
-            level = lcm(level, r.level)
-    all_roots_a: list[Cyclo] = []
-    all_roots_b: list[Cyclo] = []
-    used = [False] * len(roots_b)
-    for rs_a, core_a, d_a in roots_a:
-        match = next(
-            i
-            for i, (rs_b, core_b, d_b) in enumerate(roots_b)
-            if not used[i] and d_b == d_a and core_b == core_a
-        )
-        used[match] = True
-        # conjugate roots are listed in a fixed order on both sides, so the
-        # pairing commutes with conjugation and the basis change is rational
-        all_roots_a.extend(r.lift(level) for r in rs_a)
-        all_roots_b.extend(r.lift(level) for r in roots_b[match][0])
+    # h = alpha (mod g) for each factor f of A and the first unused g of B with its signature
+    h, mod = [Fraction(0)], [Fraction(1)]
+    used = [False] * len(factors_b)
+    for f, (s_f, _), sig in zip(factors_a, split_a, sig_a):
+        j = next(j for j, s in enumerate(sig_b) if not used[j] and s == sig)
+        used[j] = True
+        g, (s_g, _) = factors_b[j], split_b[j]
+        # alpha sends the root (-g_1 + s_g sqrt(core))/2 of g to (-f_1 + s_f sqrt(core))/2 of f
+        r = s_f / s_g
+        alpha = [-f[0]] if len(f) == 2 else [(r * g[1] - f[1]) / 2, r]
+        inv = _poly_inverse_mod(_poly_divmod(mod, g)[1], g)
+        t = _poly_divmod(_poly_mul(_poly_sub(h, alpha), inv), g)[1]
+        h = _poly_sub(h, _poly_mul(mod, t))
+        mod = _poly_mul(mod, g)
 
-    zero, one = Cyclo.zero(level), Cyclo.one(level)
-    idems_a = _idempotents(A, probe_a, all_roots_a, level)
-    idems_b = _idempotents(B, probe_b, all_roots_b, level)
-    Ea = [[idems_a[i][k] for i in range(n)] for k in range(n)]
-    Ea_inv = mat_inverse(Ea, zero, one)
-    T = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        col_b = idems_b[i]
-        for r in range(n):
-            for c in range(n):
-                T[r][c] = T[r][c] + col_b[r] * Ea_inv[i][c]
-    Tq: list[list[Fraction]] = []
-    for row in T:
-        out_row = []
-        for cval in row:
-            q = cval.rational_part()
-            if q is None:
-                rep.detail = "basis change failed to be rational; inconclusive"
-                return rep
-            out_row.append(q)
-        Tq.append(out_row)
-
-    sa = _rational_structure(A)
+    ra = _rational_structure(A)
+    sa = _sparse_structure(ra)
     sb = _sparse_structure(_rational_structure(B))
+    unit_a = [c.rational_part() for c in A.unit]
+    unit_b = [c.rational_part() for c in B.unit]
+    powers_b = _powers(sb, _nonzero(unit_b), _nonzero(probe_b), n)
+    beta = [sum(c * v[k] for c, v in zip(h, powers_b)) for k in range(n)]
+    # T probe_a^k = beta^k, solved as (rows probe_a^k) T^t = (rows beta^k)
+    Tt = mat_solve(
+        _powers(sa, _nonzero(unit_a), _nonzero(probe_a), n),
+        _powers(sb, _nonzero(unit_b), _nonzero(beta), n),
+        Fraction(0),
+        Fraction(1),
+    )
+    Tq = [list(row) for row in zip(*Tt)]
 
     def apply(v):
         return [sum(Tq[r][c] * v[c] for c in range(n)) for r in range(n)]
 
-    unit_a = [c.rational_part() for c in A.unit]
-    unit_b = [c.rational_part() for c in B.unit]
     if apply(unit_a) != unit_b:
         rep.detail = "witness does not map unit to unit; inconclusive"
         return rep
+    cols = [_nonzero(row) for row in Tt]  # cols[i] = T e_i
     for i in range(n):
-        ei = [Fraction(1) if t == i else Fraction(0) for t in range(n)]
         for j in range(n):
-            ej = [Fraction(1) if t == j else Fraction(0) for t in range(n)]
-            prod_a = [sa[i][j][k] for k in range(n)]
-            if _nonzero(apply(prod_a)) != _ring_product(sb, _nonzero(apply(ei)), _nonzero(apply(ej))):
+            if _nonzero(apply(ra[i][j])) != _ring_product(sb, cols[i], cols[j]):
                 rep.detail = "witness failed the homomorphism check; inconclusive"
                 return rep
     rep.isomorphic = True

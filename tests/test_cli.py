@@ -260,3 +260,27 @@ def test_short_coset_spec_is_usage_error(capsys):
         assert "Traceback" not in err
         blob = json.loads(err)
         assert blob["kind"] == "usage" and spec in blob["error"] and "coset:G:H" in blob["error"]
+
+
+def test_bvcheck_dw_refuses_presentation_flags(capsys):
+    dw = ["bvcheck", "--dw", "S3"]
+    cases = [
+        (["--name", "lens", "--n", "3", "--p", "2"], "--name"),
+        (["--n", "3"], "--n"),
+        (["--p", "2"], "--p"),
+        (["--window=-6:6"], "--window"),
+    ]
+    for extra, named in cases:
+        code, out, err = run(capsys, *dw, *extra)
+        assert code == 2, extra
+        assert out == ""
+        blob = json.loads(err)
+        assert blob["kind"] == "usage" and named in blob["error"] and "--dw" in blob["error"], extra
+
+
+def test_bvcheck_window_defaults_only_for_presentations(capsys):
+    code, dw_out, _ = run(capsys, "bvcheck", "--dw", "S3")
+    assert code == 0 and json.loads(dw_out)["basis"][0] == "{(e,0)}"
+    code, out, _ = run(capsys, "bvcheck", "--name", "lens", "--n", "3", "--p", "2")
+    code2, out2, _ = run(capsys, "bvcheck", "--name", "lens", "--n", "3", "--p", "2", "--window=-6:6")
+    assert code == code2 == 0 and out == out2

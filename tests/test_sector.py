@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
-from orbistring.cyclo import Cyclo
+from orbistring.cyclo import Cyclo, _poly_mul
 from orbistring.groups import (
     GSet,
     catalog_group,
@@ -16,6 +17,7 @@ from orbistring.groups import (
 from orbistring.phases import catalog_cocycle, coboundary, discrete_torsion, Phase, trivial_cocycle
 from orbistring.sector import (
     SectorError,
+    _factor_monic_over_q,
     dw_frobenius,
     morita_compare,
     orbifold_string_ring,
@@ -221,6 +223,98 @@ def test_morita_negative_cases():
 def test_morita_self_translation_vs_trivial_point():
     rep = morita_compare(translation_gset(catalog_group("S3")), point_gset(catalog_group("Z1")))
     assert rep.isomorphic is True
+
+
+def _q(*cs):
+    return [Fraction(c) for c in cs]
+
+
+def test_factor_monic_over_q_integer_product():
+    # (x - 3)(x^2 + 1)(x^2 + x + 1)(x^4 + x^3 + x^2 + x + 1), roots in Q(zeta_60)
+    factors = [_q(-3, 1), _q(1, 0, 1), _q(1, 1, 1), _q(1, 1, 1, 1, 1)]
+    assert _factor_monic_over_q(reduce(_poly_mul, factors), 60) == factors
+
+
+def test_factor_monic_over_q_rational_coefficients():
+    # (x + 2/3)(x^2 + 1/4)(x^4 + x^3/2 + x^2/4 + x/8 + 1/16): roots -2/3, +-i/2, zeta_5^k/2
+    factors = [
+        _q(Fraction(2, 3), 1),
+        _q(Fraction(1, 4), 0, 1),
+        _q(Fraction(1, 16), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1),
+    ]
+    assert _factor_monic_over_q(reduce(_poly_mul, factors), 20) == factors
+
+
+def test_morita_degree_above_two_is_inconclusive():
+    for name, degrees in [("Z5", [1, 4]), ("Z7", [1, 6]), ("Z8", [1, 1, 2, 4])]:
+        X = point_gset(catalog_group(name))
+        rep = morita_compare(X, X)
+        assert rep.isomorphic is None and rep.obstruction is None
+        assert rep.component_degrees_left == rep.component_degrees_right == degrees
+        assert rep.detail == "component of degree > 2; inconclusive"
+
+
+def test_morita_z11_factors_exactly():
+    # floating-point root hints used to lose the degree-10 factor of Z11
+    X = point_gset(catalog_group("Z11"))
+    rep = morita_compare(X, X)
+    assert rep.component_degrees_left == rep.component_degrees_right == [1, 10]
+    assert rep.detail == "component of degree > 2; inconclusive"
+
+
+_PINNED_WITNESSES = {
+    ("coset:S3:Z2", "point:Z2"): ([1, 1], [["1", "0"], ["0", "1"]]),
+    ("coset:S3:Z3", "point:Z3"): ([1, 2], [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+    ("coset:S4:S3", "point:S3"): (
+        [1, 1, 1],
+        [["1", "3/2", "3/2"], ["0", "1/2", "-1/2"], ["0", "-3/2", "-1/2"]],
+    ),
+    ("coset:Z4:Z2", "point:Z2"): ([1, 1], [["1", "0"], ["0", "1"]]),
+    ("point:D4", "point:Q8"): (
+        [1, 1, 1, 1, 1],
+        [
+            ["1", "0", "0", "0", "0"],
+            ["0", "0", "0", "0", "1"],
+            ["0", "-1", "0", "0", "0"],
+            ["0", "0", "0", "1", "0"],
+            ["0", "0", "-1", "0", "0"],
+        ],
+    ),
+    ("point:Z6", "point:Z6"): (
+        [1, 1, 2, 2],
+        [
+            ["1", "0", "0", "0", "0", "0"],
+            ["0", "0", "0", "0", "0", "-1"],
+            ["0", "0", "0", "0", "1", "0"],
+            ["0", "0", "0", "-1", "0", "0"],
+            ["0", "0", "1", "0", "0", "0"],
+            ["0", "-1", "0", "0", "0", "0"],
+        ],
+    ),
+}
+
+
+def _gset(spec):
+    kind, _, rest = spec.partition(":")
+    if kind == "point":
+        return point_gset(catalog_group(rest))
+    return coset_gset(*catalog_subgroup(*rest.split(":")))
+
+
+@pytest.mark.parametrize("left,right", sorted(_PINNED_WITNESSES))
+def test_morita_witness_pinned(left, right):
+    degrees, witness = _PINNED_WITNESSES[left, right]
+    rep = morita_compare(_gset(left), _gset(right), seed=46)
+    assert rep.to_json() == {
+        "dim_left": len(witness),
+        "dim_right": len(witness),
+        "isomorphic": True,
+        "obstruction": None,
+        "detail": "rational basis change verified on all basis pairs",
+        "component_degrees_left": degrees,
+        "component_degrees_right": degrees,
+        "witness": witness,
+    }
 
 
 def test_ring_json():
