@@ -11,12 +11,13 @@ module canonicalizes and compares.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+from .groups import _load_json
 
 
 class DiagramError(ValueError):
@@ -791,18 +792,6 @@ def from_cactus(c: Cactus) -> MDClass:
 
 
 # JSON interchange -----------------------------------------------------------
-
-
-def _load_json(data: str | dict, error) -> dict:
-    """The JSON object in data; error(message) builds the domain error to raise."""
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise error(f"malformed JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise error("JSON input must be an object")
-    return data
 
 
 def _diagram_fields(data: dict):

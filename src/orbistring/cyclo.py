@@ -348,12 +348,6 @@ def mat_solve(a: list[list], rhs: list[list], zero, one):
     return [row[n : n + m] for row in work]
 
 
-def mat_inverse(a: list[list], zero, one):
-    n = len(a)
-    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    return mat_solve(a, eye, zero, one)
-
-
 def mat_det(a: list[list], zero, one):
     """Determinant by fraction-free-ish Gaussian elimination over an exact field."""
     n = len(a)

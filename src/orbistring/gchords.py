@@ -19,7 +19,6 @@ from .chords import (
     MDClass,
     WalkTape,
     _diagram_fields,
-    _load_json,
     canonical_md,
     compose as compose_md,
     identity_md,
@@ -29,7 +28,7 @@ from .chords import (
     rep_diagram,
     validate_diagram,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _load_json
 
 
 class HolonomyError(ValueError):

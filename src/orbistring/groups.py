@@ -269,35 +269,53 @@ def group_from_perm_gens(name: str, gens: Sequence[Sequence[int]]) -> FiniteGrou
 # JSON interchange -----------------------------------------------------------
 
 
-def parse_group(data: str | dict) -> FiniteGroup:
-    """Group from JSON: {"name", "mult": [[...]]} or {"name", "perm_gens": [[...]]}."""
+def _load_json(data: str | dict, error, not_object: str = "JSON input must be an object") -> dict:
+    """The JSON object in data; error(message) builds the domain error to raise."""
     if isinstance(data, str):
         try:
             data = json.loads(data)
         except json.JSONDecodeError as e:
-            raise GroupError(f"malformed JSON: {e}") from None
+            raise error(f"malformed JSON: {e}") from None
     if not isinstance(data, dict):
-        raise GroupError("group JSON must be an object")
+        raise error(not_object)
+    return data
+
+
+def _json_field(data: dict, key: str, read, error):
+    """read(data[key]).  A missing field, or a value of the wrong shape, raises
+    the domain error class error naming the field; an error that read raises
+    itself passes through unchanged."""
+    if key not in data:
+        raise error(f"missing field {key!r}")
+    try:
+        return read(data[key])
+    except error:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        raise error(f"bad field {key!r}: {e}") from None
+
+
+def parse_group(data: str | dict) -> FiniteGroup:
+    """Group from JSON: {"name", "mult": [[...]]} or {"name", "perm_gens": [[...]]}."""
+    data = _load_json(data, GroupError, "group JSON must be an object")
     name = str(data.get("name", "G"))
     if "mult" in data:
-        g = FiniteGroup.from_table(name, data["mult"], data.get("names"))
-        if "order" in data and int(data["order"]) != g.order:
+        g = _json_field(data, "mult", lambda mult: FiniteGroup.from_table(name, mult), GroupError)
+        if "names" in data:  # read after the table, whose errors come first
+            g = _json_field(
+                data, "names", lambda names: FiniteGroup.from_table(name, g.mult, names), GroupError
+            )
+        if "order" in data and _json_field(data, "order", int, GroupError) != g.order:
             raise GroupError(f"declared order {data['order']} does not match table size {g.order}")
         return g
     if "perm_gens" in data:
-        return group_from_perm_gens(name, data["perm_gens"])
+        return _json_field(data, "perm_gens", lambda gens: group_from_perm_gens(name, gens), GroupError)
     raise GroupError("group JSON needs 'mult' or 'perm_gens'")
 
 
 def parse_gset(data: str | dict, resolve_group=None) -> GSet:
     """G-set from JSON: {"group": name-or-inline, "size", "act": [[...]]}."""
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise GroupError(f"malformed JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise GroupError("G-set JSON must be an object")
+    data = _load_json(data, GroupError, "G-set JSON must be an object")
     gspec = data.get("group")
     if isinstance(gspec, dict):
         G = parse_group(gspec)
@@ -308,8 +326,8 @@ def parse_gset(data: str | dict, resolve_group=None) -> GSet:
             G = resolve_group(gspec)
     else:
         raise GroupError("G-set JSON needs a 'group' (name or inline)")
-    X = GSet.from_table(G, data["act"])
-    if "size" in data and int(data["size"]) != X.size:
+    X = _json_field(data, "act", lambda act: GSet.from_table(G, act), GroupError)
+    if "size" in data and _json_field(data, "size", int, GroupError) != X.size:
         raise GroupError(f"declared size {data['size']} does not match table")
     return X
 

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
-from .groups import FiniteGroup, conjugacy_classes
+from .groups import FiniteGroup, _json_field, _load_json, conjugacy_classes
 
 
 class CocycleError(ValueError):
@@ -52,6 +51,20 @@ class Phase:
         return str(self.q)
 
 
+def _table_level(table: Sequence[Sequence[Phase]]) -> int:
+    """The least common denominator of a table of phases."""
+    return lcm(*(p.q.denominator for row in table for p in row))
+
+
+def _table_json(group: FiniteGroup, table: Sequence[Sequence[Phase]]) -> dict:
+    den = _table_level(table)
+    return {
+        "group": group.name,
+        "denominator": den,
+        "num": [[int(p.q * den) for p in row] for row in table],
+    }
+
+
 @dataclass(frozen=True)
 class TwoCocycle:
     """A normalized U(1)-valued 2-cocycle on a finite group."""
@@ -63,11 +76,7 @@ class TwoCocycle:
         return self.table[g][h]
 
     def level(self) -> int:
-        out = 1
-        for row in self.table:
-            for p in row:
-                out = lcm(out, p.q.denominator)
-        return out
+        return _table_level(self.table)
 
     def __mul__(self, other: "TwoCocycle") -> "TwoCocycle":
         if other.group is not self.group and other.group != self.group:
@@ -151,11 +160,7 @@ class TorsionCocycle:
         return self.tau[g][h]
 
     def level(self) -> int:
-        out = 1
-        for row in self.tau:
-            for p in row:
-                out = lcm(out, p.q.denominator)
-        return out
+        return _table_level(self.tau)
 
 
 def discrete_torsion(alpha: TwoCocycle) -> TorsionCocycle:
@@ -214,39 +219,28 @@ def alpha_regular_reps(alpha: TwoCocycle) -> list[int]:
 
 def parse_cocycle(data: str | dict, G: FiniteGroup) -> TwoCocycle:
     """Cocycle from JSON: {"group": name, "denominator": N, "num": [[...]]}."""
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise CocycleError(f"malformed JSON: {e}") from None
-    if not isinstance(data, dict) or "denominator" not in data or "num" not in data:
-        raise CocycleError("cocycle JSON needs 'denominator' and 'num'")
-    den = int(data["denominator"])
+    need = "cocycle JSON needs 'denominator' and 'num'"
+    data = _load_json(data, CocycleError, need)
+    if "denominator" not in data or "num" not in data:
+        raise CocycleError(need)
+    den = _json_field(data, "denominator", int, CocycleError)
     if den < 1:
         raise CocycleError("denominator must be positive")
-    num = data["num"]
-    if len(num) != G.order or any(len(r) != G.order for r in num):
-        raise CocycleError(f"num must be {G.order}x{G.order}")
-    table = [[Phase.of(int(num[g][h]), den) for h in range(G.order)] for g in range(G.order)]
-    return make_cocycle(G, table)
+
+    def phases(num) -> list[list[Phase]]:
+        if len(num) != G.order or any(len(r) != G.order for r in num):
+            raise CocycleError(f"num must be {G.order}x{G.order}")
+        return [[Phase.of(int(num[g][h]), den) for h in range(G.order)] for g in range(G.order)]
+
+    return make_cocycle(G, _json_field(data, "num", phases, CocycleError))
 
 
 def cocycle_to_json(alpha: TwoCocycle) -> dict:
-    den = alpha.level()
-    return {
-        "group": alpha.group.name,
-        "denominator": den,
-        "num": [[int(p.q * den) for p in row] for row in alpha.table],
-    }
+    return _table_json(alpha.group, alpha.table)
 
 
 def torsion_to_json(t: TorsionCocycle) -> dict:
-    den = t.level()
-    return {
-        "group": t.group.name,
-        "denominator": den,
-        "num": [[int(p.q * den) for p in row] for row in t.tau],
-    }
+    return _table_json(t.group, t.tau)
 
 
 def catalog_cocycle(G: FiniteGroup, name: str) -> TwoCocycle:

@@ -3,6 +3,9 @@
 Everything here lives in the discrete model where paths are constant: the
 g-sector of a G-set X is the fixed-point set of g, and the umkehr map of the
 diagonal square is restriction to the intersection of fixed-point sets.
+The Morita comparator splits each ring into its components exactly: the power
+maps on sectors act on a probe's eigenvalues as the Galois group of Q(zeta_e),
+and the Galois orbits of its roots modulo a prime give the components.
 """
 
 from __future__ import annotations
@@ -10,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .cyclo import Cyclo, _poly_divmod, _poly_inverse_mod, _poly_mul, _poly_sub, _poly_trim, mat_det, mat_solve
@@ -372,54 +374,18 @@ class MoritaReport:
         return out
 
 
-def _rational_structure(ring: SectorRing) -> list[list[list[Fraction]]]:
-    out = []
-    for mat in ring.structure:
-        rows = []
-        for row in mat:
-            vals = []
-            for c in row:
-                q = c.rational_part()
-                if q is None:
-                    raise SectorError("Morita comparison expects rational structure constants")
-                vals.append(q)
-            rows.append(vals)
-        out.append(rows)
+def _rational_structure(ring: SectorRing) -> dict:
+    """The ring's sparse structure constants, as Fractions."""
+    out = {}
+    for key, row in ring._sparse.items():
+        vals = []
+        for k, c in row:
+            q = c.rational_part()
+            if q is None:
+                raise SectorError("Morita comparison expects rational structure constants")
+            vals.append((k, q))
+        out[key] = tuple(vals)
     return out
-
-
-def _min_poly(mat: list[list[Fraction]]) -> list[Fraction]:
-    """Minimal polynomial (monic, ascending coefficients) of a rational matrix."""
-    n = len(mat)
-    # first linear dependence among the flattened powers I, M, M^2, ...
-    acc = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    flat = lambda M: [M[i][j] for i in range(n) for j in range(n)]
-    seq = [flat(acc)]
-    for _ in range(n):
-        acc = [[sum(acc[i][k] * mat[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        seq.append(flat(acc))
-    rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-    coeffs_hist: list[list[Fraction]] = []
-    for d, vec in enumerate(seq):
-        # reduce vec against rows, tracking combination
-        comb = [Fraction(0)] * len(seq)
-        comb[d] = Fraction(1)
-        w = vec[:]
-        for r, (row, piv, ch) in enumerate(zip(rows, pivots, coeffs_hist)):
-            if w[piv]:
-                f = w[piv] / row[piv]
-                w = [a - f * b for a, b in zip(w, row)]
-                comb = [a - f * b for a, b in zip(comb, ch)]
-        piv = next((i for i, a in enumerate(w) if a), None)
-        if piv is None:
-            poly = comb[: d + 1]
-            lead = poly[-1]
-            return [c / lead for c in poly]
-        rows.append(w)
-        pivots.append(piv)
-        coeffs_hist.append(comb)
-    raise SectorError("minimal polynomial computation failed")
 
 
 def _eval_mod(poly: list[int], x: int, m: int) -> int:
@@ -430,19 +396,21 @@ def _eval_mod(poly: list[int], x: int, m: int) -> int:
     return acc
 
 
-def _split_prime(ipoly: list[int], e: int) -> tuple[int, list[int]]:
-    """The first prime p = 1 (mod e) modulo which ipoly has deg(ipoly) distinct roots, and the roots.
+def _split_prime(ipoly: list[int], galois: list[list[Fraction]], e: int) -> tuple[int, list[int]]:
+    """The first prime p = 1 (mod e), dividing no denominator of the galois
+    polynomials, modulo which ipoly has deg(ipoly) distinct roots, and the roots.
 
     Primes p = 1 (mod e) split completely in Q(zeta_e), so every prime of this
     kind that does not divide the discriminant qualifies; the search gives up
     after 1000 of them.
     """
     n = len(ipoly) - 1
+    dens = lcm(*(c.denominator for h in galois for c in h))
     tried = 0
     p = 1
     while tried < 1000:
         p += e
-        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        if p < 2 or dens % p == 0 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             continue
         tried += 1
         roots = [x for x in range(p) if not _eval_mod(ipoly, x, p)]
@@ -451,67 +419,50 @@ def _split_prime(ipoly: list[int], e: int) -> tuple[int, list[int]]:
     raise SectorError("rational factorization failed")
 
 
-def _factor_monic_over_q(poly: list[Fraction], e: int) -> list[list[Fraction]]:
-    """Factor a squarefree monic rational polynomial whose roots lie in Q(zeta_e)
+def _factor_monic_over_q(ipoly: list[int], galois: list[list[Fraction]], e: int) -> list[list[Fraction]]:
+    """Factor a squarefree monic integer polynomial whose roots lie in Q(zeta_e)
     into monic irreducible factors, sorted by (degree, coefficients).
 
-    Hensel factorization (Zassenhaus): with denominators cleared, the roots
-    modulo a prime p = 1 (mod e) are lifted by Newton's iteration modulo
+    The galois polynomials act on the roots as Gal(Q(zeta_e)/Q), so the orbits
+    of the roots modulo a prime p = 1 (mod e) under them are the roots of the
+    irreducible factors.  The roots are lifted by Newton's iteration modulo
     p^(2^k) past twice the bound 2^n * sum|a_i| on the coefficients of any
-    factor.  Products over root subsets, smallest subsets first and read as
-    symmetric residues, are the candidate factors; each is certified by exact
-    division.
+    factor; each orbit's product, read as symmetric residues, is certified by
+    exact division.
     """
-    den = 1
-    for c in poly:
-        den = lcm(den, c.denominator)
-    # substitute t = s/den to get a monic integer polynomial in s
-    n = len(poly) - 1
-    ipoly = [int(poly[k] * den ** (n - k)) for k in range(n + 1)]
-    assert ipoly[-1] == 1
-
-    p, roots = _split_prime(ipoly, e)
+    p, roots = _split_prime(ipoly, galois, e)
+    n = len(ipoly) - 1
     bound = 2**n * sum(abs(c) for c in ipoly)
     deriv = [k * c for k, c in enumerate(ipoly)][1:]
+    lifted = dict(zip(roots, roots))
     m = p
     while m <= 2 * bound:
         m *= m
-        roots = [(r - _eval_mod(ipoly, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m for r in roots]
+        lifted = {
+            r: (s - _eval_mod(ipoly, s, m) * pow(_eval_mod(deriv, s, m), -1, m)) % m for r, s in lifted.items()
+        }
 
-    def candidate(comb) -> list[Fraction]:
-        prod = [1]
-        for i in comb:
-            prod = [((prod[k - 1] if k else 0) - roots[i] * c) % m for k, c in enumerate(prod)] + [1]
-        return [Fraction(c - m if 2 * c > m else c) for c in prod]
-
+    hp = [[c.numerator * pow(c.denominator, -1, p) % p for c in h] for h in galois]
     remaining = [Fraction(c) for c in ipoly]
-    idx = list(range(n))
     factors: list[list[Fraction]] = []
-    size = 1
-    # a reducible remainder has a factor of at most half its degree
-    while 2 * size <= len(idx):
-        for comb in combinations(idx, size):
-            cand = candidate(comb)
-            c0 = cand[0]
-            if remaining[0] % c0 if c0 else remaining[0]:  # a factor's constant term divides the remainder's
-                continue
-            q, r = _poly_divmod(remaining, cand)
-            if not any(r):
-                factors.append(cand)
-                remaining = q
-                idx = [i for i in idx if i not in comb]
-                break
-        else:
-            size += 1
-    if idx:
-        factors.append(remaining)
-    # undo the substitution: factor g(s) of degree d becomes g(den*t)/den^d
-    out = []
-    for f in factors:
-        d = len(f) - 1
-        out.append([f[k] * den**k / Fraction(den**d) for k in range(d + 1)])
-    out.sort(key=lambda f: (len(f), f))
-    return out
+    seen: set[int] = set()
+    for r in roots:
+        if r in seen:
+            continue
+        orbit = {r} | {_eval_mod(h, r, p) for h in hp}
+        if not orbit <= lifted.keys():
+            raise SectorError("rational factorization failed")
+        seen |= orbit
+        prod = [1]
+        for s in orbit:
+            prod = [((prod[k - 1] if k else 0) - lifted[s] * c) % m for k, c in enumerate(prod)] + [1]
+        cand = [Fraction(c - m if 2 * c > m else c) for c in prod]
+        remaining, rem = _poly_divmod(remaining, cand)
+        if any(rem):
+            raise SectorError("rational factorization failed")
+        factors.append(cand)
+    factors.sort(key=lambda f: (len(f), f))
+    return factors
 
 
 def _squarefree_core(q: Fraction) -> tuple[Fraction, int]:
@@ -547,44 +498,71 @@ def _splitting(factor: list[Fraction]) -> tuple[Fraction, int] | None:
     return None
 
 
-def _probe_split(ring: SectorRing, rng) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """A probe element whose minimal polynomial is squarefree of full degree,
-    together with the sorted irreducible factors of that polynomial."""
-    sc = _rational_structure(ring)
+def _probe_split(
+    ring: SectorRing, sparse: dict, rng
+) -> tuple[list[list[Fraction]], list[list[Fraction]]] | None:
+    """The dense powers 1, x, ..., x^(n-1) of a probe x whose minimal polynomial
+    has full degree n and is squarefree, and the sorted irreducible factors of
+    that polynomial.
+
+    One solve in the basis 1, ..., x^(n-1) writes x^n, which gives the minimal
+    polynomial, and P_c(x) for each c prime to the group exponent e, where P_c
+    is the power map (g, m) -> (g^c, m) on orbit sums.  The eigenvalue
+    |C_g| chi(g) / chi(1) of a class sum goes to that of C_(g^c) under
+    zeta_e -> zeta_e^c, so the polynomials h_c with P_c(x) = h_c(x) act on the
+    eigenvalues of x as Gal(Q(zeta_e)/Q) (Dixon 1967).
+    """
+    G = ring.meta["gset"].group
+    e = G.exponent()
+    cs = [c for c in range(2, e) if gcd(c, e) == 1]
+    orbits = ring.meta["orbits"]
+    index = {p: i for i, orb in enumerate(orbits) for p in orb}
+    images = []  # images[i][j]: the orbit of (g^c, m) for (g, m) in orbit i and c = cs[j]
+    for g, m in (orb[0] for orb in orbits):
+        walk = [0]
+        for _ in range(e):
+            walk.append(G.mul(walk[-1], g))
+        images.append([index[walk[c], m] for c in cs])
+    unit = {i: c.rational_part() for i, c in _nonzero(ring.unit).items()}
     n = ring.dim
     for _ in range(200):
         probe = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
-        mat = [[sum(probe[t] * sc[t][j][k] for t in range(n)) for j in range(n)] for k in range(n)]
-        mp = _min_poly(mat)
-        if len(mp) - 1 != n:
+        x = _nonzero(probe)
+        powers = [unit]
+        for _ in range(n):
+            powers.append(_ring_product(sparse, powers[-1], x))
+        dense = [[v.get(k, Fraction(0)) for k in range(n)] for v in powers]
+        rhs = [[dense[n][k]] + [Fraction(0)] * len(cs) for k in range(n)]
+        for i, row in enumerate(images):
+            for j, k in enumerate(row, start=1):
+                rhs[k][j] = probe[i]
+        try:
+            sol = mat_solve([list(col) for col in zip(*dense[:n])], rhs, Fraction(0), Fraction(1))
+        except ArithmeticError:  # 1, ..., x^(n-1) are dependent: the degree is below n
             continue
-        dp = [c * i for i, c in enumerate(mp)][1:]
-        a, b = list(mp), _poly_trim(list(dp))
-        while any(b):
-            _, r = _poly_divmod(a, b)
-            a, b = b, r
-        if len(_poly_trim(a)) != 1:
+        mp = [-row[0] for row in sol] + [Fraction(1)]
+        if any(c.denominator != 1 for c in mp):
+            raise SectorError("minimal polynomial of an integral probe is not integral")
+        try:
+            _poly_inverse_mod([k * c for k, c in enumerate(mp)][1:], mp)
+        except ZeroDivisionError:  # not squarefree
             continue
-        return probe, _factor_monic_over_q(list(mp), ring.meta["gset"].group.exponent())
+        galois = [_poly_trim([row[j] for row in sol]) for j in range(1, len(cs) + 1)]
+        return dense[:n], _factor_monic_over_q([int(c) for c in mp], galois, e)
     return None
-
-
-def _powers(sparse: dict, unit: dict, x: dict, n: int) -> list[list[Fraction]]:
-    """Dense vectors of 1, x, ..., x^(n-1)."""
-    out = [unit]
-    for _ in range(n - 1):
-        out.append(_ring_product(sparse, out[-1], x))
-    return [[v.get(k, Fraction(0)) for k in range(n)] for v in out]
 
 
 def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
     """Compare the orbifold string rings of two G-sets.
 
-    Both rings are commutative and semisimple with rational structure
+    Both rings are commutative and semisimple with integral structure
     constants, and their components are subfields of Q(zeta_e), e the exponent
-    of the acting group.  A generic probe of each ring has a squarefree
-    minimal polynomial of full degree whose irreducible factors, found exactly
-    by Hensel lifting, are the components; they are matched by (degree,
+    of the acting group.  A generic probe of each ring has a squarefree monic
+    integer minimal polynomial of full degree whose irreducible factors are
+    the components.  The power maps (g, m) -> (g^c, m) act on the probe's
+    eigenvalues as Gal(Q(zeta_e)/Q), so the Galois orbits of its roots modulo
+    a prime p = 1 (mod e), lifted by Hensel's lemma, give the factors, each
+    certified by exact division.  Components are matched by (degree,
     squarefree discriminant core).  For matched factors f of A and g of B the
     root map alpha (a rational polynomial) sends a root of g to the root of f
     under the same square root, and the Chinese remainder theorem gives h with
@@ -603,14 +581,15 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
         rep.obstruction = "dimension mismatch"
         return rep
     n = A.dim
+    sa, sb = _rational_structure(A), _rational_structure(B)
     rng = random.Random(seed)
-    pa = _probe_split(A, rng)
-    pb = _probe_split(B, rng)
+    pa = _probe_split(A, sa, rng)
+    pb = _probe_split(B, sb, rng)
     if pa is None or pb is None:
         rep.detail = "no separating probe found; inconclusive"
         return rep
-    probe_a, factors_a = pa
-    probe_b, factors_b = pb
+    powers_a, factors_a = pa
+    powers_b, factors_b = pb
     rep.component_degrees_left = sorted(len(f) - 1 for f in factors_a)
     rep.component_degrees_right = sorted(len(f) - 1 for f in factors_b)
     if rep.component_degrees_left != rep.component_degrees_right:
@@ -644,24 +623,18 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
         h = _poly_sub(h, _poly_mul(mod, t))
         mod = _poly_mul(mod, g)
 
-    ra = _rational_structure(A)
-    sa = _sparse_structure(ra)
-    sb = _sparse_structure(_rational_structure(B))
-    unit_a = [c.rational_part() for c in A.unit]
-    unit_b = [c.rational_part() for c in B.unit]
-    powers_b = _powers(sb, _nonzero(unit_b), _nonzero(probe_b), n)
-    beta = [sum(c * v[k] for c, v in zip(h, powers_b)) for k in range(n)]
+    unit_a, unit_b = _nonzero(powers_a[0]), _nonzero(powers_b[0])
+    beta = _nonzero([sum(c * v[k] for c, v in zip(h, powers_b)) for k in range(n)])
+    powers_beta = [unit_b]
+    for _ in range(n - 1):
+        powers_beta.append(_ring_product(sb, powers_beta[-1], beta))
     # T probe_a^k = beta^k, solved as (rows probe_a^k) T^t = (rows beta^k)
-    Tt = mat_solve(
-        _powers(sa, _nonzero(unit_a), _nonzero(probe_a), n),
-        _powers(sb, _nonzero(unit_b), _nonzero(beta), n),
-        Fraction(0),
-        Fraction(1),
-    )
+    rows_beta = [[v.get(k, Fraction(0)) for k in range(n)] for v in powers_beta]
+    Tt = mat_solve(powers_a, rows_beta, Fraction(0), Fraction(1))
     Tq = [list(row) for row in zip(*Tt)]
 
-    def apply(v):
-        return [sum(Tq[r][c] * v[c] for c in range(n)) for r in range(n)]
+    def apply(v: dict) -> dict:
+        return _nonzero([sum(Tq[r][k] * c for k, c in v.items()) for r in range(n)])
 
     if apply(unit_a) != unit_b:
         rep.detail = "witness does not map unit to unit; inconclusive"
@@ -669,7 +642,7 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
     cols = [_nonzero(row) for row in Tt]  # cols[i] = T e_i
     for i in range(n):
         for j in range(n):
-            if _nonzero(apply(ra[i][j])) != _ring_product(sb, cols[i], cols[j]):
+            if apply(dict(sa.get((i, j), ()))) != _ring_product(sb, cols[i], cols[j]):
                 rep.detail = "witness failed the homomorphism check; inconclusive"
                 return rep
     rep.isomorphic = True

@@ -208,16 +208,27 @@ def test_malformed_inputs_are_domain_errors(capsys, tmp_path):
     nolifts.write_text(
         json.dumps({"n": 1, "chords": [], "marks": [[0, 1]], "group": "Z2", "outer": 0, "delta": []})
     )
+    group = tmp_path / "g.json"
+    group.write_text(json.dumps({"name": "G", "mult": 5}))
     cases = [
-        (["validate", "--diagram", '{"n":"x","marks":[]}'], "DiagramError"),
-        (["uncactus", "--cactus", f"@{cactus}"], "CactusError"),
-        (["ih", "--gdiagram", f"@{nolifts}"], "HolonomyError"),
+        (["validate", "--diagram", '{"n":"x","marks":[]}'], "DiagramError", "diagram"),
+        (["uncactus", "--cactus", f"@{cactus}"], "CactusError", "cactus"),
+        (["ih", "--gdiagram", f"@{nolifts}"], "HolonomyError", "lift"),
+        (
+            ["torsion", "--group", "Z2", "--cocycle", '{"denominator":"x","num":[[0,0],[0,0]]}'],
+            "CocycleError",
+            "'denominator'",
+        ),
+        (["torsion", "--group", "Z2", "--cocycle", '{"denominator":2,"num":5}'], "CocycleError", "'num'"),
+        (["string-ring", "--gset", '{"group":"Z2"}'], "GroupError", "'act'"),
+        (["group", "--group", str(group)], "GroupError", "'mult'"),
     ]
-    for argv, kind in cases:
+    for argv, kind, named in cases:
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert out == ""
-        assert json.loads(err)["kind"] == kind
+        blob = json.loads(err)
+        assert blob["kind"] == kind and named in blob["error"], argv
 
 
 def test_bad_bvcheck_delta_is_usage_error(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from orbistring import graded
 from orbistring.graded import (
     BVData,
     GradedError,
@@ -90,6 +91,15 @@ def test_koszul_graded_commutativity():
         lhs = multiply(P, x, y)
         rhs = el_scale(multiply(P, y, x), F(-1) if (d1 * d2) % 2 else F(1))
         assert lhs == rhs
+
+
+def test_presentation_checks_graded_commutativity(monkeypatch):
+    gens = (("a", 1), ("b", 3))
+    GradedPresentation(gens, (None, None))
+    # a sign that ignores the swap of two odd generators must refuse the build
+    monkeypatch.setattr(graded, "_koszul_sign", lambda P, a, b: 1)
+    with pytest.raises(GradedError, match="graded commutativity failed"):
+        GradedPresentation(gens, (None, None))
 
 
 def test_normal_form_confluence_random_orders():

@@ -1,11 +1,14 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 
-from orbistring.cyclo import Cyclo, _poly_mul
+from orbistring import sector
+from orbistring.cyclo import Cyclo, _poly_divmod
 from orbistring.groups import (
+    CATALOG_NAMES,
     GSet,
     catalog_group,
     catalog_subgroup,
@@ -17,7 +20,8 @@ from orbistring.groups import (
 from orbistring.phases import catalog_cocycle, coboundary, discrete_torsion, Phase, trivial_cocycle
 from orbistring.sector import (
     SectorError,
-    _factor_monic_over_q,
+    _probe_split,
+    _rational_structure,
     dw_frobenius,
     morita_compare,
     orbifold_string_ring,
@@ -225,26 +229,6 @@ def test_morita_self_translation_vs_trivial_point():
     assert rep.isomorphic is True
 
 
-def _q(*cs):
-    return [Fraction(c) for c in cs]
-
-
-def test_factor_monic_over_q_integer_product():
-    # (x - 3)(x^2 + 1)(x^2 + x + 1)(x^4 + x^3 + x^2 + x + 1), roots in Q(zeta_60)
-    factors = [_q(-3, 1), _q(1, 0, 1), _q(1, 1, 1), _q(1, 1, 1, 1, 1)]
-    assert _factor_monic_over_q(reduce(_poly_mul, factors), 60) == factors
-
-
-def test_factor_monic_over_q_rational_coefficients():
-    # (x + 2/3)(x^2 + 1/4)(x^4 + x^3/2 + x^2/4 + x/8 + 1/16): roots -2/3, +-i/2, zeta_5^k/2
-    factors = [
-        _q(Fraction(2, 3), 1),
-        _q(Fraction(1, 4), 0, 1),
-        _q(Fraction(1, 16), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1),
-    ]
-    assert _factor_monic_over_q(reduce(_poly_mul, factors), 20) == factors
-
-
 def test_morita_degree_above_two_is_inconclusive():
     for name, degrees in [("Z5", [1, 4]), ("Z7", [1, 6]), ("Z8", [1, 1, 2, 4])]:
         X = point_gset(catalog_group(name))
@@ -298,6 +282,8 @@ def _gset(spec):
     kind, _, rest = spec.partition(":")
     if kind == "point":
         return point_gset(catalog_group(rest))
+    if kind == "self":
+        return translation_gset(catalog_group(rest))
     return coset_gset(*catalog_subgroup(*rest.split(":")))
 
 
@@ -315,6 +301,55 @@ def test_morita_witness_pinned(left, right):
         "component_degrees_right": degrees,
         "witness": witness,
     }
+
+
+@pytest.mark.parametrize(
+    "name,degrees",
+    [
+        ("Z9", [1, 2, 6]),
+        ("Z10", [1, 1, 4, 4]),
+        ("Z12", [1, 1, 2, 2, 2, 4]),
+        ("Z13", [1, 12]),
+        ("Z17", [1, 16]),
+        ("Z19", [1, 18]),
+    ],
+)
+def test_probe_split_component_degrees(name, degrees):
+    # Q[Zn] is the sum of Q(zeta_d) over d | n
+    ring = orbifold_string_ring(point_gset(catalog_group(name)))
+    _, factors = _probe_split(ring, _rational_structure(ring), random.Random(7))
+    assert [len(f) - 1 for f in factors] == degrees
+
+
+def test_probe_split_divides_once_per_factor(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(b) - 1)
+        return _poly_divmod(a, b)
+
+    monkeypatch.setattr(sector, "_poly_divmod", counted)
+    ring = orbifold_string_ring(point_gset(catalog_group("Z13")))
+    _, factors = _probe_split(ring, _rational_structure(ring), random.Random(7))
+    assert sorted(calls) == [len(f) - 1 for f in factors] == [1, 12]
+
+
+_SWEEP = (
+    ["coset:S3:Z2", "coset:S3:Z3", "coset:S4:S3", "coset:Z4:Z2"]
+    + [f"point:{name}" for name in CATALOG_NAMES]
+    + ["self:S3", "self:Z4", "self:Z2xZ2"]
+)
+
+
+def test_morita_sweep_digest():
+    # all 400 ordered pairs at seed 46; the digest was computed before the
+    # factorization moved to Galois orbits
+    digest = hashlib.sha256()
+    gsets = [_gset(spec) for spec in _SWEEP]
+    for X in gsets:
+        for Y in gsets:
+            digest.update(json.dumps(morita_compare(X, Y, seed=46).to_json(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == "e82d348884ca58797405e00fc09026138fb4143c962d46cdc713a0a49844c331"
 
 
 def test_ring_json():
