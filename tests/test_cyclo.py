@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbistring.cyclo import Cyclo, cyclotomic_poly, euler_phi, mat_det, mat_solve
+from orbistring.cyclo import Cyclo, _poly_divmod, _poly_mul, cyclotomic_poly, euler_phi, mat_det, mat_solve
 
 
 def test_cyclotomic_polys():
@@ -104,3 +105,140 @@ def test_lift_keeps_equality_and_hash(x, k):
 def test_rational_cyclo_hashes_like_its_fraction(q, n):
     x = Cyclo.rational(q, n)
     assert x == q and hash(x) == hash(q)
+
+
+# differential test against Fraction polynomials reduced by long division ------
+
+LEVELS = [1, 3, 8, 12, 16, 48]
+small = st.fractions(min_value=-7, max_value=7, max_denominator=5)
+
+
+def _oracle(n, poly):
+    """Coefficients of poly(zeta_n) in the basis 1, ..., zeta^(phi-1)."""
+    rem = _poly_divmod([Fraction(c) for c in poly] or [Fraction(0)], [Fraction(c) for c in cyclotomic_poly(n)])[1]
+    return rem + [Fraction(0)] * (euler_phi(n) - len(rem))
+
+
+def _padd(a, b, sign=1):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + sign * (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def _mobius(m):
+    out, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if m > 1 else out
+
+
+def _totient(m):
+    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+
+
+def _oracle_hash(n, coeffs):
+    # Tr(zeta^i)/phi(n) = mu(m)/phi(m) with m the order of zeta^i
+    return hash(sum(a * Fraction(_mobius(n // gcd(n, i)), _totient(n // gcd(n, i))) for i, a in enumerate(coeffs)))
+
+
+def _oracle_str(coeffs):
+    terms = []
+    for i, a in enumerate(coeffs):
+        if a:
+            mon = "" if i == 0 else ("z" if i == 1 else f"z^{i}")
+            if not mon:
+                terms.append(str(a))
+            elif a in (1, -1):
+                terms.append(("-" if a < 0 else "") + mon)
+            else:
+                terms.append(f"{a}*{mon}")
+    if not terms:
+        return "0"
+    return terms[0] + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}" for t in terms[1:])
+
+
+@st.composite
+def polys(draw, n):
+    """Dense, sparse (roots and monomials) and over-long coefficient lists."""
+    kind = draw(st.sampled_from(["dense", "sparse", "long"]))
+    if kind == "dense":
+        return draw(st.lists(small, max_size=euler_phi(n)))
+    if kind == "sparse":
+        out = [Fraction(0)] * n
+        for k in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+            out[k] += draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(3, 2)]))
+        return out
+    return draw(st.lists(small, min_size=n, max_size=n + 6))
+
+
+@st.composite
+def pairs(draw):
+    n = draw(st.sampled_from(LEVELS))
+    return n, draw(polys(n)), draw(polys(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs())
+def test_cyclo_matches_polynomial_oracle(case):
+    n, p, q = case
+    x, y = Cyclo(n, p), Cyclo(n, q)
+    ox, oy = _oracle(n, p), _oracle(n, q)
+    assert x.level == n and y.level == n
+    assert x == Cyclo(n, ox) and str(x) == _oracle_str(ox)
+    assert str(x + y) == _oracle_str(_oracle(n, _padd(p, q)))
+    assert str(x - y) == _oracle_str(_oracle(n, _padd(p, q, -1)))
+    assert str(x * y) == _oracle_str(_oracle(n, _poly_mul(p or [Fraction(0)], q or [Fraction(0)])))
+    assert str(-x) == _oracle_str([-c for c in ox])
+    assert (x == y) is (ox == oy) and (x != y) is (ox != oy)
+    assert hash(x) == _oracle_hash(n, ox)
+    assert repr(x) == f"Cyclo({n}, {_oracle_str(ox)})"
+    if any(ox):
+        # the inverse solves x * v = 1 in the oracle's coordinates
+        phi = euler_phi(n)
+        cols = [_oracle(n, _poly_mul(ox, [Fraction(0)] * j + [Fraction(1)])) for j in range(phi)]
+        rhs = [[Fraction(int(i == 0))] for i in range(phi)]
+        v = [row[0] for row in mat_solve([list(r) for r in zip(*cols)], rhs, Fraction(0), Fraction(1))]
+        assert str(x.inverse()) == _oracle_str(v)
+        assert x * x.inverse() == 1 and (y / x) * x == y
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    # the same value written with a multiple of the cyclotomic polynomial added
+    shifted = _padd(p, _poly_mul([Fraction(c) for c in cyclotomic_poly(n)], q or [Fraction(1)]))
+    z = Cyclo(n, shifted)
+    assert z == x and hash(z) == hash(x) and str(z) == str(x)
+
+
+
+@st.composite
+def mixed(draw):
+    n = draw(st.sampled_from(LEVELS))
+    q = draw(st.one_of(st.integers(-9, 9), small))
+    return n, draw(polys(n)), q
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed())
+def test_cyclo_mixes_with_int_and_fraction(case):
+    n, p, q = case
+    x, ox = Cyclo(n, p), _oracle(n, p)
+    shifted = [ox[0] + q] + ox[1:]
+    assert str(x + q) == str(q + x) == _oracle_str(shifted)
+    assert str(x - q) == _oracle_str([ox[0] - q] + ox[1:])
+    assert str(q - x) == _oracle_str([q - ox[0]] + [-c for c in ox[1:]])
+    assert str(x * q) == str(q * x) == _oracle_str([c * q for c in ox])
+    assert (x == q) is (ox == _oracle(n, [q])) and (q == x) is (x == q)
+    r = Cyclo.rational(q, n)
+    assert r == q and hash(r) == hash(q) and hash(Cyclo(n, [q])) == hash(Fraction(q))
+    assert r.rational_part() == q and type(r.rational_part()) is Fraction
+    if q:
+        assert str(x / q) == _oracle_str([c / q for c in ox])
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / q
+    if any(ox):
+        assert (q / x) * x == q

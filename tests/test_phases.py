@@ -7,6 +7,7 @@ from orbistring.groups import CATALOG_NAMES, catalog_group, conjugacy_classes
 from orbistring.phases import (
     CocycleError,
     Phase,
+    TorsionCocycle,
     catalog_cocycle,
     check_torsion_law,
     coboundary,
@@ -172,3 +173,22 @@ def test_cocycle_json_roundtrip_and_normalization():
 def test_make_cocycle_dimension_check():
     with pytest.raises(CocycleError):
         make_cocycle(catalog_group("Z3"), [[Phase.one()] * 2] * 2)
+
+
+def _corrupt_tau(tau, g, h, factor):
+    table = [list(row) for row in tau.tau]
+    table[g][h] = table[g][h] * factor
+    return TorsionCocycle(tau.group, tuple(tuple(row) for row in table))
+
+
+def test_torsion_law_names_corrupted_triple():
+    G = catalog_group("Z2xZ2")
+    tau = discrete_torsion(catalog_cocycle(G, "nontrivial"))
+    rep = check_torsion_law(_corrupt_tau(tau, 2, 1, Phase.of(1, 3)))
+    assert (rep.ok, rep.reason, rep.witness) == (False, "groupoid cocycle law fails", (2, 1, 1))
+    S4 = catalog_group("S4")
+    beta = [Phase.one()] + [Phase.of(k % 5, 6) for k in range(1, 24)]
+    tau = discrete_torsion(trivial_cocycle(S4) * coboundary(S4, beta))
+    assert check_torsion_law(tau).ok
+    rep = check_torsion_law(_corrupt_tau(tau, 5, 7, Phase.of(1, 4)))
+    assert (rep.ok, rep.reason, rep.witness) == (False, "groupoid cocycle law fails", (1, 2, 7))

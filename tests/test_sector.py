@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -392,3 +393,121 @@ def test_twisted_pairing_nondegenerate():
     for alpha in (trivial_cocycle(G), catalog_cocycle(G, "nontrivial")):
         ring = twisted_center(G, alpha)
         assert ring.pairing_nondegenerate()
+
+
+def _corrupt_constant(ring, i, j, k, change):
+    structure = [[list(row) for row in mat] for mat in ring.structure]
+    structure[i][j][k] = change(structure[i][j][k])
+    return sector.SectorRing(
+        ring.labels, ring.level, tuple(tuple(tuple(row) for row in mat) for mat in structure), ring.unit, ring.trace
+    )
+
+
+def _corrupt_unit(ring, i, value):
+    unit = list(ring.unit)
+    unit[i] = value
+    return sector.SectorRing(ring.labels, ring.level, ring.structure, tuple(unit), ring.trace)
+
+
+def _level8_center():
+    # Z4 twisted by a coboundary of denominator 8: constants -z^3 and -z^2 at level 8
+    Z4 = catalog_group("Z4")
+    beta = [Phase.one(), Phase.of(1, 8), Phase.of(3, 8), Phase.of(5, 8)]
+    return twisted_center(Z4, trivial_cocycle(Z4) * coboundary(Z4, beta))
+
+
+def test_check_associative_names_corrupted_triple():
+    dw = dw_frobenius(catalog_group("S3"))  # level 1, classes e, transpositions, 3-cycles
+    assert dw.level == 1
+    tw = _level8_center()
+    assert tw.level == 8
+    z = Cyclo.root(8, 1)
+    cases = [
+        (dw, (1, 1, 0), lambda c: c + 1, "(1,1,2)"),
+        (dw, (2, 1, 1), lambda c: c * 2, "(1,1,1)"),
+        (tw, (1, 2, 3), lambda c: c * z, "(1,1,1)"),
+        (tw, (3, 3, 2), lambda c: c + z, "(1,2,3)"),
+    ]
+    for ring, (i, j, k), change, witness in cases:
+        ring.check_associative()
+        with pytest.raises(SectorError, match=re.escape(f"associativity fails at basis triple {witness}")):
+            _corrupt_constant(ring, i, j, k, change).check_associative()
+
+
+def test_check_unit_names_corrupted_element():
+    dw = dw_frobenius(catalog_group("S3"))
+    tw = _level8_center()
+    z = Cyclo.root(8, 1)
+    bad = [
+        _corrupt_unit(dw, 2, Cyclo.one(1)),
+        _corrupt_unit(dw, 0, Cyclo.rational(2, 1)),
+        _corrupt_unit(tw, 1, z),
+        _corrupt_unit(tw, 0, z),
+    ]
+    for ring in bad:
+        with pytest.raises(SectorError, match=r"^unit law fails at basis element 0$"):
+            ring.check_unit()
+    # a corrupted row of the unit's products names the element it breaks
+    for ring, value in ((dw, 2), (tw, z)):
+        ring.check_unit()
+        with pytest.raises(SectorError, match=r"^unit law fails at basis element 2$"):
+            _corrupt_constant(ring, 0, 2, 2, lambda c: c * value).check_unit()
+
+
+def test_twisted_center_rejects_non_regular_class(monkeypatch):
+    # the class of a non-alpha-regular element has no central twisted class sum
+    G = catalog_group("Z2xZ2")
+    alpha = catalog_cocycle(G, "nontrivial")
+    regular = sector.alpha_regular_reps(alpha)
+    assert regular == [0]
+    monkeypatch.setattr(sector, "alpha_regular_reps", lambda a: regular + [1])
+    with pytest.raises(SectorError, match=r"^twisted class sum for rep 1 is not central$"):
+        twisted_center(G, alpha)
+
+
+def test_twisted_center_rejects_missing_class(monkeypatch):
+    # without the 3-cycles, (sum of transpositions)^2 leaves the span
+    S3 = catalog_group("S3")
+    alpha = trivial_cocycle(S3)
+    regular = sector.alpha_regular_reps(alpha)
+    assert regular == [0, 1, 3]
+    monkeypatch.setattr(sector, "alpha_regular_reps", lambda a: regular[:2])
+    with pytest.raises(SectorError, match=r"^twisted product left the span of the twisted class sums$"):
+        twisted_center(S3, alpha)
+
+
+_TWISTS = tuple((g, base, (8, 16, 48)) for g, base in (
+    ("Z4", "trivial"),
+    ("Z6", "trivial"),
+    ("Z8", "trivial"),
+    ("Z2xZ2", "trivial"),
+    ("Z2xZ2", "nontrivial"),
+    ("S3", "trivial"),
+    ("D4", "trivial"),
+    ("Q8", "trivial"),
+)) + (("S4", "trivial", (8,)),)
+
+
+def _digest_rings():
+    rng = random.Random(61)
+    for name, base, dens in _TWISTS:
+        G = catalog_group(name)
+        alpha = catalog_cocycle(G, base)
+        for den in dens:
+            for _ in range(2):
+                beta = [Phase.one()] + [Phase.of(rng.randrange(den), den) for _ in range(G.order - 1)]
+                yield twisted_center(G, alpha * coboundary(G, beta))
+    for name in CATALOG_NAMES:
+        yield dw_frobenius(catalog_group(name))
+    for spec in _SWEEP:
+        yield orbifold_string_ring(_gset(spec))
+
+
+def test_sector_ring_digest():
+    # twisted centers over Q(zeta_8/16/48), the 13 DW rings and the 20 sweep
+    # string rings; the digest was computed before the exact core moved to
+    # integer numerators
+    digest = hashlib.sha256()
+    for ring in _digest_rings():
+        digest.update(json.dumps(ring.to_json(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == "51c185266a365ee3fcdf2391a1036827546b1daea78275c51b0be1356f86c403"
