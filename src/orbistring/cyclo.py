@@ -1,11 +1,16 @@
-"""Exact arithmetic in the cyclotomic fields Q(zeta_N), with Fraction coefficients.
+"""Exact arithmetic in the cyclotomic fields Q(zeta_N), on integer numerators.
 
 Elements are polynomials in zeta = exp(2*pi*i/N) of degree < phi(N), reduced
-modulo the N-th cyclotomic polynomial.  Everything is immutable and hashable.
+modulo the N-th cyclotomic polynomial and stored as integer numerators over
+one positive common denominator, in lowest terms.  Products reduce through an
+integer table of the powers of zeta; Fractions appear only where values enter
+or leave (the constructor, rational_part, str) and in the Euclid of inverse.
+Everything is immutable and hashable.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -36,9 +41,20 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
 
+def _level(level) -> int:
+    """A level as an int, or ValueError naming it."""
+    try:
+        n = operator.index(level)
+    except TypeError:
+        raise ValueError(f"level {level!r} is not an integer") from None
+    if n < 1:
+        raise ValueError(f"level {n} is not a positive integer")
+    return n
+
+
 @lru_cache(maxsize=None)
-def _trace_weights(level: int) -> tuple[Fraction, ...]:
-    """Tr(zeta^i)/phi(level) for i < phi(level).
+def _trace_weights(level: int) -> tuple[tuple[int, ...], int]:
+    """Integers w_i and a scale s with Tr(zeta^i)/phi(level) = w_i / s, i < phi(level).
 
     zeta^i is a primitive m-th root of unity, m = level/gcd(level, i); the
     primitive m-th roots sum to mu(m), minus the subleading coefficient of
@@ -48,47 +64,101 @@ def _trace_weights(level: int) -> tuple[Fraction, ...]:
     for i in range(euler_phi(level)):
         m = level // gcd(level, i)
         out.append(Fraction(-cyclotomic_poly(m)[-2], euler_phi(m)))
+    scale = lcm(*(w.denominator for w in out))
+    return tuple(w.numerator * (scale // w.denominator) for w in out), scale
+
+
+@lru_cache(maxsize=None)
+def _power_rows(level: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """zeta^k in the basis 1, ..., zeta^(phi-1) as sparse (index, coefficient)
+    rows, for k < max(level, 2 phi - 1): enough for a product of two reduced
+    elements and for every root of unity."""
+    phi = euler_phi(level)
+    mod = cyclotomic_poly(level)
+    cur = [1] + [0] * (phi - 1)
+    rows = []
+    for _ in range(max(level, 2 * phi - 1)):
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:  # zeta^phi = -(mod[0] + ... + mod[phi-1] zeta^(phi-1))
+            for i in range(phi):
+                cur[i] -= top * mod[i]
+    return tuple(rows)
+
+
+def _reduce(level: int, work: list[int]) -> list[int]:
+    """Integer coefficients of a polynomial in zeta_level, reduced to length phi(level)."""
+    phi = euler_phi(level)
+    rows = _power_rows(level)
+    if len(work) > len(rows):  # zeta^level = 1
+        folded = [0] * level
+        for k, c in enumerate(work):
+            folded[k % level] += c
+        work = folded
+    out = work[:phi] + [0] * (phi - len(work))
+    for k in range(phi, len(work)):
+        c = work[k]
+        if c:
+            for i, t in rows[k]:
+                out[i] += c * t
+    return out
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _make(level: int, num: list[int], den: int) -> "Cyclo":
+    """The element num/den from reduced integer numerators and a positive denominator."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    out = _new(Cyclo)
+    _set(out, "level", level)
+    _set(out, "num", tuple(num))
+    _set(out, "den", den)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _roots(level: int) -> tuple["Cyclo", ...]:
+    """zeta^k for k < level."""
+    phi = euler_phi(level)
+    out = []
+    for row in _power_rows(level)[:level]:
+        num = [0] * phi
+        for i, c in row:
+            num[i] = c
+        out.append(_make(level, num, 1))
     return tuple(out)
 
 
-def _reduce(level: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in zeta_level modulo the cyclotomic polynomial."""
-    phi = euler_phi(level)
-    mod = cyclotomic_poly(level)
-    work = list(coeffs)
-    for k in range(len(work) - 1, phi - 1, -1):
-        c = work[k]
-        if c:
-            work[k] = Fraction(0)
-            for i in range(phi):
-                work[k - phi + i] -= c * mod[i]
-    work = work[:phi] + [Fraction(0)] * (phi - len(work))
-    return tuple(work[:phi])
+@lru_cache(maxsize=None)
+def _root_index(level: int) -> dict[tuple[int, ...], int]:
+    """k for the numerators of zeta^k, k < level."""
+    return {r.num: k for k, r in enumerate(_roots(level))}
 
 
 class Cyclo:
-    """An element of Q(zeta_N)."""
+    """An element of Q(zeta_N): the numerators num over the denominator den."""
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ("level", "num", "den")
 
     def __init__(self, level: int, coeffs: Iterable[Fraction | int]):
-        object.__setattr__(self, "level", int(level))
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if len(cs) > euler_phi(level):
-            cs = list(_reduce(level, cs))
-        cs += [_F0] * (euler_phi(level) - len(cs))
-        object.__setattr__(self, "coeffs", tuple(cs))
+        level = _level(level)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(1, *(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        made = _make(level, _reduce(level, num), den)
+        _set(self, "level", level)
+        _set(self, "num", made.num)
+        _set(self, "den", made.den)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Cyclo is immutable")
-
-    @classmethod
-    def _raw(cls, level: int, coeffs: tuple[Fraction, ...]) -> "Cyclo":
-        # internal: coeffs already reduced, padded, and of Fraction type
-        out = object.__new__(cls)
-        object.__setattr__(out, "level", level)
-        object.__setattr__(out, "coeffs", coeffs)
-        return out
 
     # constructors ---------------------------------------------------------
 
@@ -98,86 +168,118 @@ class Cyclo:
 
     @staticmethod
     def one(level: int = 1) -> "Cyclo":
-        return Cyclo(level, [Fraction(1)])
+        return Cyclo(level, [1])
 
     @staticmethod
     def rational(q: Fraction | int, level: int = 1) -> "Cyclo":
-        return Cyclo(level, [Fraction(q)])
+        return Cyclo(level, [q])
 
     @staticmethod
     def root(level: int, k: int) -> "Cyclo":
         """zeta_level ** k."""
-        k %= level
-        return Cyclo(level, [Fraction(0)] * k + [Fraction(1)])
+        level = _level(level)
+        return _roots(level)[k % level]
 
     @staticmethod
     def from_phase(q: Fraction, level: int) -> "Cyclo":
         """exp(2*pi*i*q) as an element of Q(zeta_level); q must have denominator dividing level."""
+        level = _level(level)
         k = q * level
         if k.denominator != 1:
             raise ValueError(f"phase {q} does not live at level {level}")
-        return Cyclo.root(level, int(k))
+        return _roots(level)[int(k) % level]
 
     # ring operations ------------------------------------------------------
 
-    def _coerce(self, other) -> "Cyclo":
-        if isinstance(other, Cyclo):
-            if other.level != self.level:
-                raise ValueError(f"level mismatch: {self.level} vs {other.level}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclo.rational(other, self.level)
-        return NotImplemented  # type: ignore[return-value]
+    def _level_of(self, other: "Cyclo") -> int:
+        if other.level != self.level:
+            raise ValueError(f"level mismatch: {self.level} vs {other.level}")
+        return self.level
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Cyclo._raw(self.level, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        if isinstance(other, Cyclo):
+            level = self._level_of(other)
+            da, db = self.den, other.den
+            if da == db:
+                return _make(level, [x + y for x, y in zip(self.num, other.num)], da)
+            d = lcm(da, db)
+            ma, mb = d // da, d // db
+            return _make(level, [x * ma + y * mb for x, y in zip(self.num, other.num)], d)
+        if isinstance(other, (int, Fraction)):
+            q = other.denominator
+            d = lcm(self.den, q)
+            m = d // self.den
+            num = [x * m for x in self.num]
+            num[0] += other.numerator * (d // q)
+            return _make(self.level, num, d)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo._raw(self.level, tuple(-a for a in self.coeffs))
+        return _make(self.level, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Cyclo._raw(self.level, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        if isinstance(other, (Cyclo, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, p: int, q: int) -> "Cyclo":
+        """self * p / q for integers p and q > 0."""
+        return _make(self.level, [x * p for x in self.num], self.den * q)
+
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        n = len(a)
-        prod = [_F0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        if any(prod[n:]):
-            return Cyclo._raw(self.level, _reduce(self.level, prod))
-        return Cyclo._raw(self.level, tuple(prod[:n]))
+        if isinstance(other, Cyclo):
+            level = self._level_of(other)
+            a, b = self.num, other.num
+            n = len(a)
+            if n == 1:
+                return _make(level, [a[0] * b[0]], self.den * other.den)
+            bs = [(j, y) for j, y in enumerate(b) if y]
+            prod = [0] * (2 * n - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in bs:
+                        prod[i + j] += x * y
+            rows = _power_rows(level)
+            for k in range(2 * n - 2, n - 1, -1):
+                c = prod.pop()
+                if c:
+                    for i, t in rows[k]:
+                        prod[i] += c * t
+            return _make(level, prod, self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other.numerator, other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
+        # a rational multiple (g/den) zeta^k of a root of unity inverts by table
+        g = gcd(*self.num)
+        index = _root_index(self.level)
+        for sign in (1, -1):
+            k = index.get(tuple(sign * x // g for x in self.num))
+            if k is not None:
+                return _roots(self.level)[-k % self.level]._scale(sign * self.den, g)
         mod = [Fraction(c) for c in cyclotomic_poly(self.level)]
-        return Cyclo(self.level, _poly_inverse_mod(list(self.coeffs), mod))
+        inv = _poly_inverse_mod([Fraction(x) for x in self.num], mod)
+        return Cyclo(self.level, [c * self.den for c in inv])
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
+        if isinstance(other, Cyclo):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("inverse of zero cyclotomic number")
+            p, q = other.numerator, other.denominator
+            return self._scale(-q, -p) if p < 0 else self._scale(q, p)
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -197,59 +299,61 @@ class Cyclo:
     # structure ------------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Cyclo):
+            if other.level != self.level:
+                m = lcm(self.level, other.level)
+                return self.lift(m) == other.lift(m)
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            other = Cyclo.rational(other, self.level)
-        if not isinstance(other, Cyclo):
-            return NotImplemented
-        if other.level != self.level:
-            return self.lift(lcm(self.level, other.level)) == other.lift(lcm(self.level, other.level))
-        return self.coeffs == other.coeffs
+            return self.den == other.denominator and self.num[0] == other.numerator and not any(self.num[1:])
+        return NotImplemented
 
     def __hash__(self):
         # the normalised trace Tr(x)/phi(N) does not depend on the level and
         # equals x when x is rational, so equal values hash alike
-        return hash(sum(a * w for a, w in zip(self.coeffs, _trace_weights(self.level)) if a))
+        weights, scale = _trace_weights(self.level)
+        return hash(Fraction(sum(x * w for x, w in zip(self.num, weights)), self.den * scale))
 
     def galois(self, c: int) -> "Cyclo":
         """Apply the Galois automorphism zeta -> zeta**c (gcd(c, level) must be 1)."""
         if gcd(c, self.level) != 1:
             raise ValueError("not a Galois exponent")
-        out = [Fraction(0)] * self.level
-        for i, a in enumerate(self.coeffs):
-            if a:
-                out[(i * c) % self.level] += a
-        return Cyclo(self.level, out)
+        out = [0] * self.level
+        for i, x in enumerate(self.num):
+            out[(i * c) % self.level] += x
+        return _make(self.level, _reduce(self.level, out), self.den)
 
     def lift(self, new_level: int) -> "Cyclo":
         """Reembed into Q(zeta_M) for a multiple M of the current level."""
+        new_level = _level(new_level)
         if new_level == self.level:
             return self
         if new_level % self.level:
             raise ValueError("can only lift to a multiple of the level")
         m = new_level // self.level
-        out = [Fraction(0)] * (euler_phi(self.level) * m)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                out[i * m] += a
-        return Cyclo(new_level, out)
+        out = [0] * (len(self.num) * m)
+        for i, x in enumerate(self.num):
+            out[i * m] = x
+        return _make(new_level, _reduce(new_level, out), self.den)
 
     def rational_part(self) -> Fraction | None:
         """The value as a Fraction if it is rational, else None."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __repr__(self):
         return f"Cyclo({self.level}, {self})"
 
     def __str__(self):
         terms = []
-        for i, a in enumerate(self.coeffs):
-            if not a:
+        for i, x in enumerate(self.num):
+            if not x:
                 continue
+            a = Fraction(x, self.den)
             if i == 0:
                 terms.append(str(a))
             else:

@@ -56,6 +56,11 @@ def _table_level(table: Sequence[Sequence[Phase]]) -> int:
     return lcm(*(p.q.denominator for row in table for p in row))
 
 
+def _table_exponents(table: Sequence[Sequence[Phase]], level: int) -> list[list[int]]:
+    """k with table[g][h] = exp(2*pi*i*k/level), for a level that every denominator divides."""
+    return [[p.q.numerator * (level // p.q.denominator) for p in row] for row in table]
+
+
 def _table_json(group: FiniteGroup, table: Sequence[Sequence[Phase]]) -> dict:
     den = _table_level(table)
     return {
@@ -178,13 +183,19 @@ def discrete_torsion(alpha: TwoCocycle) -> TorsionCocycle:
 
 
 def check_torsion_law(t: TorsionCocycle) -> CocycleReport:
-    """Groupoid 1-cocycle law tau(g,hk) = tau(g,h) tau(h^-1 g h, k)."""
+    """Groupoid 1-cocycle law tau(g,hk) = tau(g,h) tau(h^-1 g h, k).
+
+    tau is read once as integers modulo its level L: tau(g,h) = exp(2 pi i T(g,h)/L).
+    """
     G = t.group
+    L = t.level()
+    T = _table_exponents(t.tau, L)
     for g in range(G.order):
+        Tg = T[g]
         for h in range(G.order):
-            ghg = G.conjugate(g, h)
+            Th, Tc, hk = Tg[h], T[G.conjugate(g, h)], G.mult[h]
             for k in range(G.order):
-                if t.tau[g][G.mul(h, k)] != t.tau[g][h] * t.tau[ghg][k]:
+                if Tg[hk[k]] != (Th + Tc[k]) % L:
                     return CocycleReport(False, "groupoid cocycle law fails", (g, h, k))
     return CocycleReport(True, "groupoid 1-cocycle law holds", None)
 

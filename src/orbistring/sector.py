@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .cyclo import Cyclo, _poly_divmod, _poly_inverse_mod, _poly_mul, _poly_sub, _poly_trim, mat_det, mat_solve
 from .groups import FiniteGroup, GSet, conjugacy_classes, fixed_points, point_gset
-from .phases import TwoCocycle, alpha_regular_reps
+from .phases import TwoCocycle, _table_exponents, alpha_regular_reps
 
 
 class SectorError(ValueError):
@@ -81,19 +81,27 @@ def _sparse_structure(structure: Sequence) -> dict:
     }
 
 
-def _ring_product(sparse: dict, u: dict, v: dict) -> dict:
-    """Product of sparse vectors under sparse structure constants.
+def _expand(terms, sparse: dict) -> dict:
+    """sum of c * (e_a e_b) over ((a, b), c) in terms, zero entries dropped.
 
-    Coefficients may be Cyclo (all at one level) or Fraction; zero terms are dropped.
+    Coefficients may be Cyclo (all at one level), int or Fraction.
     """
     out: dict = {}
-    for i, ci in u.items():
-        for j, cj in v.items():
-            c = ci * cj
-            for k, s in sparse.get((i, j), ()):
-                acc = out.get(k)
-                out[k] = c * s if acc is None else acc + c * s
+    for key, c in terms:
+        for k, s in sparse.get(key, ()):
+            acc = out.get(k)
+            out[k] = c * s if acc is None else acc + c * s
     return {k: c for k, c in out.items() if c}
+
+
+def _ring_product(sparse: dict, u: dict, v: dict) -> dict:
+    """Product of sparse vectors under sparse structure constants."""
+    return _expand([((i, j), ci * cj) for i, ci in u.items() for j, cj in v.items()], sparse)
+
+
+def _as_rational(c: Cyclo) -> int | Fraction:
+    """A rational Cyclo as an int, or as a Fraction if it is not integral."""
+    return c.num[0] if c.den == 1 else Fraction(c.num[0], c.den)
 
 
 @dataclass(frozen=True)
@@ -115,6 +123,16 @@ class SectorRing:
     def _sparse(self) -> dict:
         return _sparse_structure(self.structure)
 
+    @cached_property
+    def _native(self) -> tuple[dict, dict, tuple | None]:
+        """Sparse structure constants, sparse unit and trace in the coefficients
+        the checks run in: int or Fraction at level 1, Cyclo otherwise."""
+        if self.level != 1:
+            return self._sparse, _nonzero(self.unit), self.trace
+        sparse = {key: tuple((k, _as_rational(c)) for k, c in row) for key, row in self._sparse.items()}
+        trace = None if self.trace is None else tuple(_as_rational(c) for c in self.trace)
+        return sparse, {i: _as_rational(c) for i, c in _nonzero(self.unit).items()}, trace
+
     def mult(self, u: Sequence[Cyclo], v: Sequence[Cyclo]) -> list[Cyclo]:
         prod = _ring_product(self._sparse, _nonzero(u), _nonzero(v))
         zero = Cyclo.zero(self.level)
@@ -125,25 +143,24 @@ class SectorRing:
         return [Cyclo.one(self.level) if j == i else zero for j in range(self.dim)]
 
     def check_associative(self) -> None:
-        S = self._sparse
-        one = Cyclo.one(self.level)
+        """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, each side expanded
+        through the constants: sum_m c_ij^m e_m e_k against sum_m c_jk^m e_i e_m."""
+        S = self._native[0]
         for i in range(self.dim):
-            ei = {i: one}
             for j in range(self.dim):
-                ej = {j: one}
-                ij = _ring_product(S, ei, ej)
+                ij = S.get((i, j), ())
                 for k in range(self.dim):
-                    ek = {k: one}
-                    if _ring_product(S, ij, ek) != _ring_product(S, ei, _ring_product(S, ej, ek)):
+                    left = _expand([((m, k), c) for m, c in ij], S)
+                    right = _expand([((i, m), c) for m, c in S.get((j, k), ())], S)
+                    if left != right:
                         raise SectorError(f"associativity fails at basis triple ({i},{j},{k})")
 
     def check_unit(self) -> None:
-        S = self._sparse
-        unit = _nonzero(self.unit)
-        one = Cyclo.one(self.level)
+        S, unit, _ = self._native
         for i in range(self.dim):
-            ei = {i: one}
-            if _ring_product(S, unit, ei) != ei or _ring_product(S, ei, unit) != ei:
+            left = _expand([((m, i), c) for m, c in unit.items()], S)
+            right = _expand([((i, m), c) for m, c in unit.items()], S)
+            if left != {i: 1} or right != {i: 1}:
                 raise SectorError(f"unit law fails at basis element {i}")
 
     def trace_of(self, v: Sequence[Cyclo]) -> Cyclo:
@@ -151,14 +168,22 @@ class SectorRing:
             raise SectorError("ring has no trace")
         return sum((a * b for a, b in zip(v, self.trace)), Cyclo.zero(self.level))
 
-    def pairing_matrix(self) -> list[list[Cyclo]]:
+    def pairing_matrix(self) -> list[list]:
+        """trace(e_i e_j), in the coefficients of the checks (see _native)."""
+        S, _, trace = self._native
+        if trace is None:
+            raise SectorError("ring has no trace")
+        zero = Fraction(0) if self.level == 1 else Cyclo.zero(self.level)
         return [
-            [self.trace_of(self.mult(self.basis_vector(i), self.basis_vector(j))) for j in range(self.dim)]
+            [sum((c * trace[k] for k, c in S.get((i, j), ())), zero) for j in range(self.dim)]
             for i in range(self.dim)
         ]
 
     def pairing_nondegenerate(self) -> bool:
-        zero, one = Cyclo.zero(self.level), Cyclo.one(self.level)
+        if self.level == 1:
+            zero, one = Fraction(0), Fraction(1)
+        else:
+            zero, one = Cyclo.zero(self.level), Cyclo.one(self.level)
         return bool(mat_det(self.pairing_matrix(), zero, one))
 
     def is_commutative(self) -> bool:
@@ -182,13 +207,18 @@ class SectorRing:
 
 
 def _ring_from_rational(labels, structure_q, unit_q, trace_q=None, meta=None) -> SectorRing:
-    lvl = 1
-    structure = tuple(
-        tuple(tuple(Cyclo.rational(c, lvl) for c in row) for row in mat) for mat in structure_q
-    )
-    unit = tuple(Cyclo.rational(c, lvl) for c in unit_q)
-    trace = None if trace_q is None else tuple(Cyclo.rational(c, lvl) for c in trace_q)
-    return SectorRing(tuple(labels), lvl, structure, unit, trace, meta or {})
+    made: dict = {}  # one Cyclo per distinct value
+
+    def cyclo(q):
+        out = made.get(q)
+        if out is None:
+            out = made[q] = Cyclo.rational(q, 1)
+        return out
+
+    structure = tuple(tuple(tuple(cyclo(c) for c in row) for row in mat) for mat in structure_q)
+    unit = tuple(cyclo(c) for c in unit_q)
+    trace = None if trace_q is None else tuple(cyclo(c) for c in trace_q)
+    return SectorRing(tuple(labels), 1, structure, unit, trace, meta or {})
 
 
 def orbifold_string_ring(X: GSet) -> SectorRing:
@@ -203,15 +233,15 @@ def orbifold_string_ring(X: GSet) -> SectorRing:
     orbits = sector_orbits(X)
     index = {p: i for i, orb in enumerate(orbits) for p in orb}
     dim = len(orbits)
-    structure = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    structure = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for i, oi in enumerate(orbits):
         for j, oj in enumerate(orbits):
-            acc: dict[tuple[int, int], Fraction] = {}
+            acc: dict[tuple[int, int], int] = {}
             for g, x in oi:
                 for h, y in oj:
                     if x == y:
                         key = (G.mul(g, h), x)
-                        acc[key] = acc.get(key, Fraction(0)) + 1
+                        acc[key] = acc.get(key, 0) + 1
             # the sum is G-invariant; read off the orbit-sum coordinates
             done: set[int] = set()
             for p, c in acc.items():
@@ -223,10 +253,7 @@ def orbifold_string_ring(X: GSet) -> SectorRing:
             for p, c in acc.items():
                 if structure[i][j][index[p]] != c:
                     raise SectorError("product failed to be orbit-constant")
-    unit = [Fraction(0)] * dim
-    for i, orb in enumerate(orbits):
-        if orb[0][0] == 0:
-            unit[i] = Fraction(1)
+    unit = [int(orb[0][0] == 0) for orb in orbits]
     labels = tuple("{" + ",".join(f"({G.names[g]},{x})" for g, x in orb) + "}" for orb in orbits)
     ring = _ring_from_rational(labels, structure, unit, meta={"orbits": orbits, "gset": X})
     ring.check_associative()
@@ -256,75 +283,74 @@ def dw_frobenius(G: FiniteGroup) -> SectorRing:
     return out
 
 
-def _twisted_conjugation_factor(alpha: TwoCocycle, h: int, x: int):
-    """c with u_h u_x u_h^-1 = c * u_{h x h^-1}."""
-    G = alpha.group
-    hi = G.invert(h)
-    hx = G.mul(h, x)
-    return alpha.table[h][x] * alpha.table[hx][hi] / alpha.table[h][hi]
-
-
 def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
     """The center of the alpha-twisted group algebra over Q(zeta_N).
 
     One basis vector per alpha-regular conjugacy class; coefficients are the
-    phases that make the twisted class sum central.
+    phases that make the twisted class sum central.  With alpha(x, y) =
+    zeta_N^a(x, y), each class sum is kept as root exponents mod N, so
+    centrality is exponent arithmetic and each product is a count of terms
+    per root of unity, reduced to Q(zeta_N) once per coefficient.
     """
     N = max(alpha.level(), 1)
     data = conjugacy_classes(G)
     regular = alpha_regular_reps(alpha)
-    zero, one = Cyclo.zero(N), Cyclo.one(N)
+    mul, inv = G.mult, G.inv
+    a = _table_exponents(alpha.table, N)
 
-    vectors: list[list[Cyclo]] = []  # coordinates in the u_g basis, indexed by group element
+    def conjugation(h: int, x: int) -> int:
+        """k with u_h u_x u_h^-1 = zeta_N^k u_(h x h^-1)."""
+        return a[h][x] + a[mul[h][x]][inv[h]] - a[h][inv[h]]
+
+    exponents: list[dict[int, int]] = []  # class sum of reps[i] = sum of zeta_N^e u_x over {x: e}
     reps: list[int] = []
     for rep in regular:
         cls = next(c for c in data.classes if c[0] == rep)
-        coeff = [zero] * G.order
-        coeff[rep] = one
+        exps = {rep: 0}
         # spread the coefficient over the class by twisted conjugation
         frontier = [rep]
-        seen = {rep}
         while frontier:
             x = frontier.pop()
             for h in range(G.order):
-                y = G.mul(G.mul(h, x), G.invert(h))
-                if y in seen:
+                y = mul[mul[h][x]][inv[h]]
+                if y in exps:
                     continue
-                seen.add(y)
-                c = Cyclo.from_phase(_twisted_conjugation_factor(alpha, h, x).q, N)
-                coeff[y] = c * coeff[x]
+                exps[y] = (conjugation(h, x) + exps[x]) % N
                 frontier.append(y)
         for h in range(G.order):
             for x in cls:
-                y = G.mul(G.mul(h, x), G.invert(h))
-                c = Cyclo.from_phase(_twisted_conjugation_factor(alpha, h, x).q, N)
-                if coeff[y] != c * coeff[x]:
+                if exps[mul[mul[h][x]][inv[h]]] != (conjugation(h, x) + exps[x]) % N:
                     raise SectorError(f"twisted class sum for rep {rep} is not central")
-        vectors.append(coeff)
+        exponents.append(exps)
         reps.append(rep)
 
-    dim = len(vectors)
+    dim = len(exponents)
+    member = {x: (k, e) for k, exps in enumerate(exponents) for x, e in exps.items()}
+    zero, one = Cyclo.zero(N), Cyclo.one(N)
     structure = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
-            prod = [zero] * G.order
-            for x in range(G.order):
-                if not vectors[i][x]:
+            counts: dict[int, list[int]] = {}  # u_z -> number of terms per root of unity
+            for x, ex in exponents[i].items():
+                for y, ey in exponents[j].items():
+                    z = mul[x][y]
+                    row = counts.get(z)
+                    if row is None:
+                        row = counts[z] = [0] * N
+                    row[(ex + ey + a[x][y]) % N] += 1
+            coords = [Cyclo(N, counts[r]) if r in counts else zero for r in reps]  # 1 at each rep
+            # the product is sum_k coords[k] * (class sum k): compare in Q(zeta_N)
+            for z in range(G.order):
+                row = counts.get(z, [0] * N)
+                k, e = member.get(z, (None, 0))
+                if k is None:
+                    if any(row) and Cyclo(N, row):
+                        raise SectorError("twisted product left the span of the twisted class sums")
                     continue
-                for y in range(G.order):
-                    if not vectors[j][y]:
-                        continue
-                    z = G.mul(x, y)
-                    c = Cyclo.from_phase(alpha.table[x][y].q, N)
-                    prod[z] = prod[z] + vectors[i][x] * vectors[j][y] * c
-            coords = [prod[r] for r in reps]  # vectors are normalized to 1 at their rep
-            recon = [zero] * G.order
-            for k, ck in enumerate(coords):
-                if ck:
-                    for x in range(G.order):
-                        recon[x] = recon[x] + ck * vectors[k][x]
-            if recon != prod:
-                raise SectorError("twisted product left the span of the twisted class sums")
+                at_rep = counts.get(reps[k], [0] * N)
+                turned = row[e:] + row[:e]  # the term at zeta^t moves to zeta^(t - e)
+                if turned != at_rep and Cyclo(N, turned) != coords[k]:
+                    raise SectorError("twisted product left the span of the twisted class sums")
             structure[i][j] = coords
     unit = [one if r == 0 else zero for r in reps]
     trace = [Cyclo.rational(Fraction(1, G.order), N) if r == 0 else zero for r in reps]
@@ -335,7 +361,7 @@ def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
         tuple(tuple(tuple(row) for row in mat) for mat in structure),
         tuple(unit),
         tuple(trace),
-        {"regular_reps": reps, "u_vectors": vectors, "alpha": alpha},
+        {"regular_reps": reps, "alpha": alpha},
     )
     ring.check_associative()
     ring.check_unit()
@@ -375,17 +401,10 @@ class MoritaReport:
 
 
 def _rational_structure(ring: SectorRing) -> dict:
-    """The ring's sparse structure constants, as Fractions."""
-    out = {}
-    for key, row in ring._sparse.items():
-        vals = []
-        for k, c in row:
-            q = c.rational_part()
-            if q is None:
-                raise SectorError("Morita comparison expects rational structure constants")
-            vals.append((k, q))
-        out[key] = tuple(vals)
-    return out
+    """The ring's sparse structure constants, as ints and Fractions."""
+    if ring.level != 1:
+        raise SectorError("Morita comparison expects rational structure constants")
+    return ring._native[0]
 
 
 def _eval_mod(poly: list[int], x: int, m: int) -> int:
@@ -574,7 +593,7 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
     import random
 
     A = orbifold_string_ring(X)
-    B = orbifold_string_ring(Y)
+    B = A if Y == X else orbifold_string_ring(Y)
     rep = MoritaReport(A.dim, B.dim, None, None)
     if A.dim != B.dim:
         rep.isomorphic = False

@@ -18,7 +18,7 @@ SEED = 42
 LIMITS = {
     "criterion-01 dijkgraaf-witten-point": 5.0,
     "criterion-02 discrete-torsion": 5.0,
-    "criterion-03 cohomology-invariance": None,
+    "criterion-03 cohomology-invariance": 20.0,
     "criterion-04 morita-invariance": 30.0,
     "criterion-05 operad-axioms": 60.0,
     "criterion-06 g-graded-operad": None,

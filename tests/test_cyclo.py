@@ -242,3 +242,24 @@ def test_cyclo_mixes_with_int_and_fraction(case):
             x / q
     if any(ox):
         assert (q / x) * x == q
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Cyclo(0, []),
+        lambda: Cyclo(-3, [1]),
+        lambda: Cyclo.zero(0),
+        lambda: Cyclo.one(-1),
+        lambda: Cyclo.rational(Fraction(1, 2), 0),
+        lambda: Cyclo.root(0, 1),
+        lambda: Cyclo.root(-4, 1),
+        lambda: Cyclo.from_phase(Fraction(1, 2), 0),
+        lambda: Cyclo.root(4, 1).lift(0),
+        lambda: Cyclo.root(4, 1).lift(-4),
+        lambda: Cyclo.root(4, 1).lift(6),
+    ],
+)
+def test_bad_level_is_a_value_error(make):
+    with pytest.raises(ValueError, match="level"):
+        make()
