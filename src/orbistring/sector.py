@@ -99,6 +99,15 @@ def _ring_product(sparse: dict, u: dict, v: dict) -> dict:
     return _expand([((i, j), ci * cj) for i, ci in u.items() for j, cj in v.items()], sparse)
 
 
+def _pairing(dim: int, sparse: dict, trace: Sequence | None, zero) -> list[list]:
+    """The matrix trace(e_i e_j) from sparse structure constants."""
+    if trace is None:
+        raise SectorError("ring has no trace")
+    return [
+        [sum((c * trace[k] for k, c in sparse.get((i, j), ())), zero) for j in range(dim)] for i in range(dim)
+    ]
+
+
 def _as_rational(c: Cyclo) -> int | Fraction:
     """A rational Cyclo as an int, or as a Fraction if it is not integral."""
     return c.num[0] if c.den == 1 else Fraction(c.num[0], c.den)
@@ -124,14 +133,15 @@ class SectorRing:
         return _sparse_structure(self.structure)
 
     @cached_property
-    def _native(self) -> tuple[dict, dict, tuple | None]:
-        """Sparse structure constants, sparse unit and trace in the coefficients
-        the checks run in: int or Fraction at level 1, Cyclo otherwise."""
+    def _native(self) -> tuple[dict, dict, tuple | None, object, object]:
+        """Sparse structure constants, sparse unit, trace, zero and one in the
+        coefficients the checks run in: int or Fraction at level 1, Cyclo otherwise."""
         if self.level != 1:
-            return self._sparse, _nonzero(self.unit), self.trace
+            return self._sparse, _nonzero(self.unit), self.trace, Cyclo.zero(self.level), Cyclo.one(self.level)
         sparse = {key: tuple((k, _as_rational(c)) for k, c in row) for key, row in self._sparse.items()}
         trace = None if self.trace is None else tuple(_as_rational(c) for c in self.trace)
-        return sparse, {i: _as_rational(c) for i, c in _nonzero(self.unit).items()}, trace
+        unit = {i: _as_rational(c) for i, c in _nonzero(self.unit).items()}
+        return sparse, unit, trace, Fraction(0), Fraction(1)
 
     def mult(self, u: Sequence[Cyclo], v: Sequence[Cyclo]) -> list[Cyclo]:
         prod = _ring_product(self._sparse, _nonzero(u), _nonzero(v))
@@ -156,7 +166,7 @@ class SectorRing:
                         raise SectorError(f"associativity fails at basis triple ({i},{j},{k})")
 
     def check_unit(self) -> None:
-        S, unit, _ = self._native
+        S, unit, *_ = self._native
         for i in range(self.dim):
             left = _expand([((m, i), c) for m, c in unit.items()], S)
             right = _expand([((i, m), c) for m, c in unit.items()], S)
@@ -168,23 +178,14 @@ class SectorRing:
             raise SectorError("ring has no trace")
         return sum((a * b for a, b in zip(v, self.trace)), Cyclo.zero(self.level))
 
-    def pairing_matrix(self) -> list[list]:
-        """trace(e_i e_j), in the coefficients of the checks (see _native)."""
-        S, _, trace = self._native
-        if trace is None:
-            raise SectorError("ring has no trace")
-        zero = Fraction(0) if self.level == 1 else Cyclo.zero(self.level)
-        return [
-            [sum((c * trace[k] for k, c in S.get((i, j), ())), zero) for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
+    def pairing_matrix(self) -> list[list[Cyclo]]:
+        """trace(e_i e_j)."""
+        return _pairing(self.dim, self._sparse, self.trace, Cyclo.zero(self.level))
 
     def pairing_nondegenerate(self) -> bool:
-        if self.level == 1:
-            zero, one = Fraction(0), Fraction(1)
-        else:
-            zero, one = Cyclo.zero(self.level), Cyclo.one(self.level)
-        return bool(mat_det(self.pairing_matrix(), zero, one))
+        """The pairing's determinant is nonzero, computed in the coefficients of the checks."""
+        S, _, trace, zero, one = self._native
+        return bool(mat_det(_pairing(self.dim, S, trace, zero), zero, one))
 
     def is_commutative(self) -> bool:
         for i in range(self.dim):
@@ -207,17 +208,9 @@ class SectorRing:
 
 
 def _ring_from_rational(labels, structure_q, unit_q, trace_q=None, meta=None) -> SectorRing:
-    made: dict = {}  # one Cyclo per distinct value
-
-    def cyclo(q):
-        out = made.get(q)
-        if out is None:
-            out = made[q] = Cyclo.rational(q, 1)
-        return out
-
-    structure = tuple(tuple(tuple(cyclo(c) for c in row) for row in mat) for mat in structure_q)
-    unit = tuple(cyclo(c) for c in unit_q)
-    trace = None if trace_q is None else tuple(cyclo(c) for c in trace_q)
+    structure = tuple(tuple(tuple(Cyclo.rational(c, 1) for c in row) for row in mat) for mat in structure_q)
+    unit = tuple(Cyclo.rational(c, 1) for c in unit_q)
+    trace = None if trace_q is None else tuple(Cyclo.rational(c, 1) for c in trace_q)
     return SectorRing(tuple(labels), 1, structure, unit, trace, meta or {})
 
 
@@ -343,13 +336,8 @@ def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
             for z in range(G.order):
                 row = counts.get(z, [0] * N)
                 k, e = member.get(z, (None, 0))
-                if k is None:
-                    if any(row) and Cyclo(N, row):
-                        raise SectorError("twisted product left the span of the twisted class sums")
-                    continue
-                at_rep = counts.get(reps[k], [0] * N)
                 turned = row[e:] + row[:e]  # the term at zeta^t moves to zeta^(t - e)
-                if turned != at_rep and Cyclo(N, turned) != coords[k]:
+                if Cyclo(N, turned) != (zero if k is None else coords[k]):
                     raise SectorError("twisted product left the span of the twisted class sums")
             structure[i][j] = coords
     unit = [one if r == 0 else zero for r in reps]

@@ -395,6 +395,17 @@ def test_twisted_pairing_nondegenerate():
         assert ring.pairing_nondegenerate()
 
 
+def test_pairing_matrix_is_cyclo_trace_of_products():
+    G = catalog_group("Z2xZ2")
+    for ring in (dw_frobenius(catalog_group("S3")), twisted_center(G, catalog_cocycle(G, "nontrivial"))):
+        pairing = ring.pairing_matrix()
+        for i in range(ring.dim):
+            for j in range(ring.dim):
+                c = pairing[i][j]
+                assert isinstance(c, Cyclo) and c.level == ring.level
+                assert c == ring.trace_of(ring.mult(ring.basis_vector(i), ring.basis_vector(j)))
+
+
 def _corrupt_constant(ring, i, j, k, change):
     structure = [[list(row) for row in mat] for mat in ring.structure]
     structure[i][j][k] = change(structure[i][j][k])
