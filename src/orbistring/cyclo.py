@@ -136,6 +136,12 @@ def _roots(level: int) -> tuple["Cyclo", ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _root_index(level: int) -> dict[tuple[int, ...], int]:
+    """k for the numerators of zeta^k, k < level."""
+    return {r.num: k for k, r in enumerate(_roots(level))}
+
+
 class Cyclo:
     """An element of Q(zeta_N): the numerators num over the denominator den."""
 
@@ -252,6 +258,13 @@ class Cyclo:
     def inverse(self) -> "Cyclo":
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
+        # a rational multiple (g/den) zeta^k of a root of unity inverts by table
+        g = gcd(*self.num)
+        index = _root_index(self.level)
+        for sign in (1, -1):
+            k = index.get(tuple(sign * x // g for x in self.num))
+            if k is not None:
+                return _roots(self.level)[-k % self.level]._scale(sign * self.den, g)
         mod = [Fraction(c) for c in cyclotomic_poly(self.level)]
         inv = _poly_inverse_mod([Fraction(x) for x in self.num], mod)
         return Cyclo(self.level, [c * self.den for c in inv])

@@ -208,9 +208,17 @@ class SectorRing:
 
 
 def _ring_from_rational(labels, structure_q, unit_q, trace_q=None, meta=None) -> SectorRing:
-    structure = tuple(tuple(tuple(Cyclo.rational(c, 1) for c in row) for row in mat) for mat in structure_q)
-    unit = tuple(Cyclo.rational(c, 1) for c in unit_q)
-    trace = None if trace_q is None else tuple(Cyclo.rational(c, 1) for c in trace_q)
+    made: dict = {}  # one Cyclo per distinct value
+
+    def cyclo(q):
+        out = made.get(q)
+        if out is None:
+            out = made[q] = Cyclo.rational(q, 1)
+        return out
+
+    structure = tuple(tuple(tuple(cyclo(c) for c in row) for row in mat) for mat in structure_q)
+    unit = tuple(cyclo(c) for c in unit_q)
+    trace = None if trace_q is None else tuple(cyclo(c) for c in trace_q)
     return SectorRing(tuple(labels), 1, structure, unit, trace, meta or {})
 
 
@@ -333,11 +341,14 @@ def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
                     row[(ex + ey + a[x][y]) % N] += 1
             coords = [Cyclo(N, counts[r]) if r in counts else zero for r in reps]  # 1 at each rep
             # the product is sum_k coords[k] * (class sum k): compare in Q(zeta_N)
+            zeros = [0] * N
             for z in range(G.order):
-                row = counts.get(z, [0] * N)
                 k, e = member.get(z, (None, 0))
+                row = counts.get(z, zeros)
                 turned = row[e:] + row[:e]  # the term at zeta^t moves to zeta^(t - e)
-                if Cyclo(N, turned) != (zero if k is None else coords[k]):
+                at_rep, want = (zeros, zero) if k is None else (counts.get(reps[k], zeros), coords[k])
+                # equal counts per root are equal numbers; unequal ones may still agree in Q(zeta_N)
+                if turned != at_rep and Cyclo(N, turned) != want:
                     raise SectorError("twisted product left the span of the twisted class sums")
             structure[i][j] = coords
     unit = [one if r == 0 else zero for r in reps]
