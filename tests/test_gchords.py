@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from orbistring import gchords
 from orbistring.chords import identity_md, md_from_data, random_md
 from orbistring.gchords import (
     GDiagram,
@@ -175,6 +176,28 @@ def test_g_compose_recomputed_holonomies():
         out = g_compose(W, parts)
         assert outgoing_holonomy(out) == W.outer
         assert incoming_holonomy(out) == tuple(h for p in parts for h in incoming_holonomy(p))
+
+
+def test_g_compose_rejects_wrong_transport(monkeypatch):
+    # negative control: with every fiber transport replaced by the identity the
+    # composite's recomputed holonomies no longer match the parts on a third of
+    # the instances of the stream above
+    monkeypatch.setattr(gchords, "_transport_to", lambda W, tape, s: 0)
+    S3 = catalog_group("S3")
+    rng = random.Random(12)
+    failed = {}
+    for t in range(15):
+        md = random_md(rng, rng.randint(1, 2))
+        W = random_gdiagram(rng, md, S3, rng.randrange(6))
+        ih = incoming_holonomy(W)
+        parts = [random_gdiagram(rng, random_md(rng, rng.randint(1, 2)), S3, h) for h in ih]
+        try:
+            g_compose(W, parts)
+        except HolonomyError as e:
+            assert e.slot is None
+            failed[t] = str(e)
+    assert sorted(failed) == [2, 3, 9, 11, 13]
+    assert failed[2] == "composite holonomies (3, 0) do not match the parts (0, 3)"
 
 
 def test_g_compose_associativity_instances():
