@@ -532,9 +532,10 @@ def _walk_position(md: MDClass, label: int, point: Fraction) -> Fraction:
     raise DiagramError("mark-off-region", "point is not interior to the region", point)
 
 
-def compose(base: MDClass, parts: Sequence[MDClass]) -> MDClass:
-    """Operad composition: part i is rescaled to the perimeter of region i and
-    laid along its boundary starting at the mark, following the orientation."""
+def _composite(base: MDClass, parts: Sequence[MDClass]) -> tuple[Diagram, list[WalkTape]]:
+    """The labeled composite diagram and the base region walks the parts are laid
+    along.  Its chords are the base's representative chords followed by each
+    part's, and its marks are the parts' marks, in order."""
     if len(parts) != base.n:
         raise DiagramError("arity", f"need {base.n} parts, got {len(parts)}", len(parts))
     new_chords: list[tuple[Fraction, Fraction]] = list(rep_diagram(base).chords)
@@ -571,7 +572,13 @@ def compose(base: MDClass, parts: Sequence[MDClass]) -> MDClass:
         offset += part.n
     arc_labels = tuple(face_label[f] for f in dec.arc_face)
     # new_marks are locate() coordinates, already reduced mod 1, one per part region
-    return canonical_md(_label(dec, new_marks, arc_labels))
+    return _label(dec, new_marks, arc_labels), tapes
+
+
+def compose(base: MDClass, parts: Sequence[MDClass]) -> MDClass:
+    """Operad composition: part i is rescaled to the perimeter of region i and
+    laid along its boundary starting at the mark, following the orientation."""
+    return canonical_md(_composite(base, parts)[0])
 
 
 # cactus correspondence ------------------------------------------------------

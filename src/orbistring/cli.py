@@ -352,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kw)
         p.set_defaults(func=fn)
         p.add_argument("--format", choices=["json", "table", "markdown"], default="json")
-        p.add_argument("--seed", type=int, default=42)
         return p
 
     p = add("group", cmd_group, help="emit a catalog or file-defined group")
@@ -372,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("morita", cmd_morita, help="compare two orbifold string rings")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
+    p.add_argument("--seed", type=int, default=42)
     p = add("validate", cmd_validate, help="validate and canonicalize a marked chord diagram")
     p.add_argument("--diagram", required=True)
     p = add("compose", cmd_compose, help="operad composition of marked chord diagrams")
@@ -407,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window")  # a presentation's default is -6:6
     p.add_argument("--delta", help="JSON {entries: [[from,to,coeff],...]} over the window basis")
     p = add("selftest", cmd_selftest, help="run the full acceptance property suite")
+    p.add_argument("--seed", type=int, default=42)
     return ap
 
 

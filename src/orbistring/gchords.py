@@ -18,11 +18,10 @@ from .chords import (
     Diagram,
     MDClass,
     WalkTape,
+    _composite,
     _diagram_fields,
     canonical_md,
-    compose as compose_md,
     identity_md,
-    locate,
     region_walk,
     relabel as relabel_md,
     rep_diagram,
@@ -114,12 +113,7 @@ def decorate(
     lifts: Sequence[int],
     interval_labels: Sequence[int] | None = None,
 ) -> GDiagram:
-    """Canonicalize raw decorated diagram data.
-
-    Flipping a chord inverts its element, relabeling permutes them, and only
-    the per-cluster fiber identifications survive; a mark sitting on a cluster
-    vertex is moved to the least vertex with its lift transported along.
-    """
+    """Validate and canonicalize raw decorated diagram data."""
     d = validate_diagram(n, chords, marks, interval_labels)
     if len(delta) != len(d.chords):
         raise HolonomyError("need one identification element per chord")
@@ -128,20 +122,26 @@ def decorate(
     for v in list(delta) + list(lifts) + [outer]:
         if not 0 <= int(v) < group.order:
             raise HolonomyError(f"element index {v} out of range for {group.name}")
-    transports = _cluster_transports(group, d.clusters, d.chords, [int(x) for x in delta])
-    base = canonical_md(d)
+    return _decorated(d, group, int(outer), [int(x) for x in delta], [int(k) for k in lifts])
+
+
+def _decorated(d: Diagram, group: FiniteGroup, outer: int, delta: Sequence[int], lifts: Sequence[int]) -> GDiagram:
+    """Canonicalize a validated diagram with one element per chord and one lift per mark.
+
+    Flipping a chord inverts its element, relabeling permutes them, and only
+    the per-cluster fiber identifications survive; a mark sitting on a cluster
+    vertex is moved to the least vertex with its lift transported along.
+    """
+    transports = _cluster_transports(group, d.clusters, d.chords, delta)
     new_lifts = []
-    cluster_min = {grp[0]: (ci, grp) for ci, grp in enumerate(d.clusters)}
-    for i, z in enumerate(d.marks):
-        k = int(lifts[i])
-        if z in {v for grp in d.clusters for v in grp}:
+    for z, k in zip(d.marks, lifts):
+        if z in d.vertices:
             ci = d.cluster_of(z)
-            grp = d.clusters[ci]
-            j = grp.index(z)
+            j = d.clusters[ci].index(z)
             # move the mark to the least vertex: coordinate at least = tau_j^-1 * k
             k = group.mul(group.invert(transports[ci][j]), k)
         new_lifts.append(k)
-    return GDiagram(base, group, int(outer), transports, tuple(new_lifts))
+    return GDiagram(canonical_md(d), group, outer, transports, tuple(new_lifts))
 
 
 def from_gdiagram_json(data, resolve_group) -> GDiagram:
@@ -278,21 +278,15 @@ def g_compose(W: GDiagram, parts: Sequence[GDiagram]) -> GDiagram:
                 slot=i + 1,
             )
     G = W.group
-    base_out = compose_md(W.base, [p.base for p in parts])
-    d = rep_diagram(W.base)
+    d, tapes = _composite(W.base, [p.base for p in parts])
+    # aligned with d: the base's chords, then each part's chords and marks
     base_deltas = W.rep_deltas()
-    new_chords: list[tuple[Fraction, Fraction]] = list(d.chords)
-    new_delta: list[int] = [base_deltas[c] for c in d.chords]
-    new_marks: list[Fraction] = []
+    new_delta = [base_deltas[c] for c in rep_diagram(W.base).chords]
     new_lifts: list[int] = []
-    for i, p in enumerate(parts):
-        tape = region_walk(W.base, i + 1)
+    for tape, k_i, p in zip(tapes, W.lifts, parts):
         r = tape.total
-        k_i = W.lifts[i]
         part_deltas = p.rep_deltas()
         for x, y in p.base.rep_chords():
-            dx = locate(tape, r * x)[1]
-            dy = locate(tape, r * y)[1]
             fx = _transport_to(W, tape, r * x)
             fy = _transport_to(W, tape, r * y)
             # composite fiber coordinates glue as F(t) k_i a for part coordinate a
@@ -300,23 +294,10 @@ def g_compose(W: GDiagram, parts: Sequence[GDiagram]) -> GDiagram:
                 G.mul(G.mul(fy, k_i), part_deltas[(x, y)]),
                 G.invert(G.mul(fx, k_i)),
             )
-            new_chords.append((dx, dy))
             new_delta.append(dprime)
-        for j, z in enumerate(p.base.marks):
-            new_marks.append(locate(tape, r * z)[1])
-            new_lifts.append(G.mul(G.mul(_transport_to(W, tape, r * z), k_i), p.lifts[j]))
-    out = decorate(
-        base_out.n,
-        new_chords,
-        new_marks,
-        G,
-        W.outer,
-        new_delta,
-        new_lifts,
-        interval_labels=None if not base_out.arc_starts else base_out.arc_labels,
-    )
-    if out.base != base_out:
-        raise HolonomyError("decorated composite disagrees with the base composition")
+        for z, lift in zip(p.base.marks, p.lifts):
+            new_lifts.append(G.mul(G.mul(_transport_to(W, tape, r * z), k_i), lift))
+    out = _decorated(d, G, W.outer, new_delta, new_lifts)
     expect = tuple(h for p in parts for h in incoming_holonomy(p))
     got = incoming_holonomy(out)
     if got != expect:

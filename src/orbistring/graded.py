@@ -351,8 +351,7 @@ def ring_window_bv(ring, delta: dict | None = None) -> BVData:
     basis = tuple(range(ring.dim))
 
     def mult(i: int, j: int):
-        row = ring.structure[i][j]
-        return {k: c for k, c in enumerate(row) if c}
+        return dict(ring.table.get((i, j), ()))
 
     return BVData(basis, lambda b: 0, mult, delta or {}, (0, 0))
 

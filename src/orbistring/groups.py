@@ -64,9 +64,6 @@ class FiniteGroup:
     def invert(self, a: int) -> int:
         return self.inv[a]
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def conjugate(self, q: int, h: int) -> int:
         """h^-1 * q * h."""
         return self.mul(self.mul(self.inv[h], q), h)
@@ -154,9 +151,6 @@ class GSet:
                     if tab[xg][h] != tab[x][group.mul(g, h)]:
                         raise GroupError(f"action fails at triple (point {x}, {g}, {h})")
         return GSet(group, m, tab)
-
-    def apply(self, x: int, g: int) -> int:
-        return self.act[x][g]
 
 
 def fixed_points(X: GSet, g: int) -> list[int]:

@@ -77,9 +77,6 @@ class TwoCocycle:
     group: FiniteGroup
     table: tuple[tuple[Phase, ...], ...]
 
-    def value(self, g: int, h: int) -> Phase:
-        return self.table[g][h]
-
     def level(self) -> int:
         return _table_level(self.table)
 
@@ -160,9 +157,6 @@ class TorsionCocycle:
 
     group: FiniteGroup
     tau: tuple[tuple[Phase, ...], ...]
-
-    def value(self, g: int, h: int) -> Phase:
-        return self.tau[g][h]
 
     def level(self) -> int:
         return _table_level(self.tau)

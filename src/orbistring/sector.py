@@ -71,16 +71,6 @@ def _nonzero(vec: Sequence) -> dict:
     return {i: c for i, c in enumerate(vec) if c}
 
 
-def _sparse_structure(structure: Sequence) -> dict:
-    """{(i, j): ((k, c), ...)} over the nonzero dense constants structure[i][j][k]."""
-    return {
-        (i, j): row
-        for i, mat in enumerate(structure)
-        for j, dense in enumerate(mat)
-        if (row := tuple(_nonzero(dense).items()))
-    }
-
-
 def _expand(terms, sparse: dict) -> dict:
     """sum of c * (e_a e_b) over ((a, b), c) in terms, zero entries dropped.
 
@@ -108,43 +98,49 @@ def _pairing(dim: int, sparse: dict, trace: Sequence | None, zero) -> list[list]
     ]
 
 
-def _as_rational(c: Cyclo) -> int | Fraction:
-    """A rational Cyclo as an int, or as a Fraction if it is not integral."""
-    return c.num[0] if c.den == 1 else Fraction(c.num[0], c.den)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorRing:
-    """A finite-dimensional associative algebra over Q(zeta_level) in a fixed basis."""
+    """A finite-dimensional associative algebra over Q(zeta_level) in a fixed basis.
+
+    The ring is stored once, sparse, in the coefficients its checks run in:
+    int or Fraction at level 1, Cyclo at level `level` otherwise.  table[(i, j)]
+    lists the nonzero constants (k, c) of e_i e_j = sum_k c e_k by ascending k,
+    unit_coords holds the nonzero coordinates {i: c} of the unit, and trace the
+    trace of each basis element.  `structure` and `unit` are dense Cyclo views
+    derived from them.  Rings compare and hash by identity.
+    """
 
     labels: tuple[str, ...]
     level: int
-    structure: tuple[tuple[tuple[Cyclo, ...], ...], ...]  # structure[i][j][k] = coeff of e_k in e_i e_j
-    unit: tuple[Cyclo, ...]
-    trace: tuple[Cyclo, ...] | None = None
-    meta: dict = field(default_factory=dict, compare=False, hash=False)
+    table: dict
+    unit_coords: dict
+    trace: tuple | None = None
+    meta: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
     @cached_property
-    def _sparse(self) -> dict:
-        return _sparse_structure(self.structure)
+    def structure(self) -> tuple[tuple[tuple[Cyclo, ...], ...], ...]:
+        """structure[i][j][k] = coefficient of e_k in e_i e_j, as a Cyclo."""
+        zero, n = Cyclo.zero(self.level), self.dim
+
+        def row(i: int, j: int) -> tuple[Cyclo, ...]:
+            dense = [zero] * n
+            for k, c in self.table.get((i, j), ()):
+                dense[k] = zero + c
+            return tuple(dense)
+
+        return tuple(tuple(row(i, j) for j in range(n)) for i in range(n))
 
     @cached_property
-    def _native(self) -> tuple[dict, dict, tuple | None, object, object]:
-        """Sparse structure constants, sparse unit, trace, zero and one in the
-        coefficients the checks run in: int or Fraction at level 1, Cyclo otherwise."""
-        if self.level != 1:
-            return self._sparse, _nonzero(self.unit), self.trace, Cyclo.zero(self.level), Cyclo.one(self.level)
-        sparse = {key: tuple((k, _as_rational(c)) for k, c in row) for key, row in self._sparse.items()}
-        trace = None if self.trace is None else tuple(_as_rational(c) for c in self.trace)
-        unit = {i: _as_rational(c) for i, c in _nonzero(self.unit).items()}
-        return sparse, unit, trace, Fraction(0), Fraction(1)
+    def unit(self) -> tuple[Cyclo, ...]:
+        zero = Cyclo.zero(self.level)
+        return tuple(zero + self.unit_coords.get(i, 0) for i in range(self.dim))
 
     def mult(self, u: Sequence[Cyclo], v: Sequence[Cyclo]) -> list[Cyclo]:
-        prod = _ring_product(self._sparse, _nonzero(u), _nonzero(v))
+        prod = _ring_product(self.table, _nonzero(u), _nonzero(v))
         zero = Cyclo.zero(self.level)
         return [prod.get(k, zero) for k in range(self.dim)]
 
@@ -155,7 +151,7 @@ class SectorRing:
     def check_associative(self) -> None:
         """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, each side expanded
         through the constants: sum_m c_ij^m e_m e_k against sum_m c_jk^m e_i e_m."""
-        S = self._native[0]
+        S = self.table
         for i in range(self.dim):
             for j in range(self.dim):
                 ij = S.get((i, j), ())
@@ -166,7 +162,7 @@ class SectorRing:
                         raise SectorError(f"associativity fails at basis triple ({i},{j},{k})")
 
     def check_unit(self) -> None:
-        S, unit, *_ = self._native
+        S, unit = self.table, self.unit_coords
         for i in range(self.dim):
             left = _expand([((m, i), c) for m, c in unit.items()], S)
             right = _expand([((i, m), c) for m, c in unit.items()], S)
@@ -180,46 +176,31 @@ class SectorRing:
 
     def pairing_matrix(self) -> list[list[Cyclo]]:
         """trace(e_i e_j)."""
-        return _pairing(self.dim, self._sparse, self.trace, Cyclo.zero(self.level))
+        return _pairing(self.dim, self.table, self.trace, Cyclo.zero(self.level))
 
     def pairing_nondegenerate(self) -> bool:
         """The pairing's determinant is nonzero, computed in the coefficients of the checks."""
-        S, _, trace, zero, one = self._native
-        return bool(mat_det(_pairing(self.dim, S, trace, zero), zero, one))
+        if self.level == 1:
+            zero, one = Fraction(0), Fraction(1)
+        else:
+            zero, one = Cyclo.zero(self.level), Cyclo.one(self.level)
+        return bool(mat_det(_pairing(self.dim, self.table, self.trace, zero), zero, one))
 
     def is_commutative(self) -> bool:
-        for i in range(self.dim):
-            for j in range(i):
-                if self.structure[i][j] != self.structure[j][i]:
-                    return False
-        return True
+        S = self.table
+        return all(S.get((i, j)) == S.get((j, i)) for i in range(self.dim) for j in range(i))
 
     def to_json(self) -> dict:
         out = {
             "level": self.level,
             "dim": self.dim,
             "basis": list(self.labels),
-            "unit": [str(c) for c in self.unit],
-            "structure": [[i, j, k, str(c)] for (i, j), row in self._sparse.items() for k, c in row],
+            "unit": [str(self.unit_coords.get(i, 0)) for i in range(self.dim)],
+            "structure": [[i, j, k, str(c)] for (i, j), row in self.table.items() for k, c in row],
         }
         if self.trace is not None:
             out["trace"] = [str(c) for c in self.trace]
         return out
-
-
-def _ring_from_rational(labels, structure_q, unit_q, trace_q=None, meta=None) -> SectorRing:
-    made: dict = {}  # one Cyclo per distinct value
-
-    def cyclo(q):
-        out = made.get(q)
-        if out is None:
-            out = made[q] = Cyclo.rational(q, 1)
-        return out
-
-    structure = tuple(tuple(tuple(cyclo(c) for c in row) for row in mat) for mat in structure_q)
-    unit = tuple(cyclo(c) for c in unit_q)
-    trace = None if trace_q is None else tuple(cyclo(c) for c in trace_q)
-    return SectorRing(tuple(labels), 1, structure, unit, trace, meta or {})
 
 
 def orbifold_string_ring(X: GSet) -> SectorRing:
@@ -233,8 +214,7 @@ def orbifold_string_ring(X: GSet) -> SectorRing:
     G = X.group
     orbits = sector_orbits(X)
     index = {p: i for i, orb in enumerate(orbits) for p in orb}
-    dim = len(orbits)
-    structure = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     for i, oi in enumerate(orbits):
         for j, oj in enumerate(orbits):
             acc: dict[tuple[int, int], int] = {}
@@ -244,19 +224,15 @@ def orbifold_string_ring(X: GSet) -> SectorRing:
                         key = (G.mul(g, h), x)
                         acc[key] = acc.get(key, 0) + 1
             # the sum is G-invariant; read off the orbit-sum coordinates
-            done: set[int] = set()
+            coords: dict[int, int] = {}
             for p, c in acc.items():
-                k = index[p]
-                if k in done:
-                    continue
-                done.add(k)
-                structure[i][j][k] = c
-            for p, c in acc.items():
-                if structure[i][j][index[p]] != c:
+                if coords.setdefault(index[p], c) != c:
                     raise SectorError("product failed to be orbit-constant")
-    unit = [int(orb[0][0] == 0) for orb in orbits]
+            if coords:
+                table[i, j] = tuple(sorted(coords.items()))
+    unit = {i: 1 for i, orb in enumerate(orbits) if orb[0][0] == 0}
     labels = tuple("{" + ",".join(f"({G.names[g]},{x})" for g, x in orb) + "}" for orb in orbits)
-    ring = _ring_from_rational(labels, structure, unit, meta={"orbits": orbits, "gset": X})
+    ring = SectorRing(labels, 1, table, unit, meta={"orbits": orbits, "gset": X})
     ring.check_associative()
     ring.check_unit()
     return ring
@@ -267,18 +243,8 @@ def dw_frobenius(G: FiniteGroup) -> SectorRing:
     ring = orbifold_string_ring(point_gset(G))
     data = conjugacy_classes(G)
     assert ring.dim == len(data.classes)
-    trace = []
-    for orb in ring.meta["orbits"]:
-        cls = tuple(g for g, _ in orb)
-        trace.append(Fraction(1, G.order) if cls == (0,) else Fraction(0))
-    out = SectorRing(
-        ring.labels,
-        1,
-        ring.structure,
-        ring.unit,
-        tuple(Cyclo.rational(c, 1) for c in trace),
-        {"classes": data},
-    )
+    trace = tuple(Fraction(1, G.order) if orb == ((0, 0),) else 0 for orb in ring.meta["orbits"])
+    out = SectorRing(ring.labels, 1, ring.table, ring.unit_coords, trace, {"classes": data})
     if not out.pairing_nondegenerate():
         raise SectorError("Frobenius pairing is degenerate")
     return out
@@ -327,8 +293,8 @@ def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
 
     dim = len(exponents)
     member = {x: (k, e) for k, exps in enumerate(exponents) for x, e in exps.items()}
-    zero, one = Cyclo.zero(N), Cyclo.one(N)
-    structure = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    zero = Cyclo.zero(N)
+    table: dict[tuple[int, int], tuple[tuple[int, Cyclo], ...]] = {}
     for i in range(dim):
         for j in range(dim):
             counts: dict[int, list[int]] = {}  # u_z -> number of terms per root of unity
@@ -350,18 +316,12 @@ def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
                 # equal counts per root are equal numbers; unequal ones may still agree in Q(zeta_N)
                 if turned != at_rep and Cyclo(N, turned) != want:
                     raise SectorError("twisted product left the span of the twisted class sums")
-            structure[i][j] = coords
-    unit = [one if r == 0 else zero for r in reps]
-    trace = [Cyclo.rational(Fraction(1, G.order), N) if r == 0 else zero for r in reps]
+            if nonzero := tuple((k, c) for k, c in enumerate(coords) if c):
+                table[i, j] = nonzero
+    unit = {k: Cyclo.one(N) for k, r in enumerate(reps) if r == 0}
+    trace = tuple(Cyclo.rational(Fraction(1, G.order), N) if r == 0 else zero for r in reps)
     labels = tuple(f"tw({G.names[r]})" for r in reps)
-    ring = SectorRing(
-        labels,
-        N,
-        tuple(tuple(tuple(row) for row in mat) for mat in structure),
-        tuple(unit),
-        tuple(trace),
-        {"regular_reps": reps, "alpha": alpha},
-    )
+    ring = SectorRing(labels, N, table, unit, trace, {"regular_reps": reps, "alpha": alpha})
     ring.check_associative()
     ring.check_unit()
     if not ring.pairing_nondegenerate():
@@ -397,13 +357,6 @@ class MoritaReport:
         if self.witness is not None:
             out["witness"] = [[str(c) for c in row] for row in self.witness]
         return out
-
-
-def _rational_structure(ring: SectorRing) -> dict:
-    """The ring's sparse structure constants, as ints and Fractions."""
-    if ring.level != 1:
-        raise SectorError("Morita comparison expects rational structure constants")
-    return ring._native[0]
 
 
 def _eval_mod(poly: list[int], x: int, m: int) -> int:
@@ -516,9 +469,7 @@ def _splitting(factor: list[Fraction]) -> tuple[Fraction, int] | None:
     return None
 
 
-def _probe_split(
-    ring: SectorRing, sparse: dict, rng
-) -> tuple[list[list[Fraction]], list[list[Fraction]]] | None:
+def _probe_split(ring: SectorRing, rng) -> tuple[list[list[Fraction]], list[list[Fraction]]] | None:
     """The dense powers 1, x, ..., x^(n-1) of a probe x whose minimal polynomial
     has full degree n and is squarefree, and the sorted irreducible factors of
     that polynomial.
@@ -541,8 +492,7 @@ def _probe_split(
         for _ in range(e):
             walk.append(G.mul(walk[-1], g))
         images.append([index[walk[c], m] for c in cs])
-    unit = {i: c.rational_part() for i, c in _nonzero(ring.unit).items()}
-    n = ring.dim
+    sparse, unit, n = ring.table, ring.unit_coords, ring.dim
     for _ in range(200):
         probe = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
         x = _nonzero(probe)
@@ -599,10 +549,10 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
         rep.obstruction = "dimension mismatch"
         return rep
     n = A.dim
-    sa, sb = _rational_structure(A), _rational_structure(B)
+    sa, sb = A.table, B.table
     rng = random.Random(seed)
-    pa = _probe_split(A, sa, rng)
-    pb = _probe_split(B, sb, rng)
+    pa = _probe_split(A, rng)
+    pb = _probe_split(B, rng)
     if pa is None or pb is None:
         rep.detail = "no separating probe found; inconclusive"
         return rep

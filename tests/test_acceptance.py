@@ -21,8 +21,8 @@ LIMITS = {
     "criterion-03 cohomology-invariance": 20.0,
     "criterion-04 morita-invariance": 30.0,
     "criterion-05 operad-axioms": 60.0,
-    "criterion-06 g-graded-operad": None,
-    "criterion-07 holonomy-figure": None,
+    "criterion-06 g-graded-operad": 10.0,
+    "criterion-07 holonomy-figure": 5.0,
     "criterion-08 lens-rings": 5.0,
     "criterion-09 bv-checker": 5.0,
 }

@@ -295,3 +295,11 @@ def test_bvcheck_window_defaults_only_for_presentations(capsys):
     code, out, _ = run(capsys, "bvcheck", "--name", "lens", "--n", "3", "--p", "2")
     code2, out2, _ = run(capsys, "bvcheck", "--name", "lens", "--n", "3", "--p", "2", "--window=-6:6")
     assert code == code2 == 0 and out == out2
+
+
+def test_seed_only_on_seeded_verbs(capsys):
+    code, out, err = run(capsys, "dw", "--group", "S3", "--seed", "1")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --seed 1" in err
+    code, out, _ = run(capsys, "morita", "--left", "coset:S3:Z3", "--right", "point:Z3", "--seed", "1")
+    assert code == 0 and json.loads(out)["isomorphic"] is True

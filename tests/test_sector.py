@@ -22,7 +22,6 @@ from orbistring.phases import catalog_cocycle, coboundary, discrete_torsion, Pha
 from orbistring.sector import (
     SectorError,
     _probe_split,
-    _rational_structure,
     dw_frobenius,
     morita_compare,
     orbifold_string_ring,
@@ -318,7 +317,7 @@ def test_morita_witness_pinned(left, right):
 def test_probe_split_component_degrees(name, degrees):
     # Q[Zn] is the sum of Q(zeta_d) over d | n
     ring = orbifold_string_ring(point_gset(catalog_group(name)))
-    _, factors = _probe_split(ring, _rational_structure(ring), random.Random(7))
+    _, factors = _probe_split(ring, random.Random(7))
     assert [len(f) - 1 for f in factors] == degrees
 
 
@@ -331,7 +330,7 @@ def test_probe_split_divides_once_per_factor(monkeypatch):
 
     monkeypatch.setattr(sector, "_poly_divmod", counted)
     ring = orbifold_string_ring(point_gset(catalog_group("Z13")))
-    _, factors = _probe_split(ring, _rational_structure(ring), random.Random(7))
+    _, factors = _probe_split(ring, random.Random(7))
     assert sorted(calls) == [len(f) - 1 for f in factors] == [1, 12]
 
 
@@ -406,18 +405,38 @@ def test_pairing_matrix_is_cyclo_trace_of_products():
                 assert c == ring.trace_of(ring.mult(ring.basis_vector(i), ring.basis_vector(j)))
 
 
+def test_dense_views_are_cyclo_at_ring_level():
+    # structure and unit are derived from the sparse table for readers outside
+    # the checks, which call Cyclo methods on every entry
+    G = catalog_group("Z2xZ2")
+    rings = [
+        dw_frobenius(catalog_group("S3")),
+        orbifold_string_ring(coset_gset(*catalog_subgroup("S4", "S3"))),
+        twisted_center(G, catalog_cocycle(G, "nontrivial")),
+        _level8_center(),
+    ]
+    assert [r.level for r in rings] == [1, 1, 2, 8]
+    for ring in rings:
+        assert all(isinstance(c, Cyclo) and c.level == ring.level for c in ring.unit)
+        for i in range(ring.dim):
+            for j in range(ring.dim):
+                row = ring.structure[i][j]
+                assert all(isinstance(c, Cyclo) and c.level == ring.level for c in row)
+                assert list(row) == ring.mult(ring.basis_vector(i), ring.basis_vector(j))
+
+
 def _corrupt_constant(ring, i, j, k, change):
-    structure = [[list(row) for row in mat] for mat in ring.structure]
-    structure[i][j][k] = change(structure[i][j][k])
-    return sector.SectorRing(
-        ring.labels, ring.level, tuple(tuple(tuple(row) for row in mat) for mat in structure), ring.unit, ring.trace
-    )
+    row = dict(ring.table.get((i, j), ()))
+    row[k] = change(row.get(k, 0 if ring.level == 1 else Cyclo.zero(ring.level)))
+    table = dict(ring.table)
+    table[i, j] = tuple(sorted((m, c) for m, c in row.items() if c))
+    return sector.SectorRing(ring.labels, ring.level, table, ring.unit_coords, ring.trace)
 
 
 def _corrupt_unit(ring, i, value):
-    unit = list(ring.unit)
+    unit = dict(ring.unit_coords)
     unit[i] = value
-    return sector.SectorRing(ring.labels, ring.level, ring.structure, tuple(unit), ring.trace)
+    return sector.SectorRing(ring.labels, ring.level, ring.table, unit, ring.trace)
 
 
 def _level8_center():
@@ -450,8 +469,8 @@ def test_check_unit_names_corrupted_element():
     tw = _level8_center()
     z = Cyclo.root(8, 1)
     bad = [
-        _corrupt_unit(dw, 2, Cyclo.one(1)),
-        _corrupt_unit(dw, 0, Cyclo.rational(2, 1)),
+        _corrupt_unit(dw, 2, 1),
+        _corrupt_unit(dw, 0, 2),
         _corrupt_unit(tw, 1, z),
         _corrupt_unit(tw, 0, z),
     ]
