@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -5,7 +6,16 @@ from fractions import Fraction as F
 import pytest
 
 from orbistring import gchords
-from orbistring.chords import identity_md, md_from_data, random_md
+from orbistring.chords import (
+    compose,
+    from_cactus,
+    identity_md,
+    locate,
+    md_from_data,
+    random_md,
+    region_walk,
+    to_cactus,
+)
 from orbistring.gchords import (
     GDiagram,
     HolonomyError,
@@ -257,3 +267,43 @@ def test_outgoing_holonomy_equals_seam_traversal():
             crossings += _seam_crossings(v, length)
         assert crossings == 1
         assert outgoing_holonomy(W) == W.outer
+
+
+def _walk_digest_lines():
+    """Everything computed from region walks on a seeded stream over Z2, Z3 and S3:
+    decorated and plain composites, cacti, positions and fiber transports at
+    twelfths of every base region, and the error of a mismatched slot."""
+    rng = random.Random(81)
+    for name in ("Z2", "Z3", "S3"):
+        G = catalog_group(name)
+        for _ in range(40):
+            md = random_md(rng, rng.randint(1, 4))
+            W = random_gdiagram(rng, md, G, rng.randrange(G.order))
+            ih = incoming_holonomy(W)
+            parts = [random_gdiagram(rng, random_md(rng, rng.randint(1, 2)), G, h) for h in ih]
+            out = g_compose(W, parts)
+            yield [ih, out.to_json(), incoming_holonomy(out)]
+            yield compose(md, [p.base for p in parts]).to_json()
+            cactus = to_cactus(md)
+            yield [cactus.to_json(), from_cactus(cactus).to_json()]
+            for label in range(1, md.n + 1):
+                tape = region_walk(md, label)
+                for k in range(12):
+                    s = tape.total * k / 12
+                    kind, coord = locate(tape, s)
+                    yield [label, k, kind, str(coord), gchords._transport_to(W, tape, s)]
+            i = rng.randrange(md.n)
+            p = parts[i]
+            wrong = (p.outer + 1 + rng.randrange(G.order - 1)) % G.order
+            bad = parts[:i] + [GDiagram(p.base, G, wrong, p.transports, p.lifts)] + parts[i + 1 :]
+            with pytest.raises(HolonomyError) as exc:
+                g_compose(W, bad)
+            yield [type(exc.value).__name__, str(exc.value), exc.value.slot]
+
+
+def test_region_walk_digest():
+    # pinned before region walks carried their own arc-length positions
+    digest = hashlib.sha256()
+    for line in _walk_digest_lines():
+        digest.update(json.dumps(line, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == "966570ddeb4553b486a7e672574d308ede08ebb16b0aaf5d738596180ced97d5"
