@@ -11,10 +11,11 @@ module canonicalizes and compares.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .groups import _load_json
@@ -374,7 +375,6 @@ class MDClass:
     n: int
     marks: tuple[Fraction, ...]
     clusters: tuple[tuple[Fraction, ...], ...]
-    arc_starts: tuple[Fraction, ...]
     arc_labels: tuple[int, ...]
 
     def rep_chords(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -409,7 +409,7 @@ def rep_diagram(md: MDClass) -> Diagram:
 def canonical_md(d: Diagram) -> MDClass:
     cluster_min = {v: grp[0] for grp in d.clusters for v in grp}
     marks = tuple(cluster_min.get(z, z) for z in d.marks)
-    return MDClass(d.n, marks, d.clusters, d.vertices, d.arc_labels)
+    return MDClass(d.n, marks, d.clusters, d.arc_labels)
 
 
 def md_from_data(n, chords, marks, arc_labels=None) -> MDClass:
@@ -417,7 +417,7 @@ def md_from_data(n, chords, marks, arc_labels=None) -> MDClass:
 
 
 def identity_md() -> MDClass:
-    return MDClass(1, (Fraction(0),), (), (), ())
+    return MDClass(1, (Fraction(0),), (), ())
 
 
 def relabel(md: MDClass, perm: Sequence[int]) -> MDClass:
@@ -428,7 +428,7 @@ def relabel(md: MDClass, perm: Sequence[int]) -> MDClass:
     for old, z in enumerate(md.marks):
         marks[perm[old]] = z
     labels = tuple(perm[lab - 1] + 1 for lab in md.arc_labels)
-    return MDClass(md.n, tuple(marks), md.clusters, md.arc_starts, labels)
+    return MDClass(md.n, tuple(marks), md.clusters, labels)
 
 
 # region walks ---------------------------------------------------------------
@@ -436,41 +436,50 @@ def relabel(md: MDClass, perm: Sequence[int]) -> MDClass:
 
 @dataclass(frozen=True)
 class WalkTape:
-    """The boundary of one region unrolled from its mark, for laying parts along."""
+    """The boundary of one region unrolled from its mark, for laying parts along.
+
+    Each step is (position, unit): the position is the arc length walked
+    before the unit, which is ("seg", start, length) or ("pass", cluster,
+    arrival, departure, jumps).  A mark on a cluster sits on the first step,
+    the passage the walk starts on.  At a passage's position, locate and
+    gchords._transport_to stop at its arrival vertex, before the passage.
+    """
 
     label: int
     total: Fraction
-    start_cluster: int | None       # set when the mark sits on a cluster
-    start_depart: Fraction | None   # departure vertex of the starting passage
-    end_arrival: Fraction | None    # arrival vertex of the closing passage
-    entries: tuple                  # ("seg", start, length) | ("pass", cluster, arr, dep, jumps)
+    steps: tuple[tuple[Fraction, tuple], ...]
+
+    def check(self, s: Fraction) -> None:
+        if not 0 <= s < self.total:
+            raise DiagramError("bad-coordinate", "walk position out of range", s)
 
 
 def region_walk(md: MDClass, label: int) -> WalkTape:
     d = rep_diagram(md)
-    units = list(d.regions[label - 1])
+    units = d.regions[label - 1]
     z = md.marks[label - 1]
-    total = d.perimeter(label)
     if not d.vertices:
-        return WalkTape(label, Fraction(1), None, None, None, (("seg", z, Fraction(1)),))
-    if z in d.vertices:
+        units = (("seg", z, Fraction(1)),)
+    elif z in d.vertices:
         ci = d.cluster_of(z)
-        pos = next(
-            (k for k, u in enumerate(units) if u[0] == "pass" and u[1] == ci), None
-        )
-        if pos is None:
+        k = next((k for k, u in enumerate(units) if u[0] == "pass" and u[1] == ci), None)
+        if k is None:
             raise DiagramError("mark-off-region", f"mark {label} is not on region {label}", label)
-        u = units[pos]
-        rotated = units[pos + 1 :] + units[:pos]
-        return WalkTape(label, total, ci, u[3], u[2], tuple(rotated))
-    for k, u in enumerate(units):
+        units = units[k:] + units[:k]
+    else:
+        for k, u in enumerate(units):
+            if u[0] == "seg" and 0 < (off := _ccw(u[1], z)) < u[2]:
+                units = (("seg", z, u[2] - off),) + units[k + 1 :] + units[:k] + (("seg", u[1], off),)
+                break
+        else:
+            raise DiagramError("mark-off-region", f"mark {label} is not on region {label}", label)
+    steps = []
+    pos = Fraction(0)
+    for u in units:
+        steps.append((pos, u))
         if u[0] == "seg":
-            off = _ccw(u[1], z)
-            if 0 < off < u[2]:
-                rotated = units[k + 1 :] + units[:k]
-                entries = [("seg", z, u[2] - off)] + rotated + [("seg", u[1], off)]
-                return WalkTape(label, total, None, None, None, tuple(entries))
-    raise DiagramError("mark-off-region", f"mark {label} is not on region {label}", label)
+            pos += u[2]
+    return WalkTape(label, pos, tuple(steps))
 
 
 def locate(tape: WalkTape, s: Fraction):
@@ -480,26 +489,13 @@ def locate(tape: WalkTape, s: Fraction):
     s falls on a cluster passage; the coordinate is then the passage's arrival
     vertex, which is on the region's closure.
     """
-    if s < 0 or s >= tape.total:
-        raise DiagramError("bad-coordinate", "walk position out of range", s)
-    if s == 0:
-        if tape.start_cluster is not None:
-            return ("vertex", tape.end_arrival)
-        first = tape.entries[0]
-        return ("point", first[1])
-    cum = Fraction(0)
-    prev_pass = None
-    for u in tape.entries:
-        if u[0] == "pass":
-            prev_pass = u
-            continue
-        if s == cum:
-            assert prev_pass is not None
-            return ("vertex", prev_pass[2])
-        if s < cum + u[2]:
-            return ("point", _mod1(u[1] + (s - cum)))
-        cum += u[2]
-    raise DiagramError("bad-coordinate", "walk position out of range", s)
+    tape.check(s)
+    k = bisect_left(tape.steps, s, key=itemgetter(0))
+    if k < len(tape.steps) and tape.steps[k][0] == s:
+        u = tape.steps[k][1]
+        return ("vertex", u[2]) if u[0] == "pass" else ("point", u[1])
+    pos, u = tape.steps[k - 1]
+    return ("point", _mod1(u[1] + (s - pos)))
 
 
 # composition ----------------------------------------------------------------
@@ -517,18 +513,14 @@ def _interior_witness(part: MDClass, label: int, base_tape: WalkTape, avoid: set
     raise DiagramError("traversal", "could not find an interior witness", label)
 
 
-def _walk_position(md: MDClass, label: int, point: Fraction) -> Fraction:
+def _walk_position(tape: WalkTape, point: Fraction) -> Fraction:
     """Arc length of a circle point along the region walk (point must be interior
     to one of the region's arcs)."""
-    tape = region_walk(md, label)
-    cum = Fraction(0)
-    for u in tape.entries:
-        if u[0] != "seg":
-            continue
-        off = _ccw(u[1], point)
-        if off < u[2]:
-            return cum + off
-        cum += u[2]
+    for pos, u in tape.steps:
+        if u[0] == "seg":
+            off = _ccw(u[1], point)
+            if off < u[2]:
+                return pos + off
     raise DiagramError("mark-off-region", "point is not interior to the region", point)
 
 
@@ -621,14 +613,9 @@ def _canonical_joint(joint: Sequence[tuple[int, Fraction]]) -> tuple[tuple[int, 
 
 
 def _pass_offset(tape: WalkTape, cluster: int) -> Fraction:
-    if tape.start_cluster == cluster:
-        return Fraction(0)
-    cum = Fraction(0)
-    for u in tape.entries:
-        if u[0] == "seg":
-            cum += u[2]
-        elif u[1] == cluster:
-            return cum
+    for pos, u in tape.steps:
+        if u[0] == "pass" and u[1] == cluster:
+            return pos
     raise CactusError(f"region {tape.label} does not pass cluster {cluster}")
 
 
@@ -651,7 +638,7 @@ def to_cactus(md: MDClass) -> Cactus:
         ci = d.cluster_of(u)
         return Cactus(perims, tuple(sorted(joints)), lobe, _pass_offset(tapes[lobe - 1], ci), True)
     lobe = d.arc_labels[_arc_of_point(d.vertices, u)] if d.vertices else 1
-    return Cactus(perims, tuple(sorted(joints)), lobe, _walk_position(md, lobe, u), False)
+    return Cactus(perims, tuple(sorted(joints)), lobe, _walk_position(tapes[lobe - 1], u), False)
 
 
 def _cactus_walk(c: Cactus):

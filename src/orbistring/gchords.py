@@ -165,43 +165,39 @@ def _seam_crossings(seg_start: Fraction, length: Fraction) -> int:
     return 1 if o <= length else 0
 
 
-def _walk_factors(W: GDiagram, label: int) -> list[int]:
-    """Left-multiplication factors met along the region walk, in traversal order."""
+def _step(W: GDiagram, u: tuple) -> int:
+    """Left-multiplication factor of one walk unit: the outer holonomy for an arc
+    that reaches the seam, the fiber identification across a cluster passage."""
+    if u[0] == "seg":
+        return W.outer if _seam_crossings(u[1], u[2]) else 0
     G = W.group
-    tape = region_walk(W.base, label)
-    cluster_tau = {ci: taus for ci, taus in enumerate(W.transports)}
-    factors: list[int] = []
-    if tape.start_cluster is not None:
-        ci = tape.start_cluster
-        grp = W.base.clusters[ci]
-        factors.append(cluster_tau[ci][grp.index(tape.start_depart)])
-    for u in tape.entries:
-        if u[0] == "seg":
-            if _seam_crossings(u[1], u[2]):
-                factors.append(W.outer)
-        else:
-            ci, arr, dep = u[1], u[2], u[3]
-            grp = W.base.clusters[ci]
-            taus = cluster_tau[ci]
-            factors.append(G.mul(taus[grp.index(dep)], G.invert(taus[grp.index(arr)])))
-    if tape.start_cluster is not None:
-        ci = tape.start_cluster
-        grp = W.base.clusters[ci]
-        factors.append(G.invert(cluster_tau[ci][grp.index(tape.end_arrival)]))
-    return factors
+    grp = W.base.clusters[u[1]]
+    taus = W.transports[u[1]]
+    return G.mul(taus[grp.index(u[3])], G.invert(taus[grp.index(u[2])]))
+
+
+def _start(W: GDiagram, tape: WalkTape) -> int:
+    """Fiber transport from the mark to the start of its walk: the identity on an
+    arc, else from the cluster's least vertex to the first passage's arrival."""
+    u = tape.steps[0][1]
+    if u[0] == "seg":
+        return 0
+    return W.transports[u[1]][W.base.clusters[u[1]].index(u[2])]
+
+
+def _holonomy(W: GDiagram, tape: WalkTape) -> int:
+    """Holonomy of one region walk, measured from the lifted mark."""
+    G = W.group
+    w = 0
+    for _, u in tape.steps:
+        w = G.mul(_step(W, u), w)
+    m = G.mul(_start(W, tape), W.lifts[tape.label - 1])
+    return G.mul(G.mul(G.invert(m), w), m)
 
 
 def incoming_holonomy(W: GDiagram) -> tuple[int, ...]:
     """Per-region holonomy measured from the lifted mark, following orientation."""
-    G = W.group
-    out = []
-    for label in range(1, W.n + 1):
-        w = 0
-        for f in _walk_factors(W, label):
-            w = G.mul(f, w)
-        k = W.lifts[label - 1]
-        out.append(G.mul(G.mul(G.invert(k), w), k))
-    return tuple(out)
+    return tuple(_holonomy(W, region_walk(W.base, label)) for label in range(1, W.n + 1))
 
 
 def outgoing_holonomy(W: GDiagram) -> int:
@@ -228,37 +224,16 @@ def _transport_to(W: GDiagram, tape: WalkTape, s: Fraction) -> int:
     When s falls on a cluster passage the transport ends at the passage's
     arrival vertex, matching the attachment convention of the base composition.
     """
+    tape.check(s)
     G = W.group
-    acc = 0
-    if tape.start_cluster is not None:
-        ci = tape.start_cluster
-        grp = W.base.clusters[ci]
-        if s == 0:
-            return W.transports[ci][grp.index(tape.end_arrival)]
-        acc = W.transports[ci][grp.index(tape.start_depart)]
-    if s == 0:
-        return acc
-    cum = Fraction(0)
-    for u in tape.entries:
-        if u[0] == "pass":
-            if cum == s:
-                return acc  # stop at the arrival vertex, before the passage
-            ci, arr, dep = u[1], u[2], u[3]
-            grp = W.base.clusters[ci]
-            taus = W.transports[ci]
-            acc = G.mul(G.mul(taus[grp.index(dep)], G.invert(taus[grp.index(arr)])), acc)
-            continue
-        if cum == s:
-            return acc
-        seg_len = u[2]
-        if s < cum + seg_len:
-            if _seam_crossings(u[1], s - cum):
-                acc = G.mul(W.outer, acc)
-            return acc
-        if _seam_crossings(u[1], seg_len):
-            acc = G.mul(W.outer, acc)
-        cum += seg_len
-    raise DiagramError("bad-coordinate", "walk position out of range", s)
+    acc = _start(W, tape)
+    for pos, u in tape.steps:
+        if pos >= s:
+            break
+        if u[0] == "seg" and pos + u[2] > s:
+            u = ("seg", u[1], s - pos)
+        acc = G.mul(_step(W, u), acc)
+    return acc
 
 
 def g_compose(W: GDiagram, parts: Sequence[GDiagram]) -> GDiagram:
@@ -270,15 +245,15 @@ def g_compose(W: GDiagram, parts: Sequence[GDiagram]) -> GDiagram:
     for p in parts:
         if p.group != W.group:
             raise HolonomyError("parts must be decorated over the same group")
-    ih = incoming_holonomy(W)
-    for i, p in enumerate(parts):
-        if outgoing_holonomy(p) != ih[i]:
+    d, tapes = _composite(W.base, [p.base for p in parts])
+    for i, (tape, p) in enumerate(zip(tapes, parts)):
+        h = _holonomy(W, tape)
+        if outgoing_holonomy(p) != h:
             raise HolonomyError(
-                f"slot {i + 1}: region holonomy {ih[i]} != part outer holonomy {p.outer}",
+                f"slot {i + 1}: region holonomy {h} != part outer holonomy {p.outer}",
                 slot=i + 1,
             )
     G = W.group
-    d, tapes = _composite(W.base, [p.base for p in parts])
     # aligned with d: the base's chords, then each part's chords and marks
     base_deltas = W.rep_deltas()
     new_delta = [base_deltas[c] for c in rep_diagram(W.base).chords]

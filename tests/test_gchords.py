@@ -7,6 +7,7 @@ import pytest
 
 from orbistring import gchords
 from orbistring.chords import (
+    DiagramError,
     compose,
     from_cactus,
     identity_md,
@@ -152,7 +153,7 @@ def test_equal_classes_equal_holonomy():
                 raw_delta.append(d)
         W2 = decorate(
             md.n, raw_chords, md.marks, Z3, W.outer, raw_delta, list(W.lifts),
-            interval_labels=md.arc_labels if md.arc_starts else None,
+            interval_labels=md.arc_labels if md.clusters else None,
         )
         assert W2 == W
         assert incoming_holonomy(W2) == incoming_holonomy(W)
@@ -307,3 +308,22 @@ def test_region_walk_digest():
     for line in _walk_digest_lines():
         digest.update(json.dumps(line, sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == "966570ddeb4553b486a7e672574d308ede08ebb16b0aaf5d738596180ced97d5"
+
+
+def test_walk_positions_out_of_range():
+    # negative control for the range checks in locate and _transport_to: the end
+    # of the walk and a position before the mark are not on the region boundary
+    S3 = catalog_group("S3")
+    rng = random.Random(4)
+    for _ in range(30):
+        md = random_md(rng, rng.randint(1, 4))
+        W = random_gdiagram(rng, md, S3, rng.randrange(6))
+        for label in range(1, md.n + 1):
+            tape = region_walk(md, label)
+            for s in (tape.total, F(-1, 3)):
+                with pytest.raises(DiagramError) as exc:
+                    locate(tape, s)
+                assert exc.value.kind == "bad-coordinate" and exc.value.witness == s
+                with pytest.raises(DiagramError) as exc:
+                    gchords._transport_to(W, tape, s)
+                assert exc.value.kind == "bad-coordinate" and exc.value.witness == s
