@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .chords import (
-    DiagramError,
     Diagram,
     MDClass,
     WalkTape,
