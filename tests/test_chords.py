@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -9,6 +10,9 @@ from orbistring.chords import (
     _face_units,
     CactusError,
     DiagramError,
+    _decompose,
+    _label,
+    _random_noncrossing_matching,
     canonical_md,
     compose,
     from_cactus,
@@ -84,6 +88,50 @@ def test_zero_measure_region_rejected():
     with pytest.raises(DiagramError) as exc:
         _face_units(v, chords, {x: 0 for x in v})
     assert exc.value.kind == "zero-measure"
+
+
+def _region_digest_lines():
+    """Regions of a seeded stream of raw diagrams: random non-crossing matchings
+    with up to 7 merges of adjacent vertices, so clusters reach 5 or more
+    vertices and nest.  Merges that close a cycle are recorded as rejections."""
+    rng = random.Random(2024)
+    for _ in range(1500):
+        m = rng.randint(1, 9)
+        coords = sorted(F(k, 64) for k in rng.sample(range(64), 2 * m))
+        chords = [(coords[a], coords[b]) for a, b in _random_noncrossing_matching(rng, m)]
+        for _ in range(rng.randint(0, min(7, 2 * m - 2))):
+            verts = sorted({v for c in chords for v in c})
+            i = rng.randrange(len(verts) - 1)
+            a, b = verts[i], verts[i + 1]
+            merged = [(a if x == b else x, a if y == b else y) for x, y in chords]
+            if all(x != y for x, y in merged):  # a chord from a to b would shrink to a point
+                chords = merged
+        try:
+            dec = _decompose(m + 1, chords)
+        except DiagramError as e:
+            yield [e.kind, str(e)]
+            continue
+        faces = [
+            [[str(v) for v in u[:4]] if u[0] == "pass" else [u[0], str(u[1]), str(u[2])] for u in f]
+            for f in dec.faces
+        ]
+        marks = [next(u[1] + u[2] / 2 for u in f if u[0] == "seg") for f in dec.faces]
+        d = _label(dec, [z % 1 for z in marks])
+        yield [
+            faces,
+            list(dec.arc_face),
+            list(d.arc_labels),
+            [[str(v) for v in g] for g in d.clusters],
+            [str(d.perimeter(lab)) for lab in range(1, d.n + 1)],
+        ]
+
+
+def test_region_digest():
+    # pinned on the half-edge face traversal, with its chord jumps left out
+    digest = hashlib.sha256()
+    for line in _region_digest_lines():
+        digest.update(json.dumps(line).encode() + b"\n")
+    assert digest.hexdigest() == "b9e840c22806de5879570d444caef1505ca5f64519a0e03bcd6871c2140e6d2e"
 
 
 def test_shared_endpoint_three_regions():
