@@ -49,7 +49,7 @@ class Diagram:
     vertices: tuple[Fraction, ...]
     clusters: tuple[tuple[Fraction, ...], ...]
     # per region (index = label-1): cyclic unit list, each unit either
-    # ("seg", start, length) or ("pass", cluster_index, arrival, departure, jumps)
+    # ("seg", start, length) or ("pass", cluster_index, arrival, departure)
     regions: tuple[tuple[tuple, ...], ...]
     arc_labels: tuple[int, ...]  # label of the arc starting at vertices[i]
 
@@ -102,91 +102,36 @@ def _clusters(chords: Sequence[tuple[Fraction, Fraction]]) -> list[list[Fraction
 
 
 def _face_units(
-    vertices: tuple[Fraction, ...],
-    chords: tuple[tuple[Fraction, Fraction], ...],
-    cluster_index: dict[Fraction, int],
-) -> list[list[tuple]]:
-    """Region boundaries as cyclic unit lists, via half-edge face traversal.
+    vertices: tuple[Fraction, ...], clusters: Sequence[Sequence[Fraction]]
+) -> tuple[list[list[tuple]], tuple[int, ...]]:
+    """Region boundaries as cyclic unit lists, and the region of each arc.
 
-    Rotation order at a vertex v lists outgoing directions counterclockwise:
-    the forward circle arc, then the chords ordered by the counterclockwise
-    distance of their far endpoint, then the backward arc.  The next half-edge
-    of a face is the clockwise successor of the reversed current one, which
-    keeps the region on the left.
+    The arc starting at vertices[i] ends at w = vertices[i+1], where the region
+    passes through the cluster of w to the cyclic predecessor of w in that
+    sorted cluster and continues along the arc starting there.  For
+    non-crossing chords the cycles of this arc permutation, the Kreweras
+    complement of the cluster partition, are the regions, whatever the tree
+    shapes; crossing chords must be rejected first.  Regions are listed in the
+    order of their first arcs and start there.
     """
     V = len(vertices)
     vidx = {v: i for i, v in enumerate(vertices)}
-    ends_at: list[list[tuple[Fraction, int, int]]] = [[] for _ in range(V)]
-    for j, (x, y) in enumerate(chords):
-        ends_at[vidx[x]].append((_ccw(x, y), j, 0))
-        ends_at[vidx[y]].append((_ccw(y, x), j, 1))
-    for lst in ends_at:
-        lst.sort()
-
-    def next_he(h):
-        if h[0] == "arc":
-            head = (h[1] + 1) % V
-            lst = ends_at[head]
-            if lst:
-                _, j, d = lst[-1]
-                return ("chord", j, d)
-            return ("arc", head)
-        _, j, d = h
-        head = vidx[chords[j][1] if d == 0 else chords[j][0]]
-        lst = ends_at[head]
-        pos = next(k for k, (_, j2, d2) in enumerate(lst) if j2 == j and d2 == 1 - d)
-        if pos >= 1:
-            _, j2, d2 = lst[pos - 1]
-            return ("chord", j2, d2)
-        return ("arc", head)
-
-    all_hes = [("arc", i) for i in range(V)] + [
-        ("chord", j, d) for j in range(len(chords)) for d in (0, 1)
-    ]
-    seen: set = set()
-    faces = []
-    for h0 in all_hes:
-        if h0 in seen:
+    back = {w: (ci, grp[k - 1]) for ci, grp in enumerate(clusters) for k, w in enumerate(grp)}
+    arc_face: list[int | None] = [None] * V
+    faces: list[list[tuple]] = []
+    for first in range(V):
+        if arc_face[first] is not None:
             continue
-        cycle = []
-        h = h0
-        while h not in seen:
-            seen.add(h)
-            cycle.append(h)
-            h = next_he(h)
-        if h != h0:
-            raise DiagramError("traversal", "face traversal failed to close", h0)
-        faces.append(cycle)
-
-    out = []
-    for cycle in faces:
-        arc_positions = [k for k, h in enumerate(cycle) if h[0] == "arc"]
-        if not arc_positions:
-            raise DiagramError("zero-measure", "region with no circle arcs", None)
-        start = arc_positions[0]
-        cycle = cycle[start:] + cycle[:start]
         units: list[tuple] = []
-        k = 0
-        while k < len(cycle):
-            h = cycle[k]
-            if h[0] == "arc":
-                i = h[1]
-                units.append(("seg", vertices[i], _ccw(vertices[i], vertices[(i + 1) % V])))
-                k += 1
-            else:
-                jumps = []
-                while k < len(cycle) and cycle[k][0] == "chord":
-                    jumps.append((cycle[k][1], cycle[k][2]))
-                    k += 1
-                j0, d0 = jumps[0]
-                jl, dl = jumps[-1]
-                arrival = chords[j0][d0]  # source vertex of the first jump
-                depart = chords[jl][1 - dl]
-                units.append(
-                    ("pass", cluster_index[arrival], arrival, depart, tuple(jumps))
-                )
-        out.append(units)
-    return out
+        i = first
+        while arc_face[i] is None:
+            arc_face[i] = len(faces)
+            w = vertices[(i + 1) % V]
+            ci, depart = back[w]
+            units += [("seg", vertices[i], _ccw(vertices[i], w)), ("pass", ci, w, depart)]
+            i = vidx[depart]
+        faces.append(units)
+    return faces, tuple(arc_face)
 
 
 def _arc_of_point(vertices: Sequence[Fraction], z: Fraction) -> int:
@@ -232,17 +177,11 @@ def _decompose(n: int, chords: Iterable[Sequence[Fraction]]) -> _Decomposition:
     chords_t = tuple(cl)
 
     if not vertices:
-        faces = [[("seg", Fraction(0), Fraction(1))]]
+        faces, arc_face = [[("seg", Fraction(0), Fraction(1))]], ()
     else:
-        faces = _face_units(vertices, chords_t, cluster_index)
+        faces, arc_face = _face_units(vertices, clusters)
     if len(faces) != n:
         raise DiagramError("zero-measure", f"expected {n} regions, found {len(faces)}", len(faces))
-    arc_start_face: dict[Fraction, int] = {}
-    for fi, units in enumerate(faces):
-        for u in units:
-            if u[0] == "seg":
-                arc_start_face[u[1]] = fi
-    arc_face = tuple(arc_start_face[v] for v in vertices)
     return _Decomposition(chords_t, clusters, cluster_index, vertices, faces, arc_face)
 
 
@@ -347,7 +286,7 @@ def validate_diagram(
 
 
 def regions_report(d: Diagram) -> list[dict]:
-    """Per-region boundary loops (arcs and chord jumps) with perimeters."""
+    """Per-region boundary loops (arcs and cluster passages) with perimeters."""
     out = []
     for lab in range(1, d.n + 1):
         loop = []
@@ -355,7 +294,7 @@ def regions_report(d: Diagram) -> list[dict]:
             if u[0] == "seg":
                 loop.append({"arc": [str(u[1]), str(u[2])]})
             else:
-                loop.append({"jump": [[int(j), int(r)] for j, r in u[4]]})
+                loop.append({"pass": [str(u[2]), str(u[3])]})
         out.append({"label": lab, "perimeter": str(d.perimeter(lab)), "loop": loop})
     return out
 
@@ -440,7 +379,7 @@ class WalkTape:
 
     Each step is (position, unit): the position is the arc length walked
     before the unit, which is ("seg", start, length) or ("pass", cluster,
-    arrival, departure, jumps).  A mark on a cluster sits on the first step,
+    arrival, departure).  A mark on a cluster sits on the first step,
     the passage the walk starts on.  At a passage's position, locate and
     gchords._transport_to stop at its arrival vertex, before the passage.
     """
@@ -832,8 +771,11 @@ def parse_cactus(data: str | dict) -> Cactus:
 # randomized diagrams for property testing -----------------------------------
 
 
-def _random_fraction(rng, max_den: int = 16) -> Fraction:
-    den = rng.randint(2, max_den)
+_RANDOM_MAX_DEN = 16
+
+
+def _random_fraction(rng) -> Fraction:
+    den = rng.randint(2, _RANDOM_MAX_DEN)
     return Fraction(rng.randrange(den), den)
 
 
@@ -851,12 +793,12 @@ def _random_noncrossing_matching(rng, m: int) -> list[tuple[int, int]]:
     return rec(pts)
 
 
-def random_md(rng, n: int, max_den: int = 16) -> MDClass:
+def random_md(rng, n: int) -> MDClass:
     """A random marked chord diagram class with n regions and small denominators."""
     for _ in range(400):
         try:
             m = n - 1
-            coords = sorted({_random_fraction(rng, max_den) for _ in range(2 * m)})
+            coords = sorted({_random_fraction(rng) for _ in range(2 * m)})
             if len(coords) < 2 * m:
                 continue
             pairs = _random_noncrossing_matching(rng, m)

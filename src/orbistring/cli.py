@@ -42,7 +42,7 @@ def resolve_group(name: str) -> groups.FiniteGroup:
     if catalog_dir:
         p = Path(catalog_dir) / f"{name}.json"
         if p.exists():
-            return groups.parse_group(p.read_text())
+            return groups.parse_group(_load_json_arg(f"@{p}"))
     if name.endswith(".json") or name.startswith("@"):
         return groups.parse_group(_load_json_arg(name))
     return groups.catalog_group(name)

@@ -102,6 +102,12 @@ def _cluster_transports(
     return tuple(out)
 
 
+def _check_elements(G: FiniteGroup, values: Sequence[int]) -> None:
+    for v in values:
+        if not 0 <= int(v) < G.order:
+            raise HolonomyError(f"element index {v} out of range for {G.name}")
+
+
 def decorate(
     n: int,
     chords: Sequence[Sequence[Fraction]],
@@ -118,9 +124,7 @@ def decorate(
         raise HolonomyError("need one identification element per chord")
     if len(lifts) != n:
         raise HolonomyError("need one mark lift per region")
-    for v in list(delta) + list(lifts) + [outer]:
-        if not 0 <= int(v) < group.order:
-            raise HolonomyError(f"element index {v} out of range for {group.name}")
+    _check_elements(group, list(delta) + list(lifts) + [outer])
     return _decorated(d, group, int(outer), [int(x) for x in delta], [int(k) for k in lifts])
 
 
@@ -206,6 +210,7 @@ def outgoing_holonomy(W: GDiagram) -> int:
 
 def g_identity(G: FiniteGroup, h: int) -> GDiagram:
     """The graded identity at holonomy h: no chords, mark at the base point, unit lift."""
+    _check_elements(G, [h])
     return GDiagram(identity_md(), G, h, (), (0,))
 
 
@@ -302,6 +307,11 @@ def enumerate_gmd(
     from itertools import product
 
     n = md.n
+    _check_elements(G, [outer])
+    if inner is not None:
+        if len(inner) != n:
+            raise HolonomyError(f"need {n} inner holonomies, got {len(inner)}")
+        _check_elements(G, inner)
     free = sum(len(g) - 1 for g in md.clusters)
     total = G.order ** (free + n)
     if total > cap:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .groups import FiniteGroup, _json_field, _load_json, conjugacy_classes
 
@@ -135,12 +135,9 @@ def trivial_cocycle(G: FiniteGroup) -> TwoCocycle:
     return TwoCocycle(G, tuple(tuple(one for _ in range(G.order)) for _ in range(G.order)))
 
 
-def coboundary(G: FiniteGroup, beta: Sequence[Phase] | Callable[[int], Phase]) -> TwoCocycle:
+def coboundary(G: FiniteGroup, beta: Sequence[Phase]) -> TwoCocycle:
     """delta(beta)(g,h) = beta(g) beta(h) beta(gh)^-1 for beta with beta(e) = 1."""
-    if callable(beta):
-        vals = [beta(g) for g in range(G.order)]
-    else:
-        vals = list(beta)
+    vals = list(beta)
     if len(vals) != G.order:
         raise CocycleError("beta must assign a phase to every element")
     if not vals[0].is_one():

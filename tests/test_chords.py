@@ -5,9 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from orbistring import chords
 from orbistring.chords import (
     Cactus,
-    _face_units,
     CactusError,
     DiagramError,
     _decompose,
@@ -80,14 +80,25 @@ def test_error_kinds(validate, kind, n, chords, marks):
     assert exc.value.kind == kind
 
 
-def test_zero_measure_region_rejected():
-    # a non-crossing forest of n-1 chords always bounds n regions with arcs, so
-    # validation cannot reach this check; a chord triangle exercises it directly
-    v = (F(1, 8), F(3, 8), F(5, 8))
-    chords = ((v[0], v[1]), (v[1], v[2]), (v[2], v[0]))
+def test_zero_measure_region_rejected(monkeypatch):
+    # negative control for the region-count gate: validation rejects crossings
+    # before it, so with that check switched off two crossing chords bound one
+    # region where three are needed
+    monkeypatch.setattr(chords, "_check_crossings", lambda cl: None)
     with pytest.raises(DiagramError) as exc:
-        _face_units(v, chords, {x: 0 for x in v})
+        _decompose(3, [(F(1, 10), F(4, 10)), (F(2, 10), F(6, 10))])
     assert exc.value.kind == "zero-measure"
+    assert str(exc.value) == "expected 3 regions, found 1"
+
+
+def test_regions_report_shared_endpoint():
+    # the two-chord diagram of demos/chord_operad.py
+    d = validate_diagram(3, [(F(1, 8), F(3, 8)), (F(3, 8), F(5, 8))], [F(2, 8), F(4, 8), F(7, 8)])
+    assert regions_report(d) == [
+        {"label": 1, "perimeter": "1/4", "loop": [{"arc": ["1/8", "1/4"]}, {"pass": ["3/8", "1/8"]}]},
+        {"label": 2, "perimeter": "1/4", "loop": [{"arc": ["3/8", "1/4"]}, {"pass": ["5/8", "3/8"]}]},
+        {"label": 3, "perimeter": "1/2", "loop": [{"arc": ["5/8", "1/2"]}, {"pass": ["1/8", "5/8"]}]},
+    ]
 
 
 def _region_digest_lines():

@@ -231,6 +231,28 @@ def test_malformed_inputs_are_domain_errors(capsys, tmp_path):
         assert blob["kind"] == kind and named in blob["error"], argv
 
 
+def test_catalog_dir_resolves_group_files(capsys, tmp_path, monkeypatch):
+    c2 = {"name": "C2", "order": 2, "names": ["e", "t"], "mult": [[0, 1], [1, 0]]}
+    (tmp_path / "C2.json").write_text(json.dumps(c2))
+    monkeypatch.setenv("ORBISTRING_CATALOG", str(tmp_path))
+    code, out, err = run(capsys, "group", "--group", "C2")
+    assert code == 0 and err == ""
+    assert json.loads(out) == c2
+    code, out, _ = run(capsys, "group", "--group", "S3")  # not in the directory: built-in catalog
+    assert code == 0 and json.loads(out)["order"] == 6
+
+
+def test_unreadable_catalog_entry_is_usage_error(capsys, tmp_path, monkeypatch):
+    (tmp_path / "S3.json").mkdir()
+    (tmp_path / "Z2.json").write_text("{not json")
+    monkeypatch.setenv("ORBISTRING_CATALOG", str(tmp_path))
+    for name in ("S3", "Z2"):
+        code, out, err = run(capsys, "group", "--group", name)
+        assert code == 2 and out == ""
+        blob = json.loads(err)
+        assert blob["kind"] == "usage" and str(tmp_path / f"{name}.json") in blob["error"]
+
+
 def test_bad_bvcheck_delta_is_usage_error(capsys):
     lens = ["bvcheck", "--name", "lens", "--n", "3", "--p", "2", "--window=-3:6", "--delta"]
     cases = [

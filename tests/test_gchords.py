@@ -131,6 +131,25 @@ def test_enumerate_cap():
         enumerate_gmd(md, S3, 0, cap=10)
 
 
+def test_library_inputs_are_checked():
+    # an out-of-range outer element used to give 27 decorations whose holonomy
+    # walk ended in an IndexError, and a short inner signature silently matched none
+    Z3 = catalog_group("Z3")
+    md = md_from_data(2, [(F(1, 4), F(3, 4))], [F(1, 2), F(0)])
+    cases = [
+        (lambda: enumerate_gmd(md, Z3, 7), "element index 7 out of range for Z3"),
+        (lambda: enumerate_gmd(md, Z3, 0, (0, 3)), "element index 3 out of range for Z3"),
+        (lambda: enumerate_gmd(md, Z3, 0, (0,)), "need 2 inner holonomies, got 1"),
+        (lambda: g_identity(Z3, 9), "element index 9 out of range for Z3"),
+    ]
+    for call, message in cases:
+        with pytest.raises(HolonomyError) as exc:
+            call()
+        assert str(exc.value) == message
+    assert len(enumerate_gmd(md, Z3, 0, (0, 0))) == 9
+    assert g_identity(Z3, 2).outer == 2
+
+
 def test_equal_classes_equal_holonomy():
     rng = random.Random(6)
     Z3 = catalog_group("Z3")
