@@ -80,6 +80,86 @@ def test_error_kinds(validate, kind, n, chords, marks):
     assert exc.value.kind == kind
 
 
+def _random_chord_set(rng):
+    """1-7 chords on a small pool of points with mixed denominators up to 24,
+    each given in a random orientation, with occasional duplicate chords."""
+    k = rng.randint(1, 7)
+    dens = rng.sample(range(2, 25), rng.randint(1, 3))
+    pool = set()
+    while len(pool) < 2:
+        pool |= {F(rng.randrange(d), d) for d in dens for _ in range(k + 1)}
+    pool = sorted(pool)
+    out = []
+    for _ in range(k):
+        x, y = rng.choice(out) if out and rng.random() < 0.1 else rng.sample(pool, 2)
+        out.append((x, y) if rng.random() < 0.5 else (y, x))
+    return out
+
+
+def _crossing_oracle(chords):
+    """(kind, witness) of the first crossing or cycle, by brute force: two chords
+    cross when their four endpoints are distinct and interleave in [0, 1)."""
+    spans = [tuple(sorted(c)) for c in chords]
+    for i, (a, b) in enumerate(spans):
+        for j in range(i + 1, len(spans)):
+            c, d = spans[j]
+            if len({a, b, c, d}) == 4 and (a < c < b < d or c < a < d < b):
+                return "crossing", (i, j)
+    component = {}
+    for idx, (x, y) in enumerate(chords):
+        cx = component.get(x, {x})
+        if y in cx:
+            return "cycle", idx
+        merged = cx | component.get(y, {y})
+        component.update(dict.fromkeys(merged, merged))
+    return None
+
+
+def test_crossing_detection_matches_oracle():
+    rng = random.Random(3000)
+    seen = {"crossing": 0, "cycle": 0, None: 0}
+    for _ in range(3000):
+        cl = _random_chord_set(rng)
+        n = len(cl) + 1
+        expected = _crossing_oracle(cl)
+        seen[expected and expected[0]] += 1
+        if expected is None:
+            dec = _decompose(n, cl)
+            marks = [next(u[1] + u[2] / 2 for u in f if u[0] == "seg") % 1 for f in dec.faces]
+            assert validate_diagram(n, cl, marks).n == n
+            continue
+        with pytest.raises(DiagramError) as exc:
+            validate_diagram(n, cl, [F(0)] * n)
+        assert (exc.value.kind, exc.value.witness) == expected, cl
+    assert min(seen.values()) > 500, seen
+
+
+def test_crossing_reported_before_cycle():
+    cl = [(F(1, 8), F(3, 8)), (F(3, 8), F(5, 8)), (F(5, 8), F(1, 8)), (F(1, 4), F(3, 4))]
+    with pytest.raises(DiagramError) as exc:
+        validate_diagram(5, cl, [F(0)] * 5)
+    assert (exc.value.kind, exc.value.witness) == ("crossing", (0, 3))
+
+
+def test_large_coprime_denominators():
+    with pytest.raises(DiagramError) as exc:
+        validate_diagram(3, [(F(1, 7), F(5, 11)), (F(1234, 9973), F(3, 11))], [F(0)] * 3)
+    assert (exc.value.kind, exc.value.witness) == ("crossing", (0, 1))
+    cl = [(F(5, 11), F(1, 7)), (F(5, 11), F(9, 13)), (F(1234, 9973), F(10, 13))]
+    d = validate_diagram(4, cl, [F(0), F(1, 5), F(1, 2), F(7, 10)])
+    assert d.clusters == ((F(1234, 9973), F(10, 13)), (F(1, 7), F(5, 11), F(9, 13)))
+    assert d.arc_labels == (4, 2, 3, 4, 1)
+    assert regions_report(d) == [
+        {"label": 1, "perimeter": "45961/129649",
+         "loop": [{"arc": ["10/13", "45961/129649"]}, {"pass": ["1234/9973", "10/13"]}]},
+        {"label": 2, "perimeter": "24/77", "loop": [{"arc": ["1/7", "24/77"]}, {"pass": ["5/11", "1/7"]}]},
+        {"label": 3, "perimeter": "34/143", "loop": [{"arc": ["5/11", "34/143"]}, {"pass": ["9/13", "5/11"]}]},
+        {"label": 4, "perimeter": "87166/907543",
+         "loop": [{"arc": ["1234/9973", "1335/69811"]}, {"pass": ["1/7", "9/13"]},
+                  {"arc": ["9/13", "1/13"]}, {"pass": ["10/13", "1234/9973"]}]},
+    ]
+
+
 def test_zero_measure_region_rejected(monkeypatch):
     # negative control for the region-count gate: validation rejects crossings
     # before it, so with that check switched off two crossing chords bound one
