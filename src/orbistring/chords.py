@@ -2,11 +2,12 @@
 
 Coordinates are exact rationals in [0,1) with the initial marked point at 0.
 Chords are non-crossing, may share endpoints, and their endpoint graph must be
-a forest; the disc then falls into n regions for n-1 chords.  Classes are
-quotients by chord relabeling and flips, by moving marks within a cluster
-(the vertex set of one tree), and by forgetting tree shapes: only the cluster
-partition and the interval labeling survive, which is exactly the data this
-module canonicalizes and compares.
+a forest; the disc then falls into n regions for n-1 chords.  Validation
+checks this on integer ticks modulo L, the lcm of the endpoint denominators.
+Classes are quotients by chord relabeling and flips, by moving marks within a
+cluster (the vertex set of one tree), and by forgetting tree shapes: only the
+cluster partition and the interval labeling survive, which is exactly the data
+this module canonicalizes and compares.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -63,23 +65,33 @@ class Diagram:
         raise KeyError(v)
 
 
-def _check_crossings(chords: Sequence[tuple[Fraction, Fraction]]) -> None:
-    def strictly_inside(p, a, b):
-        return 0 < _ccw(a, p) < _ccw(a, b)
+def _crosses(spans: Sequence[tuple[int, int]]) -> bool:
+    """Whether two chords, given as (near, far) ticks, cross.  One sweep by near
+    end, far ends descending at a tie, keeps the far ends of the open chords on
+    a stack, innermost last; non-crossing chords nest, so a chord crosses one
+    exactly when it ends beyond the innermost chord still open at its near end."""
+    stack: list[int] = []
+    for lo, hi in sorted(spans, key=lambda s: (s[0], -s[1])):
+        while stack and stack[-1] <= lo:
+            stack.pop()
+        if stack and stack[-1] < hi:
+            return True
+        stack.append(hi)
+    return False
 
-    for i in range(len(chords)):
-        a, b = chords[i]
-        for j in range(i + 1, len(chords)):
-            c, d = chords[j]
-            if c in (a, b) or d in (a, b):
-                continue
-            if strictly_inside(c, a, b) != strictly_inside(d, a, b):
+
+def _check_crossings(spans: Sequence[tuple[int, int]]) -> None:
+    """Name the lexicographically first pair of crossing chords, by a pairwise scan."""
+    for i, (a, b) in enumerate(spans):
+        for j in range(i + 1, len(spans)):
+            c, d = spans[j]
+            if a < c < b < d or c < a < d < b:
                 raise DiagramError("crossing", f"chords {i} and {j} cross", (i, j))
 
 
-def _clusters(chords: Sequence[tuple[Fraction, Fraction]]) -> list[list[Fraction]]:
+def _clusters(chords: Sequence[tuple[int, int]]) -> list[list[int]]:
     """Trees of the endpoint forest; raises on any cycle."""
-    parent: dict[Fraction, Fraction] = {}
+    parent: dict[int, int] = {}
 
     def find(x):
         while parent[x] != x:
@@ -95,24 +107,25 @@ def _clusters(chords: Sequence[tuple[Fraction, Fraction]]) -> list[list[Fraction
         if rx == ry:
             raise DiagramError("cycle", f"chord {idx} closes a cycle in the endpoint forest", idx)
         parent[rx] = ry
-    groups: dict[Fraction, list[Fraction]] = {}
+    groups: dict[int, list[int]] = {}
     for v in parent:
         groups.setdefault(find(v), []).append(v)
     return sorted([sorted(g) for g in groups.values()])
 
 
 def _face_units(
-    vertices: tuple[Fraction, ...], clusters: Sequence[Sequence[Fraction]]
+    vertices: Sequence[int], clusters: Sequence[Sequence[int]], frac: dict[int, Fraction], L: int
 ) -> tuple[list[list[tuple]], tuple[int, ...]]:
     """Region boundaries as cyclic unit lists, and the region of each arc.
 
-    The arc starting at vertices[i] ends at w = vertices[i+1], where the region
-    passes through the cluster of w to the cyclic predecessor of w in that
-    sorted cluster and continues along the arc starting there.  For
-    non-crossing chords the cycles of this arc permutation, the Kreweras
-    complement of the cluster partition, are the regions, whatever the tree
-    shapes; crossing chords must be rejected first.  Regions are listed in the
-    order of their first arcs and start there.
+    Vertices and clusters are ticks modulo L; units carry coordinates frac[tick]
+    and Fraction lengths.  The arc starting at vertices[i] ends at
+    w = vertices[i+1], where the region passes through the cluster of w to the
+    cyclic predecessor of w in that sorted cluster and continues along the arc
+    starting there.  For non-crossing chords the cycles of this arc
+    permutation, the Kreweras complement of the cluster partition, are the
+    regions, whatever the tree shapes; crossing chords must be rejected first.
+    Regions are listed in the order of their first arcs and start there.
     """
     V = len(vertices)
     vidx = {v: i for i, v in enumerate(vertices)}
@@ -128,7 +141,8 @@ def _face_units(
             arc_face[i] = len(faces)
             w = vertices[(i + 1) % V]
             ci, depart = back[w]
-            units += [("seg", vertices[i], _ccw(vertices[i], w)), ("pass", ci, w, depart)]
+            v = vertices[i]
+            units += [("seg", frac[v], Fraction((w - v) % L, L)), ("pass", ci, frac[w], frac[depart])]
             i = vidx[depart]
         faces.append(units)
     return faces, tuple(arc_face)
@@ -156,7 +170,10 @@ class _Decomposition:
 
 
 def _decompose(n: int, chords: Iterable[Sequence[Fraction]]) -> _Decomposition:
-    """First validation step: coordinates, arity, crossings, clusters, regions."""
+    """First validation step: coordinates, arity, crossings, clusters, regions.
+
+    After the coordinate checks every step runs on integer ticks x·L, L the lcm
+    of the endpoint denominators; the result maps them back to coordinates."""
     if n < 1:
         raise DiagramError("bad-coordinate", "n must be at least 1", n)
     cl = []
@@ -170,19 +187,25 @@ def _decompose(n: int, chords: Iterable[Sequence[Fraction]]) -> _Decomposition:
     if len(cl) != n - 1:
         raise DiagramError("arity", f"{n} regions need {n - 1} chords, got {len(cl)}", len(cl))
 
-    _check_crossings(cl)
-    clusters = _clusters(cl)
-    cluster_index = {v: ci for ci, grp in enumerate(clusters) for v in grp}
-    vertices = tuple(sorted(cluster_index))
-    chords_t = tuple(cl)
+    L = lcm(*(v.denominator for c in cl for v in c))
+    frac = {v.numerator * (L // v.denominator): v for c in cl for v in c}  # tick -> coordinate
+    spans = [tuple(sorted(v.numerator * (L // v.denominator) for v in c)) for c in cl]
+    if _crosses(spans):
+        _check_crossings(spans)
+        raise DiagramError("crossing", "chords cross, but the pairwise scan names no pair")
+    clusters = _clusters(spans)
+    vertices = sorted(frac)
 
     if not vertices:
         faces, arc_face = [[("seg", Fraction(0), Fraction(1))]], ()
     else:
-        faces, arc_face = _face_units(vertices, clusters)
+        faces, arc_face = _face_units(vertices, clusters, frac, L)
     if len(faces) != n:
         raise DiagramError("zero-measure", f"expected {n} regions, found {len(faces)}", len(faces))
-    return _Decomposition(chords_t, clusters, cluster_index, vertices, faces, arc_face)
+    clusters = [[frac[v] for v in grp] for grp in clusters]
+    cluster_index = {v: ci for ci, grp in enumerate(clusters) for v in grp}
+    vertices = tuple(frac[v] for v in vertices)
+    return _Decomposition(tuple(cl), clusters, cluster_index, vertices, faces, arc_face)
 
 
 def _label(dec: _Decomposition, marks: Sequence[Fraction], forced_arc_labels=None) -> Diagram:

@@ -162,13 +162,22 @@ def test_large_coprime_denominators():
 
 def test_zero_measure_region_rejected(monkeypatch):
     # negative control for the region-count gate: validation rejects crossings
-    # before it, so with that check switched off two crossing chords bound one
-    # region where three are needed
-    monkeypatch.setattr(chords, "_check_crossings", lambda cl: None)
+    # before it, so with the crossing sweep reporting none two crossing chords
+    # bound one region where three are needed
+    monkeypatch.setattr(chords, "_crosses", lambda ticks: False)
     with pytest.raises(DiagramError) as exc:
         _decompose(3, [(F(1, 10), F(4, 10)), (F(2, 10), F(6, 10))])
     assert exc.value.kind == "zero-measure"
     assert str(exc.value) == "expected 3 regions, found 1"
+
+
+def test_scan_must_name_a_detected_crossing(monkeypatch):
+    # negative control: a crossing the sweep finds is rejected even when the
+    # pairwise scan that names the pair finds none
+    monkeypatch.setattr(chords, "_check_crossings", lambda cl: None)
+    with pytest.raises(DiagramError) as exc:
+        _decompose(3, [(F(1, 10), F(4, 10)), (F(2, 10), F(6, 10))])
+    assert exc.value.kind == "crossing" and exc.value.witness is None
 
 
 def test_regions_report_shared_endpoint():
