@@ -750,15 +750,22 @@ def from_cactus(c: Cactus) -> MDClass:
 # JSON interchange -----------------------------------------------------------
 
 
+def _ints(entry, k: int, what: str) -> list[int]:
+    """The k integers of one JSON coordinate entry; raises ValueError naming it."""
+    if len(entry) != k:
+        raise ValueError(f"{what} {entry} needs {k} integers, got {len(entry)}")
+    return [int(v) for v in entry]
+
+
 def _diagram_fields(data: dict):
     """(n, chords, marks, interval labels or None) of a diagram JSON object."""
     try:
         n = int(data["n"])
         chords = [
-            (Fraction(int(c[0]), int(c[1])), Fraction(int(c[2]), int(c[3])))
-            for c in data.get("chords", [])
+            (Fraction(xn, xd), Fraction(yn, yd))
+            for xn, xd, yn, yd in (_ints(c, 4, "chord") for c in data.get("chords", []))
         ]
-        marks = [Fraction(int(m[0]), int(m[1])) for m in data["marks"]]
+        marks = [Fraction(*_ints(m, 2, "mark")) for m in data["marks"]]
         labels = data.get("interval_labels")
         if labels is not None:
             labels = [int(v) for v in labels]
@@ -777,14 +784,13 @@ def parse_diagram(data: str | dict) -> MDClass:
 def parse_cactus(data: str | dict) -> Cactus:
     data = _load_json(data, CactusError)
     try:
-        perims = tuple(Fraction(int(p[0]), int(p[1])) for p in data["perimeters"])
+        perims = tuple(Fraction(*_ints(p, 2, "perimeter")) for p in data["perimeters"])
         joints = tuple(
-            _canonical_joint([(int(lobe), Fraction(int(off[0]), int(off[1]))) for lobe, off in j])
+            _canonical_joint([(int(lobe), Fraction(*_ints(off, 2, "joint offset"))) for lobe, off in j])
             for j in data["joints"]
         )
         base_lobe = int(data["base_lobe"])
-        bo = data["base_offset"]
-        base_offset = Fraction(int(bo[0]), int(bo[1]))
+        base_offset = Fraction(*_ints(data["base_offset"], 2, "base_offset"))
         base_on_joint = bool(data.get("base_on_joint", False))
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
         raise CactusError(f"bad cactus JSON: {e}") from None

@@ -27,6 +27,8 @@ from orbistring.chords import (
     to_cactus,
     validate_diagram,
 )
+from orbistring.gchords import from_gdiagram_json
+from orbistring.groups import catalog_group
 
 
 def test_validate_trivial():
@@ -178,6 +180,37 @@ def test_scan_must_name_a_detected_crossing(monkeypatch):
     with pytest.raises(DiagramError) as exc:
         _decompose(3, [(F(1, 10), F(4, 10)), (F(2, 10), F(6, 10))])
     assert exc.value.kind == "crossing" and exc.value.witness is None
+
+
+_CACTUS = {
+    "perimeters": [[1, 2], [1, 2]],
+    "joints": [[[1, [0, 1]], [2, [0, 1]]]],
+    "base_lobe": 1,
+    "base_offset": [1, 4],
+}
+
+
+@pytest.mark.parametrize(
+    "parse,data,entry",
+    [
+        (parse_diagram, {"n": 2, "chords": [[1, 4, 3, 4, 5]], "marks": [[0, 1], [1, 2]]}, "chord [1, 4, 3, 4, 5]"),
+        (parse_diagram, {"n": 2, "chords": [[1, 4, 3, 4]], "marks": [[0, 1, 7], [1, 2]]}, "mark [0, 1, 7]"),
+        (
+            lambda blob: from_gdiagram_json(blob, catalog_group),
+            {"n": 2, "chords": [[1, 4, 3, 4, 1]], "marks": [[1, 2], [0, 1]], "group": "Z2", "outer": 0,
+             "lifts": [0, 0]},
+            "chord [1, 4, 3, 4, 1]",
+        ),
+        (parse_cactus, {**_CACTUS, "perimeters": [[1, 2, 3], [1, 2]]}, "perimeter [1, 2, 3]"),
+        (parse_cactus, {**_CACTUS, "joints": [[[1, [0, 1, 5]], [2, [0, 1]]]]}, "joint offset [0, 1, 5]"),
+        (parse_cactus, {**_CACTUS, "base_offset": [1, 4, 9]}, "base_offset [1, 4, 9]"),
+    ],
+)
+def test_over_long_coordinate_entries_rejected(parse, data, entry):
+    with pytest.raises((DiagramError, CactusError)) as exc:
+        parse(json.dumps(data))
+    assert entry in str(exc.value)
+    assert getattr(exc.value, "kind", "bad-coordinate") == "bad-coordinate"
 
 
 def test_regions_report_shared_endpoint():
