@@ -20,7 +20,9 @@ LIMITS = {
     "criterion-02 discrete-torsion": 5.0,
     "criterion-03 cohomology-invariance": 20.0,
     "criterion-04 morita-invariance": 30.0,
-    "criterion-05 operad-axioms": 60.0,
+    # crit05 ran in 2.9-3.0 s in-process on a 2-CPU VM once diagrams were validated
+    # on integer ticks; 15 s leaves room for the 2x host slowdown (perfbench/README.md)
+    "criterion-05 operad-axioms": 15.0,
     "criterion-06 g-graded-operad": 10.0,
     "criterion-07 holonomy-figure": 5.0,
     "criterion-08 lens-rings": 5.0,
