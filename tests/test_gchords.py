@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -346,3 +347,94 @@ def test_walk_positions_out_of_range():
                 with pytest.raises(DiagramError) as exc:
                     gchords._transport_to(W, tape, s)
                 assert exc.value.kind == "bad-coordinate" and exc.value.witness == s
+
+
+# oracles for holonomy on region words ----------------------------------------
+
+ORACLE_GROUPS = ("Z2", "Z3", "S3", "Z2xZ2", "Z4", "D4", "Q8")
+
+
+def _tape_holonomy(W, tapes):
+    """Region holonomies by folding the unit factors of the Fraction region walks,
+    measured from the lifted mark: independent of the integer region words."""
+    G = W.group
+    out = []
+    for tape in tapes:
+        w = 0
+        for _, u in tape.steps:
+            w = G.mul(gchords._step(W, u), w)
+        m = G.mul(gchords._start(W, tape), W.lifts[tape.label - 1])
+        out.append(G.conjugate(w, m))
+    return tuple(out)
+
+
+def _tapes(md):
+    return [region_walk(md, label) for label in range(1, md.n + 1)]
+
+
+def test_incoming_holonomy_matches_tape_oracle():
+    rng = random.Random(31)
+    for t in range(3000):
+        G = catalog_group(ORACLE_GROUPS[t % len(ORACLE_GROUPS)])
+        md = random_md(rng, 1 + t // len(ORACLE_GROUPS) % 5)
+        W = random_gdiagram(rng, md, G, rng.randrange(G.order))
+        assert incoming_holonomy(W) == _tape_holonomy(W, _tapes(md))
+
+
+def _scan_fibre(md, G, outer, inner):
+    """The filtered fibre by brute force: every decoration in lexicographic order
+    of (transports, lifts), kept when the tape oracle gives the inner signature."""
+    tapes = _tapes(md)
+    free = [len(grp) - 1 for grp in md.clusters]
+    out = []
+    for flat in product(range(G.order), repeat=sum(free)):
+        it = iter(flat)
+        transports = tuple((0,) + tuple(next(it) for _ in range(f)) for f in free)
+        for lifts in product(range(G.order), repeat=md.n):
+            W = GDiagram(md, G, outer, transports, lifts)
+            if _tape_holonomy(W, tapes) == inner:
+                out.append(W)
+    return out
+
+
+def test_filtered_enumeration_matches_brute_force_scan():
+    # arities keep |G|^(2n-1) candidates at 512 or fewer; a random signature
+    # (a third of the cases) often has an empty fibre
+    max_n = {"Z2": 4, "Z3": 3, "S3": 2, "Z2xZ2": 2, "Z4": 2, "D4": 2, "Q8": 2}
+    rng = random.Random(32)
+    sizes = []
+    for t in range(300):
+        name = ORACLE_GROUPS[t % len(ORACLE_GROUPS)]
+        G = catalog_group(name)
+        md = random_md(rng, rng.randint(1, max_n[name]))
+        outer = rng.randrange(G.order)
+        if t % 3 == 0:
+            inner = tuple(rng.randrange(G.order) for _ in range(md.n))
+        else:
+            inner = incoming_holonomy(random_gdiagram(rng, md, G, outer))
+        found = enumerate_gmd(md, G, outer, inner)
+        assert found == _scan_fibre(md, G, outer, inner), (name, md, outer, inner)
+        sizes.append(len(found))
+    assert sizes.count(0) >= 30 and sum(sizes) > 1000
+
+
+def test_g_compose_slot_mismatch_message():
+    S3 = catalog_group("S3")
+    md = md_from_data(2, [(F(1, 4), F(3, 4))], [F(1, 2), F(0)])
+    W = enumerate_gmd(md, S3, 4)[7]
+    ih = incoming_holonomy(W)
+    wrong = S3.mul(ih[1], 1)
+    with pytest.raises(HolonomyError) as exc:
+        g_compose(W, [g_identity(S3, ih[0]), g_identity(S3, wrong)])
+    assert exc.value.slot == 2
+    assert str(exc.value) == f"slot 2: region holonomy {ih[1]} != part outer holonomy {wrong}"
+
+
+def test_holonomy_figure_witnesses():
+    # the fibre behind criterion 07: oh = (1,3,2), ih = ((2,3),(2,3)) over S3
+    S3 = catalog_group("S3")
+    md = md_from_data(2, [(F(1, 4), F(3, 4))], [F(1, 2), F(0)])
+    g, h = S3.names.index("(1,3,2)"), S3.names.index("(2,3)")
+    found = enumerate_gmd(md, S3, g, (h, h))
+    assert len(found) == 12
+    assert all(incoming_holonomy(W) == (h, h) for W in found)
