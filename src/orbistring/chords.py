@@ -860,54 +860,3 @@ def random_md(rng, n: int) -> MDClass:
         except DiagramError:
             continue
     raise RuntimeError("random diagram generation failed")
-
-
-def compose_cactus(base: Cactus, parts: Sequence[Cactus]) -> Cactus:
-    """Operad composition on the cactus side, independent of chord diagrams.
-
-    Lobe i of the base is replaced by part i scaled to its perimeter, anchored
-    at the lobe's marked point; base joints transfer through the part's
-    boundary parameterization.  Raises on the degenerate case where a base
-    joint lands exactly on a part joint (the joints would merge; the diagram
-    route handles that case).
-    """
-    n = len(base.perimeters)
-    if len(parts) != n:
-        raise CactusError(f"need {n} parts, got {len(parts)}")
-    offsets = []
-    acc = 0
-    for p in parts:
-        offsets.append(acc)
-        acc += len(p.perimeters)
-    walks = [_cactus_walk(p)[0] for p in parts]
-
-    def locate(i: int, off: Fraction) -> tuple[int, Fraction]:
-        """Base-lobe-i offset -> (composite lobe, composite lobe offset)."""
-        r_i = base.perimeters[i - 1]
-        s = off / r_i  # position along part i's unit boundary
-        part = parts[i - 1]
-        for g0, dl, lobe, loff in walks[i - 1]:
-            if g0 <= s < g0 + dl:
-                t = (loff + (s - g0)) % part.perimeters[lobe - 1]
-                for joint in part.joints:
-                    if any(lo == lobe and of == t for lo, of in joint):
-                        raise CactusError("base joint lands on a part joint")
-                return offsets[i - 1] + lobe, t * r_i
-        raise CactusError("position not found on the part boundary")
-
-    perims = []
-    for i, p in enumerate(parts):
-        for q in p.perimeters:
-            perims.append(q * base.perimeters[i])
-    joints = []
-    for p, off0, i in zip(parts, offsets, range(1, n + 1)):
-        for joint in p.joints:
-            joints.append(
-                _canonical_joint([(off0 + lo, of * base.perimeters[i - 1]) for lo, of in joint])
-            )
-    for joint in base.joints:
-        joints.append(_canonical_joint([locate(lo, of) for lo, of in joint]))
-    if base.base_on_joint:
-        raise CactusError("base point on a joint is outside the generic composition")
-    bl, boff = locate(base.base_lobe, base.base_offset)
-    return Cactus(tuple(perims), tuple(sorted(joints)), bl, boff, False)

@@ -5,12 +5,16 @@ crossing the seam counterclockwise multiplies the fiber coordinate on the left
 by the outer holonomy, and a chord identification multiplies by its element.
 A decorated class keeps, per cluster, only the induced fiber identifications
 between its vertices (the tree shape is forgotten), plus the mark lifts.
+Region holonomies are evaluated on integer region words, compiled once per
+base diagram from its region walks and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 from .chords import (
@@ -188,19 +192,53 @@ def _start(W: GDiagram, tape: WalkTape) -> int:
     return W.transports[u[1]][W.base.clusters[u[1]].index(u[2])]
 
 
-def _holonomy(W: GDiagram, tape: WalkTape) -> int:
-    """Holonomy of one region walk, measured from the lifted mark."""
-    G = W.group
+@lru_cache(maxsize=256)
+def _region_words(md: MDClass) -> tuple[tuple, ...]:
+    """Each region walk of md as (start, word) on integer indices.
+
+    start is None for a walk that starts on an arc, else (cluster, arrival
+    index) of the passage it starts on.  The word lists the walk's factors in
+    order: None for an arc that reaches the seam (the outer holonomy) and
+    (cluster, arrival index, departure index) for a cluster passage; arcs
+    that miss the seam contribute nothing.
+    """
+    out = []
+    for label in range(1, md.n + 1):
+        tape = region_walk(md, label)
+        word = []
+        for _, u in tape.steps:
+            if u[0] == "pass":
+                grp = md.clusters[u[1]]
+                word.append((u[1], grp.index(u[2]), grp.index(u[3])))
+            elif _seam_crossings(u[1], u[2]):
+                word.append(None)
+        start = word[0][:2] if tape.steps[0][1][0] == "pass" else None
+        out.append((start, tuple(word)))
+    return tuple(out)
+
+
+def _fold(G: FiniteGroup, outer: int, transports, start, word) -> tuple[int, int]:
+    """(s, w) of one region word: s transports the cluster's least vertex to the
+    walk's start and w is the loop element, so the holonomy measured from
+    mark lift k is w conjugated by s*k."""
     w = 0
-    for _, u in tape.steps:
-        w = G.mul(_step(W, u), w)
-    m = G.mul(_start(W, tape), W.lifts[tape.label - 1])
-    return G.mul(G.mul(G.invert(m), w), m)
+    for x in word:
+        if x is None:
+            w = G.mul(outer, w)
+        else:
+            taus = transports[x[0]]
+            w = G.mul(G.mul(taus[x[2]], G.invert(taus[x[1]])), w)
+    return (0 if start is None else transports[start[0]][start[1]]), w
 
 
 def incoming_holonomy(W: GDiagram) -> tuple[int, ...]:
     """Per-region holonomy measured from the lifted mark, following orientation."""
-    return tuple(_holonomy(W, region_walk(W.base, label)) for label in range(1, W.n + 1))
+    G = W.group
+    out = []
+    for (start, word), k in zip(_region_words(W.base), W.lifts):
+        s, w = _fold(G, W.outer, W.transports, start, word)
+        out.append(G.conjugate(w, G.mul(s, k)))
+    return tuple(out)
 
 
 def outgoing_holonomy(W: GDiagram) -> int:
@@ -250,8 +288,7 @@ def g_compose(W: GDiagram, parts: Sequence[GDiagram]) -> GDiagram:
         if p.group != W.group:
             raise HolonomyError("parts must be decorated over the same group")
     d, tapes = _composite(W.base, [p.base for p in parts])
-    for i, (tape, p) in enumerate(zip(tapes, parts)):
-        h = _holonomy(W, tape)
+    for i, (h, p) in enumerate(zip(incoming_holonomy(W), parts)):
         if outgoing_holonomy(p) != h:
             raise HolonomyError(
                 f"slot {i + 1}: region holonomy {h} != part outer holonomy {p.outer}",
@@ -303,9 +340,14 @@ def enumerate_gmd(
     cap: int = 1_000_000,
 ) -> list[GDiagram]:
     """All decorated classes over a base diagram with the given outer holonomy,
-    optionally filtered by the inner holonomy signature.  Exhaustive search."""
-    from itertools import product
+    optionally filtered by the inner holonomy signature, in lexicographic order
+    of (transports, lifts).
 
+    Region i's holonomy depends only on the transports and on lifts[i], so for
+    each choice of transports the lifts are solved region by region and the
+    fibre is the product of the admissible lift sets.  cap still bounds the
+    number of candidate decorations, |G|^(free+n).
+    """
     n = md.n
     _check_elements(G, [outer])
     if inner is not None:
@@ -316,16 +358,21 @@ def enumerate_gmd(
     total = G.order ** (free + n)
     if total > cap:
         raise HolonomyError(f"search space {total} exceeds cap {cap}")
+    words = _region_words(md) if inner is not None else ()
     out = []
-    tau_ranges = [range(G.order) for _ in range(free)]
-    for taus_flat in product(*tau_ranges):
+    elements = range(G.order)
+    for taus_flat in product(elements, repeat=free):
         transports = []
         pos = 0
         for grp in md.clusters:
             transports.append((0,) + tuple(taus_flat[pos : pos + len(grp) - 1]))
             pos += len(grp) - 1
-        for lifts in product(range(G.order), repeat=n):
-            W = GDiagram(md, G, outer, tuple(transports), lifts)
-            if inner is None or incoming_holonomy(W) == tuple(inner):
-                out.append(W)
+        transports = tuple(transports)
+        lift_sets = [elements] * n
+        if inner is not None:
+            for i, ((start, word), h) in enumerate(zip(words, inner)):
+                s, w = _fold(G, outer, transports, start, word)
+                lift_sets[i] = [k for k in elements if G.conjugate(w, G.mul(s, k)) == h]
+        for lifts in product(*lift_sets):
+            out.append(GDiagram(md, G, outer, transports, lifts))
     return out

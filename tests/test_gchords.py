@@ -438,3 +438,22 @@ def test_holonomy_figure_witnesses():
     found = enumerate_gmd(md, S3, g, (h, h))
     assert len(found) == 12
     assert all(incoming_holonomy(W) == (h, h) for W in found)
+
+
+def test_filtered_enumeration_walks_each_region_once(monkeypatch):
+    # the fibre over a 3-region base has 3^5 candidates; solving the lifts per
+    # region walks each region of the base once instead of once per candidate
+    Z3 = catalog_group("Z3")
+    md = md_from_data(3, [(F(1, 8), F(3, 8)), (F(5, 8), F(7, 8))], [F(1, 4), F(1, 2), F(3, 4)])
+    W = GDiagram(md, Z3, 1, ((0, 2), (0, 1)), (1, 0, 2))
+    inner = incoming_holonomy(W)
+    calls = []
+
+    def counting(md, label):
+        calls.append(label)
+        return region_walk(md, label)
+
+    monkeypatch.setattr(gchords, "region_walk", counting)
+    found = enumerate_gmd(md, Z3, 1, inner)
+    assert W in found and len(found) == 27
+    assert len(calls) <= 3
