@@ -217,7 +217,7 @@ def _region_words(md: MDClass) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def _fold(G: FiniteGroup, outer: int, transports, start, word) -> tuple[int, int]:
+def _fold(G: FiniteGroup, outer: int, transports: Sequence[Sequence[int]], start, word) -> tuple[int, int]:
     """(s, w) of one region word: s transports the cluster's least vertex to the
     walk's start and w is the loop element, so the holonomy measured from
     mark lift k is w conjugated by s*k."""
