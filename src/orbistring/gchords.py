@@ -5,8 +5,8 @@ crossing the seam counterclockwise multiplies the fiber coordinate on the left
 by the outer holonomy, and a chord identification multiplies by its element.
 A decorated class keeps, per cluster, only the induced fiber identifications
 between its vertices (the tree shape is forgotten), plus the mark lifts.
-Region holonomies are evaluated on integer region words, compiled once per
-base diagram from its region walks and cached.
+Region holonomies are evaluated on integer region words compiled from the
+region walks of the base diagram.
 """
 
 from __future__ import annotations
@@ -192,9 +192,8 @@ def _start(W: GDiagram, tape: WalkTape) -> int:
     return W.transports[u[1]][W.base.clusters[u[1]].index(u[2])]
 
 
-@lru_cache(maxsize=256)
-def _region_words(md: MDClass) -> tuple[tuple, ...]:
-    """Each region walk of md as (start, word) on integer indices.
+def _word(md: MDClass, tape: WalkTape) -> tuple:
+    """One region walk of md as (start, word) on integer indices.
 
     start is None for a walk that starts on an arc, else (cluster, arrival
     index) of the passage it starts on.  The word lists the walk's factors in
@@ -202,19 +201,15 @@ def _region_words(md: MDClass) -> tuple[tuple, ...]:
     (cluster, arrival index, departure index) for a cluster passage; arcs
     that miss the seam contribute nothing.
     """
-    out = []
-    for label in range(1, md.n + 1):
-        tape = region_walk(md, label)
-        word = []
-        for _, u in tape.steps:
-            if u[0] == "pass":
-                grp = md.clusters[u[1]]
-                word.append((u[1], grp.index(u[2]), grp.index(u[3])))
-            elif _seam_crossings(u[1], u[2]):
-                word.append(None)
-        start = word[0][:2] if tape.steps[0][1][0] == "pass" else None
-        out.append((start, tuple(word)))
-    return tuple(out)
+    word = []
+    for _, u in tape.steps:
+        if u[0] == "pass":
+            grp = md.clusters[u[1]]
+            word.append((u[1], grp.index(u[2]), grp.index(u[3])))
+        elif _seam_crossings(u[1], u[2]):
+            word.append(None)
+    start = word[0][:2] if tape.steps[0][1][0] == "pass" else None
+    return start, tuple(word)
 
 
 def _fold(G: FiniteGroup, outer: int, transports: Sequence[Sequence[int]], start, word) -> tuple[int, int]:
@@ -231,14 +226,22 @@ def _fold(G: FiniteGroup, outer: int, transports: Sequence[Sequence[int]], start
     return (0 if start is None else transports[start[0]][start[1]]), w
 
 
+@lru_cache(maxsize=256)
+def _region_words(md: MDClass) -> tuple[tuple, ...]:
+    """md's region words, cached: g_compose checks the holonomy of the composite it
+    builds, and again when that composite is a part of a later composition."""
+    return tuple(_word(md, region_walk(md, label)) for label in range(1, md.n + 1))
+
+
+def _word_holonomy(W: GDiagram, words: Sequence[tuple]) -> tuple[int, ...]:
+    G = W.group
+    folds = (_fold(G, W.outer, W.transports, start, word) for start, word in words)
+    return tuple(G.conjugate(w, G.mul(s, k)) for (s, w), k in zip(folds, W.lifts))
+
+
 def incoming_holonomy(W: GDiagram) -> tuple[int, ...]:
     """Per-region holonomy measured from the lifted mark, following orientation."""
-    G = W.group
-    out = []
-    for (start, word), k in zip(_region_words(W.base), W.lifts):
-        s, w = _fold(G, W.outer, W.transports, start, word)
-        out.append(G.conjugate(w, G.mul(s, k)))
-    return tuple(out)
+    return _word_holonomy(W, _region_words(W.base))
 
 
 def outgoing_holonomy(W: GDiagram) -> int:
@@ -288,7 +291,7 @@ def g_compose(W: GDiagram, parts: Sequence[GDiagram]) -> GDiagram:
         if p.group != W.group:
             raise HolonomyError("parts must be decorated over the same group")
     d, tapes = _composite(W.base, [p.base for p in parts])
-    for i, (h, p) in enumerate(zip(incoming_holonomy(W), parts)):
+    for i, (h, p) in enumerate(zip(_word_holonomy(W, [_word(W.base, t) for t in tapes]), parts)):
         if outgoing_holonomy(p) != h:
             raise HolonomyError(
                 f"slot {i + 1}: region holonomy {h} != part outer holonomy {p.outer}",

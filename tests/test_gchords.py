@@ -440,20 +440,48 @@ def test_holonomy_figure_witnesses():
     assert all(incoming_holonomy(W) == (h, h) for W in found)
 
 
+def _count(monkeypatch, module, name, log):
+    """Wrap module.name so each call appends its first argument to log."""
+    fn = getattr(module, name)
+
+    def counting(*args):
+        log.append(args[0])
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counting)
+
+
 def test_filtered_enumeration_walks_each_region_once(monkeypatch):
     # the fibre over a 3-region base has 3^5 candidates; solving the lifts per
-    # region walks each region of the base once instead of once per candidate
+    # region walks each region of the base once and folds each region word once
+    # per choice of the 3^2 transports, instead of once per candidate
     Z3 = catalog_group("Z3")
     md = md_from_data(3, [(F(1, 8), F(3, 8)), (F(5, 8), F(7, 8))], [F(1, 4), F(1, 2), F(3, 4)])
     W = GDiagram(md, Z3, 1, ((0, 2), (0, 1)), (1, 0, 2))
     inner = incoming_holonomy(W)
-    calls = []
-
-    def counting(md, label):
-        calls.append(label)
-        return region_walk(md, label)
-
-    monkeypatch.setattr(gchords, "region_walk", counting)
+    gchords._region_words.cache_clear()
+    walks, folds, holonomies = [], [], []
+    _count(monkeypatch, gchords, "region_walk", walks)
+    _count(monkeypatch, gchords, "_fold", folds)
+    _count(monkeypatch, gchords, "incoming_holonomy", holonomies)
     found = enumerate_gmd(md, Z3, 1, inner)
     assert W in found and len(found) == 27
-    assert len(calls) <= 3
+    assert len(walks) == 3 and len(folds) == 27 and holonomies == []
+
+
+def test_g_compose_walks_each_base_region_once(monkeypatch):
+    # the slot check folds the region walks the base composition lays the parts
+    # along, so a cold g_compose walks each base region once
+    from orbistring import chords
+
+    Z3 = catalog_group("Z3")
+    md = md_from_data(3, [(F(1, 8), F(3, 8)), (F(5, 8), F(7, 8))], [F(1, 4), F(1, 2), F(3, 4)])
+    W = GDiagram(md, Z3, 1, ((0, 2), (0, 1)), (1, 0, 2))
+    part = md_from_data(2, [(F(1, 4), F(3, 4))], [F(1, 2), F(0)])
+    parts = [GDiagram(part, Z3, h, ((0, 1),), (2, 0)) for h in incoming_holonomy(W)]
+    gchords._region_words.cache_clear()
+    walks = []
+    _count(monkeypatch, chords, "region_walk", walks)
+    _count(monkeypatch, gchords, "region_walk", walks)
+    g_compose(W, parts)
+    assert walks.count(md) == 3
