@@ -6,7 +6,7 @@ by the outer holonomy, and a chord identification multiplies by its element.
 A decorated class keeps, per cluster, only the induced fiber identifications
 between its vertices (the tree shape is forgotten), plus the mark lifts.
 Region holonomies are evaluated on integer region words compiled from the
-region walks of the base diagram.
+base diagram's region walks; incoming_holonomy caches them per base.
 """
 
 from __future__ import annotations
