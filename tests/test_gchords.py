@@ -354,6 +354,24 @@ def test_walk_positions_out_of_range():
 ORACLE_GROUPS = ("Z2", "Z3", "S3", "Z2xZ2", "Z4", "D4", "Q8")
 
 
+def _unit_factor(W, u):
+    """Left-multiplication factor of one walk unit, written out here so the oracles
+    share no code with gchords: the outer holonomy for an arc that reaches circle
+    coordinate 0, the fiber identification across a cluster passage."""
+    G = W.group
+    if u[0] == "seg":
+        return W.outer if ((-u[1]) % 1 or 1) <= u[2] else 0
+    grp, taus = W.base.clusters[u[1]], W.transports[u[1]]
+    return G.mul(taus[grp.index(u[3])], G.invert(taus[grp.index(u[2])]))
+
+
+def _mark_transport(W, tape):
+    """Fiber transport from the mark to the start of its walk: the identity on an
+    arc, else from the cluster's least vertex to the first passage's arrival."""
+    u = tape.steps[0][1]
+    return 0 if u[0] == "seg" else W.transports[u[1]][W.base.clusters[u[1]].index(u[2])]
+
+
 def _tape_holonomy(W, tapes):
     """Region holonomies by folding the unit factors of the Fraction region walks,
     measured from the lifted mark: independent of the integer region words."""
@@ -362,10 +380,54 @@ def _tape_holonomy(W, tapes):
     for tape in tapes:
         w = 0
         for _, u in tape.steps:
-            w = G.mul(gchords._step(W, u), w)
-        m = G.mul(gchords._start(W, tape), W.lifts[tape.label - 1])
+            w = G.mul(_unit_factor(W, u), w)
+        m = G.mul(_mark_transport(W, tape), W.lifts[tape.label - 1])
         out.append(G.conjugate(w, m))
     return tuple(out)
+
+
+def _tape_transport(W, tape, s):
+    """Fiber transport from the mark to arc length s by folding the units walked
+    before s, the arc that s falls inside trimmed at s."""
+    G = W.group
+    acc = _mark_transport(W, tape)
+    for pos, u in tape.steps:
+        if pos >= s:
+            break
+        if u[0] == "seg" and pos + u[2] > s:
+            u = ("seg", u[1], s - pos)
+        acc = G.mul(_unit_factor(W, u), acc)
+    return acc
+
+
+def _tie_positions(tape):
+    """Every step position, every point where an arc reaches coordinate 0, and
+    three interior points of each arc: the places a transport's factor count
+    changes, and the places between them."""
+    out = set()
+    for pos, u in tape.steps:
+        out.add(pos)
+        if u[0] == "seg":
+            out.add(pos + ((-u[1]) % 1 or 1))
+            out.update(pos + u[2] * k / 4 for k in (1, 2, 3))
+    return sorted(s for s in out if s < tape.total)
+
+
+def test_transport_matches_tape_fold_at_ties():
+    # the digest samples twelfths of each walk, which rarely land exactly on a
+    # passage or on a seam point; here every such point is checked
+    names = ("Z2", "Z3", "S3", "D4", "Q8")
+    rng = random.Random(33)
+    checked = 0
+    for t in range(2000):
+        G = catalog_group(names[t % len(names)])
+        md = random_md(rng, 1 + t // len(names) % 5)
+        W = random_gdiagram(rng, md, G, rng.randrange(G.order))
+        for tape in _tapes(md):
+            for s in _tie_positions(tape):
+                assert gchords._transport_to(W, tape, s) == _tape_transport(W, tape, s), (W, tape, s)
+                checked += 1
+    assert checked > 40000
 
 
 def _tapes(md):
