@@ -55,8 +55,13 @@ class Diagram:
     regions: tuple[tuple[tuple, ...], ...]
     arc_labels: tuple[int, ...]  # label of the arc starting at vertices[i]
 
+    def region(self, label: int) -> tuple[tuple, ...]:
+        if not 1 <= label <= self.n:
+            raise DiagramError("arity", f"region label {label} out of range 1..{self.n}", label)
+        return self.regions[label - 1]
+
     def perimeter(self, label: int) -> Fraction:
-        return sum((u[2] for u in self.regions[label - 1] if u[0] == "seg"), Fraction(0))
+        return sum((u[2] for u in self.region(label) if u[0] == "seg"), Fraction(0))
 
     def cluster_of(self, v: Fraction) -> int:
         for i, c in enumerate(self.clusters):
@@ -403,8 +408,9 @@ class WalkTape:
     Each step is (position, unit): the position is the arc length walked
     before the unit, which is ("seg", start, length) or ("pass", cluster,
     arrival, departure).  A mark on a cluster sits on the first step,
-    the passage the walk starts on.  At a passage's position, locate and
-    gchords._transport_to stop at its arrival vertex, before the passage.
+    the passage the walk starts on.  At a passage's position, locate stops
+    at its arrival vertex, before the passage, and so does a fibre transport
+    along the walk of a decorated diagram.
     """
 
     label: int
@@ -418,7 +424,7 @@ class WalkTape:
 
 def region_walk(md: MDClass, label: int) -> WalkTape:
     d = rep_diagram(md)
-    units = d.regions[label - 1]
+    units = d.region(label)
     z = md.marks[label - 1]
     if not d.vertices:
         units = (("seg", z, Fraction(1)),)
@@ -495,18 +501,13 @@ def _composite(base: MDClass, parts: Sequence[MDClass]) -> tuple[Diagram, list[W
     new_chords: list[tuple[Fraction, Fraction]] = list(rep_diagram(base).chords)
     new_marks: list[Fraction] = []
     tapes = [region_walk(base, i + 1) for i in range(base.n)]
-
-    def place(tape, r, t):
-        kind, coord = locate(tape, r * t)
-        return coord
-
     for pi, part in enumerate(parts):
         tape = tapes[pi]
         r = tape.total
         for x, y in part.rep_chords():
-            new_chords.append((place(tape, r, x), place(tape, r, y)))
+            new_chords.append((locate(tape, r * x)[1], locate(tape, r * y)[1]))
         for z in part.marks:
-            new_marks.append(place(tape, r, z))
+            new_marks.append(locate(tape, r * z)[1])
 
     total_n = sum(p.n for p in parts)
     dec = _decompose(total_n, new_chords)

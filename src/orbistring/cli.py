@@ -232,7 +232,10 @@ def cmd_enumerate(args) -> str:
             depth -= ch == ")"
             cur += ch
         tokens.append(cur)
-        inner = tuple(_element_index(G, t) for t in tokens if t.strip())
+        for i, t in enumerate(tokens, start=1):
+            if not t.strip():
+                raise UsageError(f"--inner entry {i} of {len(tokens)} is empty")
+        inner = tuple(_element_index(G, t) for t in tokens)
         if len(inner) != md.n:
             raise UsageError(f"need {md.n} inner holonomies, got {len(inner)}")
     decs = gchords.enumerate_gmd(md, G, outer, inner, cap=args.cap)

@@ -6,11 +6,14 @@ by the outer holonomy, and a chord identification multiplies by its element.
 A decorated class keeps, per cluster, only the induced fiber identifications
 between its vertices (the tree shape is forgotten), plus the mark lifts.
 Region holonomies are evaluated on integer region words compiled from the
-base diagram's region walks; incoming_holonomy caches them per base.
+base diagram's region walks; incoming_holonomy caches them per base.  The
+fibre transport to a point of a walk, which graded composition glues the
+parts by, folds the prefix of the region word taken up before that point.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -164,52 +167,34 @@ def from_gdiagram_json(data, resolve_group) -> GDiagram:
     return decorate(n, chords, marks, resolve_group(group), outer, delta, lifts, labels)
 
 
-def _seam_crossings(seg_start: Fraction, length: Fraction) -> int:
-    """1 if the walk segment passes through or arrives at circle coordinate 0."""
-    o = (0 - seg_start) % 1
-    if o == 0:
-        o = Fraction(1)
-    return 1 if o <= length else 0
-
-
-def _step(W: GDiagram, u: tuple) -> int:
-    """Left-multiplication factor of one walk unit: the outer holonomy for an arc
-    that reaches the seam, the fiber identification across a cluster passage."""
-    if u[0] == "seg":
-        return W.outer if _seam_crossings(u[1], u[2]) else 0
-    G = W.group
-    grp = W.base.clusters[u[1]]
-    taus = W.transports[u[1]]
-    return G.mul(taus[grp.index(u[3])], G.invert(taus[grp.index(u[2])]))
-
-
-def _start(W: GDiagram, tape: WalkTape) -> int:
-    """Fiber transport from the mark to the start of its walk: the identity on an
-    arc, else from the cluster's least vertex to the first passage's arrival."""
-    u = tape.steps[0][1]
-    if u[0] == "seg":
-        return 0
-    return W.transports[u[1]][W.base.clusters[u[1]].index(u[2])]
+def _seam_offset(seg_start: Fraction) -> Fraction:
+    """Arc length from seg_start counterclockwise to circle coordinate 0, in (0, 1]."""
+    return (0 - seg_start) % 1 or Fraction(1)
 
 
 def _word(md: MDClass, tape: WalkTape) -> tuple:
-    """One region walk of md as (start, word) on integer indices.
+    """One region walk of md as (start, word, keys), start and word on integer indices.
 
     start is None for a walk that starts on an arc, else (cluster, arrival
     index) of the passage it starts on.  The word lists the walk's factors in
     order: None for an arc that reaches the seam (the outer holonomy) and
     (cluster, arrival index, departure index) for a cluster passage; arcs
-    that miss the seam contribute nothing.
+    that miss the seam contribute nothing.  keys[j] is where the walk takes
+    up factor j: (pos + o, 0) for an arc at pos that reaches the seam after o,
+    (pos, 1) for a passage at pos; the factors before walk position s are
+    those with key < (s, 1).
     """
-    word = []
-    for _, u in tape.steps:
+    word, keys = [], []
+    for pos, u in tape.steps:
         if u[0] == "pass":
             grp = md.clusters[u[1]]
             word.append((u[1], grp.index(u[2]), grp.index(u[3])))
-        elif _seam_crossings(u[1], u[2]):
+            keys.append((pos, 1))
+        elif (o := _seam_offset(u[1])) <= u[2]:
             word.append(None)
+            keys.append((pos + o, 0))
     start = word[0][:2] if tape.steps[0][1][0] == "pass" else None
-    return start, tuple(word)
+    return start, tuple(word), tuple(keys)
 
 
 def _fold(G: FiniteGroup, outer: int, transports: Sequence[Sequence[int]], start, word) -> tuple[int, int]:
@@ -235,7 +220,7 @@ def _region_words(md: MDClass) -> tuple[tuple, ...]:
 
 def _word_holonomy(W: GDiagram, words: Sequence[tuple]) -> tuple[int, ...]:
     G = W.group
-    folds = (_fold(G, W.outer, W.transports, start, word) for start, word in words)
+    folds = (_fold(G, W.outer, W.transports, start, word) for start, word, _ in words)
     return tuple(G.conjugate(w, G.mul(s, k)) for (s, w), k in zip(folds, W.lifts))
 
 
@@ -263,22 +248,17 @@ def relabel(W: GDiagram, perm: Sequence[int]) -> GDiagram:
     return GDiagram(base, W.group, W.outer, W.transports, tuple(lifts))
 
 
-def _transport_to(W: GDiagram, tape: WalkTape, s: Fraction) -> int:
-    """Fiber transport factor from the mark's fiber to the point at arc length s.
+def _transport_to(W: GDiagram, tape: WalkTape, word: tuple, s: Fraction) -> int:
+    """Fiber transport factor from the mark's fiber to the point at arc length s
+    along tape, folded from the prefix of its region word taken up before s.
 
     When s falls on a cluster passage the transport ends at the passage's
     arrival vertex, matching the attachment convention of the base composition.
     """
     tape.check(s)
-    G = W.group
-    acc = _start(W, tape)
-    for pos, u in tape.steps:
-        if pos >= s:
-            break
-        if u[0] == "seg" and pos + u[2] > s:
-            u = ("seg", u[1], s - pos)
-        acc = G.mul(_step(W, u), acc)
-    return acc
+    start, entries, keys = word
+    a, w = _fold(W.group, W.outer, W.transports, start, entries[: bisect_left(keys, (s, 1))])
+    return W.group.mul(w, a)
 
 
 def g_compose(W: GDiagram, parts: Sequence[GDiagram]) -> GDiagram:
@@ -291,7 +271,8 @@ def g_compose(W: GDiagram, parts: Sequence[GDiagram]) -> GDiagram:
         if p.group != W.group:
             raise HolonomyError("parts must be decorated over the same group")
     d, tapes = _composite(W.base, [p.base for p in parts])
-    for i, (h, p) in enumerate(zip(_word_holonomy(W, [_word(W.base, t) for t in tapes]), parts)):
+    words = [_word(W.base, t) for t in tapes]
+    for i, (h, p) in enumerate(zip(_word_holonomy(W, words), parts)):
         if outgoing_holonomy(p) != h:
             raise HolonomyError(
                 f"slot {i + 1}: region holonomy {h} != part outer holonomy {p.outer}",
@@ -302,12 +283,12 @@ def g_compose(W: GDiagram, parts: Sequence[GDiagram]) -> GDiagram:
     base_deltas = W.rep_deltas()
     new_delta = [base_deltas[c] for c in rep_diagram(W.base).chords]
     new_lifts: list[int] = []
-    for tape, k_i, p in zip(tapes, W.lifts, parts):
+    for tape, word, k_i, p in zip(tapes, words, W.lifts, parts):
         r = tape.total
         part_deltas = p.rep_deltas()
         for x, y in p.base.rep_chords():
-            fx = _transport_to(W, tape, r * x)
-            fy = _transport_to(W, tape, r * y)
+            fx = _transport_to(W, tape, word, r * x)
+            fy = _transport_to(W, tape, word, r * y)
             # composite fiber coordinates glue as F(t) k_i a for part coordinate a
             dprime = G.mul(
                 G.mul(G.mul(fy, k_i), part_deltas[(x, y)]),
@@ -315,7 +296,7 @@ def g_compose(W: GDiagram, parts: Sequence[GDiagram]) -> GDiagram:
             )
             new_delta.append(dprime)
         for z, lift in zip(p.base.marks, p.lifts):
-            new_lifts.append(G.mul(G.mul(_transport_to(W, tape, r * z), k_i), lift))
+            new_lifts.append(G.mul(G.mul(_transport_to(W, tape, word, r * z), k_i), lift))
     out = _decorated(d, G, W.outer, new_delta, new_lifts)
     expect = tuple(h for p in parts for h in incoming_holonomy(p))
     got = incoming_holonomy(out)
@@ -373,7 +354,7 @@ def enumerate_gmd(
         transports = tuple(transports)
         lift_sets = [elements] * n
         if inner is not None:
-            for i, ((start, word), h) in enumerate(zip(words, inner)):
+            for i, ((start, word, _), h) in enumerate(zip(words, inner)):
                 s, w = _fold(G, outer, transports, start, word)
                 lift_sets[i] = [k for k in elements if G.conjugate(w, G.mul(s, k)) == h]
         for lifts in product(*lift_sets):

@@ -23,6 +23,7 @@ from orbistring.chords import (
     parse_cactus,
     parse_diagram,
     random_md,
+    region_walk,
     regions_report,
     relabel,
     rep_diagram,
@@ -333,6 +334,18 @@ def test_compose_arity_mismatch():
     with pytest.raises(DiagramError) as exc:
         compose(c, [identity_md()])
     assert exc.value.kind == "arity"
+
+
+def test_region_labels_out_of_range():
+    # label 0 used to read region n through a negative index, and label n + 1
+    # ended in an IndexError
+    md = md_from_data(2, [(F(1, 10), F(4, 10))], [F(2, 10), F(6, 10)])
+    for label in (0, 3):
+        for call in (lambda: region_walk(md, label), lambda: md.perimeter(label)):
+            with pytest.raises(DiagramError) as exc:
+                call()
+            assert exc.value.kind == "arity" and exc.value.witness == label
+            assert str(exc.value) == f"region label {label} out of range 1..2"
 
 
 def test_compose_associativity_random():

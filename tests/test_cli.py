@@ -154,6 +154,17 @@ def test_enumerate_cli(capsys):
     assert json.loads(out)["count"] == 6
 
 
+def test_enumerate_rejects_empty_inner_entries(capsys):
+    # an empty entry used to be dropped, so "0,,1" ran with the signature (0, 1)
+    diagram = json.dumps({"n": 2, "chords": [[1, 4, 3, 4]], "marks": [[1, 2], [0, 1]]})
+    for inner, message in (("0,,1", "--inner entry 2 of 3 is empty"), ("0,1,", "--inner entry 3 of 3 is empty")):
+        code, out, err = run(capsys, "enumerate", "--diagram", diagram, "--group", "Z2", "--outer", "0", "--inner", inner)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": message, "kind": "usage"}
+    code, out, _ = run(capsys, "enumerate", "--diagram", diagram, "--group", "Z2", "--outer", "0", "--inner", "0, 0")
+    assert code == 0 and json.loads(out)["inner"] == [0, 0]
+
+
 def test_ring_and_bvcheck_cli(capsys, tmp_path):
     code, out, _ = run(capsys, "ring", "--name", "lens", "--n", "3", "--p", "2", "--window=-3:3")
     assert code == 0

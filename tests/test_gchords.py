@@ -213,7 +213,7 @@ def test_g_compose_rejects_wrong_transport(monkeypatch):
     # negative control: with every fiber transport replaced by the identity the
     # composite's recomputed holonomies no longer match the parts on a third of
     # the instances of the stream above
-    monkeypatch.setattr(gchords, "_transport_to", lambda W, tape, s: 0)
+    monkeypatch.setattr(gchords, "_transport_to", lambda W, tape, word, s: 0)
     S3 = catalog_group("S3")
     rng = random.Random(12)
     failed = {}
@@ -272,7 +272,7 @@ def test_outgoing_holonomy_equals_seam_traversal():
     """oh is the stored element, and the full outer-circle traversal from the
     base lift crosses the seam exactly once regardless of chords and marks."""
     from orbistring.chords import rep_diagram
-    from orbistring.gchords import _seam_crossings
+    from orbistring.gchords import _seam_offset
 
     rng = random.Random(17)
     S3 = catalog_group("S3")
@@ -285,7 +285,7 @@ def test_outgoing_holonomy_equals_seam_traversal():
         for i, v in enumerate(verts):
             nxt = verts[(i + 1) % len(verts)]
             length = (nxt - v) % 1 or F(1)
-            crossings += _seam_crossings(v, length)
+            crossings += _seam_offset(v) <= length
         assert crossings == 1
         assert outgoing_holonomy(W) == W.outer
 
@@ -309,10 +309,11 @@ def _walk_digest_lines():
             yield [cactus.to_json(), from_cactus(cactus).to_json()]
             for label in range(1, md.n + 1):
                 tape = region_walk(md, label)
+                word = gchords._word(md, tape)
                 for k in range(12):
                     s = tape.total * k / 12
                     kind, coord = locate(tape, s)
-                    yield [label, k, kind, str(coord), gchords._transport_to(W, tape, s)]
+                    yield [label, k, kind, str(coord), gchords._transport_to(W, tape, word, s)]
             i = rng.randrange(md.n)
             p = parts[i]
             wrong = (p.outer + 1 + rng.randrange(G.order - 1)) % G.order
@@ -340,12 +341,13 @@ def test_walk_positions_out_of_range():
         W = random_gdiagram(rng, md, S3, rng.randrange(6))
         for label in range(1, md.n + 1):
             tape = region_walk(md, label)
+            word = gchords._word(md, tape)
             for s in (tape.total, F(-1, 3)):
                 with pytest.raises(DiagramError) as exc:
                     locate(tape, s)
                 assert exc.value.kind == "bad-coordinate" and exc.value.witness == s
                 with pytest.raises(DiagramError) as exc:
-                    gchords._transport_to(W, tape, s)
+                    gchords._transport_to(W, tape, word, s)
                 assert exc.value.kind == "bad-coordinate" and exc.value.witness == s
 
 
@@ -424,8 +426,9 @@ def test_transport_matches_tape_fold_at_ties():
         md = random_md(rng, 1 + t // len(names) % 5)
         W = random_gdiagram(rng, md, G, rng.randrange(G.order))
         for tape in _tapes(md):
+            word = gchords._word(md, tape)
             for s in _tie_positions(tape):
-                assert gchords._transport_to(W, tape, s) == _tape_transport(W, tape, s), (W, tape, s)
+                assert gchords._transport_to(W, tape, word, s) == _tape_transport(W, tape, s), (W, tape, s)
                 checked += 1
     assert checked > 40000
 

@@ -2,7 +2,9 @@
 
 A function, class or constant defined at the top level of a module under
 src/orbistring must be named in some Python file under src, tests, demos or
-perfbench outside its own definition.  Dunder names are exempt.
+perfbench outside its own definition, and a private (underscore) name must be
+used under src itself: a use from tests alone does not keep a helper alive.
+Dunder names are exempt.
 """
 
 import ast
@@ -30,10 +32,12 @@ def _definitions(path: Path):
                 yield name, node.lineno, node.end_lineno
 
 
-def test_no_dead_top_level_names():
+def _unused(searched, keep):
+    """Top-level names, among those keep selects, that no line of a Python file
+    under the searched directories names outside the name's own definition."""
     words = {  # path -> the identifier-like words of each line
         p: [set(re.findall(r"\w+", line)) for line in p.read_text().splitlines()]
-        for d in SEARCHED
+        for d in searched
         for p in sorted((ROOT / d).rglob("*.py"))
     }
     dead = []
@@ -45,6 +49,16 @@ def test_no_dead_top_level_names():
                 for i, line in enumerate(lines, start=1)
                 if not (path == module and first <= i <= last)
             )
-            if not used:
+            if keep(name) and not used:
                 dead.append(f"{module.name}:{first} {name}")
+    return dead
+
+
+def test_no_dead_top_level_names():
+    dead = _unused(SEARCHED, lambda name: True)
     assert not dead, "top-level names with no use: " + ", ".join(dead)
+
+
+def test_private_names_are_used_in_src():
+    dead = _unused(("src",), lambda name: name.startswith("_"))
+    assert not dead, "private top-level names with no use in src: " + ", ".join(dead)
