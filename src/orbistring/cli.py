@@ -221,7 +221,7 @@ def cmd_enumerate(args) -> str:
     G = resolve_group(args.group)
     outer = _element_index(G, args.outer)
     inner = None
-    if args.inner:
+    if args.inner is not None:
         tokens, depth, cur = [], 0, ""
         for ch in args.inner:
             if ch == "," and depth == 0:

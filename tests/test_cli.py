@@ -156,11 +156,12 @@ def test_enumerate_cli(capsys):
 
 def test_enumerate_rejects_empty_inner_entries(capsys):
     # an empty entry used to be dropped, so "0,,1" ran with the signature (0, 1)
+    # and "" with none at all
     diagram = json.dumps({"n": 2, "chords": [[1, 4, 3, 4]], "marks": [[1, 2], [0, 1]]})
-    for inner, message in (("0,,1", "--inner entry 2 of 3 is empty"), ("0,1,", "--inner entry 3 of 3 is empty")):
+    for inner, i, count in (("0,,1", 2, 3), ("0,1,", 3, 3), ("", 1, 1)):
         code, out, err = run(capsys, "enumerate", "--diagram", diagram, "--group", "Z2", "--outer", "0", "--inner", inner)
         assert code == 2 and out == ""
-        assert json.loads(err) == {"error": message, "kind": "usage"}
+        assert json.loads(err) == {"error": f"--inner entry {i} of {count} is empty", "kind": "usage"}
     code, out, _ = run(capsys, "enumerate", "--diagram", diagram, "--group", "Z2", "--outer", "0", "--inner", "0, 0")
     assert code == 0 and json.loads(out)["inner"] == [0, 0]
 
