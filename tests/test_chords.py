@@ -12,6 +12,7 @@ from orbistring.chords import (
     DiagramError,
     _cactus_walk,
     _canonical_joint,
+    _composite,
     _decompose,
     _label,
     _random_noncrossing_matching,
@@ -19,6 +20,7 @@ from orbistring.chords import (
     compose,
     from_cactus,
     identity_md,
+    locate,
     md_from_data,
     parse_cactus,
     parse_diagram,
@@ -502,6 +504,50 @@ def compose_cactus(base: Cactus, parts: list[Cactus]) -> Cactus:
         raise CactusError("base point on a joint is outside the generic composition")
     bl, boff = locate(base.base_lobe, base.base_offset)
     return Cactus(tuple(perims), tuple(sorted(joints)), bl, boff, False)
+
+
+def _witness_arc_labels(base, parts):
+    """Interval labels of the composite by the interior-witness rule, independent
+    of the parts' own interval labels: a point strictly inside one arc of part
+    region j is carried along the base walk, past the composite vertices, and
+    the composite region holding it gets the renumbered label offset + j.
+    Also returns whether some part vertex lands on a base cluster passage."""
+    tapes = [region_walk(base, i + 1) for i in range(base.n)]
+    new_chords = list(rep_diagram(base).chords)
+    on_passage = False
+    for part, tape in zip(parts, tapes):
+        r = tape.total
+        on_passage |= any(locate(tape, r * x)[0] == "vertex" for grp in part.clusters for x in grp)
+        new_chords += [(locate(tape, r * x)[1], locate(tape, r * y)[1]) for x, y in part.rep_chords()]
+    dec = _decompose(sum(p.n for p in parts), new_chords)
+    vertex_set = set(dec.vertices)
+    face_label = {}
+    offset = 0
+    for part, tape in zip(parts, tapes):
+        pd = rep_diagram(part)
+        for j in range(1, part.n + 1):
+            seg = next(u for u in pd.regions[j - 1] if u[0] == "seg")
+            for k in range(2, 67):
+                kind, coord = locate(tape, tape.total * ((seg[1] + seg[2] / k) % 1))
+                if kind == "point" and coord not in vertex_set:
+                    break
+            else:
+                raise AssertionError(f"no interior witness for region {j} of part {part}")
+            assert face_label.setdefault(dec.face_of_point(coord), offset + j) == offset + j
+        offset += part.n
+    return tuple(face_label[f] for f in dec.arc_face), on_passage
+
+
+def test_composite_labels_match_interior_witnesses():
+    rng = random.Random(1313)
+    on_passage = 0
+    for _ in range(2000):
+        base = random_md(rng, rng.randint(1, 5))
+        parts = [identity_md() if rng.random() < 0.2 else random_md(rng, rng.randint(1, 5)) for _ in range(base.n)]
+        expected, hit = _witness_arc_labels(base, parts)
+        assert _composite(base, parts)[0].arc_labels == expected, (base, parts)
+        on_passage += hit
+    assert on_passage >= 100, on_passage
 
 
 def test_cactus_correspondence_is_operad_map():
