@@ -245,7 +245,7 @@ def _label(dec: _Decomposition, marks: Sequence[Fraction], forced_arc_labels=Non
     assignment: list[int | None] = [None] * n  # mark index -> face index
     if forced_arc_labels is not None:
         if len(vertices) != len(forced_arc_labels):
-            raise DiagramError("arity", "interval label count does not match vertices", None)
+            raise DiagramError("arity", "interval label count does not match vertices", len(forced_arc_labels))
         face_label: dict[int, int] = {}
         for vi, f in enumerate(dec.arc_face):
             lab = forced_arc_labels[vi]
@@ -253,8 +253,9 @@ def _label(dec: _Decomposition, marks: Sequence[Fraction], forced_arc_labels=Non
                 raise DiagramError("mark-off-region", "inconsistent interval labels", vi)
         if not vertices:
             face_label[0] = 1
-        if sorted(face_label.values()) != list(range(1, n + 1)):
-            raise DiagramError("mark-off-region", "interval labels are not a bijection", None)
+        missing = set(range(1, n + 1)) - set(face_label.values())  # n faces, so a bijection iff empty
+        if missing:
+            raise DiagramError("mark-off-region", "interval labels are not a bijection", min(missing))
         for mi in range(n):
             f = next(f for f, lab in face_label.items() if lab == mi + 1)
             if f not in cand[mi]:
@@ -469,18 +470,6 @@ def locate(tape: WalkTape, s: Fraction):
 # composition ----------------------------------------------------------------
 
 
-def _interior_witness(part: MDClass, label: int, base_tape: WalkTape, avoid: set[Fraction]) -> Fraction:
-    """A transported interior point of the part's region, avoiding given coordinates."""
-    pd = rep_diagram(part)
-    seg = next(u for u in pd.regions[label - 1] if u[0] == "seg")
-    for k in range(2, 67):
-        w = _mod1(seg[1] + seg[2] / k)  # strictly inside one arc of the part region
-        kind, coord = locate(base_tape, base_tape.total * w)
-        if kind == "point" and coord not in avoid:
-            return coord
-    raise DiagramError("traversal", "could not find an interior witness", label)
-
-
 def _walk_position(tape: WalkTape, point: Fraction) -> Fraction:
     """Arc length of a circle point along the region walk (point must be interior
     to one of the region's arcs)."""
@@ -495,39 +484,40 @@ def _walk_position(tape: WalkTape, point: Fraction) -> Fraction:
 def _composite(base: MDClass, parts: Sequence[MDClass]) -> tuple[Diagram, list[WalkTape]]:
     """The labeled composite diagram and the base region walks the parts are laid
     along.  Its chords are the base's representative chords followed by each
-    part's, and its marks are the parts' marks, in order."""
+    part's, and its marks are the parts' marks, in order.
+
+    Part i's coordinate x goes to walk position r·x along base region i's tape
+    of total r, so each composite arc runs along one part arc and takes that
+    part region's label, renumbered past the earlier parts: the arc leaving the
+    base vertex at walk position pos runs along the part arc holding pos/r, and
+    the arc leaving a part vertex placed inside a base arc along the part arc
+    starting there.  A part vertex placed on a passage sits on its arrival
+    vertex, whose outgoing arc lies in another base region.
+    """
     if len(parts) != base.n:
         raise DiagramError("arity", f"need {base.n} parts, got {len(parts)}", len(parts))
     new_chords: list[tuple[Fraction, Fraction]] = list(rep_diagram(base).chords)
     new_marks: list[Fraction] = []
+    label: dict[Fraction, int] = {}  # composite vertex -> label of the arc leaving it
     tapes = [region_walk(base, i + 1) for i in range(base.n)]
-    for pi, part in enumerate(parts):
-        tape = tapes[pi]
-        r = tape.total
-        for x, y in part.rep_chords():
-            new_chords.append((locate(tape, r * x)[1], locate(tape, r * y)[1]))
-        for z in part.marks:
-            new_marks.append(locate(tape, r * z)[1])
-
-    total_n = sum(p.n for p in parts)
-    dec = _decompose(total_n, new_chords)
-    # label the composite regions through interior witness points: the region
-    # containing a transported interior point of part i's region j gets the
-    # corresponding renumbered label, so marks on shared clusters stay unambiguous
-    vertex_set = set(dec.vertices)
     offset = 0
-    face_label: dict[int, int] = {}
-    for pi, part in enumerate(parts):
-        tape = tapes[pi]
-        for j in range(1, part.n + 1):
-            fi = dec.face_of_point(_interior_witness(part, j, tape, vertex_set))
-            lab = offset + j
-            if face_label.setdefault(fi, lab) != lab:
-                raise DiagramError("traversal", "two part regions map to one composite region", (pi, j))
+    for part, tape in zip(parts, tapes):
+        r = tape.total
+        vertices = sorted(v for grp in part.clusters for v in grp)
+        for pos, u in tape.steps:
+            if u[0] == "seg":
+                label[u[1]] = offset + (part.arc_labels[_arc_of_point(vertices, pos / r)] if vertices else 1)
+        placed = {}
+        for x, lab in zip(vertices, part.arc_labels):
+            kind, placed[x] = locate(tape, r * x)
+            if kind == "point":
+                label[placed[x]] = offset + lab
+        new_chords += [(placed[x], placed[y]) for x, y in part.rep_chords()]
+        new_marks += [locate(tape, r * z)[1] for z in part.marks]
         offset += part.n
-    arc_labels = tuple(face_label[f] for f in dec.arc_face)
+    dec = _decompose(offset, new_chords)
     # new_marks are locate() coordinates, already reduced mod 1, one per part region
-    return _label(dec, new_marks, arc_labels), tapes
+    return _label(dec, new_marks, [label[v] for v in dec.vertices]), tapes
 
 
 def compose(base: MDClass, parts: Sequence[MDClass]) -> MDClass:

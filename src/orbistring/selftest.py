@@ -233,9 +233,8 @@ def crit_05_operad(seed: int) -> CheckResult:
         c = corpus[pos % len(corpus)]
         pos += 1
         parts = [corpus[(pos + t) % len(corpus)] for t in range(c.n)]
-        small = [p for p in parts]
         # keep sizes manageable: reroll parts bigger than 3 regions
-        parts = [p if p.n <= 3 else random_md(rng, rng.randint(1, 3)) for p in small]
+        parts = [p if p.n <= 3 else random_md(rng, rng.randint(1, 3)) for p in parts]
         inner = [[random_md(rng, rng.randint(1, 2)) for _ in range(p.n)] for p in parts]
         left = compose(compose(c, parts), [w for grp in inner for w in grp])
         right = compose(c, [compose(p, grp) for p, grp in zip(parts, inner)])

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -66,8 +68,9 @@ def test_mark_off_region():
     assert exc.value.kind == "mark-off-region"
 
 
-# One input per DiagramError kind that validation can reach, plus one input with
-# two faults, pinning which check runs first.
+# One input per DiagramError kind that validation can reach, two for arity (the
+# chord count and the mark count), plus one input with two faults, pinning which
+# check runs first.
 ERROR_KIND_CASES = [
     ("bad-coordinate", 2, [(F(1, 4), F(5, 4))], [F(0), F(1, 2)]),
     ("arity", 3, [(F(1, 4), F(3, 4))], [F(0), F(1, 2), F(7, 8)]),  # chord count
@@ -85,6 +88,23 @@ def test_error_kinds(validate, kind, n, chords, marks):
     with pytest.raises(DiagramError) as exc:
         validate(n, chords, marks)
     assert exc.value.kind == kind
+
+
+# Kinds raised under src/ that no input reaches, each with the reason.
+UNREACHABLE_KINDS = {
+    "zero-measure": "a non-crossing forest of n-1 chords always cuts n regions",
+}
+
+
+def test_error_kinds_are_pinned():
+    """Every DiagramError kind the package raises has an input in ERROR_KIND_CASES
+    or a reason in UNREACHABLE_KINDS, and every pinned kind is still raised."""
+    raised = set()
+    for path in (Path(__file__).resolve().parents[1] / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "DiagramError":
+                raised.add(ast.literal_eval(node.args[0]))
+    assert raised == {case[0] for case in ERROR_KIND_CASES} | set(UNREACHABLE_KINDS)
 
 
 def _random_chord_set(rng):
@@ -548,6 +568,19 @@ def test_composite_labels_match_interior_witnesses():
         assert _composite(base, parts)[0].arc_labels == expected, (base, parts)
         on_passage += hit
     assert on_passage >= 100, on_passage
+
+
+def test_compose_validates_no_part():
+    # the interior-witness labelling looked each part up in rep_diagram, a cache
+    # miss that validated every fresh part
+    rng = random.Random(31)
+    base = random_md(rng, 4)
+    parts = [random_md(rng, rng.randint(1, 3)) for _ in range(base.n)]
+    rep_diagram.cache_clear()
+    rep_diagram(base)
+    misses = rep_diagram.cache_info().misses
+    compose(base, parts)
+    assert rep_diagram.cache_info().misses == misses
 
 
 def test_cactus_correspondence_is_operad_map():

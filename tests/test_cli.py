@@ -78,6 +78,20 @@ def test_crossing_diagram_domain_error(capsys):
     assert blob["kind"] == "DiagramError" and "cross" in blob["error"]
 
 
+def test_interval_label_errors_name_their_witness(capsys):
+    # the count of labels given, and the least label no region carries; both
+    # errors used to name no witness
+    for labels, message, witness in (
+        ([1], "interval label count does not match vertices", "1"),
+        ([1, 5], "interval labels are not a bijection", "2"),
+        ([2, 2], "interval labels are not a bijection", "1"),
+    ):
+        diagram = json.dumps({"n": 2, "chords": [[1, 4, 3, 4]], "marks": [[1, 2], [0, 1]], "interval_labels": labels})
+        code, out, err = run(capsys, "validate", "--diagram", diagram)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": message, "kind": "DiagramError", "witness": witness}
+
+
 def test_compose_and_cactus_cli(capsys, tmp_path):
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"n": 2, "chords": [[1, 4, 3, 4]], "marks": [[1, 2], [0, 1]]}))
