@@ -541,3 +541,69 @@ def test_sector_ring_digest():
     for ring in _digest_rings():
         digest.update(json.dumps(ring.to_json(), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == "51c185266a365ee3fcdf2391a1036827546b1daea78275c51b0be1356f86c403"
+
+
+def _oracle_associativity(ring):
+    """The full scan over all n^3 basis triples, on products read straight from
+    the table: the message naming the first failing triple, or None."""
+    table, n = ring.table, ring.dim
+
+    def times(u, v):
+        out = {}
+        for a, ca in u.items():
+            for b, cb in v.items():
+                for k, c in table.get((a, b), ()):
+                    out[k] = out.get(k, 0) + ca * cb * c
+        return {k: c for k, c in out.items() if c}
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                ei, ej, ek = {i: 1}, {j: 1}, {k: 1}
+                if times(times(ei, ej), ek) != times(ei, times(ej, ek)):
+                    return f"associativity fails at basis triple ({i},{j},{k})"
+    return None
+
+
+def _oracle_rings():
+    """DW rings, twisted centers at levels 1, 8, 16 and 48, and coset string rings."""
+    rng = random.Random(83)
+    rings = [dw_frobenius(catalog_group(name)) for name in CATALOG_NAMES]
+    for name, base, _ in _TWISTS:
+        G = catalog_group(name)
+        alpha = catalog_cocycle(G, base)
+        rings.append(twisted_center(G, alpha))
+        for den in (8, 16, 48):
+            beta = [Phase.one()] + [Phase.of(rng.randrange(den), den) for _ in range(G.order - 1)]
+            rings.append(twisted_center(G, alpha * coboundary(G, beta)))
+    rings += [orbifold_string_ring(_gset(spec)) for spec in _SWEEP if spec.startswith("coset:")]
+    return rings
+
+
+def test_check_associative_matches_full_scan_oracle():
+    rng = random.Random(5)
+    rings = _oracle_rings()
+    assert {r.level for r in rings} >= {1, 2, 8, 16, 48}
+    for ring in rings:
+        assert _oracle_associativity(ring) is None
+        ring.check_associative()
+    failing = 0
+    for _ in range(600):
+        ring = rng.choice(rings)
+        n, z = ring.dim, Cyclo.root(ring.level, rng.randrange(ring.level))
+        i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        if rng.random() < 0.5:
+            delta = rng.choice([1, -1, 2, z])
+            bad = _corrupt_constant(ring, i, j, k, lambda c: c + delta)
+        else:
+            factor = rng.choice([0, -1, 2, z])
+            bad = _corrupt_constant(ring, i, j, k, lambda c: c * factor)
+        want = _oracle_associativity(bad)
+        if want is None:
+            bad.check_associative()
+        else:
+            failing += 1
+            with pytest.raises(SectorError) as err:
+                bad.check_associative()
+            assert str(err.value) == want
+    assert failing >= 250
