@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import Sequence
 
 from .groups import FiniteGroup, _json_field, _load_json, conjugacy_classes
@@ -61,31 +62,39 @@ def _table_exponents(table: Sequence[Sequence[Phase]], level: int) -> list[list[
     return [[p.q.numerator * (level // p.q.denominator) for p in row] for row in table]
 
 
-def _table_json(group: FiniteGroup, table: Sequence[Sequence[Phase]]) -> dict:
-    den = _table_level(table)
-    return {
-        "group": group.name,
-        "denominator": den,
-        "num": [[int(p.q * den) for p in row] for row in table],
-    }
-
-
 @dataclass(frozen=True)
 class TwoCocycle:
-    """A normalized U(1)-valued 2-cocycle on a finite group."""
+    """A normalized U(1)-valued 2-cocycle on a finite group.
+
+    alpha(g, h) = exp(2*pi*i*exps[g][h]/modulus) with exps[g][h] in [0, modulus).
+    Construction divides modulus and exponents by their gcd, so modulus is the
+    least level of the table and equal cocycles compare and hash equal.
+    `table` is the same cocycle as phases.
+    """
 
     group: FiniteGroup
-    table: tuple[tuple[Phase, ...], ...]
+    modulus: int
+    exps: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        d = gcd(self.modulus, *(e for row in self.exps for e in row))
+        object.__setattr__(self, "modulus", self.modulus // d)
+        object.__setattr__(self, "exps", tuple(tuple(e // d for e in row) for row in self.exps))
+
+    @cached_property
+    def table(self) -> tuple[tuple[Phase, ...], ...]:
+        return tuple(tuple(Phase.of(e, self.modulus) for e in row) for row in self.exps)
 
     def level(self) -> int:
-        return _table_level(self.table)
+        return self.modulus
 
     def __mul__(self, other: "TwoCocycle") -> "TwoCocycle":
         if other.group is not self.group and other.group != self.group:
             raise CocycleError("cocycle product across different groups")
-        n = self.group.order
-        tab = tuple(tuple(self.table[g][h] * other.table[g][h] for h in range(n)) for g in range(n))
-        return TwoCocycle(self.group, tab)
+        L = lcm(self.modulus, other.modulus)
+        s, t = L // self.modulus, L // other.modulus
+        rows = (tuple((s * a + t * b) % L for a, b in zip(u, v)) for u, v in zip(self.exps, other.exps))
+        return TwoCocycle(self.group, L, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -127,12 +136,12 @@ def make_cocycle(G: FiniteGroup, table: Sequence[Sequence[Phase]]) -> TwoCocycle
     rep = is_two_cocycle(G, table)
     if not rep.ok:
         raise CocycleError(rep.reason, rep.witness)
-    return TwoCocycle(G, tuple(tuple(row) for row in table))
+    L = _table_level(table)
+    return TwoCocycle(G, L, _table_exponents(table, L))
 
 
 def trivial_cocycle(G: FiniteGroup) -> TwoCocycle:
-    one = Phase.one()
-    return TwoCocycle(G, tuple(tuple(one for _ in range(G.order)) for _ in range(G.order)))
+    return TwoCocycle(G, 1, ((0,) * G.order,) * G.order)
 
 
 def coboundary(G: FiniteGroup, beta: Sequence[Phase]) -> TwoCocycle:
@@ -142,10 +151,10 @@ def coboundary(G: FiniteGroup, beta: Sequence[Phase]) -> TwoCocycle:
         raise CocycleError("beta must assign a phase to every element")
     if not vals[0].is_one():
         raise CocycleError("beta(e) must be 1")
-    tab = tuple(
-        tuple(vals[g] * vals[h] / vals[G.mul(g, h)] for h in range(G.order)) for g in range(G.order)
-    )
-    return TwoCocycle(G, tab)
+    L = _table_level([vals])
+    (b,) = _table_exponents([vals], L)
+    rows = (tuple((bg + b[h] - b[gh]) % L for h, gh in enumerate(row)) for bg, row in zip(b, G.mult))
+    return TwoCocycle(G, L, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -159,28 +168,31 @@ class TorsionCocycle:
         return _table_level(self.tau)
 
 
-def discrete_torsion(alpha: TwoCocycle) -> TorsionCocycle:
-    G = alpha.group
-    n = G.order
-    tau = tuple(
-        tuple(alpha.table[g][h] / alpha.table[h][G.conjugate(g, h)] for h in range(n))
-        for g in range(n)
-    )
-    out = TorsionCocycle(G, tau)
-    rep = check_torsion_law(out)
+def _torsion_exponents(alpha: TwoCocycle) -> list[list[int]]:
+    """T(g,h) = a(g,h) - a(h, h^-1 g h) mod L, so tau(g,h) = exp(2 pi i T(g,h)/L) for
+    alpha = exp(2 pi i a/L), L = alpha.modulus; raises if T fails the groupoid law."""
+    G, L, a = alpha.group, alpha.modulus, alpha.exps
+    T = [[(a[g][h] - a[h][G.conjugate(g, h)]) % L for h in range(G.order)] for g in range(G.order)]
+    rep = _torsion_law(G, L, T)
     if not rep.ok:
         raise CocycleError(rep.reason, rep.witness)
-    return out
+    return T
+
+
+def discrete_torsion(alpha: TwoCocycle) -> TorsionCocycle:
+    L = alpha.modulus
+    tau = tuple(tuple(Phase.of(t, L) for t in row) for row in _torsion_exponents(alpha))
+    return TorsionCocycle(alpha.group, tau)
 
 
 def check_torsion_law(t: TorsionCocycle) -> CocycleReport:
-    """Groupoid 1-cocycle law tau(g,hk) = tau(g,h) tau(h^-1 g h, k).
-
-    tau is read once as integers modulo its level L: tau(g,h) = exp(2 pi i T(g,h)/L).
-    """
-    G = t.group
+    """Groupoid 1-cocycle law tau(g,hk) = tau(g,h) tau(h^-1 g h, k)."""
     L = t.level()
-    T = _table_exponents(t.tau, L)
+    return _torsion_law(t.group, L, _table_exponents(t.tau, L))
+
+
+def _torsion_law(G: FiniteGroup, L: int, T: Sequence[Sequence[int]]) -> CocycleReport:
+    """The groupoid law on tau(g,h) = exp(2 pi i T(g,h)/L), read as integers modulo L."""
     for g in range(G.order):
         Tg = T[g]
         for h in range(G.order):
@@ -207,13 +219,9 @@ def restrict_to_centralizer(t: TorsionCocycle, g: int) -> dict[int, Phase]:
 
 def alpha_regular_reps(alpha: TwoCocycle) -> list[int]:
     """Class representatives g with tau(g,-) trivial on C(g)."""
-    t = discrete_torsion(alpha)
+    T = _torsion_exponents(alpha)
     data = conjugacy_classes(alpha.group)
-    out = []
-    for rep, cent in zip(data.reps, data.centralizers):
-        if all(t.tau[rep][h].is_one() for h in cent):
-            out.append(rep)
-    return out
+    return [rep for rep, cent in zip(data.reps, data.centralizers) if not any(T[rep][h] for h in cent)]
 
 
 # JSON interchange -----------------------------------------------------------
@@ -238,11 +246,12 @@ def parse_cocycle(data: str | dict, G: FiniteGroup) -> TwoCocycle:
 
 
 def cocycle_to_json(alpha: TwoCocycle) -> dict:
-    return _table_json(alpha.group, alpha.table)
+    return {"group": alpha.group.name, "denominator": alpha.modulus, "num": [list(row) for row in alpha.exps]}
 
 
 def torsion_to_json(t: TorsionCocycle) -> dict:
-    return _table_json(t.group, t.tau)
+    L = t.level()
+    return {"group": t.group.name, "denominator": L, "num": _table_exponents(t.tau, L)}
 
 
 def catalog_cocycle(G: FiniteGroup, name: str) -> TwoCocycle:

@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .cyclo import Cyclo, _poly_divmod, _poly_inverse_mod, _poly_mul, _poly_sub, _poly_trim, mat_det, mat_solve
 from .groups import FiniteGroup, GSet, conjugacy_classes, fixed_points, point_gset
-from .phases import TwoCocycle, _table_exponents, alpha_regular_reps
+from .phases import TwoCocycle, alpha_regular_reps
 
 
 class SectorError(ValueError):
@@ -148,18 +149,81 @@ class SectorRing:
         zero = Cyclo.zero(self.level)
         return [Cyclo.one(self.level) if j == i else zero for j in range(self.dim)]
 
+    def _scalars(self) -> tuple:
+        """The zero and one of the coefficients the checks run in."""
+        if self.level == 1:
+            return Fraction(0), Fraction(1)
+        return Cyclo.zero(self.level), Cyclo.one(self.level)
+
+    def _generators(self) -> list[int]:
+        """Basis indices S whose right-normed products s_1 (s_2 (... s_r)) span the ring.
+
+        A candidate, non-unit basis elements first in index order, joins S when
+        it lies outside the span W of the products found so far; W is then closed
+        under left multiplication by S.  W is kept as echelon rows by exact
+        elimination in the ring's coefficients, and the search stops at full rank.
+        """
+        table, n = self.table, self.dim
+        zero, one = self._scalars()
+        rows: dict[int, dict] = {}  # pivot -> row of W whose least index is the pivot, with coefficient 1
+
+        def insert(v: dict) -> dict | None:
+            """The new row if v is independent of W, else None."""
+            for p in sorted(rows):
+                if c := v.get(p):
+                    for k, r in rows[p].items():
+                        v[k] = v.get(k, zero) - c * r
+            v = {k: c for k, c in v.items() if c}
+            if not v:
+                return None
+            inv = one / v[min(v)]
+            row = rows[min(v)] = {k: c * inv for k, c in v.items()}
+            return row
+
+        gens: list[int] = []
+        for cand in sorted(range(n), key=lambda i: i in self.unit_coords):
+            if len(rows) == n:
+                break
+            if insert({cand: one}) is None:
+                continue
+            gens.append(cand)
+            todo = list(rows.values())
+            while todo and len(rows) < n:
+                w = todo.pop()
+                for s in gens:
+                    v: dict = {}  # e_s w
+                    for m, c in w.items():
+                        for k, t in table.get((s, m), ()):
+                            v[k] = v.get(k, zero) + c * t
+                    if (row := insert(v)) is not None:
+                        todo.append(row)
+        return gens
+
     def check_associative(self) -> None:
-        """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, each side expanded
-        through the constants: sum_m c_ij^m e_m e_k against sum_m c_jk^m e_i e_m."""
-        S = self.table
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = S.get((i, j), ())
-                for k in range(self.dim):
-                    left = _expand([((m, k), c) for m, c in ij], S)
-                    right = _expand([((i, m), c) for m, c in S.get((j, k), ())], S)
-                    if left != right:
-                        raise SectorError(f"associativity fails at basis triple ({i},{j},{k})")
+        """(e_i e_j) e_k = e_i (e_j e_k) for every basis triple, each side expanded
+        through the constants: sum_m c_ij^m e_m e_k against sum_m c_jk^m e_i e_m.
+
+        Only the triples whose middle index lies in S = _generators() are
+        multiplied out (Light's test).  For a bilinear product the middle nucleus
+        N = {a : (x a) y = x (a y) for all x, y} is a subspace closed under the
+        product: for a, b in N, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
+        The check puts S in N, and the right-normed products of S span the ring,
+        so N is the whole ring.  On a failure the full scan names the
+        lexicographically first failing basis triple, which exists because a
+        failing generator triple is a basis triple.
+        """
+        T, n = self.table, range(self.dim)
+
+        def holds(i: int, j: int, k: int) -> bool:
+            left = _expand([((m, k), c) for m, c in T.get((i, j), ())], T)
+            right = _expand([((i, m), c) for m, c in T.get((j, k), ())], T)
+            return left == right
+
+        if all(holds(i, j, k) for j in self._generators() for i in n for k in n):
+            return
+        for i, j, k in product(n, repeat=3):
+            if not holds(i, j, k):
+                raise SectorError(f"associativity fails at basis triple ({i},{j},{k})")
 
     def check_unit(self) -> None:
         S, unit = self.table, self.unit_coords
@@ -180,10 +244,7 @@ class SectorRing:
 
     def pairing_nondegenerate(self) -> bool:
         """The pairing's determinant is nonzero, computed in the coefficients of the checks."""
-        if self.level == 1:
-            zero, one = Fraction(0), Fraction(1)
-        else:
-            zero, one = Cyclo.zero(self.level), Cyclo.one(self.level)
+        zero, one = self._scalars()
         return bool(mat_det(_pairing(self.dim, self.table, self.trace, zero), zero, one))
 
     def is_commutative(self) -> bool:
@@ -259,11 +320,10 @@ def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
     centrality is exponent arithmetic and each product is a count of terms
     per root of unity, reduced to Q(zeta_N) once per coefficient.
     """
-    N = max(alpha.level(), 1)
+    N, a = alpha.modulus, alpha.exps
     data = conjugacy_classes(G)
     regular = alpha_regular_reps(alpha)
     mul, inv = G.mult, G.inv
-    a = _table_exponents(alpha.table, N)
 
     def conjugation(h: int, x: int) -> int:
         """k with u_h u_x u_h^-1 = zeta_N^k u_(h x h^-1)."""

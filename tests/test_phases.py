@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -8,6 +9,8 @@ from orbistring.phases import (
     CocycleError,
     Phase,
     TorsionCocycle,
+    TwoCocycle,
+    alpha_regular_reps,
     catalog_cocycle,
     check_torsion_law,
     coboundary,
@@ -192,3 +195,75 @@ def test_torsion_law_names_corrupted_triple():
     assert check_torsion_law(tau).ok
     rep = check_torsion_law(_corrupt_tau(tau, 5, 7, Phase.of(1, 4)))
     assert (rep.ok, rep.reason, rep.witness) == (False, "groupoid cocycle law fails", (1, 2, 7))
+
+
+def _oracle_cocycle(base, beta):
+    """Phase tables of base * delta(beta) and of its torsion, by the Phase formulas."""
+    G = base.group
+    n = G.order
+    table = [[base.table[g][h] * (beta[g] * beta[h] / beta[G.mul(g, h)]) for h in range(n)] for g in range(n)]
+    tau = [[table[g][h] / table[h][G.conjugate(g, h)] for h in range(n)] for g in range(n)]
+    return table, tau
+
+
+def test_integer_cocycles_match_phase_oracle():
+    rng = random.Random(14)
+    for name in CATALOG_NAMES:
+        G = catalog_group(name)
+        data = conjugacy_classes(G)
+        bases = [trivial_cocycle(G)] + ([catalog_cocycle(G, "nontrivial")] if name == "Z2xZ2" else [])
+        for base in bases:
+            for _ in range(4):
+                den = rng.randint(2, 48)
+                beta = [Phase.one()] + [Phase.of(rng.randrange(den), den) for _ in range(G.order - 1)]
+                alpha = base * coboundary(G, beta)
+                table, tau = _oracle_cocycle(base, beta)
+                level = lcm(*(p.q.denominator for row in table for p in row))
+                assert alpha.table == tuple(map(tuple, table))
+                assert alpha.level() == level
+                assert cocycle_to_json(alpha) == {
+                    "group": name,
+                    "denominator": level,
+                    "num": [[int(p.q * level) for p in row] for row in table],
+                }
+                assert discrete_torsion(alpha).tau == tuple(map(tuple, tau))
+                regular = [
+                    r for r, cent in zip(data.reps, data.centralizers) if all(tau[r][h].is_one() for h in cent)
+                ]
+                assert alpha_regular_reps(alpha) == regular
+
+
+def test_cocycle_scales_compare_and_hash_equal():
+    rng = random.Random(15)
+    for name in ("Z4", "S3", "Z2xZ2", "Q8"):
+        G = catalog_group(name)
+        beta = [Phase.one()] + [Phase.of(rng.randrange(12), 12) for _ in range(G.order - 1)]
+        alpha = coboundary(G, beta)
+        for scale in (2, 5):
+            again = TwoCocycle(G, scale * alpha.modulus, [[scale * e for e in row] for row in alpha.exps])
+            assert again == alpha and hash(again) == hash(alpha)
+        inverse = coboundary(G, [b.inverse() for b in beta])
+        assert alpha * inverse == trivial_cocycle(G)
+        assert hash(alpha * inverse) == hash(trivial_cocycle(G))
+        assert (alpha * inverse).level() == 1
+
+
+def test_alpha_regular_reps_gates_the_torsion_law():
+    # tables that are no 2-cocycle can break the groupoid law of their torsion
+    rng = random.Random(16)
+    broken = 0
+    for name in ("Z4", "S3", "Z2xZ2", "D4"):
+        G = catalog_group(name)
+        for _ in range(5):
+            exps = [[rng.randrange(6) if g and h else 0 for h in range(G.order)] for g in range(G.order)]
+            alpha = TwoCocycle(G, 6, exps)
+            _, tau = _oracle_cocycle(alpha, [Phase.one()] * G.order)
+            want = check_torsion_law(TorsionCocycle(G, tuple(map(tuple, tau))))
+            if want.ok:
+                continue
+            broken += 1
+            for torsion in (discrete_torsion, alpha_regular_reps):
+                with pytest.raises(CocycleError) as got:
+                    torsion(alpha)
+                assert (str(got.value), got.value.witness) == (want.reason, want.witness)
+    assert broken >= 15

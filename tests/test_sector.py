@@ -607,3 +607,44 @@ def test_check_associative_matches_full_scan_oracle():
                 bad.check_associative()
             assert str(err.value) == want
     assert failing >= 250
+
+
+def _z8_center_16():
+    # Z8 twisted by a coboundary of denominator 16: the ring of e_1's powers
+    Z8 = catalog_group("Z8")
+    beta = [Phase.of(k, 16) for k in (0, 4, 2, 8, 3, 15, 14, 15)]
+    return twisted_center(Z8, trivial_cocycle(Z8) * coboundary(Z8, beta))
+
+
+def test_check_associative_multiplies_generator_triples_only(monkeypatch):
+    ring = _z8_center_16()
+    assert (ring.level, ring.dim, ring._generators()) == (16, 8, [1])
+    calls = []
+
+    def counted(terms, sparse):
+        calls.append(1)
+        return expand(terms, sparse)
+
+    expand = sector._expand
+    monkeypatch.setattr(sector, "_expand", counted)
+    ring.check_associative()
+    assert len(calls) == 2 * 8**2
+
+
+def test_check_associative_catches_triples_off_the_generators():
+    # the corrupted constant's middle index is not a generator; on Z8 neither
+    # is the middle index of the triple the full scan names
+    z8, dw = _z8_center_16(), dw_frobenius(catalog_group("D4"))
+    assert dw._generators() == [1, 2, 4]
+    z = Cyclo.root(16, 1)
+    cases = [
+        (z8, (3, 4, 7), lambda c: c * z, "(1,2,4)"),
+        (z8, (0, 2, 2), lambda c: c * z, "(0,0,2)"),
+        (z8, (5, 6, 3), lambda c: c + 1, "(1,4,6)"),
+        (dw, (1, 3, 0), lambda c: c + 1, "(1,1,2)"),
+    ]
+    for ring, (i, j, k), change, witness in cases:
+        bad = _corrupt_constant(ring, i, j, k, change)
+        assert j not in bad._generators()
+        with pytest.raises(SectorError, match=re.escape(f"associativity fails at basis triple {witness}")):
+            bad.check_associative()
