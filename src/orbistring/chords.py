@@ -20,7 +20,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .groups import _load_json
+from .groups import _json_int, _load_json
 
 
 class DiagramError(ValueError):
@@ -745,13 +745,13 @@ def _ints(entry, k: int, what: str) -> list[int]:
     """The k integers of one JSON coordinate entry; raises ValueError naming it."""
     if len(entry) != k:
         raise ValueError(f"{what} {entry} needs {k} integers, got {len(entry)}")
-    return [int(v) for v in entry]
+    return [_json_int(v, f"{what} {entry}", ValueError) for v in entry]
 
 
 def _diagram_fields(data: dict):
     """(n, chords, marks, interval labels or None) of a diagram JSON object."""
     try:
-        n = int(data["n"])
+        n = _json_int(data["n"], "field 'n'", ValueError)
         chords = [
             (Fraction(xn, xd), Fraction(yn, yd))
             for xn, xd, yn, yd in (_ints(c, 4, "chord") for c in data.get("chords", []))
@@ -759,7 +759,7 @@ def _diagram_fields(data: dict):
         marks = [Fraction(*_ints(m, 2, "mark")) for m in data["marks"]]
         labels = data.get("interval_labels")
         if labels is not None:
-            labels = [int(v) for v in labels]
+            labels = [_json_int(v, "field 'interval_labels'", ValueError) for v in labels]
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
         raise DiagramError("bad-coordinate", f"bad diagram JSON: {e}") from None
     return n, chords, marks, labels
@@ -777,10 +777,12 @@ def parse_cactus(data: str | dict) -> Cactus:
     try:
         perims = tuple(Fraction(*_ints(p, 2, "perimeter")) for p in data["perimeters"])
         joints = tuple(
-            _canonical_joint([(int(lobe), Fraction(*_ints(off, 2, "joint offset"))) for lobe, off in j])
+            _canonical_joint(
+                [(_json_int(lobe, "lobe", ValueError), Fraction(*_ints(off, 2, "joint offset"))) for lobe, off in j]
+            )
             for j in data["joints"]
         )
-        base_lobe = int(data["base_lobe"])
+        base_lobe = _json_int(data["base_lobe"], "field 'base_lobe'", ValueError)
         base_offset = Fraction(*_ints(data["base_offset"], 2, "base_offset"))
         base_on_joint = bool(data.get("base_on_joint", False))
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:

@@ -33,7 +33,7 @@ from .chords import (
     rep_diagram,
     validate_diagram,
 )
-from .groups import FiniteGroup, _load_json
+from .groups import FiniteGroup, _json_int, _load_json
 
 
 class HolonomyError(ValueError):
@@ -159,9 +159,9 @@ def from_gdiagram_json(data, resolve_group) -> GDiagram:
     n, chords, marks, labels = _diagram_fields(data)
     try:
         group = str(data["group"])
-        outer = int(data["outer"])
-        delta = [int(v) for v in data.get("delta", [])]
-        lifts = [int(v) for v in data["lifts"]]
+        outer = _json_int(data["outer"], "field 'outer'", ValueError)
+        delta = [_json_int(v, "field 'delta'", ValueError) for v in data.get("delta", [])]
+        lifts = [_json_int(v, "field 'lifts'", ValueError) for v in data["lifts"]]
     except (KeyError, TypeError, ValueError) as e:
         raise HolonomyError(f"bad decorated diagram JSON: {e}") from None
     return decorate(n, chords, marks, resolve_group(group), outer, delta, lifts, labels)

@@ -289,21 +289,45 @@ def _json_field(data: dict, key: str, read, error):
         raise error(f"bad field {key!r}: {e}") from None
 
 
+def _json_int(value, field: str, error) -> int:
+    """value if it is a JSON integer.  Anything else (a float such as 1.5 or
+    1e400, a bool, a string) raises the domain error error(message) naming the
+    field and the value as JSON."""
+    if type(value) is not int:
+        raise error(f"{field}: expected an integer, got {json.dumps(value, default=repr)}")
+    return value
+
+
+def _json_int_rows(rows, field: str, error) -> list[list[int]]:
+    """A JSON array of arrays of integers, each entry read by _json_int."""
+    return [[_json_int(v, field, error) for v in row] for row in rows]
+
+
 def parse_group(data: str | dict) -> FiniteGroup:
     """Group from JSON: {"name", "mult": [[...]]} or {"name", "perm_gens": [[...]]}."""
     data = _load_json(data, GroupError, "group JSON must be an object")
     name = str(data.get("name", "G"))
     if "mult" in data:
-        g = _json_field(data, "mult", lambda mult: FiniteGroup.from_table(name, mult), GroupError)
+        g = _json_field(
+            data,
+            "mult",
+            lambda mult: FiniteGroup.from_table(name, _json_int_rows(mult, "field 'mult'", GroupError)),
+            GroupError,
+        )
         if "names" in data:  # read after the table, whose errors come first
             g = _json_field(
                 data, "names", lambda names: FiniteGroup.from_table(name, g.mult, names), GroupError
             )
-        if "order" in data and _json_field(data, "order", int, GroupError) != g.order:
+        if "order" in data and _json_int(data["order"], "field 'order'", GroupError) != g.order:
             raise GroupError(f"declared order {data['order']} does not match table size {g.order}")
         return g
     if "perm_gens" in data:
-        return _json_field(data, "perm_gens", lambda gens: group_from_perm_gens(name, gens), GroupError)
+        return _json_field(
+            data,
+            "perm_gens",
+            lambda gens: group_from_perm_gens(name, _json_int_rows(gens, "field 'perm_gens'", GroupError)),
+            GroupError,
+        )
     raise GroupError("group JSON needs 'mult' or 'perm_gens'")
 
 
@@ -320,8 +344,10 @@ def parse_gset(data: str | dict, resolve_group=None) -> GSet:
             G = resolve_group(gspec)
     else:
         raise GroupError("G-set JSON needs a 'group' (name or inline)")
-    X = _json_field(data, "act", lambda act: GSet.from_table(G, act), GroupError)
-    if "size" in data and _json_field(data, "size", int, GroupError) != X.size:
+    X = _json_field(
+        data, "act", lambda act: GSet.from_table(G, _json_int_rows(act, "field 'act'", GroupError)), GroupError
+    )
+    if "size" in data and _json_int(data["size"], "field 'size'", GroupError) != X.size:
         raise GroupError(f"declared size {data['size']} does not match table")
     return X
 

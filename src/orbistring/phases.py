@@ -8,7 +8,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence
 
-from .groups import FiniteGroup, _json_field, _load_json, conjugacy_classes
+from .groups import FiniteGroup, _json_field, _json_int, _json_int_rows, _load_json, conjugacy_classes
 
 
 class CocycleError(ValueError):
@@ -233,14 +233,14 @@ def parse_cocycle(data: str | dict, G: FiniteGroup) -> TwoCocycle:
     data = _load_json(data, CocycleError, need)
     if "denominator" not in data or "num" not in data:
         raise CocycleError(need)
-    den = _json_field(data, "denominator", int, CocycleError)
+    den = _json_int(data["denominator"], "field 'denominator'", CocycleError)
     if den < 1:
         raise CocycleError("denominator must be positive")
 
     def phases(num) -> list[list[Phase]]:
         if len(num) != G.order or any(len(r) != G.order for r in num):
             raise CocycleError(f"num must be {G.order}x{G.order}")
-        return [[Phase.of(int(num[g][h]), den) for h in range(G.order)] for g in range(G.order)]
+        return [[Phase.of(k, den) for k in row] for row in _json_int_rows(num, "field 'num'", CocycleError)]
 
     return make_cocycle(G, _json_field(data, "num", phases, CocycleError))
 

@@ -351,3 +351,52 @@ def test_seed_only_on_seeded_verbs(capsys):
     assert "unrecognized arguments: --seed 1" in err
     code, out, _ = run(capsys, "morita", "--left", "coset:S3:Z3", "--right", "point:Z3", "--seed", "1")
     assert code == 0 and json.loads(out)["isomorphic"] is True
+
+
+def test_json_integer_fields_reject_non_integers(capsys, tmp_path):
+    # 1e400 used to end in an OverflowError traceback; 1.5, 2.7 and true used
+    # to be read as 1, 2 and 1
+    group = tmp_path / "g.json"
+    group.write_text('{"name": "G", "mult": [[0, 1], [1, 0.0]]}')
+    perms = tmp_path / "p.json"
+    perms.write_text('{"name": "G", "perm_gens": [[1.5, 0]]}')
+    diagram = '{"n": 2, "chords": [[1, 4, 3, 4]], "marks": [[1, 2], [0, 1]]'
+    cactus = '{"perimeters": [[1, 2], [1, 2]], "joints": [[[1, [0, 1]], [2, [0, 1]]]], "base_offset": [1, 4]'
+    lifted = '{"n": 1, "chords": [], "marks": [[0, 1]], "group": "Z2", "delta": []'
+    cases = [
+        (["torsion", "--group", "Z2", "--cocycle", '{"denominator": 2, "num": [[0,0],[0,1e400]]}'],
+         "CocycleError", "field 'num': expected an integer, got Infinity"),
+        (["torsion", "--group", "Z2", "--cocycle", '{"denominator": 2.7, "num": [[0,0],[0,1]]}'],
+         "CocycleError", "field 'denominator': expected an integer, got 2.7"),
+        (["torsion", "--group", "Z2", "--cocycle", '{"denominator": 2, "num": [[0,0],[0,1.5]]}'],
+         "CocycleError", "got 1.5"),
+        (["twisted-center", "--group", "Z2", "--cocycle", '{"denominator": true, "num": [[0,0],[0,0]]}'],
+         "CocycleError", "field 'denominator': expected an integer, got true"),
+        (["string-ring", "--gset", '{"group": "Z2", "act": [[0,1],[1,1e400]]}'],
+         "GroupError", "field 'act': expected an integer, got Infinity"),
+        (["string-ring", "--gset", '{"group": "Z2", "size": 1e400, "act": [[0,1],[1,0]]}'],
+         "GroupError", "field 'size': expected an integer, got Infinity"),
+        (["string-ring", "--gset", '{"group": "Z2", "size": 2.0, "act": [[0,1],[1,0]]}'],
+         "GroupError", "field 'size': expected an integer, got 2.0"),
+        (["group", "--group", str(group)], "GroupError", "field 'mult': expected an integer, got 0.0"),
+        (["group", "--group", str(perms)], "GroupError", "field 'perm_gens': expected an integer, got 1.5"),
+        (["validate", "--diagram", '{"n": 2, "chords": [[1,4,3,4]], "marks": [[1,2],[0,1e400]]}'],
+         "DiagramError", "mark [0, inf]: expected an integer, got Infinity"),
+        (["validate", "--diagram", '{"n": 2.5, "chords": [[1,4,3,4]], "marks": [[1,2],[0,1]]}'],
+         "DiagramError", "field 'n': expected an integer, got 2.5"),
+        (["validate", "--diagram", diagram + ', "interval_labels": [1, true]}'],
+         "DiagramError", "field 'interval_labels': expected an integer, got true"),
+        (["uncactus", "--cactus", cactus + ', "base_lobe": true}'],
+         "CactusError", "field 'base_lobe': expected an integer, got true"),
+        (["uncactus", "--cactus", cactus.replace("[[1, [0, 1]]", "[[1.0, [0, 1]]") + ', "base_lobe": 1}'],
+         "CactusError", "lobe: expected an integer, got 1.0"),
+        (["ih", "--gdiagram", lifted + ', "outer": 1e400, "lifts": [0]}'],
+         "HolonomyError", "field 'outer': expected an integer, got Infinity"),
+        (["ih", "--gdiagram", lifted + ', "outer": 0, "lifts": [true]}'],
+         "HolonomyError", "field 'lifts': expected an integer, got true"),
+    ]
+    for argv, kind, named in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        blob = json.loads(err)
+        assert blob["kind"] == kind and named in blob["error"], argv
