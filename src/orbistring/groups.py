@@ -290,17 +290,17 @@ def _json_field(data: dict, key: str, read, error):
 
 
 def _json_int(value, field: str, error) -> int:
-    """value if it is a JSON integer.  Anything else (a float such as 1.5 or
-    1e400, a bool, a string) raises the domain error error(message) naming the
-    field and the value as JSON."""
+    """value if it is a JSON integer; anything else (1.5, 1e400, true, "1") raises
+    the domain error error(message) naming the field and the value as JSON."""
     if type(value) is not int:
         raise error(f"{field}: expected an integer, got {json.dumps(value, default=repr)}")
     return value
 
 
-def _json_int_rows(rows, field: str, error) -> list[list[int]]:
-    """A JSON array of arrays of integers, each entry read by _json_int."""
-    return [[_json_int(v, field, error) for v in row] for row in rows]
+def _json_int_table(data: dict, key: str, error) -> list[list[int]]:
+    """data[key], an array of arrays of JSON integers, read by _json_field and _json_int."""
+    field = f"field {key!r}"
+    return _json_field(data, key, lambda rows: [[_json_int(v, field, error) for v in row] for row in rows], error)
 
 
 def parse_group(data: str | dict) -> FiniteGroup:
@@ -308,12 +308,7 @@ def parse_group(data: str | dict) -> FiniteGroup:
     data = _load_json(data, GroupError, "group JSON must be an object")
     name = str(data.get("name", "G"))
     if "mult" in data:
-        g = _json_field(
-            data,
-            "mult",
-            lambda mult: FiniteGroup.from_table(name, _json_int_rows(mult, "field 'mult'", GroupError)),
-            GroupError,
-        )
+        g = FiniteGroup.from_table(name, _json_int_table(data, "mult", GroupError))
         if "names" in data:  # read after the table, whose errors come first
             g = _json_field(
                 data, "names", lambda names: FiniteGroup.from_table(name, g.mult, names), GroupError
@@ -322,12 +317,7 @@ def parse_group(data: str | dict) -> FiniteGroup:
             raise GroupError(f"declared order {data['order']} does not match table size {g.order}")
         return g
     if "perm_gens" in data:
-        return _json_field(
-            data,
-            "perm_gens",
-            lambda gens: group_from_perm_gens(name, _json_int_rows(gens, "field 'perm_gens'", GroupError)),
-            GroupError,
-        )
+        return group_from_perm_gens(name, _json_int_table(data, "perm_gens", GroupError))
     raise GroupError("group JSON needs 'mult' or 'perm_gens'")
 
 
@@ -344,9 +334,7 @@ def parse_gset(data: str | dict, resolve_group=None) -> GSet:
             G = resolve_group(gspec)
     else:
         raise GroupError("G-set JSON needs a 'group' (name or inline)")
-    X = _json_field(
-        data, "act", lambda act: GSet.from_table(G, _json_int_rows(act, "field 'act'", GroupError)), GroupError
-    )
+    X = GSet.from_table(G, _json_int_table(data, "act", GroupError))
     if "size" in data and _json_int(data["size"], "field 'size'", GroupError) != X.size:
         raise GroupError(f"declared size {data['size']} does not match table")
     return X

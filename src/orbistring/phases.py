@@ -8,7 +8,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence
 
-from .groups import FiniteGroup, _json_field, _json_int, _json_int_rows, _load_json, conjugacy_classes
+from .groups import FiniteGroup, _json_int, _json_int_table, _load_json, conjugacy_classes
 
 
 class CocycleError(ValueError):
@@ -180,8 +180,7 @@ def _torsion_exponents(alpha: TwoCocycle) -> list[list[int]]:
 
 
 def discrete_torsion(alpha: TwoCocycle) -> TorsionCocycle:
-    L = alpha.modulus
-    tau = tuple(tuple(Phase.of(t, L) for t in row) for row in _torsion_exponents(alpha))
+    tau = tuple(tuple(Phase.of(t, alpha.modulus) for t in row) for row in _torsion_exponents(alpha))
     return TorsionCocycle(alpha.group, tau)
 
 
@@ -236,13 +235,10 @@ def parse_cocycle(data: str | dict, G: FiniteGroup) -> TwoCocycle:
     den = _json_int(data["denominator"], "field 'denominator'", CocycleError)
     if den < 1:
         raise CocycleError("denominator must be positive")
-
-    def phases(num) -> list[list[Phase]]:
-        if len(num) != G.order or any(len(r) != G.order for r in num):
-            raise CocycleError(f"num must be {G.order}x{G.order}")
-        return [[Phase.of(k, den) for k in row] for row in _json_int_rows(num, "field 'num'", CocycleError)]
-
-    return make_cocycle(G, _json_field(data, "num", phases, CocycleError))
+    num = _json_int_table(data, "num", CocycleError)
+    if len(num) != G.order or any(len(r) != G.order for r in num):
+        raise CocycleError(f"num must be {G.order}x{G.order}")
+    return make_cocycle(G, [[Phase.of(k, den) for k in row] for row in num])
 
 
 def cocycle_to_json(alpha: TwoCocycle) -> dict:

@@ -167,24 +167,23 @@ class SectorRing:
         zero, one = self._scalars()
         rows: dict[int, dict] = {}  # pivot -> row of W whose least index is the pivot, with coefficient 1
 
-        def insert(v: dict) -> dict | None:
-            """The new row if v is independent of W, else None."""
+        def insert(v: dict) -> dict:
+            """Reduce v against W; what is left, if anything, becomes a new row."""
             for p in sorted(rows):
                 if c := v.get(p):
                     for k, r in rows[p].items():
                         v[k] = v.get(k, zero) - c * r
             v = {k: c for k, c in v.items() if c}
-            if not v:
-                return None
-            inv = one / v[min(v)]
-            row = rows[min(v)] = {k: c * inv for k, c in v.items()}
-            return row
+            if v:
+                inv = one / v[min(v)]
+                rows[min(v)] = v = {k: c * inv for k, c in v.items()}
+            return v
 
         gens: list[int] = []
         for cand in sorted(range(n), key=lambda i: i in self.unit_coords):
             if len(rows) == n:
                 break
-            if insert({cand: one}) is None:
+            if not insert({cand: one}):
                 continue
             gens.append(cand)
             todo = list(rows.values())
@@ -195,7 +194,7 @@ class SectorRing:
                     for m, c in w.items():
                         for k, t in table.get((s, m), ()):
                             v[k] = v.get(k, zero) + c * t
-                    if (row := insert(v)) is not None:
+                    if row := insert(v):
                         todo.append(row)
         return gens
 
