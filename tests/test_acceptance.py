@@ -18,7 +18,10 @@ SEED = 42
 LIMITS = {
     "criterion-01 dijkgraaf-witten-point": 5.0,
     "criterion-02 discrete-torsion": 5.0,
-    "criterion-03 cohomology-invariance": 20.0,
+    # crit03 ran in 1.8-1.9 s in-process on a 2-CPU VM once associativity was
+    # checked on generator triples and cocycles held integer exponents (3.6-3.7 s
+    # before); 10 s leaves room for the 2x host slowdown (perfbench/README.md)
+    "criterion-03 cohomology-invariance": 10.0,
     "criterion-04 morita-invariance": 30.0,
     # crit05 ran in 2.9-3.0 s in-process on a 2-CPU VM once diagrams were validated
     # on integer ticks; 15 s leaves room for the 2x host slowdown (perfbench/README.md)
