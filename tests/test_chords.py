@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,80 @@ def _region_digest_lines():
             [[str(v) for v in g] for g in d.clusters],
             [str(d.perimeter(lab)) for lab in range(1, d.n + 1)],
         ]
+
+
+def _placement_oracle(chords, marks):
+    """(kind, arc labels) of validating a non-crossing chord set, by brute force.
+
+    Two arcs between consecutive vertices lie in one region when no chord
+    separates them; regions are ranked by their least arc start.  A mark inside
+    an arc may go only to that arc's region, a mark on a vertex to any region
+    with an arc starting in the vertex's cluster.  Every assignment of marks to
+    regions is tried in lexicographic order of the ranks, and the first that
+    fits labels each region by its mark."""
+    comp = {v: {v} for c in chords for v in c}
+    for x, y in chords:
+        if y in comp[x]:
+            return "cycle", None
+        merged = comp[x] | comp[y]
+        comp.update(dict.fromkeys(merged, merged))
+    verts = sorted(comp)
+    if not verts:
+        return None, ()
+    arcs = [(a, (b - a) % 1 or 1) for a, b in zip(verts, verts[1:] + verts[:1])]
+    sides = [tuple(min(c) < (a + w / 2) % 1 < max(c) for c in chords) for a, w in arcs]
+    ranked = sorted(set(sides), key=lambda s: min(a for (a, _), t in zip(arcs, sides) if t == s))
+    region = [ranked.index(s) for s in sides]
+
+    def candidates(z):
+        if z in comp:
+            return {r for (a, _), r in zip(arcs, region) if a in comp[z]}
+        return {region[max((i for i, v in enumerate(verts) if v < z), default=len(verts) - 1)]}
+
+    cand = [candidates(z) for z in marks]
+    for ranks in permutations(range(len(marks))):
+        if all(r in c for r, c in zip(ranks, cand)):
+            label = {r: i + 1 for i, r in enumerate(ranks)}
+            return None, tuple(label[r] for r in region)
+    return "mark-off-region", None
+
+
+def test_mark_placement_matches_permutation_oracle():
+    # random forests of up to 4 chords on twelfths, with adjacent vertices
+    # merged so clusters grow, and half the marks put on a chord vertex
+    rng = random.Random(1515)
+    seen = {"placed": 0, "mark-off-region": 0, "cycle": 0, "ambiguous": 0}
+    for _ in range(1500):
+        m = rng.randint(0, 4)
+        coords = sorted(F(k, 12) for k in rng.sample(range(12), 2 * m))
+        chords = [(coords[a], coords[b]) for a, b in _random_noncrossing_matching(rng, m)]
+        for _ in range(rng.randint(0, 2) if m > 1 else 0):
+            verts = sorted({v for c in chords for v in c})
+            i = rng.randrange(len(verts) - 1)
+            merged = [tuple(verts[i] if v == verts[i + 1] else v for v in c) for c in chords]
+            if all(x != y for x, y in merged):
+                chords = merged
+        verts = sorted({v for c in chords for v in c})
+        marks = []
+        for _ in range(m + 1):
+            if not verts:
+                marks.append(F(rng.randrange(12), 12))
+            elif rng.random() < 0.5:
+                marks.append(rng.choice(verts))
+            else:
+                a = rng.choice(verts)
+                b = min((v for v in verts if v > a), default=verts[0] + 1)
+                marks.append((a + b) / 2 % 1)
+        kind, labels = _placement_oracle(chords, marks)
+        seen["ambiguous"] += kind is None and any(z in verts for z in marks)
+        seen[kind or "placed"] += 1
+        if kind is None:
+            assert validate_diagram(m + 1, chords, marks).arc_labels == labels, (chords, marks)
+            continue
+        with pytest.raises(DiagramError) as exc:
+            validate_diagram(m + 1, chords, marks)
+        assert exc.value.kind == kind, (chords, marks)
+    assert min(seen["placed"], seen["mark-off-region"], seen["ambiguous"]) >= 400 and seen["cycle"] >= 30, seen
 
 
 def test_region_digest():
