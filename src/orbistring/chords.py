@@ -2,8 +2,10 @@
 
 Coordinates are exact rationals in [0,1) with the initial marked point at 0.
 Chords are non-crossing, may share endpoints, and their endpoint graph must be
-a forest; the disc then falls into n regions for n-1 chords.  Validation
-checks this on integer ticks modulo L, the lcm of the endpoint denominators.
+a forest; the disc then falls into n regions for n-1 chords.  Diagrams,
+classes and region walks hold each coordinate as an integer tick t of t/L, one
+scale L per object, so everything runs on ints; Fractions appear only in the
+readers, the Fraction views, to_json, regions_report and the cactus.
 Classes are quotients by chord relabeling and flips, by moving marks within a
 cluster (the vertex set of one tree), and by forgetting tree shapes: only the
 cluster partition and the interval labeling survive, which is exactly the data
@@ -16,7 +18,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import pairwise
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -32,24 +35,33 @@ class DiagramError(ValueError):
         self.witness = witness
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x % 1
+def _tick(v: Fraction, L: int) -> int:
+    """The tick of the point v on a scale L that its denominator divides."""
+    return v.numerator * (L // v.denominator)
 
 
-def _ccw(a: Fraction, b: Fraction) -> Fraction:
-    """Arc length from a counterclockwise to b."""
-    return (b - a) % 1
+class _Ticks:
+    """Fraction views of the mark and cluster ticks of a Diagram or an MDClass."""
+
+    @property
+    def marks(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(z, self.L) for z in self.mark_ticks)
+
+    @property
+    def clusters(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(v, self.L) for v in grp) for grp in self.cluster_ticks)
 
 
 @dataclass(frozen=True)
-class Diagram:
+class Diagram(_Ticks):
     """A validated marked labeled chord diagram with its region decomposition."""
 
     n: int
-    chords: tuple[tuple[Fraction, Fraction], ...]
-    marks: tuple[Fraction, ...]
-    vertices: tuple[Fraction, ...]
-    clusters: tuple[tuple[Fraction, ...], ...]
+    L: int
+    chord_ticks: tuple[tuple[int, int], ...]
+    mark_ticks: tuple[int, ...]
+    vertices: tuple[int, ...]
+    cluster_ticks: tuple[tuple[int, ...], ...]
     # per region (index = label-1): cyclic unit list, each unit either
     # ("seg", start, length) or ("pass", cluster_index, arrival, departure)
     regions: tuple[tuple[tuple, ...], ...]
@@ -60,14 +72,12 @@ class Diagram:
             raise DiagramError("arity", f"region label {label} out of range 1..{self.n}", label)
         return self.regions[label - 1]
 
-    def perimeter(self, label: int) -> Fraction:
-        return sum((u[2] for u in self.region(label) if u[0] == "seg"), Fraction(0))
+    @property
+    def chords(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(x, self.L), Fraction(y, self.L)) for x, y in self.chord_ticks)
 
-    def cluster_of(self, v: Fraction) -> int:
-        for i, c in enumerate(self.clusters):
-            if v in c:
-                return i
-        raise KeyError(v)
+    def perimeter(self, label: int) -> Fraction:
+        return Fraction(sum(u[2] for u in self.region(label) if u[0] == "seg"), self.L)
 
 
 def _crosses(spans: Sequence[tuple[int, int]]) -> bool:
@@ -119,12 +129,12 @@ def _clusters(chords: Sequence[tuple[int, int]]) -> list[list[int]]:
 
 
 def _face_units(
-    vertices: Sequence[int], clusters: Sequence[Sequence[int]], frac: dict[int, Fraction], L: int
+    vertices: Sequence[int], clusters: Sequence[Sequence[int]], L: int
 ) -> tuple[list[list[tuple]], tuple[int, ...]]:
     """Region boundaries as cyclic unit lists, and the region of each arc.
 
-    Vertices and clusters are ticks modulo L; units carry coordinates frac[tick]
-    and Fraction lengths.  The arc starting at vertices[i] ends at
+    Vertices, clusters and the units' coordinates and lengths are ticks modulo
+    L.  The arc starting at vertices[i] ends at
     w = vertices[i+1], where the region passes through the cluster of w to the
     cyclic predecessor of w in that sorted cluster and continues along the arc
     starting there.  For non-crossing chords the cycles of this arc
@@ -147,13 +157,13 @@ def _face_units(
             w = vertices[(i + 1) % V]
             ci, depart = back[w]
             v = vertices[i]
-            units += [("seg", frac[v], Fraction((w - v) % L, L)), ("pass", ci, frac[w], frac[depart])]
+            units += [("seg", v, (w - v) % L), ("pass", ci, w, depart)]
             i = vidx[depart]
         faces.append(units)
     return faces, tuple(arc_face)
 
 
-def _arc_of_point(vertices: Sequence[Fraction], z: Fraction) -> int:
+def _arc_of_point(vertices: Sequence[int], z: int) -> int:
     """Index i of the arc starting at vertices[i] that strictly contains the
     non-vertex point z; vertices must be sorted and non-empty."""
     return (bisect_right(vertices, z) - 1) % len(vertices)
@@ -163,80 +173,54 @@ def _arc_of_point(vertices: Sequence[Fraction], z: Fraction) -> int:
 class _Decomposition:
     """Checked chords with their clusters and unlabeled region boundaries."""
 
-    chords: tuple[tuple[Fraction, Fraction], ...]
-    clusters: list[list[Fraction]]
-    cluster_index: dict[Fraction, int]
-    vertices: tuple[Fraction, ...]
+    L: int
+    chords: tuple[tuple[int, int], ...]
+    clusters: list[list[int]]
+    vertices: tuple[int, ...]
     faces: list[list[tuple]]
     arc_face: tuple[int, ...]  # face holding the arc that starts at vertices[i]
 
-    def face_of_point(self, z: Fraction) -> int:
+    def face_of_point(self, z: int) -> int:
         return self.arc_face[_arc_of_point(self.vertices, z)] if self.vertices else 0
 
 
-def _decompose(n: int, chords: Iterable[Sequence[Fraction]]) -> _Decomposition:
-    """First validation step: coordinates, arity, crossings, clusters, regions.
-
-    After the coordinate checks every step runs on integer ticks x·L, L the lcm
-    of the endpoint denominators; the result maps them back to coordinates."""
-    if n < 1:
-        raise DiagramError("bad-coordinate", "n must be at least 1", n)
-    cl = []
-    for c in chords:
-        if len(c) != 2:
-            raise DiagramError("bad-coordinate", "chord needs two endpoints", tuple(c))
-        x, y = _mod1(Fraction(c[0])), _mod1(Fraction(c[1]))
-        if x == y:
-            raise DiagramError("bad-coordinate", "chord endpoints coincide", (x, y))
-        cl.append((x, y))
-    if len(cl) != n - 1:
-        raise DiagramError("arity", f"{n} regions need {n - 1} chords, got {len(cl)}", len(cl))
-
-    L = lcm(*(v.denominator for c in cl for v in c))
-    frac = {v.numerator * (L // v.denominator): v for c in cl for v in c}  # tick -> coordinate
-    spans = [tuple(sorted(v.numerator * (L // v.denominator) for v in c)) for c in cl]
+def _decompose(n: int, L: int, chords: Sequence[tuple[int, int]]) -> _Decomposition:
+    """First validation step: arity, crossings, clusters, regions of chords given
+    as tick pairs modulo L with distinct ends."""
+    if len(chords) != n - 1:
+        raise DiagramError("arity", f"{n} regions need {n - 1} chords, got {len(chords)}", len(chords))
+    spans = [tuple(sorted(c)) for c in chords]
     if _crosses(spans):
         _check_crossings(spans)
         raise DiagramError("crossing", "chords cross, but the pairwise scan names no pair")
     clusters = _clusters(spans)
-    vertices = sorted(frac)
+    vertices = tuple(sorted(v for grp in clusters for v in grp))
 
     if not vertices:
-        faces, arc_face = [[("seg", Fraction(0), Fraction(1))]], ()
+        faces, arc_face = [[("seg", 0, L)]], ()
     else:
-        faces, arc_face = _face_units(vertices, clusters, frac, L)
+        faces, arc_face = _face_units(vertices, clusters, L)
     if len(faces) != n:
         raise DiagramError("zero-measure", f"expected {n} regions, found {len(faces)}", len(faces))
-    clusters = [[frac[v] for v in grp] for grp in clusters]
-    cluster_index = {v: ci for ci, grp in enumerate(clusters) for v in grp}
-    vertices = tuple(frac[v] for v in vertices)
-    return _Decomposition(tuple(cl), clusters, cluster_index, vertices, faces, arc_face)
+    return _Decomposition(L, tuple(chords), clusters, vertices, faces, arc_face)
 
 
-def _label(dec: _Decomposition, marks: Sequence[Fraction], forced_arc_labels=None) -> Diagram:
+def _label(dec: _Decomposition, marks: Sequence[int], forced_arc_labels=None) -> Diagram:
     """Second validation step: number the regions by the marks they carry.
 
-    marks must already be reduced mod 1, one per region.
+    marks are ticks modulo dec.L, one per region.
     """
-    faces, vertices, cluster_index = dec.faces, dec.vertices, dec.cluster_index
+    faces, vertices = dec.faces, dec.vertices
     n = len(faces)
 
-    # face ordering key for deterministic matching
-    def face_key(units):
-        return min(u[1] for u in units if u[0] == "seg")
+    # faces ordered by their least arc start, for deterministic matching
+    order = sorted(range(n), key=lambda f: min(u[1] for u in faces[f] if u[0] == "seg"))
+    touched = [{u[1] for u in units if u[0] == "pass"} for units in faces]
+    cluster_at = {u[2]: u[1] for units in faces for u in units if u[0] == "pass"}  # vertex -> its cluster
 
-    order = sorted(range(n), key=lambda f: face_key(faces[f]))
-    touched = []
-    for units in faces:
-        t = set()
-        for u in units:
-            if u[0] == "pass":
-                t.add(u[1])
-        touched.append(t)
-
-    def candidates(z: Fraction) -> list[int]:
-        if z in cluster_index:
-            ci = cluster_index[z]
+    def candidates(z: int) -> list[int]:
+        if z in cluster_at:
+            ci = cluster_at[z]
             return [f for f in order if ci in touched[f]]
         return [dec.face_of_point(z)]
 
@@ -286,6 +270,7 @@ def _label(dec: _Decomposition, marks: Sequence[Fraction], forced_arc_labels=Non
     arc_labels = tuple(label_of_face[f] for f in dec.arc_face)
     return Diagram(
         n,
+        dec.L,
         dec.chords,
         tuple(marks),
         vertices,
@@ -308,10 +293,22 @@ def validate_diagram(
     touch the cluster; the lexicographically least perfect matching is used.
     Canonical-class input carries explicit interval labels instead.
     """
-    ml = [_mod1(Fraction(z)) for z in marks]
+    ml = [Fraction(z) % 1 for z in marks]
     if len(ml) != n:
         raise DiagramError("arity", f"{n} regions need {n} marks, got {len(ml)}", len(ml))
-    return _label(_decompose(n, chords), ml, forced_arc_labels)
+    if n < 1:
+        raise DiagramError("bad-coordinate", "n must be at least 1", n)
+    cl = []
+    for c in chords:
+        if len(c) != 2:
+            raise DiagramError("bad-coordinate", "chord needs two endpoints", tuple(c))
+        x, y = Fraction(c[0]) % 1, Fraction(c[1]) % 1
+        if x == y:
+            raise DiagramError("bad-coordinate", "chord endpoints coincide", (x, y))
+        cl.append((x, y))
+    L = lcm(*(v.denominator for v in ml), *(v.denominator for c in cl for v in c))
+    dec = _decompose(n, L, [(_tick(x, L), _tick(y, L)) for x, y in cl])
+    return _label(dec, [_tick(z, L) for z in ml], forced_arc_labels)
 
 
 def regions_report(d: Diagram) -> list[dict]:
@@ -321,9 +318,9 @@ def regions_report(d: Diagram) -> list[dict]:
         loop = []
         for u in d.regions[lab - 1]:
             if u[0] == "seg":
-                loop.append({"arc": [str(u[1]), str(u[2])]})
+                loop.append({"arc": [str(Fraction(u[1], d.L)), str(Fraction(u[2], d.L))]})
             else:
-                loop.append({"pass": [str(u[2]), str(u[3])]})
+                loop.append({"pass": [str(Fraction(u[2], d.L)), str(Fraction(u[3], d.L))]})
         out.append({"label": lab, "perimeter": str(d.perimeter(lab)), "loop": loop})
     return out
 
@@ -332,26 +329,26 @@ def regions_report(d: Diagram) -> list[dict]:
 
 
 @dataclass(frozen=True)
-class MDClass:
+class MDClass(_Ticks):
     """Canonical representative of a marked chord diagram class.
 
     Only the data surviving the quotients is kept: cluster partition of the
     chord endpoints, interval labels, and the marks (marks on a cluster are
-    normalized to its least coordinate).
+    normalized to its least coordinate), on the least scale L.
     """
 
     n: int
-    marks: tuple[Fraction, ...]
-    clusters: tuple[tuple[Fraction, ...], ...]
+    L: int
+    mark_ticks: tuple[int, ...]
+    cluster_ticks: tuple[tuple[int, ...], ...]
     arc_labels: tuple[int, ...]
 
+    def rep_ticks(self) -> tuple[tuple[int, int], ...]:
+        """Path-tree representative chords on ticks, sorted."""
+        return tuple(sorted((a, b) for grp in self.cluster_ticks for a, b in zip(grp, grp[1:])))
+
     def rep_chords(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Path-tree representative chords, sorted."""
-        out = []
-        for grp in self.clusters:
-            for a, b in zip(grp, grp[1:]):
-                out.append((a, b))
-        return tuple(sorted(out))
+        return tuple((Fraction(a, self.L), Fraction(b, self.L)) for a, b in self.rep_ticks())
 
     def perimeter(self, label: int) -> Fraction:
         return rep_diagram(self).perimeter(label)
@@ -371,13 +368,15 @@ class MDClass:
 
 @lru_cache(maxsize=4096)
 def rep_diagram(md: MDClass) -> Diagram:
-    return validate_diagram(md.n, md.rep_chords(), md.marks, forced_arc_labels=md.arc_labels)
+    return _label(_decompose(md.n, md.L, md.rep_ticks()), md.mark_ticks, md.arc_labels)
 
 
 def canonical_md(d: Diagram) -> MDClass:
-    cluster_min = {v: grp[0] for grp in d.clusters for v in grp}
-    marks = tuple(cluster_min.get(z, z) for z in d.marks)
-    return MDClass(d.n, marks, d.clusters, d.arc_labels)
+    cluster_min = {v: grp[0] for grp in d.cluster_ticks for v in grp}
+    g = gcd(d.L, *d.mark_ticks, *cluster_min)  # so equal classes have equal ticks
+    marks = tuple(cluster_min.get(z, z) // g for z in d.mark_ticks)
+    clusters = tuple(tuple(v // g for v in grp) for grp in d.cluster_ticks)
+    return MDClass(d.n, d.L // g, marks, clusters, d.arc_labels)
 
 
 def md_from_data(n, chords, marks, arc_labels=None) -> MDClass:
@@ -385,7 +384,7 @@ def md_from_data(n, chords, marks, arc_labels=None) -> MDClass:
 
 
 def identity_md() -> MDClass:
-    return MDClass(1, (Fraction(0),), (), ())
+    return MDClass(1, 1, (0,), (), ())
 
 
 def relabel(md: MDClass, perm: Sequence[int]) -> MDClass:
@@ -393,10 +392,10 @@ def relabel(md: MDClass, perm: Sequence[int]) -> MDClass:
     if sorted(perm) != list(range(md.n)):
         raise DiagramError("arity", "not a permutation of the labels", tuple(perm))
     marks = [None] * md.n
-    for old, z in enumerate(md.marks):
+    for old, z in enumerate(md.mark_ticks):
         marks[perm[old]] = z
     labels = tuple(perm[lab - 1] + 1 for lab in md.arc_labels)
-    return MDClass(md.n, tuple(marks), md.clusters, labels)
+    return MDClass(md.n, md.L, tuple(marks), md.cluster_ticks, labels)
 
 
 # region walks ---------------------------------------------------------------
@@ -408,50 +407,58 @@ class WalkTape:
 
     Each step is (position, unit): the position is the arc length walked
     before the unit, which is ("seg", start, length) or ("pass", cluster,
-    arrival, departure).  A mark on a cluster sits on the first step,
-    the passage the walk starts on.  At a passage's position, locate stops
-    at its arrival vertex, before the passage, and so does a fibre transport
-    along the walk of a decorated diagram.
+    arrival, departure), all in ticks.  A mark on a cluster sits on the first
+    step, the passage the walk starts on.  At a passage's position, locate
+    stops at its arrival vertex, before the passage, and so does a fibre
+    transport along the walk of a decorated diagram.
     """
 
     label: int
-    total: Fraction
-    steps: tuple[tuple[Fraction, tuple], ...]
+    L: int
+    total: int
+    steps: tuple[tuple[int, tuple], ...]
 
-    def check(self, s: Fraction) -> None:
+    def check(self, s: int) -> None:
         if not 0 <= s < self.total:
             raise DiagramError("bad-coordinate", "walk position out of range", s)
+
+    def scaled(self, k: int) -> "WalkTape":
+        """The same walk on ticks modulo k·L."""
+        steps = tuple(
+            (p * k, ("seg", u[1] * k, u[2] * k) if u[0] == "seg" else ("pass", u[1], u[2] * k, u[3] * k))
+            for p, u in self.steps
+        )
+        return WalkTape(self.label, self.L * k, self.total * k, steps)
 
 
 def region_walk(md: MDClass, label: int) -> WalkTape:
     d = rep_diagram(md)
     units = d.region(label)
-    z = md.marks[label - 1]
+    z = md.mark_ticks[label - 1]
     if not d.vertices:
-        units = (("seg", z, Fraction(1)),)
+        units = (("seg", z, d.L),)
     elif z in d.vertices:
-        ci = d.cluster_of(z)
-        k = next((k for k, u in enumerate(units) if u[0] == "pass" and u[1] == ci), None)
+        k = next((k for k, u in enumerate(units) if u[0] == "pass" and z in d.cluster_ticks[u[1]]), None)
         if k is None:
             raise DiagramError("mark-off-region", f"mark {label} is not on region {label}", label)
         units = units[k:] + units[:k]
     else:
         for k, u in enumerate(units):
-            if u[0] == "seg" and 0 < (off := _ccw(u[1], z)) < u[2]:
+            if u[0] == "seg" and 0 < (off := (z - u[1]) % d.L) < u[2]:
                 units = (("seg", z, u[2] - off),) + units[k + 1 :] + units[:k] + (("seg", u[1], off),)
                 break
         else:
             raise DiagramError("mark-off-region", f"mark {label} is not on region {label}", label)
     steps = []
-    pos = Fraction(0)
+    pos = 0
     for u in units:
         steps.append((pos, u))
         if u[0] == "seg":
             pos += u[2]
-    return WalkTape(label, pos, tuple(steps))
+    return WalkTape(label, d.L, pos, tuple(steps))
 
 
-def locate(tape: WalkTape, s: Fraction):
+def locate(tape: WalkTape, s: int):
     """Position at arc length s along the tape.
 
     Returns ("point", coord) strictly inside an arc, or ("vertex", coord) when
@@ -464,21 +471,10 @@ def locate(tape: WalkTape, s: Fraction):
         u = tape.steps[k][1]
         return ("vertex", u[2]) if u[0] == "pass" else ("point", u[1])
     pos, u = tape.steps[k - 1]
-    return ("point", _mod1(u[1] + (s - pos)))
+    return ("point", (u[1] + s - pos) % tape.L)
 
 
 # composition ----------------------------------------------------------------
-
-
-def _walk_position(tape: WalkTape, point: Fraction) -> Fraction:
-    """Arc length of a circle point along the region walk (point must be interior
-    to one of the region's arcs)."""
-    for pos, u in tape.steps:
-        if u[0] == "seg":
-            off = _ccw(u[1], point)
-            if off < u[2]:
-                return pos + off
-    raise DiagramError("mark-off-region", "point is not interior to the region", point)
 
 
 def _composite(base: MDClass, parts: Sequence[MDClass]) -> tuple[Diagram, list[WalkTape]]:
@@ -486,37 +482,39 @@ def _composite(base: MDClass, parts: Sequence[MDClass]) -> tuple[Diagram, list[W
     along.  Its chords are the base's representative chords followed by each
     part's, and its marks are the parts' marks, in order.
 
-    Part i's coordinate x goes to walk position r·x along base region i's tape
-    of total r, so each composite arc runs along one part arc and takes that
-    part region's label, renumbered past the earlier parts: the arc leaving the
-    base vertex at walk position pos runs along the part arc holding pos/r, and
-    the arc leaving a part vertex placed inside a base arc along the part arc
-    starting there.  A part vertex placed on a passage sits on its arrival
-    vertex, whose outgoing arc lies in another base region.
+    The base walks are scaled by P, the lcm of the parts' scales, and part
+    i's tick a goes to walk position r·a/L_p, an integer, along base region
+    i's tape of total r.  So each composite arc runs along one part arc and
+    takes that part region's label, renumbered past the earlier parts: the
+    arc leaving the base vertex at walk position pos runs along the part arc
+    holding pos, and the arc leaving a part vertex placed inside a base arc
+    along the part arc starting there.  A part vertex placed on a passage sits
+    on its arrival vertex, whose outgoing arc lies in another base region.
     """
     if len(parts) != base.n:
         raise DiagramError("arity", f"need {base.n} parts, got {len(parts)}", len(parts))
-    new_chords: list[tuple[Fraction, Fraction]] = list(rep_diagram(base).chords)
-    new_marks: list[Fraction] = []
-    label: dict[Fraction, int] = {}  # composite vertex -> label of the arc leaving it
-    tapes = [region_walk(base, i + 1) for i in range(base.n)]
+    P = lcm(*(p.L for p in parts))
+    new_chords = [(x * P, y * P) for x, y in rep_diagram(base).chord_ticks]
+    new_marks: list[int] = []
+    label: dict[int, int] = {}  # composite vertex -> label of the arc leaving it
+    tapes = [region_walk(base, i + 1).scaled(P) for i in range(base.n)]
     offset = 0
     for part, tape in zip(parts, tapes):
         r = tape.total
-        vertices = sorted(v for grp in part.clusters for v in grp)
+        vertices = sorted(v for grp in part.cluster_ticks for v in grp)
+        at = [r * x // part.L for x in vertices]  # walk positions of the part vertices
         for pos, u in tape.steps:
             if u[0] == "seg":
-                label[u[1]] = offset + (part.arc_labels[_arc_of_point(vertices, pos / r)] if vertices else 1)
+                label[u[1]] = offset + (part.arc_labels[_arc_of_point(at, pos)] if vertices else 1)
         placed = {}
-        for x, lab in zip(vertices, part.arc_labels):
-            kind, placed[x] = locate(tape, r * x)
+        for x, s, lab in zip(vertices, at, part.arc_labels):
+            kind, placed[x] = locate(tape, s)
             if kind == "point":
                 label[placed[x]] = offset + lab
-        new_chords += [(placed[x], placed[y]) for x, y in part.rep_chords()]
-        new_marks += [locate(tape, r * z)[1] for z in part.marks]
+        new_chords += [(placed[x], placed[y]) for x, y in part.rep_ticks()]
+        new_marks += [locate(tape, r * z // part.L)[1] for z in part.mark_ticks]
         offset += part.n
-    dec = _decompose(offset, new_chords)
-    # new_marks are locate() coordinates, already reduced mod 1, one per part region
+    dec = _decompose(offset, base.L * P, new_chords)
     return _label(dec, new_marks, [label[v] for v in dec.vertices]), tapes
 
 
@@ -560,53 +558,57 @@ class Cactus:
         }
 
 
-def _canonical_joint(joint: Sequence[tuple[int, Fraction]]) -> tuple[tuple[int, Fraction], ...]:
+def _canonical_joint(joint: Sequence[tuple[int, Fraction | int]]) -> tuple[tuple[int, Fraction | int], ...]:
     rotations = [tuple(joint[k:]) + tuple(joint[:k]) for k in range(len(joint))]
     return min(rotations)
-
-
-def _pass_offset(tape: WalkTape, cluster: int) -> Fraction:
-    for pos, u in tape.steps:
-        if u[0] == "pass" and u[1] == cluster:
-            return pos
-    raise CactusError(f"region {tape.label} does not pass cluster {cluster}")
 
 
 def to_cactus(md: MDClass) -> Cactus:
     d = rep_diagram(md)
     tapes = [region_walk(md, i + 1) for i in range(md.n)]
-    perims = tuple(t.total for t in tapes)
-    joints = []
-    for ci, grp in enumerate(d.clusters):
-        incid = []
-        for v in grp:
-            vi = d.vertices.index(v)
-            lobe = d.arc_labels[vi]  # region of the arc leaving v
-            incid.append((lobe, _pass_offset(tapes[lobe - 1], ci)))
-        joints.append(_canonical_joint(incid))
-    u = Fraction(0)
-    if u in d.vertices:
-        vi = d.vertices.index(u)
-        lobe = d.arc_labels[vi]
-        ci = d.cluster_of(u)
-        return Cactus(perims, tuple(sorted(joints)), lobe, _pass_offset(tapes[lobe - 1], ci), True)
-    lobe = d.arc_labels[_arc_of_point(d.vertices, u)] if d.vertices else 1
-    return Cactus(perims, tuple(sorted(joints)), lobe, _walk_position(tapes[lobe - 1], u), False)
+    incid = {}  # vertex -> (lobe, offset) of the passage that departs from it
+    for t in tapes:
+        for pos, u in t.steps:
+            if u[0] == "pass":
+                incid[u[3]] = (t.label, pos)
+    joints = sorted(_canonical_joint([incid[v] for v in grp]) for grp in d.cluster_ticks)
+    if 0 in incid:
+        lobe, base = incid[0]
+    elif d.vertices:  # 0 lies L - v ticks along the arc leaving the last vertex v
+        v = d.vertices[-1]
+        lobe, p = incid[v]
+        base = (p + md.L - v) % tapes[lobe - 1].total  # past the walk's end if the mark splits the arc
+    else:
+        lobe, base = 1, -md.mark_ticks[0] % md.L
+    return Cactus(
+        tuple(Fraction(t.total, md.L) for t in tapes),
+        tuple(tuple((lo, Fraction(off, md.L)) for lo, off in j) for j in joints),
+        lobe,
+        Fraction(base, md.L),
+        0 in incid,
+    )
 
 
 def _cactus_walk(c: Cactus):
-    """Checked boundary walk of a cactus from its base point.
+    """Checked boundary walk of a cactus from its base point, on ticks modulo L,
+    the lcm of the denominators of its perimeters and offsets.
 
-    Returns the segments as (global start, length, lobe, lobe offset) tuples
-    and, per joint, the global positions at which the walk visits it.
+    Returns L, the lobe perimeters, the segments as (global start, length,
+    lobe, lobe offset) tuples and, per joint, the global positions at which
+    the walk visits it, all in ticks.
     """
     n = len(c.perimeters)
     if sum(c.perimeters, Fraction(0)) != 1 or any(p <= 0 for p in c.perimeters):
         raise CactusError("lobe perimeters must be positive and sum to 1")
     if not 1 <= c.base_lobe <= n:
         raise CactusError(f"base point on unknown lobe {c.base_lobe}")
-    by_lobe: dict[int, list[tuple[Fraction, int]]] = {i + 1: [] for i in range(n)}
-    for qi, joint in enumerate(c.joints):
+    offsets = [off for joint in c.joints for _, off in joint] + [c.base_offset]
+    L = lcm(*(v.denominator for v in list(c.perimeters) + offsets))
+    perims = [_tick(p, L) for p in c.perimeters]
+    joints = [[(lobe, _tick(off, L)) for lobe, off in joint] for joint in c.joints]
+    base_offset = _tick(c.base_offset, L)
+    by_lobe: dict[int, list[tuple[int, int]]] = {i + 1: [] for i in range(n)}
+    for qi, joint in enumerate(joints):
         if len(joint) < 2:
             raise CactusError(f"joint {qi} touches fewer than two lobes")
         seen_lobes = set()
@@ -616,7 +618,7 @@ def _cactus_walk(c: Cactus):
             if lobe in seen_lobes:
                 raise CactusError(f"joint {qi} touches lobe {lobe} twice")
             seen_lobes.add(lobe)
-            if not 0 <= off < c.perimeters[lobe - 1]:
+            if not 0 <= off < perims[lobe - 1]:
                 raise CactusError(f"joint {qi} offset out of range on lobe {lobe}")
             by_lobe[lobe].append((off, qi))
     for lobe, offs in by_lobe.items():
@@ -625,117 +627,84 @@ def _cactus_walk(c: Cactus):
             if o1 == o2:
                 raise CactusError(f"two joints at the same point of lobe {lobe}")
 
-    def next_joint(lobe: int, off: Fraction) -> tuple[Fraction, int] | None:
-        """First joint strictly ahead of the given lobe offset (cyclically)."""
-        offs = by_lobe[lobe]
-        if not offs:
-            return None
-        r = c.perimeters[lobe - 1]
-        best = None
-        for o, qi in offs:
-            d = (o - off) % r
-            if d == 0:
-                d = r
-            if best is None or d < best[0]:
-                best = (d, o, qi)
-        return best[1], best[2]
+    def next_joint(lobe: int, off: int) -> tuple[int, int] | None:
+        """First joint strictly ahead of the given lobe offset (cyclically): on
+        ticks, the distance (o - off) % r taken in (0, r] is 1 + (o - off - 1) % r."""
+        r = perims[lobe - 1]
+        return min(by_lobe[lobe], key=lambda oq: (oq[0] - off - 1) % r, default=None)
 
-    cur_lobe, cur_off = c.base_lobe, c.base_offset
-    s = Fraction(0)
+    cur_lobe, cur_off = c.base_lobe, base_offset
+    s = 0
     # (global start, length, lobe, lobe offset at start)
-    segments: list[tuple[Fraction, Fraction, int, Fraction]] = []
-    visits: dict[int, list[Fraction]] = {}
+    segments: list[tuple[int, int, int, int]] = []
+    visits: dict[int, list[int]] = {}
     guard = 0
-    max_steps = 4 + sum(len(j) for j in c.joints) + n
-    while s < 1:
-        r = c.perimeters[cur_lobe - 1]
+    max_steps = 4 + sum(len(j) for j in joints) + n
+    while s < L:
+        r = perims[cur_lobe - 1]
         nj = next_joint(cur_lobe, cur_off)
-        remaining = 1 - s
+        remaining = L - s
         if nj is None:
             delta, endpoint = r, None
         else:
             off2, qi = nj
-            delta = (off2 - cur_off) % r
-            if delta == 0:
-                delta = r
+            delta = (off2 - cur_off - 1) % r + 1
             endpoint = (off2, qi)
         if delta > remaining:
             # the walk must close mid-lobe exactly at the base point
             if (
                 c.base_on_joint
                 or cur_lobe != c.base_lobe
-                or (cur_off + remaining) % r != c.base_offset
+                or (cur_off + remaining) % r != base_offset
             ):
                 raise CactusError("boundary walk does not close at the base point")
             segments.append((s, remaining, cur_lobe, cur_off))
-            s = Fraction(1)
+            s = L
             break
         segments.append((s, delta, cur_lobe, cur_off))
         s += delta
         if endpoint is None:
-            if s != 1 or c.base_on_joint or cur_lobe != c.base_lobe:
+            if s != L or c.base_on_joint or cur_lobe != c.base_lobe:
                 raise CactusError("boundary walk does not close")
             break
         off2, qi = endpoint
-        joint = c.joints[qi]
+        joint = joints[qi]
         pos = next((k for k, (lo, of) in enumerate(joint) if lo == cur_lobe and of == off2), None)
         if pos is None:
             raise CactusError("walk arrived at a joint with no matching incidence")
-        if s == 1:
+        if s == L:
             # the closing arrival switches back onto the base incidence
-            if not c.base_on_joint or joint[(pos + 1) % len(joint)] != (c.base_lobe, c.base_offset):
+            if not c.base_on_joint or joint[(pos + 1) % len(joint)] != (c.base_lobe, base_offset):
                 raise CactusError("boundary walk ends on a joint away from the base point")
-            visits.setdefault(qi, []).append(Fraction(0))
+            visits.setdefault(qi, []).append(0)
             break
         visits.setdefault(qi, []).append(s)
         cur_lobe, cur_off = joint[(pos + 1) % len(joint)]
         guard += 1
         if guard > max_steps:
             raise CactusError("boundary walk does not close; dual graph is not a tree")
-    if s != 1:
+    if s != L:
         raise CactusError("boundary walk came back early; cactus is disconnected")
-    for qi, joint in enumerate(c.joints):
+    for qi, joint in enumerate(joints):
         if len(visits.get(qi, [])) != len(joint):
             raise CactusError(f"joint {qi} was not visited once per incident lobe")
-    return segments, visits
+    return L, perims, segments, visits
 
 
 def from_cactus(c: Cactus) -> MDClass:
     """Unroll the cactus boundary from the base point into the unit circle."""
     n = len(c.perimeters)
-    segments, visits = _cactus_walk(c)
-    chords: list[tuple[Fraction, Fraction]] = []
-    for qi in sorted(visits):
-        pos = sorted(visits[qi])
-        for a, b in zip(pos, pos[1:]):
-            chords.append((a, b))
-    marks: list[Fraction] = []
-    for lobe in range(1, n + 1):
-        r = c.perimeters[lobe - 1]
-        at_joint = next(
-            (qi for qi, joint in enumerate(c.joints) if any(lo == lobe and of == 0 for lo, of in joint)),
-            None,
-        )
-        if at_joint is not None:
-            marks.append(min(visits[at_joint]))
-            continue
-        z = None
-        for g0, dl, lo, off0 in segments:
-            if lo != lobe:
-                continue
-            t = (0 - off0) % r
-            if t < dl:
-                z = _mod1(g0 + t)
-                break
-        if z is None:
+    L, perims, segments, visits = _cactus_walk(c)
+    chords = [c for qi in sorted(visits) for c in pairwise(sorted(visits[qi]))]
+    marks = []
+    for lobe, r in enumerate(perims, 1):  # the marked point, lobe offset 0, on a joint or inside an arc
+        at = [(g0 + -off0 % r) % L for g0, dl, lo, off0 in segments if lo == lobe and -off0 % r < dl]
+        if not at:
             raise CactusError(f"could not locate the marked point of lobe {lobe}")
-        marks.append(z)
-    arc_labels_map: dict[Fraction, int] = {}
-    for g0, dl, lo, off0 in segments:
-        arc_labels_map[_mod1(g0)] = lo
-    vertex_list = sorted({v for pos in visits.values() for v in pos})
-    arc_labels = tuple(arc_labels_map[v] for v in vertex_list)
-    return md_from_data(n, chords, marks, arc_labels)
+        marks.append(at[0])
+    arc_label = {g0: lo for g0, _, lo, _ in segments}  # segments start at ticks below L
+    arc_labels = tuple(arc_label[v] for v in sorted({v for pos in visits.values() for v in pos}))
+    return canonical_md(_label(_decompose(n, L, chords), marks, arc_labels))
 
 
 # JSON interchange -----------------------------------------------------------
@@ -794,11 +763,13 @@ def parse_cactus(data: str | dict) -> Cactus:
 
 
 _RANDOM_MAX_DEN = 16
+# ticks of every coordinate k/den (den <= 16) and of every mark random_md draws
+_RANDOM_SCALE = 60 * lcm(*range(2, _RANDOM_MAX_DEN + 1))
 
 
-def _random_fraction(rng) -> Fraction:
+def _random_tick(rng) -> int:
     den = rng.randint(2, _RANDOM_MAX_DEN)
-    return Fraction(rng.randrange(den), den)
+    return rng.randrange(den) * (_RANDOM_SCALE // den)
 
 
 def _random_noncrossing_matching(rng, m: int) -> list[tuple[int, int]]:
@@ -817,10 +788,11 @@ def _random_noncrossing_matching(rng, m: int) -> list[tuple[int, int]]:
 
 def random_md(rng, n: int) -> MDClass:
     """A random marked chord diagram class with n regions and small denominators."""
+    M = _RANDOM_SCALE
     for _ in range(400):
         try:
             m = n - 1
-            coords = sorted({_random_fraction(rng) for _ in range(2 * m)})
+            coords = sorted({_random_tick(rng) for _ in range(2 * m)})
             if len(coords) < 2 * m:
                 continue
             pairs = _random_noncrossing_matching(rng, m)
@@ -834,7 +806,7 @@ def random_md(rng, n: int) -> MDClass:
                 ]
                 if any(x == y for x, y in chords):
                     continue
-            dec = _decompose(n, chords)
+            dec = _decompose(n, M, chords)
             marks = []
             for face in dec.faces:
                 segs = [u for u in face if u[0] == "seg"]
@@ -846,9 +818,13 @@ def random_md(rng, n: int) -> MDClass:
                         p = passes[rng.randrange(len(passes))]
                         marks.append(p[2])
                         continue
-                den = u[2].denominator * rng.randint(2, 5)
-                num = rng.randrange(1, int(u[2] * den)) if int(u[2] * den) > 1 else 0
-                marks.append(_mod1(u[1] + Fraction(num, den)))
+                # num/(q·k) of the circle past the arc's start, q the reduced
+                # denominator of the arc's length; 60 divides g, so k divides it
+                g = gcd(u[2], M)
+                k = rng.randint(2, 5)
+                top = u[2] // g * k
+                num = rng.randrange(1, top) if top > 1 else 0
+                marks.append((u[1] + num * g // k) % M)
             return canonical_md(_label(dec, marks))
         except DiagramError:
             continue

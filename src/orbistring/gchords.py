@@ -9,6 +9,7 @@ Region holonomies are evaluated on integer region words compiled from the
 base diagram's region walks; incoming_holonomy caches them per base.  The
 fibre transport to a point of a walk, which graded composition glues the
 parts by, folds the prefix of the region word taken up before that point.
+Everything runs on the integer ticks of the chords module.
 """
 
 from __future__ import annotations
@@ -63,11 +64,11 @@ class GDiagram:
     def n(self) -> int:
         return self.base.n
 
-    def rep_deltas(self) -> dict[tuple[Fraction, Fraction], int]:
-        """Identification element for each canonical path-tree chord."""
+    def rep_deltas(self) -> dict[tuple[int, int], int]:
+        """Identification element for each canonical path-tree chord, keyed by its ticks."""
         out = {}
         G = self.group
-        for grp, taus in zip(self.base.clusters, self.transports):
+        for grp, taus in zip(self.base.cluster_ticks, self.transports):
             for j in range(len(grp) - 1):
                 out[(grp[j], grp[j + 1])] = G.mul(taus[j + 1], G.invert(taus[j]))
         return out
@@ -77,19 +78,19 @@ class GDiagram:
         deltas = self.rep_deltas()
         data["group"] = self.group.name
         data["outer"] = self.outer
-        data["delta"] = [deltas[c] for c in self.base.rep_chords()]
+        data["delta"] = [deltas[c] for c in self.base.rep_ticks()]
         data["lifts"] = list(self.lifts)
         return data
 
 
 def _cluster_transports(
     G: FiniteGroup,
-    clusters: Sequence[Sequence[Fraction]],
-    chords: Sequence[tuple[Fraction, Fraction]],
+    clusters: Sequence[Sequence[int]],
+    chords: Sequence[tuple[int, int]],
     delta: Sequence[int],
 ) -> tuple[tuple[int, ...], ...]:
     """Fiber transport from each cluster's least vertex, by tree walk over the chords."""
-    adj: dict[Fraction, list[tuple[Fraction, int]]] = {}
+    adj: dict[int, list[tuple[int, int]]] = {}
     for (x, y), d in zip(chords, delta):
         adj.setdefault(x, []).append((y, d))
         adj.setdefault(y, []).append((x, G.invert(d)))
@@ -111,7 +112,7 @@ def _cluster_transports(
 
 def _check_elements(G: FiniteGroup, values: Sequence[int]) -> None:
     for v in values:
-        if not 0 <= int(v) < G.order:
+        if not 0 <= _json_int(v, "element index", HolonomyError) < G.order:
             raise HolonomyError(f"element index {v} out of range for {G.name}")
 
 
@@ -127,12 +128,12 @@ def decorate(
 ) -> GDiagram:
     """Validate and canonicalize raw decorated diagram data."""
     d = validate_diagram(n, chords, marks, interval_labels)
-    if len(delta) != len(d.chords):
+    if len(delta) != len(d.chord_ticks):
         raise HolonomyError("need one identification element per chord")
     if len(lifts) != n:
         raise HolonomyError("need one mark lift per region")
     _check_elements(group, list(delta) + list(lifts) + [outer])
-    return _decorated(d, group, int(outer), [int(x) for x in delta], [int(k) for k in lifts])
+    return _decorated(d, group, outer, delta, lifts)
 
 
 def _decorated(d: Diagram, group: FiniteGroup, outer: int, delta: Sequence[int], lifts: Sequence[int]) -> GDiagram:
@@ -142,12 +143,12 @@ def _decorated(d: Diagram, group: FiniteGroup, outer: int, delta: Sequence[int],
     the per-cluster fiber identifications survive; a mark sitting on a cluster
     vertex is moved to the least vertex with its lift transported along.
     """
-    transports = _cluster_transports(group, d.clusters, d.chords, delta)
+    transports = _cluster_transports(group, d.cluster_ticks, d.chord_ticks, delta)
+    where = {v: (ci, j) for ci, grp in enumerate(d.cluster_ticks) for j, v in enumerate(grp)}
     new_lifts = []
-    for z, k in zip(d.marks, lifts):
-        if z in d.vertices:
-            ci = d.cluster_of(z)
-            j = d.clusters[ci].index(z)
+    for z, k in zip(d.mark_ticks, lifts):
+        if z in where:
+            ci, j = where[z]
             # move the mark to the least vertex: coordinate at least = tau_j^-1 * k
             k = group.mul(group.invert(transports[ci][j]), k)
         new_lifts.append(k)
@@ -167,9 +168,9 @@ def from_gdiagram_json(data, resolve_group) -> GDiagram:
     return decorate(n, chords, marks, resolve_group(group), outer, delta, lifts, labels)
 
 
-def _seam_offset(seg_start: Fraction) -> Fraction:
-    """Arc length from seg_start counterclockwise to circle coordinate 0, in (0, 1]."""
-    return (0 - seg_start) % 1 or Fraction(1)
+def _seam_offset(seg_start: int, L: int) -> int:
+    """Ticks from seg_start counterclockwise to circle coordinate 0, in (0, L]."""
+    return -seg_start % L or L
 
 
 def _word(md: MDClass, tape: WalkTape) -> tuple:
@@ -182,15 +183,16 @@ def _word(md: MDClass, tape: WalkTape) -> tuple:
     that miss the seam contribute nothing.  keys[j] is where the walk takes
     up factor j: (pos + o, 0) for an arc at pos that reaches the seam after o,
     (pos, 1) for a passage at pos; the factors before walk position s are
-    those with key < (s, 1).
+    those with key < (s, 1).  The tape may be scaled k-fold from md's ticks.
     """
+    k = tape.L // md.L
     word, keys = [], []
     for pos, u in tape.steps:
         if u[0] == "pass":
-            grp = md.clusters[u[1]]
-            word.append((u[1], grp.index(u[2]), grp.index(u[3])))
+            grp = md.cluster_ticks[u[1]]
+            word.append((u[1], grp.index(u[2] // k), grp.index(u[3] // k)))
             keys.append((pos, 1))
-        elif (o := _seam_offset(u[1])) <= u[2]:
+        elif (o := _seam_offset(u[1], tape.L)) <= u[2]:
             word.append(None)
             keys.append((pos + o, 0))
     start = word[0][:2] if tape.steps[0][1][0] == "pass" else None
@@ -248,9 +250,9 @@ def relabel(W: GDiagram, perm: Sequence[int]) -> GDiagram:
     return GDiagram(base, W.group, W.outer, W.transports, tuple(lifts))
 
 
-def _transport_to(W: GDiagram, tape: WalkTape, word: tuple, s: Fraction) -> int:
-    """Fiber transport factor from the mark's fiber to the point at arc length s
-    along tape, folded from the prefix of its region word taken up before s.
+def _transport_to(W: GDiagram, tape: WalkTape, word: tuple, s: int) -> int:
+    """Fiber transport factor from the mark's fiber to the point s ticks along
+    tape, folded from the prefix of its region word taken up before s.
 
     When s falls on a cluster passage the transport ends at the passage's
     arrival vertex, matching the attachment convention of the base composition.
@@ -281,22 +283,22 @@ def g_compose(W: GDiagram, parts: Sequence[GDiagram]) -> GDiagram:
     G = W.group
     # aligned with d: the base's chords, then each part's chords and marks
     base_deltas = W.rep_deltas()
-    new_delta = [base_deltas[c] for c in rep_diagram(W.base).chords]
+    new_delta = [base_deltas[c] for c in rep_diagram(W.base).chord_ticks]
     new_lifts: list[int] = []
     for tape, word, k_i, p in zip(tapes, words, W.lifts, parts):
-        r = tape.total
+        r, Lp = tape.total, p.base.L  # part tick a lies r·a/Lp along the tape
         part_deltas = p.rep_deltas()
-        for x, y in p.base.rep_chords():
-            fx = _transport_to(W, tape, word, r * x)
-            fy = _transport_to(W, tape, word, r * y)
+        for x, y in p.base.rep_ticks():
+            fx = _transport_to(W, tape, word, r * x // Lp)
+            fy = _transport_to(W, tape, word, r * y // Lp)
             # composite fiber coordinates glue as F(t) k_i a for part coordinate a
             dprime = G.mul(
                 G.mul(G.mul(fy, k_i), part_deltas[(x, y)]),
                 G.invert(G.mul(fx, k_i)),
             )
             new_delta.append(dprime)
-        for z, lift in zip(p.base.marks, p.lifts):
-            new_lifts.append(G.mul(G.mul(_transport_to(W, tape, word, r * z), k_i), lift))
+        for z, lift in zip(p.base.mark_ticks, p.lifts):
+            new_lifts.append(G.mul(G.mul(_transport_to(W, tape, word, r * z // Lp), k_i), lift))
     out = _decorated(d, G, W.outer, new_delta, new_lifts)
     expect = tuple(h for p in parts for h in incoming_holonomy(p))
     got = incoming_holonomy(out)
@@ -310,7 +312,7 @@ def g_compose(W: GDiagram, parts: Sequence[GDiagram]) -> GDiagram:
 def random_gdiagram(rng, md: MDClass, G: FiniteGroup, outer: int) -> GDiagram:
     """A uniformly random decoration of the base diagram with the given outer holonomy."""
     transports = tuple(
-        (0,) + tuple(rng.randrange(G.order) for _ in range(len(grp) - 1)) for grp in md.clusters
+        (0,) + tuple(rng.randrange(G.order) for _ in range(len(grp) - 1)) for grp in md.cluster_ticks
     )
     lifts = tuple(rng.randrange(G.order) for _ in range(md.n))
     return GDiagram(md, G, outer, transports, lifts)
@@ -338,7 +340,7 @@ def enumerate_gmd(
         if len(inner) != n:
             raise HolonomyError(f"need {n} inner holonomies, got {len(inner)}")
         _check_elements(G, inner)
-    free = sum(len(g) - 1 for g in md.clusters)
+    free = sum(len(g) - 1 for g in md.cluster_ticks)
     total = G.order ** (free + n)
     if total > cap:
         raise HolonomyError(f"search space {total} exceeds cap {cap}")
@@ -348,7 +350,7 @@ def enumerate_gmd(
     for taus_flat in product(elements, repeat=free):
         transports = []
         pos = 0
-        for grp in md.clusters:
+        for grp in md.cluster_ticks:
             transports.append((0,) + tuple(taus_flat[pos : pos + len(grp) - 1]))
             pos += len(grp) - 1
         transports = tuple(transports)

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction as F
 from itertools import permutations
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from orbistring.chords import (
     _decompose,
     _label,
     _random_noncrossing_matching,
+    _tick,
     canonical_md,
     compose,
     from_cactus,
@@ -143,6 +145,13 @@ def _crossing_oracle(chords):
     return None
 
 
+def _decompose_on_ticks(n, chords):
+    """_decompose of Fraction chords in [0, 1) on ticks modulo 2L, L the lcm of
+    their denominators, so every arc has a midpoint tick."""
+    L = 2 * lcm(*(v.denominator for c in chords for v in c))
+    return _decompose(n, L, [(_tick(x, L), _tick(y, L)) for x, y in chords])
+
+
 def test_crossing_detection_matches_oracle():
     rng = random.Random(3000)
     seen = {"crossing": 0, "cycle": 0, None: 0}
@@ -152,8 +161,8 @@ def test_crossing_detection_matches_oracle():
         expected = _crossing_oracle(cl)
         seen[expected and expected[0]] += 1
         if expected is None:
-            dec = _decompose(n, cl)
-            marks = [next(u[1] + u[2] / 2 for u in f if u[0] == "seg") % 1 for f in dec.faces]
+            dec = _decompose_on_ticks(n, cl)
+            marks = [next(F(u[1] + u[2] // 2, dec.L) for u in f if u[0] == "seg") % 1 for f in dec.faces]
             assert validate_diagram(n, cl, marks).n == n
             continue
         with pytest.raises(DiagramError) as exc:
@@ -194,7 +203,7 @@ def test_zero_measure_region_rejected(monkeypatch):
     # bound one region where three are needed
     monkeypatch.setattr(chords, "_crosses", lambda ticks: False)
     with pytest.raises(DiagramError) as exc:
-        _decompose(3, [(F(1, 10), F(4, 10)), (F(2, 10), F(6, 10))])
+        _decompose(3, 10, [(1, 4), (2, 6)])
     assert exc.value.kind == "zero-measure"
     assert str(exc.value) == "expected 3 regions, found 1"
 
@@ -204,7 +213,7 @@ def test_scan_must_name_a_detected_crossing(monkeypatch):
     # pairwise scan that names the pair finds none
     monkeypatch.setattr(chords, "_check_crossings", lambda cl: None)
     with pytest.raises(DiagramError) as exc:
-        _decompose(3, [(F(1, 10), F(4, 10)), (F(2, 10), F(6, 10))])
+        _decompose(3, 10, [(1, 4), (2, 6)])
     assert exc.value.kind == "crossing" and exc.value.witness is None
 
 
@@ -266,16 +275,18 @@ def _region_digest_lines():
             if all(x != y for x, y in merged):  # a chord from a to b would shrink to a point
                 chords = merged
         try:
-            dec = _decompose(m + 1, chords)
+            dec = _decompose_on_ticks(m + 1, chords)
         except DiagramError as e:
             yield [e.kind, str(e)]
             continue
+        L = dec.L
         faces = [
-            [[str(v) for v in u[:4]] if u[0] == "pass" else [u[0], str(u[1]), str(u[2])] for u in f]
+            [["pass", str(u[1]), str(F(u[2], L)), str(F(u[3], L))] if u[0] == "pass"
+             else [u[0], str(F(u[1], L)), str(F(u[2], L))] for u in f]
             for f in dec.faces
         ]
-        marks = [next(u[1] + u[2] / 2 for u in f if u[0] == "seg") for f in dec.faces]
-        d = _label(dec, [z % 1 for z in marks])
+        marks = [next(u[1] + u[2] // 2 for u in f if u[0] == "seg") for f in dec.faces]
+        d = _label(dec, [z % L for z in marks])
         yield [
             faces,
             list(dec.arc_face),
@@ -567,7 +578,10 @@ def compose_cactus(base: Cactus, parts: list[Cactus]) -> Cactus:
     for p in parts:
         offsets.append(acc)
         acc += len(p.perimeters)
-    walks = [_cactus_walk(p)[0] for p in parts]
+    walks = []
+    for p in parts:
+        L, _, segments, _ = _cactus_walk(p)
+        walks.append([(F(g0, L), F(dl, L), lobe, F(loff, L)) for g0, dl, lobe, loff in segments])
 
     def locate(i: int, off: F) -> tuple[int, F]:
         """Base-lobe-i offset -> (composite lobe, composite lobe offset)."""
@@ -601,6 +615,14 @@ def compose_cactus(base: Cactus, parts: list[Cactus]) -> Cactus:
     return Cactus(tuple(perims), tuple(sorted(joints)), bl, boff, False)
 
 
+def _locate_circle(tape, s):
+    """locate at the walk position s given as a Fraction of the circle, on the
+    tape scaled to s's denominator; the coordinate is read back as a Fraction."""
+    fine = tape.scaled((s * tape.L).denominator)
+    kind, tick = locate(fine, int(s * fine.L))
+    return kind, F(tick, fine.L)
+
+
 def _witness_arc_labels(base, parts):
     """Interval labels of the composite by the interior-witness rule, independent
     of the parts' own interval labels: a point strictly inside one arc of part
@@ -611,24 +633,25 @@ def _witness_arc_labels(base, parts):
     new_chords = list(rep_diagram(base).chords)
     on_passage = False
     for part, tape in zip(parts, tapes):
-        r = tape.total
-        on_passage |= any(locate(tape, r * x)[0] == "vertex" for grp in part.clusters for x in grp)
-        new_chords += [(locate(tape, r * x)[1], locate(tape, r * y)[1]) for x, y in part.rep_chords()]
-    dec = _decompose(sum(p.n for p in parts), new_chords)
-    vertex_set = set(dec.vertices)
+        r = F(tape.total, tape.L)
+        on_passage |= any(_locate_circle(tape, r * x)[0] == "vertex" for grp in part.clusters for x in grp)
+        new_chords += [(_locate_circle(tape, r * x)[1], _locate_circle(tape, r * y)[1]) for x, y in part.rep_chords()]
+    dec = _decompose_on_ticks(sum(p.n for p in parts), new_chords)
+    vertex_set = {F(v, dec.L) for v in dec.vertices}
     face_label = {}
     offset = 0
     for part, tape in zip(parts, tapes):
         pd = rep_diagram(part)
+        r = F(tape.total, tape.L)
         for j in range(1, part.n + 1):
             seg = next(u for u in pd.regions[j - 1] if u[0] == "seg")
             for k in range(2, 67):
-                kind, coord = locate(tape, tape.total * ((seg[1] + seg[2] / k) % 1))
+                kind, coord = _locate_circle(tape, r * ((F(seg[1], pd.L) + F(seg[2], k * pd.L)) % 1))
                 if kind == "point" and coord not in vertex_set:
                     break
             else:
                 raise AssertionError(f"no interior witness for region {j} of part {part}")
-            assert face_label.setdefault(dec.face_of_point(coord), offset + j) == offset + j
+            assert face_label.setdefault(dec.face_of_point(coord * dec.L), offset + j) == offset + j
         offset += part.n
     return tuple(face_label[f] for f in dec.arc_face), on_passage
 

@@ -164,7 +164,7 @@ def test_equal_classes_equal_holonomy():
         raw_chords, raw_delta = [], []
         for i in order:
             x, y = chords[i]
-            d = deltas[(x, y)]
+            d = deltas[md.rep_ticks()[i]]
             if rng.random() < 0.5:
                 raw_chords.append((y, x))
                 raw_delta.append(Z3.invert(d))
@@ -280,12 +280,12 @@ def test_outgoing_holonomy_equals_seam_traversal():
         md = random_md(rng, rng.randint(1, 3))
         W = random_gdiagram(rng, md, S3, rng.randrange(6))
         d = rep_diagram(md)
-        verts = list(d.vertices) or [F(0)]
+        verts = list(d.vertices) or [0]
         crossings = 0
         for i, v in enumerate(verts):
             nxt = verts[(i + 1) % len(verts)]
-            length = (nxt - v) % 1 or F(1)
-            crossings += _seam_offset(v) <= length
+            length = (nxt - v) % d.L or d.L
+            crossings += _seam_offset(v, d.L) <= length
         assert crossings == 1
         assert outgoing_holonomy(W) == W.outer
 
@@ -308,12 +308,12 @@ def _walk_digest_lines():
             cactus = to_cactus(md)
             yield [cactus.to_json(), from_cactus(cactus).to_json()]
             for label in range(1, md.n + 1):
-                tape = region_walk(md, label)
+                tape = region_walk(md, label).scaled(12)
                 word = gchords._word(md, tape)
                 for k in range(12):
-                    s = tape.total * k / 12
+                    s = tape.total * k // 12
                     kind, coord = locate(tape, s)
-                    yield [label, k, kind, str(coord), gchords._transport_to(W, tape, word, s)]
+                    yield [label, k, kind, str(F(coord, tape.L)), gchords._transport_to(W, tape, word, s)]
             i = rng.randrange(md.n)
             p = parts[i]
             wrong = (p.outer + 1 + rng.randrange(G.order - 1)) % G.order
@@ -342,7 +342,7 @@ def test_walk_positions_out_of_range():
         for label in range(1, md.n + 1):
             tape = region_walk(md, label)
             word = gchords._word(md, tape)
-            for s in (tape.total, F(-1, 3)):
+            for s in (tape.total, -1):
                 with pytest.raises(DiagramError) as exc:
                     locate(tape, s)
                 assert exc.value.kind == "bad-coordinate" and exc.value.witness == s
@@ -356,33 +356,34 @@ def test_walk_positions_out_of_range():
 ORACLE_GROUPS = ("Z2", "Z3", "S3", "Z2xZ2", "Z4", "D4", "Q8")
 
 
-def _unit_factor(W, u):
+def _unit_factor(W, tape, u):
     """Left-multiplication factor of one walk unit, written out here so the oracles
     share no code with gchords: the outer holonomy for an arc that reaches circle
-    coordinate 0, the fiber identification across a cluster passage."""
+    coordinate 0, the fiber identification across a cluster passage, whose
+    vertices are looked up as Fractions in the base's clusters."""
     G = W.group
     if u[0] == "seg":
-        return W.outer if ((-u[1]) % 1 or 1) <= u[2] else 0
+        return W.outer if ((-u[1]) % tape.L or tape.L) <= u[2] else 0
     grp, taus = W.base.clusters[u[1]], W.transports[u[1]]
-    return G.mul(taus[grp.index(u[3])], G.invert(taus[grp.index(u[2])]))
+    return G.mul(taus[grp.index(F(u[3], tape.L))], G.invert(taus[grp.index(F(u[2], tape.L))]))
 
 
 def _mark_transport(W, tape):
     """Fiber transport from the mark to the start of its walk: the identity on an
     arc, else from the cluster's least vertex to the first passage's arrival."""
     u = tape.steps[0][1]
-    return 0 if u[0] == "seg" else W.transports[u[1]][W.base.clusters[u[1]].index(u[2])]
+    return 0 if u[0] == "seg" else W.transports[u[1]][W.base.clusters[u[1]].index(F(u[2], tape.L))]
 
 
 def _tape_holonomy(W, tapes):
-    """Region holonomies by folding the unit factors of the Fraction region walks,
-    measured from the lifted mark: independent of the integer region words."""
+    """Region holonomies by folding the unit factors of the region walks, measured
+    from the lifted mark: independent of the integer region words."""
     G = W.group
     out = []
     for tape in tapes:
         w = 0
         for _, u in tape.steps:
-            w = G.mul(_unit_factor(W, u), w)
+            w = G.mul(_unit_factor(W, tape, u), w)
         m = G.mul(_mark_transport(W, tape), W.lifts[tape.label - 1])
         out.append(G.conjugate(w, m))
     return tuple(out)
@@ -398,26 +399,27 @@ def _tape_transport(W, tape, s):
             break
         if u[0] == "seg" and pos + u[2] > s:
             u = ("seg", u[1], s - pos)
-        acc = G.mul(_unit_factor(W, u), acc)
+        acc = G.mul(_unit_factor(W, tape, u), acc)
     return acc
 
 
 def _tie_positions(tape):
     """Every step position, every point where an arc reaches coordinate 0, and
     three interior points of each arc: the places a transport's factor count
-    changes, and the places between them."""
+    changes, and the places between them.  The tape's ticks must be multiples of 4."""
     out = set()
     for pos, u in tape.steps:
         out.add(pos)
         if u[0] == "seg":
-            out.add(pos + ((-u[1]) % 1 or 1))
-            out.update(pos + u[2] * k / 4 for k in (1, 2, 3))
+            out.add(pos + ((-u[1]) % tape.L or tape.L))
+            out.update(pos + u[2] * k // 4 for k in (1, 2, 3))
     return sorted(s for s in out if s < tape.total)
 
 
 def test_transport_matches_tape_fold_at_ties():
     # the digest samples twelfths of each walk, which rarely land exactly on a
-    # passage or on a seam point; here every such point is checked
+    # passage or on a seam point; here every such point is checked, on walks
+    # scaled by 4 as graded composition scales them
     names = ("Z2", "Z3", "S3", "D4", "Q8")
     rng = random.Random(33)
     checked = 0
@@ -425,7 +427,7 @@ def test_transport_matches_tape_fold_at_ties():
         G = catalog_group(names[t % len(names)])
         md = random_md(rng, 1 + t // len(names) % 5)
         W = random_gdiagram(rng, md, G, rng.randrange(G.order))
-        for tape in _tapes(md):
+        for tape in (t.scaled(4) for t in _tapes(md)):
             word = gchords._word(md, tape)
             for s in _tie_positions(tape):
                 assert gchords._transport_to(W, tape, word, s) == _tape_transport(W, tape, s), (W, tape, s)
