@@ -3,9 +3,11 @@
 Coordinates are exact rationals in [0,1) with the initial marked point at 0.
 Chords are non-crossing, may share endpoints, and their endpoint graph must be
 a forest; the disc then falls into n regions for n-1 chords.  Diagrams,
-classes and region walks hold each coordinate as an integer tick t of t/L, one
-scale L per object, so everything runs on ints; Fractions appear only in the
-readers, the Fraction views, to_json, regions_report and the cactus.
+classes and region walks store each coordinate as an integer tick t standing
+for t/L, one scale L per object, and a class on the least L, so equal classes
+have equal ticks.  Validation, walks and composition run on ints; Fractions
+appear only in the input readers, the Fraction views, to_json, regions_report
+and the cactus side.
 Classes are quotients by chord relabeling and flips, by moving marks within a
 cluster (the vertex set of one tree), and by forgetting tree shapes: only the
 cluster partition and the interval labeling survive, which is exactly the data
@@ -54,7 +56,8 @@ class _Ticks:
 
 @dataclass(frozen=True)
 class Diagram(_Ticks):
-    """A validated marked labeled chord diagram with its region decomposition."""
+    """A validated marked labeled chord diagram with its region decomposition,
+    every coordinate and length a tick modulo L."""
 
     n: int
     L: int
@@ -133,14 +136,14 @@ def _face_units(
 ) -> tuple[list[list[tuple]], tuple[int, ...]]:
     """Region boundaries as cyclic unit lists, and the region of each arc.
 
-    Vertices, clusters and the units' coordinates and lengths are ticks modulo
-    L.  The arc starting at vertices[i] ends at
-    w = vertices[i+1], where the region passes through the cluster of w to the
-    cyclic predecessor of w in that sorted cluster and continues along the arc
-    starting there.  For non-crossing chords the cycles of this arc
-    permutation, the Kreweras complement of the cluster partition, are the
-    regions, whatever the tree shapes; crossing chords must be rejected first.
-    Regions are listed in the order of their first arcs and start there.
+    Vertices, clusters, and the units' coordinates and lengths are ticks modulo
+    L.  The arc starting at vertices[i] ends at w = vertices[i+1], where the
+    region passes through the cluster of w to the cyclic predecessor of w in
+    that sorted cluster and continues along the arc starting there.  For
+    non-crossing chords the cycles of this arc permutation, the Kreweras
+    complement of the cluster partition, are the regions, whatever the tree
+    shapes; crossing chords must be rejected first.  Regions are listed in the
+    order of their first arcs and start there.
     """
     V = len(vertices)
     vidx = {v: i for i, v in enumerate(vertices)}
@@ -334,7 +337,8 @@ class MDClass(_Ticks):
 
     Only the data surviving the quotients is kept: cluster partition of the
     chord endpoints, interval labels, and the marks (marks on a cluster are
-    normalized to its least coordinate), on the least scale L.
+    normalized to its least coordinate), as ticks on the least scale L, so
+    equal classes compare and hash equal.
     """
 
     n: int

@@ -27,7 +27,7 @@ class FiniteGroup:
         n = len(mult)
         if n == 0:
             raise GroupError("empty multiplication table")
-        tab = tuple(tuple(int(v) for v in row) for row in mult)
+        tab = tuple(tuple(_json_int(v, "table entry", GroupError) for v in row) for row in mult)
         for i, row in enumerate(tab):
             if len(row) != n:
                 raise GroupError(f"row {i} has length {len(row)}, expected {n}")
@@ -135,7 +135,7 @@ class GSet:
         m = len(act)
         if m == 0:
             raise GroupError("empty G-set")
-        tab = tuple(tuple(int(v) for v in row) for row in act)
+        tab = tuple(tuple(_json_int(v, "action entry", GroupError) for v in row) for row in act)
         for x, row in enumerate(tab):
             if len(row) != group.order:
                 raise GroupError(f"action row {x} has wrong length")
@@ -217,7 +217,7 @@ def perm_closure(gens: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     k = len(gens[0])
     gs = []
     for g in gens:
-        t = tuple(int(v) for v in g)
+        t = tuple(_json_int(v, f"generator {g}", GroupError) for v in g)
         if sorted(t) != list(range(k)):
             raise GroupError(f"generator {g} is not a permutation of 0..{k - 1}")
         gs.append(t)

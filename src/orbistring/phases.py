@@ -104,40 +104,48 @@ class CocycleReport:
     witness: tuple | None
 
 
-def is_two_cocycle(G: FiniteGroup, table: Sequence[Sequence[Phase]]) -> CocycleReport:
-    """Check normalization and the cocycle identity; report a violating triple on failure."""
+def _cocycle_exponents(G: FiniteGroup, table: Sequence[Sequence[Phase]]) -> tuple[int, list[list[int]]]:
+    """(L, a) with table[g][h] = exp(2 pi i a[g][h]/L), L the table's level."""
     n = G.order
     if len(table) != n or any(len(r) != n for r in table):
         raise CocycleError(f"table must be {n}x{n}")
+    L = _table_level(table)
+    return L, _table_exponents(table, L)
+
+
+def _cocycle_law(G: FiniteGroup, L: int, a: Sequence[Sequence[int]]) -> CocycleReport:
+    """Normalization and a(g,h) + a(gh,k) = a(g,hk) + a(h,k) mod L, the cocycle
+    identity of alpha = exp(2 pi i a/L) read as integers."""
+    n = G.order
     for g in range(n):
-        if not table[0][g].is_one():
+        if a[0][g]:
             return CocycleReport(False, "not normalized: alpha(e,g) != 1", (0, g))
-        if not table[g][0].is_one():
+        if a[g][0]:
             return CocycleReport(False, "not normalized: alpha(g,e) != 1", (g, 0))
     for g in range(n):
         for h in range(n):
-            gh = G.mul(g, h)
+            gh, hk = G.mult[g][h], G.mult[h]
             for k in range(n):
-                lhs = table[g][h] * table[gh][k]
-                rhs = table[g][G.mul(h, k)] * table[h][k]
-                if lhs != rhs:
+                if (a[g][h] + a[gh][k] - a[g][hk[k]] - a[h][k]) % L:
                     return CocycleReport(False, "cocycle identity fails", (g, h, k))
     return CocycleReport(True, "valid normalized 2-cocycle", None)
 
 
+def is_two_cocycle(G: FiniteGroup, table: Sequence[Sequence[Phase]]) -> CocycleReport:
+    """Check normalization and the cocycle identity; report a violating triple on failure."""
+    return _cocycle_law(G, *_cocycle_exponents(G, table))
+
+
 def make_cocycle(G: FiniteGroup, table: Sequence[Sequence[Phase]]) -> TwoCocycle:
-    """Normalize (divide by alpha(e,e)) and validate."""
-    n = G.order
-    if len(table) != n or any(len(r) != n for r in table):
-        raise CocycleError(f"table must be {n}x{n}")
-    unit = table[0][0]
-    if not unit.is_one():
-        table = [[table[g][h] / unit for h in range(n)] for g in range(n)]
-    rep = is_two_cocycle(G, table)
+    """Normalize (divide by alpha(e,e)) and validate, on the table's exponents
+    modulo its level, from which the cocycle is built."""
+    L, a = _cocycle_exponents(G, table)
+    unit = a[0][0]
+    a = [[(e - unit) % L for e in row] for row in a]
+    rep = _cocycle_law(G, L, a)
     if not rep.ok:
         raise CocycleError(rep.reason, rep.witness)
-    L = _table_level(table)
-    return TwoCocycle(G, L, _table_exponents(table, L))
+    return TwoCocycle(G, L, a)
 
 
 def trivial_cocycle(G: FiniteGroup) -> TwoCocycle:

@@ -668,6 +668,40 @@ def test_composite_labels_match_interior_witnesses():
     assert on_passage >= 100, on_passage
 
 
+def _least_scale(md):
+    """The lcm of the reduced denominators of a class's coordinates, read through its Fraction views."""
+    return lcm(*(v.denominator for v in md.marks + tuple(v for grp in md.clusters for v in grp)))
+
+
+def test_classes_on_different_scales_compare_equal():
+    quarter = md_from_data(2, [(F(1, 4), F(3, 4))], [F(1, 2), F(0)])
+    # the same diagram laid out on eighths, 2/8 for 1/4
+    eighths = canonical_md(_label(_decompose(2, 8, [(2, 6)]), [4, 0]))
+    # a composite on the common scale 4·2 whose coordinates are all quarters
+    half = md_from_data(2, [(F(0), F(1, 2))], [F(0), F(1, 2)])
+    composite = compose(quarter, [half, identity_md()])
+    fresh = md_from_data(composite.n, composite.rep_chords(), composite.marks, composite.arc_labels)
+    assert (quarter.L, eighths.L, composite.L) == (4, 4, 4)
+    for a, b in ((quarter, eighths), (composite, fresh)):
+        assert a == b and hash(a) == hash(b) and a.to_json() == b.to_json()
+        rep_diagram.cache_clear()
+        rep_diagram(a)
+        rep_diagram(b)
+        assert rep_diagram.cache_info()[:2] == (1, 1)  # one hit, one miss
+
+
+def test_compose_returns_least_scale():
+    rng = random.Random(41)
+    reduced = 0
+    for _ in range(300):
+        base = random_md(rng, rng.randint(1, 4))
+        parts = [random_md(rng, rng.randint(1, 3)) for _ in range(base.n)]
+        out = compose(base, parts)
+        assert out.L == _least_scale(out)
+        reduced += out.L < base.L * lcm(*(p.L for p in parts))
+    assert reduced >= 100, reduced
+
+
 def test_compose_validates_no_part():
     # the interior-witness labelling looked each part up in rep_diagram, a cache
     # miss that validated every fresh part

@@ -151,6 +151,17 @@ def test_library_inputs_are_checked():
     assert g_identity(Z3, 2).outer == 2
 
 
+@pytest.mark.parametrize(
+    "outer,delta,lifts,bad",
+    [(1.5, [0], [0, 0], "1.5"), (1, [True], [0, 0], "true"), (1, [0], [0, "1"], '"1"')],
+)
+def test_decorate_rejects_non_integer_elements(outer, delta, lifts, bad):
+    # decorate cast with int(), so an outer element 1.5 gave outer holonomy 1
+    with pytest.raises(HolonomyError) as exc:
+        decorate(2, [(F(1, 4), F(3, 4))], [F(1, 2), F(0)], catalog_group("Z2"), outer, delta, lifts)
+    assert str(exc.value) == f"element index: expected an integer, got {bad}"
+
+
 def test_equal_classes_equal_holonomy():
     rng = random.Random(6)
     Z3 = catalog_group("Z3")

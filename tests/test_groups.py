@@ -4,6 +4,7 @@ import pytest
 
 from orbistring.groups import (
     CATALOG_NAMES,
+    FiniteGroup,
     GroupError,
     GSet,
     bun_holonomy_action,
@@ -151,6 +152,23 @@ def test_perm_gens_closure():
 def test_perm_closure_rejects_non_permutation():
     with pytest.raises(GroupError):
         perm_closure([[0, 0, 1]])
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: FiniteGroup.from_table("G", [[0, 1], [1, 0.7]]), "table entry: expected an integer, got 0.7"),
+        (lambda: FiniteGroup.from_table("G", [[0, 1], [True, 0]]), "table entry: expected an integer, got true"),
+        (lambda: GSet.from_table(catalog_group("Z2"), [[0, 1.0], [1, 0]]), "action entry: expected an integer, got 1.0"),
+        (lambda: perm_closure([[1, 0, "2"]]), "generator [1, 0, '2']: expected an integer, got \"2\""),
+    ],
+    ids=["float", "bool", "gset", "perm"],
+)
+def test_constructors_reject_non_integer_indices(build, message):
+    # each entry used to be cast with int(), so 0.7 read as 0 and built Z2
+    with pytest.raises(GroupError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_gset_validation_errors():

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -176,6 +178,51 @@ def test_cocycle_json_roundtrip_and_normalization():
 def test_make_cocycle_dimension_check():
     with pytest.raises(CocycleError):
         make_cocycle(catalog_group("Z3"), [[Phase.one()] * 2] * 2)
+
+
+def _phase_cocycle_report(G, table):
+    """(ok, reason, witness) of the cocycle checks written out in Phase
+    arithmetic, in the scan order of is_two_cocycle."""
+    n = G.order
+    for g in range(n):
+        if not table[0][g].is_one():
+            return False, "not normalized: alpha(e,g) != 1", (0, g)
+        if not table[g][0].is_one():
+            return False, "not normalized: alpha(g,e) != 1", (g, 0)
+    for g, h, k in product(range(n), repeat=3):
+        if table[g][h] * table[G.mul(g, h)][k] != table[g][G.mul(h, k)] * table[h][k]:
+            return False, "cocycle identity fails", (g, h, k)
+    return True, "valid normalized 2-cocycle", None
+
+
+def test_cocycle_check_matches_phase_oracle():
+    # coboundaries with one entry corrupted in three cases of four; make_cocycle
+    # also gets each table times a constant phase, which it divides out first
+    rng = random.Random(17)
+    seen = Counter()
+    for t in range(400):
+        G = catalog_group(("Z2", "Z3", "Z4", "S3", "Z2xZ2", "D4", "Q8")[t % 7])
+        den = rng.randint(2, 12)
+        beta = [Phase.one()] + [Phase.of(rng.randrange(den), den) for _ in range(G.order - 1)]
+        table = [list(row) for row in coboundary(G, beta).table]
+        if t % 4:
+            g, h = rng.randrange(G.order), rng.randrange(G.order)
+            table[g][h] = table[g][h] * Phase.of(rng.randrange(1, 5), 5)
+        want = _phase_cocycle_report(G, table)
+        rep = is_two_cocycle(G, table)
+        assert (rep.ok, rep.reason, rep.witness) == want, (G.name, table)
+        seen[want[1]] += 1
+        unit = Phase.of(rng.randrange(7), 7)
+        scaled = [[p * unit for p in row] for row in table]
+        normalized = [[p / scaled[0][0] for p in row] for row in scaled]
+        want = _phase_cocycle_report(G, normalized)
+        if want[0]:
+            assert make_cocycle(G, scaled).table == tuple(map(tuple, normalized))
+            continue
+        with pytest.raises(CocycleError) as exc:
+            make_cocycle(G, scaled)
+        assert (str(exc.value), exc.value.witness) == want[1:]
+    assert len(seen) == 4 and min(seen.values()) >= 30, seen
 
 
 def _corrupt_tau(tau, g, h, factor):
