@@ -268,7 +268,7 @@ def _label(dec: _Decomposition, marks: Sequence[int], forced_arc_labels=None) ->
             )
 
     face_of_label = {mi + 1: assignment[mi] for mi in range(n)}
-    regions = tuple(tuple(tuple(u) for u in faces[face_of_label[lab]]) for lab in range(1, n + 1))
+    regions = tuple(tuple(faces[face_of_label[lab]]) for lab in range(1, n + 1))
     label_of_face = {f: lab for lab, f in face_of_label.items()}
     arc_labels = tuple(label_of_face[f] for f in dec.arc_face)
     return Diagram(

@@ -57,9 +57,10 @@ def _table_level(table: Sequence[Sequence[Phase]]) -> int:
     return lcm(*(p.q.denominator for row in table for p in row))
 
 
-def _table_exponents(table: Sequence[Sequence[Phase]], level: int) -> list[list[int]]:
-    """k with table[g][h] = exp(2*pi*i*k/level), for a level that every denominator divides."""
-    return [[p.q.numerator * (level // p.q.denominator) for p in row] for row in table]
+def _table_exponents(table: Sequence[Sequence[Phase]]) -> tuple[int, list[list[int]]]:
+    """(L, k): L the table's level and table[g][h] = exp(2*pi*i*k[g][h]/L)."""
+    L = _table_level(table)
+    return L, [[p.q.numerator * (L // p.q.denominator) for p in row] for row in table]
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,11 @@ class CocycleReport:
 
 
 def _cocycle_exponents(G: FiniteGroup, table: Sequence[Sequence[Phase]]) -> tuple[int, list[list[int]]]:
-    """(L, a) with table[g][h] = exp(2 pi i a[g][h]/L), L the table's level."""
+    """_table_exponents of an n x n table, n the order of G."""
     n = G.order
     if len(table) != n or any(len(r) != n for r in table):
         raise CocycleError(f"table must be {n}x{n}")
-    L = _table_level(table)
-    return L, _table_exponents(table, L)
+    return _table_exponents(table)
 
 
 def _cocycle_law(G: FiniteGroup, L: int, a: Sequence[Sequence[int]]) -> CocycleReport:
@@ -159,8 +159,7 @@ def coboundary(G: FiniteGroup, beta: Sequence[Phase]) -> TwoCocycle:
         raise CocycleError("beta must assign a phase to every element")
     if not vals[0].is_one():
         raise CocycleError("beta(e) must be 1")
-    L = _table_level([vals])
-    (b,) = _table_exponents([vals], L)
+    L, (b,) = _table_exponents([vals])
     rows = (tuple((bg + b[h] - b[gh]) % L for h, gh in enumerate(row)) for bg, row in zip(b, G.mult))
     return TwoCocycle(G, L, tuple(rows))
 
@@ -194,8 +193,7 @@ def discrete_torsion(alpha: TwoCocycle) -> TorsionCocycle:
 
 def check_torsion_law(t: TorsionCocycle) -> CocycleReport:
     """Groupoid 1-cocycle law tau(g,hk) = tau(g,h) tau(h^-1 g h, k)."""
-    L = t.level()
-    return _torsion_law(t.group, L, _table_exponents(t.tau, L))
+    return _torsion_law(t.group, *_table_exponents(t.tau))
 
 
 def _torsion_law(G: FiniteGroup, L: int, T: Sequence[Sequence[int]]) -> CocycleReport:
@@ -254,8 +252,8 @@ def cocycle_to_json(alpha: TwoCocycle) -> dict:
 
 
 def torsion_to_json(t: TorsionCocycle) -> dict:
-    L = t.level()
-    return {"group": t.group.name, "denominator": L, "num": _table_exponents(t.tau, L)}
+    L, num = _table_exponents(t.tau)
+    return {"group": t.group.name, "denominator": L, "num": num}
 
 
 def catalog_cocycle(G: FiniteGroup, name: str) -> TwoCocycle:

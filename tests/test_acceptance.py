@@ -23,10 +23,11 @@ LIMITS = {
     # before); 10 s leaves room for the 2x host slowdown (perfbench/README.md)
     "criterion-03 cohomology-invariance": 10.0,
     "criterion-04 morita-invariance": 30.0,
-    # crit05 ran in 2.9-3.0 s in-process on a 2-CPU VM once diagrams were validated
-    # on integer ticks; 15 s leaves room for the 2x host slowdown (perfbench/README.md)
-    "criterion-05 operad-axioms": 15.0,
-    "criterion-06 g-graded-operad": 10.0,
+    # crit05 ran in 1.50-1.71 s and crit06 in 0.36-0.50 s in-process on a 2-CPU VM
+    # once diagrams kept integer ticks end to end (3.83-4.62 s and 0.93-1.19 s
+    # before); 8 s and 3 s leave room for the 2x host slowdown (perfbench/README.md)
+    "criterion-05 operad-axioms": 8.0,
+    "criterion-06 g-graded-operad": 3.0,
     "criterion-07 holonomy-figure": 5.0,
     "criterion-08 lens-rings": 5.0,
     "criterion-09 bv-checker": 5.0,

@@ -168,14 +168,14 @@ def test_equal_classes_equal_holonomy():
     for _ in range(20):
         md = random_md(rng, rng.randint(1, 3))
         W = random_gdiagram(rng, md, Z3, rng.randrange(3))
-        deltas = W.rep_deltas()
-        chords = list(md.rep_chords())
+        deltas = W.rep_deltas()  # keyed by ticks
+        chords, ticks = list(md.rep_chords()), md.rep_ticks()
         order = list(range(len(chords)))
         rng.shuffle(order)
         raw_chords, raw_delta = [], []
         for i in order:
             x, y = chords[i]
-            d = deltas[md.rep_ticks()[i]]
+            d = deltas[ticks[i]]
             if rng.random() < 0.5:
                 raw_chords.append((y, x))
                 raw_delta.append(Z3.invert(d))
