@@ -581,7 +581,7 @@ def to_cactus(md: MDClass) -> Cactus:
     elif d.vertices:  # 0 lies L - v ticks along the arc leaving the last vertex v
         v = d.vertices[-1]
         lobe, p = incid[v]
-        base = (p + md.L - v) % tapes[lobe - 1].total  # past the walk's end if the mark splits the arc
+        base = (p + md.L - v) % tapes[lobe - 1].total  # wraps when the lobe's mark splits that arc
     else:
         lobe, base = 1, -md.mark_ticks[0] % md.L
     return Cactus(
@@ -699,9 +699,10 @@ def from_cactus(c: Cactus) -> MDClass:
     """Unroll the cactus boundary from the base point into the unit circle."""
     n = len(c.perimeters)
     L, perims, segments, visits = _cactus_walk(c)
-    chords = [c for qi in sorted(visits) for c in pairwise(sorted(visits[qi]))]
+    chords = [chord for qi in sorted(visits) for chord in pairwise(sorted(visits[qi]))]
     marks = []
-    for lobe, r in enumerate(perims, 1):  # the marked point, lobe offset 0, on a joint or inside an arc
+    for lobe, r in enumerate(perims, 1):
+        # the marked point, lobe offset 0, lies -off0 % r into the segment from lobe offset off0
         at = [(g0 + -off0 % r) % L for g0, dl, lo, off0 in segments if lo == lobe and -off0 % r < dl]
         if not at:
             raise CactusError(f"could not locate the marked point of lobe {lobe}")
