@@ -42,7 +42,7 @@ def _tick(v: Fraction, L: int) -> int:
     return v.numerator * (L // v.denominator)
 
 
-class _Ticks:
+class _FractionViews:
     """Fraction views of the mark and cluster ticks of a Diagram or an MDClass."""
 
     @property
@@ -55,7 +55,7 @@ class _Ticks:
 
 
 @dataclass(frozen=True)
-class Diagram(_Ticks):
+class Diagram(_FractionViews):
     """A validated marked labeled chord diagram with its region decomposition,
     every coordinate and length a tick modulo L."""
 
@@ -332,7 +332,7 @@ def regions_report(d: Diagram) -> list[dict]:
 
 
 @dataclass(frozen=True)
-class MDClass(_Ticks):
+class MDClass(_FractionViews):
     """Canonical representative of a marked chord diagram class.
 
     Only the data surviving the quotients is kept: cluster partition of the
