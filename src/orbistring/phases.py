@@ -105,14 +105,6 @@ class CocycleReport:
     witness: tuple | None
 
 
-def _cocycle_exponents(G: FiniteGroup, table: Sequence[Sequence[Phase]]) -> tuple[int, list[list[int]]]:
-    """_table_exponents of an n x n table, n the order of G."""
-    n = G.order
-    if len(table) != n or any(len(r) != n for r in table):
-        raise CocycleError(f"table must be {n}x{n}")
-    return _table_exponents(table)
-
-
 def _cocycle_law(G: FiniteGroup, L: int, a: Sequence[Sequence[int]]) -> CocycleReport:
     """Normalization and a(g,h) + a(gh,k) = a(g,hk) + a(h,k) mod L, the cocycle
     identity of alpha = exp(2 pi i a/L) read as integers."""
@@ -133,13 +125,19 @@ def _cocycle_law(G: FiniteGroup, L: int, a: Sequence[Sequence[int]]) -> CocycleR
 
 def is_two_cocycle(G: FiniteGroup, table: Sequence[Sequence[Phase]]) -> CocycleReport:
     """Check normalization and the cocycle identity; report a violating triple on failure."""
-    return _cocycle_law(G, *_cocycle_exponents(G, table))
+    n = G.order
+    if len(table) != n or any(len(r) != n for r in table):
+        raise CocycleError(f"table must be {n}x{n}")
+    return _cocycle_law(G, *_table_exponents(table))
 
 
 def make_cocycle(G: FiniteGroup, table: Sequence[Sequence[Phase]]) -> TwoCocycle:
     """Normalize (divide by alpha(e,e)) and validate, on the table's exponents
     modulo its level, from which the cocycle is built."""
-    L, a = _cocycle_exponents(G, table)
+    n = G.order
+    if len(table) != n or any(len(r) != n for r in table):
+        raise CocycleError(f"table must be {n}x{n}")
+    L, a = _table_exponents(table)
     unit = a[0][0]
     a = [[(e - unit) % L for e in row] for row in a]
     rep = _cocycle_law(G, L, a)
