@@ -352,6 +352,7 @@ class MDClass(_FractionViews):
         return tuple(sorted((a, b) for grp in self.cluster_ticks for a, b in zip(grp, grp[1:])))
 
     def rep_chords(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Path-tree representative chords, sorted, as Fractions."""
         return tuple((Fraction(a, self.L), Fraction(b, self.L)) for a, b in self.rep_ticks())
 
     def perimeter(self, label: int) -> Fraction:
