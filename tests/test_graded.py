@@ -340,3 +340,168 @@ def test_bv_check_leaves_little_garbage():
     finally:
         gc.enable()
     assert found < 100
+
+
+def _oracle_bv_check(D, max_failures=1):
+    """bv_check as it stood before its Jacobi loop read tabulated brackets.
+
+    Basis brackets are tabulated, {x, e} is summed over e by linearity with an
+    elementwise fallback, and every other bracket is computed elementwise.
+    """
+    rep = graded.BVReport(True)
+    one = F(1)
+    counts = {"degree": 0, "delta2": 0, "antisym": 0, "leibniz": 0, "jacobi": 0, "skipped": 0}
+
+    def fail(kind, witness):
+        rep.ok = False
+        rep.failures.append({"axiom": kind, "witness": witness})
+
+    lo, hi = D.window
+    for b in D.basis:
+        img = D.delta.get(b, {})
+        for b2, c in img.items():
+            if c and D.degree(b2) != D.degree(b) + 1:
+                fail("delta-degree", f"Delta({b}) hits {b2}: degree {D.degree(b2)} != {D.degree(b) + 1}")
+                if len(rep.failures) >= max_failures:
+                    return rep
+        counts["degree"] += 1
+    for b in D.basis:
+        if D.degree(b) + 2 > hi and any(D.delta.get(b, {}).values()):
+            counts["skipped"] += 1
+            continue
+        if D.apply_delta(D.apply_delta({b: one})):
+            fail("delta-squared", f"Delta^2({b}) != 0")
+            if len(rep.failures) >= max_failures:
+                return rep
+        counts["delta2"] += 1
+
+    brackets = {}
+
+    def brk(x, y):
+        if (x, y) not in brackets:
+            try:
+                brackets[x, y] = bracket(D, {x: one}, {y: one}, D.degree(x))
+            except WindowOverflow:
+                brackets[x, y] = None
+        if brackets[x, y] is None:
+            raise WindowOverflow("basis bracket leaves the window")
+        return brackets[x, y]
+
+    def brk_el(x, e, dx):
+        out = {}
+        try:
+            for w, c in e.items():
+                out = el_add(out, el_scale(brk(x, w), c))
+        except WindowOverflow:
+            if len(e) == 1:
+                raise
+            return bracket(D, {x: one}, e, dx)
+        return out
+
+    for x in D.basis:
+        for y in D.basis:
+            try:
+                lhs = brk(x, y)
+                rhs = el_scale(brk(y, x), -1 if ((D.degree(x) + 1) * (D.degree(y) + 1)) % 2 else 1)
+            except WindowOverflow:
+                counts["skipped"] += 1
+                continue
+            if el_add(lhs, rhs):
+                fail("antisymmetry", f"{{{x},{y}}} != -(-1)^((|a|+1)(|b|+1)) {{{y},{x}}}")
+                if len(rep.failures) >= max_failures:
+                    return rep
+            counts["antisym"] += 1
+    for x in D.basis:
+        dx = D.degree(x)
+        for y in D.basis:
+            dy = D.degree(y)
+            for z in D.basis:
+                try:
+                    lhs = brk_el(x, D.product(y, z), dx)
+                    t1 = D.mult_el(brk(x, y), {z: one})
+                    t2 = el_scale(D.mult_el({y: one}, brk(x, z)), -1 if ((dx + 1) * dy) % 2 else 1)
+                    rhs = el_add(t1, t2)
+                except WindowOverflow:
+                    counts["skipped"] += 1
+                    continue
+                if el_add(lhs, el_scale(rhs, -1)):
+                    fail("leibniz", f"{{{x}, {y}*{z}}} fails the derivation rule")
+                    if len(rep.failures) >= max_failures:
+                        return rep
+                counts["leibniz"] += 1
+                try:
+                    l2 = brk_el(x, brk(y, z), dx)
+                    r1 = bracket(D, brk(x, y), {z: one}, dx + dy + 1)
+                    r2 = el_scale(brk_el(y, brk(x, z), dy), -1 if ((dx + 1) * (dy + 1)) % 2 else 1)
+                except WindowOverflow:
+                    counts["skipped"] += 1
+                    continue
+                if el_add(l2, el_scale(el_add(r1, r2), -1)):
+                    fail("jacobi", f"jacobi fails at ({x},{y},{z})")
+                    if len(rep.failures) >= max_failures:
+                        return rep
+                counts["jacobi"] += 1
+    rep.checked = counts
+    return rep
+
+
+# the benchmark's BV windows, one more lens window and the degree-0 ring Z(Q[S3]):
+# (presentation, lo, hi, number of random cases); the lens windows admit Menichi's Delta
+ORACLE_WINDOWS = [
+    (lambda: lens_ring(3, 1), -3, 6, 12),
+    (lambda: lens_ring(3, 2), -3, 2, 12),
+    (lambda: lens_ring(3, 3), -3, 0, 12),
+    (lambda: lens_ring(5, 2), -5, 4, 12),
+    (lambda: sphere_quotient_ring(2), -2, 3, 12),
+    (lambda: sphere_quotient_ring(3), -2, 1, 12),
+    (lambda: lens_ring(3, 2), -3, 9, 4),
+    (None, 0, 0, 12),
+]
+
+
+def _random_delta(rng, basis, degree, homogeneous):
+    """A random Delta on basis; homogeneous ones often square to zero.
+
+    A homogeneous Delta maps a random set of sources into the other labels one
+    degree up; when it keeps to labels outside the sources, Delta^2 = 0 and the
+    check reaches the Leibniz and Jacobi loops.  A degree-breaking one adds
+    terms of either parity in the wrong degree.
+    """
+    coeff = lambda: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))  # noqa: E731
+    sources = [b for b in basis if rng.random() < 0.4]
+    closed = rng.random() < 0.7
+    delta = {}
+    for b in sources:
+        targets = [t for t in basis if degree(t) == degree(b) + 1 and not (closed and t in sources)]
+        for t in rng.sample(targets, min(len(targets), rng.randint(1, 2))):
+            delta.setdefault(b, {})[t] = coeff()
+    if not homogeneous:
+        for _ in range(rng.randint(1, 3)):
+            b, t = rng.choice(basis), rng.choice(basis)
+            if degree(t) != degree(b) + 1:
+                delta.setdefault(b, {})[t] = coeff()
+    return delta
+
+
+@pytest.mark.parametrize("w", range(len(ORACLE_WINDOWS)))
+def test_bv_check_matches_elementwise_oracle(w):
+    make, lo, hi, cases = ORACLE_WINDOWS[w]
+    rng = random.Random(1000 + w)
+    if make is None:
+        ring = dw_frobenius(catalog_group("S3"))
+        build = lambda delta: ring_window_bv(ring, delta)  # noqa: E731
+    else:
+        P = make()
+        build = lambda delta: graded_window_bv(P, lo, hi, delta)  # noqa: E731
+    D0 = build(None)
+    seen = Counter()
+    for case in range(cases):
+        homogeneous = case % 3 != 2
+        delta = {} if case == 0 else _random_delta(rng, D0.basis, D0.degree, homogeneous)
+        if case == 1 and make is not None and "u" in (name for name, _ in P.gens):
+            delta = menichi_delta(P, lo, hi)
+        for max_failures in (1, 5, 10**6):
+            got, want = bv_check(build(delta), max_failures), _oracle_bv_check(build(delta), max_failures)
+            assert (got.ok, got.failures, got.checked) == (want.ok, want.failures, want.checked)
+            seen[want.ok, bool(want.checked and want.checked["jacobi"])] += 1
+    assert seen[True, True] > 0
