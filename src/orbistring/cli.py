@@ -447,7 +447,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         print(str(e), file=sys.stderr)
         return 1
-    print(out)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`| head`); as the signal module's note on SIGPIPE
+        # advises, point stdout at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -158,10 +158,11 @@ def multiply(P: GradedPresentation, x: Element, y: Element) -> Element:
     return out
 
 
-def el_add(x: Element, y: Element) -> Element:
+def el_add(x: Element, y: Element, c=1) -> Element:
+    """x + c*y."""
     out = dict(x)
-    for m, c in y.items():
-        acc = out.get(m, 0) + c
+    for m, v in y.items():
+        acc = out.get(m, 0) + c * v
         if acc:
             out[m] = acc
         else:
@@ -385,28 +386,33 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
     the shifted signs.  Tuples whose products leave the window are skipped.
 
     Products and brackets are tabulated once per check: each basis product
-    is computed at most once (D.product keeps it for the life of D) and each
-    basis bracket {x,y} at most once (a table local to this call, since it
-    depends on Delta).  Brackets whose second argument is an element are
-    summed from the basis brackets by linearity; when a summand overflows,
-    the bracket is recomputed elementwise, so a tuple is skipped exactly
-    when the elementwise bracket overflows.
+    is computed at most once (D.product keeps it for the life of D), and each
+    basis bracket {x,y} and each nested bracket {x,{y,z}} at most once (tables
+    local to this call, since they depend on Delta).  The Jacobi term
+    {y,{x,z}} is the nested bracket of (y,x,z).  A bracket with an element
+    argument is summed from the basis brackets by linearity in each argument.
+    Linearity in the first argument needs each of its terms to have the
+    parity of the degree the bracket is taken at, as they do once Delta
+    passed the degree check; otherwise, and whenever a summand overflows
+    (terms may cancel), the bracket is computed elementwise.  So a tuple is
+    skipped exactly when the elementwise bracket overflows.
     """
     rep = BVReport(True)
     one = Fraction(1)
     counts = {"degree": 0, "delta2": 0, "antisym": 0, "leibniz": 0, "jacobi": 0, "skipped": 0}
 
-    def fail(kind, witness):
+    def fail(kind, witness) -> bool:
+        """Record a failure; True when the check should stop."""
         rep.ok = False
         rep.failures.append({"axiom": kind, "witness": witness})
+        return len(rep.failures) >= max_failures
 
     lo, hi = D.window
     for b in D.basis:
         img = D.delta.get(b, {})
         for b2, c in img.items():
             if c and D.degree(b2) != D.degree(b) + 1:
-                fail("delta-degree", f"Delta({b}) hits {b2}: degree {D.degree(b2)} != {D.degree(b) + 1}")
-                if len(rep.failures) >= max_failures:
+                if fail("delta-degree", f"Delta({b}) hits {b2}: degree {D.degree(b2)} != {D.degree(b) + 1}"):
                     return rep
         counts["degree"] += 1
     for b in D.basis:
@@ -414,86 +420,92 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
             counts["skipped"] += 1
             continue
         if D.apply_delta(D.apply_delta({b: one})):
-            fail("delta-squared", f"Delta^2({b}) != 0")
-            if len(rep.failures) >= max_failures:
+            if fail("delta-squared", f"Delta^2({b}) != 0"):
                 return rep
         counts["delta2"] += 1
 
-    brackets: dict = {}
+    deg = {b: D.degree(b) for b in D.basis}
+    parity = ({b for b in D.basis if not deg[b] % 2}, {b for b in D.basis if deg[b] % 2})
+    unit = {b: {b: one} for b in D.basis}
+    products, brackets, nested = D._products, {}, {}
 
     def basis_bracket(x, y):
-        return bracket(D, {x: one}, {y: one}, D.degree(x))
+        return bracket(D, {x: one}, {y: one}, deg[x])  # y may lie outside the basis
+
+    def nested_bracket(x, y, z):
+        return brk_el(unit[x], brk(y, z), deg[x])
 
     def brk(x, y):
-        return _tabulated(brackets, basis_bracket, x, y)
+        val = brackets.get((x, y))
+        return val if type(val) is dict else _tabulated(brackets, basis_bracket, x, y)
 
-    def brk_el(x, e, dx):
-        """{x, e} for an element e."""
+    def nest(x, y, z):
+        """{x, {y, z}}."""
+        val = nested.get((x, y, z))
+        return val if type(val) is dict else _tabulated(nested, nested_bracket, x, y, z)
+
+    def brk_el(a, b, da):
+        """{a, b} for elements a and b, summed from the basis brackets."""
+        if not parity[da % 2].issuperset(a):  # a term of a outside the basis or of the other parity
+            return bracket(D, a, b, da)
         out: Element = {}
         try:
-            for w, c in e.items():
-                for m, v in brk(x, w).items():
-                    acc = out.get(m, 0) + c * v
-                    if acc:
-                        out[m] = acc
-                    else:
-                        out.pop(m, None)
+            for u, cu in a.items():
+                for w, cw in b.items():
+                    for m, v in brk(u, w).items():
+                        acc = out.get(m, 0) + cu * cw * v
+                        if acc:
+                            out[m] = acc
+                        else:
+                            out.pop(m, None)
         except WindowOverflow:
-            if len(e) == 1:
+            if len(a) * len(b) == 1:
                 raise  # the elementwise bracket forms exactly the same products
-            # terms of Delta(e) may cancel, so the elementwise bracket may stay in the window
-            return bracket(D, {x: one}, e, dx)
+            return bracket(D, a, b, da)  # terms may cancel, so it may stay in the window
         return out
 
+    # every computed element is free of zero coefficients, so != compares values
     for x in D.basis:
         for y in D.basis:
             try:
                 lhs = brk(x, y)
-                rhs = el_scale(brk(y, x), -1 if ((D.degree(x) + 1) * (D.degree(y) + 1)) % 2 else 1)
+                rhs = el_scale(brk(y, x), 1 if ((deg[x] + 1) * (deg[y] + 1)) % 2 else -1)
             except WindowOverflow:
                 counts["skipped"] += 1
                 continue
-            if el_add(lhs, rhs):
-                fail("antisymmetry", f"{{{x},{y}}} != -(-1)^((|a|+1)(|b|+1)) {{{y},{x}}}")
-                if len(rep.failures) >= max_failures:
-                    return rep
+            if lhs != rhs and fail("antisymmetry", f"{{{x},{y}}} != -(-1)^((|a|+1)(|b|+1)) {{{y},{x}}}"):
+                return rep
             counts["antisym"] += 1
     for x in D.basis:
-        dx = D.degree(x)
+        dx = deg[x]
         for y in D.basis:
-            dy = D.degree(y)
+            try:
+                xy = brk(x, y)
+            except WindowOverflow:  # every Leibniz tuple (x, y, z) is skipped, so no Jacobi one is tried
+                counts["skipped"] += len(D.basis)
+                continue
+            dy = deg[y]
+            leibniz_sign = -1 if ((dx + 1) * dy) % 2 else 1
+            jacobi_sign = -1 if ((dx + 1) * (dy + 1)) % 2 else 1
             for z in D.basis:
+                yz = products.get((y, z))
                 try:
-                    lhs = brk_el(x, D.product(y, z), dx)
-                    t1 = D.mult_el(brk(x, y), {z: one})
-                    t2 = el_scale(
-                        D.mult_el({y: one}, brk(x, z)),
-                        -1 if ((dx + 1) * dy) % 2 else 1,
-                    )
-                    rhs = el_add(t1, t2)
+                    lhs = brk_el(unit[x], yz if type(yz) is dict else D.product(y, z), dx)
+                    rhs = el_add(D.mult_el(xy, unit[z]), D.mult_el(unit[y], brk(x, z)), leibniz_sign)
                 except WindowOverflow:
                     counts["skipped"] += 1
                     continue
-                if el_add(lhs, el_scale(rhs, -1)):
-                    fail("leibniz", f"{{{x}, {y}*{z}}} fails the derivation rule")
-                    if len(rep.failures) >= max_failures:
-                        return rep
+                if lhs != rhs and fail("leibniz", f"{{{x}, {y}*{z}}} fails the derivation rule"):
+                    return rep
                 counts["leibniz"] += 1
                 try:
-                    l2 = brk_el(x, brk(y, z), dx)
-                    # the first argument has the forced degree dx+dy+1, so no linearity here
-                    r1 = bracket(D, brk(x, y), {z: one}, dx + dy + 1)
-                    r2 = el_scale(
-                        brk_el(y, brk(x, z), dy),
-                        -1 if ((dx + 1) * (dy + 1)) % 2 else 1,
-                    )
+                    lhs = nest(x, y, z)
+                    rhs = el_add(brk_el(xy, unit[z], dx + dy + 1), nest(y, x, z), jacobi_sign)
                 except WindowOverflow:
                     counts["skipped"] += 1
                     continue
-                if el_add(l2, el_scale(el_add(r1, r2), -1)):
-                    fail("jacobi", f"jacobi fails at ({x},{y},{z})")
-                    if len(rep.failures) >= max_failures:
-                        return rep
+                if lhs != rhs and fail("jacobi", f"jacobi fails at ({x},{y},{z})"):
+                    return rep
                 counts["jacobi"] += 1
     rep.checked = counts
     return rep

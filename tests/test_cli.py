@@ -197,6 +197,12 @@ def test_ring_and_bvcheck_cli(capsys, tmp_path):
     assert not json.loads(out)["ok"]
 
 
+def test_empty_ring_window_is_domain_error(capsys):
+    code, out, err = run(capsys, "ring", "--name", "lens", "--n", "3", "--p", "2", "--window=3:1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "empty degree window", "kind": "GradedError"}
+
+
 def test_morita_cli(capsys):
     code, out, _ = run(capsys, "morita", "--left", "coset:S3:Z3", "--right", "point:Z3")
     assert code == 0
@@ -216,6 +222,21 @@ def test_entry_point_help():
     )
     assert proc.returncode == 0
     assert "selftest" in proc.stdout
+
+
+def test_closed_reader_exits_without_traceback():
+    # the JSON report is about 1.5 MB, far more than a pipe buffers, so the
+    # writer meets the closed pipe while it still has output left
+    args = ["ring", "--name", "lens", "--n", "3", "--p", "5", "--window=-3:40", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbistring.cli", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 def test_byte_identical_reports_small():

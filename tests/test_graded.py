@@ -127,6 +127,26 @@ def test_degree0_free_generator_rejected():
         GradedPresentation((("x", 0),), (None,))
 
 
+@pytest.mark.parametrize(
+    "gens,roots,message",
+    [
+        ((("v", 2),), (3,), "root-of-unity generator v must have degree 0"),
+        ((("v", 0),), (0,), "root order of v must be positive"),
+    ],
+)
+def test_root_of_unity_generator_checks(gens, roots, message):
+    with pytest.raises(GradedError, match=message):
+        GradedPresentation(gens, roots)
+
+
+def test_monomial_rejects_unknown_generator_and_negative_exponent():
+    P = lens_ring(3, 2)
+    with pytest.raises(GradedError, match="unknown generator w"):
+        P.monomial(w=1)
+    with pytest.raises(GradedError, match="negative exponent"):
+        P.monomial(u=-1)
+
+
 def test_negative_free_generator_window_rejected():
     P = GradedPresentation((("w", -2),), (None,))
     with pytest.raises(GradedError):
@@ -325,6 +345,46 @@ def test_bv_check_skips_only_where_the_elementwise_bracket_overflows():
     rep = bv_check(BVData(tuple(deg), deg.__getitem__, mult, delta, (0, 2)), max_failures=100)
     assert rep.ok
     assert list(rep.checked.items()) == list(zip(CHECKED_KEYS, (6, 4, 30, 184, 174, 50)))
+
+
+def test_bv_check_skips_only_where_the_elementwise_left_bracket_overflows():
+    # {{y,y}, x} = {w1 - w2, x}: each basis bracket {wi, x} contains Delta(wi)*x = t*x,
+    # which overflows, but Delta(w1 - w2) = t - t = 0, so the bracket itself is 0.
+    # The Jacobi tuples (y, y, x) must be checked, not skipped.
+    deg = {"x": 0, "y": 0, "m": 0, "w1": 1, "w2": 1, "t": 2}
+
+    def mult(a, b):
+        if (a, b) == ("t", "x"):
+            raise WindowOverflow("t*x leaves the window")
+        return {"m": F(1)} if (a, b) == ("y", "y") else {}
+
+    delta = {"m": {"w1": F(1), "w2": F(-1)}, "w1": {"t": F(1)}, "w2": {"t": F(1)}}
+    D = BVData(tuple(deg), deg.__getitem__, mult, delta, (0, 2))
+    one = {"y": F(1)}
+    assert bracket(D, one, one, 0) == {"w1": F(1), "w2": F(-1)}
+    assert bracket(D, {"w1": F(1), "w2": F(-1)}, {"x": F(1)}, 1) == {}
+    for w in ("w1", "w2"):
+        with pytest.raises(WindowOverflow):
+            bracket(D, {w: F(1)}, {"x": F(1)}, 1)
+    rep = bv_check(D, max_failures=100)
+    assert rep.ok
+    assert list(rep.checked.items()) == list(zip(CHECKED_KEYS, (6, 4, 30, 180, 174, 50)))
+
+
+def test_bv_check_brackets_labels_outside_the_basis():
+    # Delta(q) = r leaves the window, yet {p,p} = Delta(p*p) = r stays a bracket
+    # (no product overflows), so {p, {p,p}} and {{p,p}, p} take r as an argument
+    deg = {"p": 0, "q": 0, "r": 1}
+
+    def mult(a, b):
+        return {"q": F(1)} if (a, b) == ("p", "p") else {}
+
+    make = lambda: BVData(("p", "q"), deg.__getitem__, mult, {"q": {"r": F(1)}}, (0, 0))  # noqa: E731
+    assert bracket(make(), {"p": F(1)}, {"p": F(1)}, 0) == {"r": F(1)}
+    for max_failures in (1, 10**6):
+        got, want = bv_check(make(), max_failures), _oracle_bv_check(make(), max_failures)
+        assert (got.ok, got.failures, got.checked) == (want.ok, want.failures, want.checked)
+        assert list(got.checked.items()) == list(zip(CHECKED_KEYS, (2, 1, 4, 8, 8, 1)))
 
 
 def test_bv_check_leaves_little_garbage():
