@@ -268,22 +268,21 @@ def sphere_quotient_ring(p: int) -> GradedPresentation:
 
 
 def _tabulated(table: dict, fn: Callable, *key):
-    """fn(*key), computed once per key and then read from table.
+    """fn(*key), a dict, computed once per key and then read from table.
 
     An overflow is stored as its message and raised afresh on every lookup.
     A stored exception would hold, through its traceback, the frame of the
     check that owns the table: a reference cycle that only the garbage
     collector frees.
     """
-    try:
-        val = table[key]
-    except KeyError:
+    val = table.get(key)
+    if val is None:
         try:
             val = fn(*key)
         except WindowOverflow as e:
             val = str(e)
         table[key] = val
-    if isinstance(val, str):
+    if type(val) is str:
         raise WindowOverflow(val)
     return val
 
@@ -387,10 +386,9 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
 
     Products and brackets are tabulated once per check: each basis product
     is computed at most once (D.product keeps it for the life of D), and each
-    basis bracket {x,y} and each nested bracket {x,{y,z}} at most once (tables
-    local to this call, since they depend on Delta).  The Jacobi term
-    {y,{x,z}} is the nested bracket of (y,x,z).  A bracket with an element
-    argument is summed from the basis brackets by linearity in each argument.
+    basis bracket {x,y} at most once (a table local to this call, since it
+    depends on Delta).  Every other bracket, such as {x,{y,z}} or {{x,y},z},
+    is summed from the basis brackets by linearity in each argument.
     Linearity in the first argument needs each of its terms to have the
     parity of the degree the bracket is taken at, as they do once Delta
     passed the degree check; otherwise, and whenever a summand overflows
@@ -427,22 +425,13 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
     deg = {b: D.degree(b) for b in D.basis}
     parity = ({b for b in D.basis if not deg[b] % 2}, {b for b in D.basis if deg[b] % 2})
     unit = {b: {b: one} for b in D.basis}
-    products, brackets, nested = D._products, {}, {}
+    brackets: dict = {}
 
     def basis_bracket(x, y):
         return bracket(D, {x: one}, {y: one}, deg[x])  # y may lie outside the basis
 
-    def nested_bracket(x, y, z):
-        return brk_el(unit[x], brk(y, z), deg[x])
-
     def brk(x, y):
-        val = brackets.get((x, y))
-        return val if type(val) is dict else _tabulated(brackets, basis_bracket, x, y)
-
-    def nest(x, y, z):
-        """{x, {y, z}}."""
-        val = nested.get((x, y, z))
-        return val if type(val) is dict else _tabulated(nested, nested_bracket, x, y, z)
+        return _tabulated(brackets, basis_bracket, x, y)
 
     def brk_el(a, b, da):
         """{a, b} for elements a and b, summed from the basis brackets."""
@@ -488,9 +477,8 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
             leibniz_sign = -1 if ((dx + 1) * dy) % 2 else 1
             jacobi_sign = -1 if ((dx + 1) * (dy + 1)) % 2 else 1
             for z in D.basis:
-                yz = products.get((y, z))
                 try:
-                    lhs = brk_el(unit[x], yz if type(yz) is dict else D.product(y, z), dx)
+                    lhs = brk_el(unit[x], D.product(y, z), dx)
                     rhs = el_add(D.mult_el(xy, unit[z]), D.mult_el(unit[y], brk(x, z)), leibniz_sign)
                 except WindowOverflow:
                     counts["skipped"] += 1
@@ -499,8 +487,8 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
                     return rep
                 counts["leibniz"] += 1
                 try:
-                    lhs = nest(x, y, z)
-                    rhs = el_add(brk_el(xy, unit[z], dx + dy + 1), nest(y, x, z), jacobi_sign)
+                    lhs = brk_el(unit[x], brk(y, z), dx)
+                    rhs = el_add(brk_el(xy, unit[z], dx + dy + 1), brk_el(unit[y], brk(x, z), dy), jacobi_sign)
                 except WindowOverflow:
                     counts["skipped"] += 1
                     continue
