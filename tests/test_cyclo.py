@@ -6,7 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbistring.cyclo import Cyclo, _poly_divmod, _poly_mul, cyclotomic_poly, euler_phi, mat_det, mat_solve
+from orbistring.cyclo import Cyclo, _poly_divmod, _poly_mul, cyclotomic_poly, euler_phi, mat_det
+
+
+def mat_solve(a: list[list], rhs: list[list], zero, one):
+    """Solve a * x = rhs by Gauss-Jordan over an exact field; a must be square invertible.
+
+    The field oracle for the library's linear solves, over Fraction or Cyclo.
+    """
+    n = len(a)
+    m = len(rhs[0]) if rhs else 0
+    work = [list(a[i]) + list(rhs[i]) for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col]), None)
+        if piv is None:
+            raise ArithmeticError("singular matrix")
+        work[col], work[piv] = work[piv], work[col]
+        inv = one / work[col][col]
+        work[col] = [v * inv for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [vr - f * vc for vr, vc in zip(work[r], work[col])]
+    return [row[n : n + m] for row in work]
 
 
 def test_cyclotomic_polys():

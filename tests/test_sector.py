@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -350,6 +351,46 @@ def test_morita_sweep_digest():
         for Y in gsets:
             digest.update(json.dumps(morita_compare(X, Y, seed=46).to_json(), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == "e82d348884ca58797405e00fc09026138fb4143c962d46cdc713a0a49844c331"
+
+
+# the exact solve that the probe and the witness run through
+_SOLVE = "mat_solve"
+
+
+def _patch_solve(monkeypatch, caller, edit):
+    """Pass every solution that a solve called from `caller` returns through edit."""
+    solve = getattr(sector, _SOLVE)
+
+    def patched(*args):
+        sol = solve(*args)
+        return edit(sol) if sys._getframe(1).f_code.co_name == caller else sol
+
+    monkeypatch.setattr(sector, _SOLVE, patched)
+
+
+@pytest.mark.parametrize(
+    "column,detail",
+    [(1, "witness failed the homomorphism check; inconclusive"), (0, "witness does not map unit to unit; inconclusive")],
+)
+def test_morita_witness_gates_fire(monkeypatch, column, detail):
+    # row i of the witness solve is T e_i; adding e_0 to T e_0 moves the unit
+    # e_0 of point:S3, adding it to T e_1 keeps the unit but breaks e_1 e_1
+    def bump(sol):
+        return [[c + 1 if (i, k) == (column, 0) else c for k, c in enumerate(row)] for i, row in enumerate(sol)]
+
+    _patch_solve(monkeypatch, "morita_compare", bump)
+    X = point_gset(catalog_group("S3"))
+    assert orbifold_string_ring(X).unit_coords == {0: 1}
+    rep = morita_compare(X, X, seed=46)
+    assert (rep.isomorphic, rep.obstruction, rep.witness, rep.detail) == (None, None, None, detail)
+
+
+def test_probe_minimal_polynomial_gate_fires(monkeypatch):
+    # a solution whose x^n column is not integral
+    _patch_solve(monkeypatch, "_probe_split", lambda sol: [[row[0] + Fraction(1, 2)] + row[1:] for row in sol])
+    X = point_gset(catalog_group("S3"))
+    with pytest.raises(SectorError, match="^minimal polynomial of an integral probe is not integral$"):
+        morita_compare(X, X, seed=46)
 
 
 def test_ring_json():
