@@ -428,7 +428,30 @@ def _poly_inverse_mod(a: list[Fraction], m: list[Fraction]) -> list[Fraction]:
     return [c / r0[0] for c in s0]
 
 
-# generic exact linear algebra (works over Fraction or Cyclo) ---------------
+# exact linear algebra: a solve over the integers, mat_det over Fraction or Cyclo
+
+
+def _int_solve(a: list[list[int]], rhs: list[list[int]]) -> list[list[Fraction]]:
+    """Solve a * x = rhs, a square and integral, by fraction-free Gauss-Jordan
+    (Bareiss, Math. Comp. 22, 1968): step k sets each row r but the pivot row to
+    (p_k r - r_k row_k) / p_(k-1), p_k the k-th pivot, an exact division that
+    only the columns right of k need.  The left block ends as p_(n-1) = +-det(a)
+    times the identity, so each entry of x is Fraction(num, p_(n-1))."""
+    n = len(a)
+    work = [list(a[i]) + list(rhs[i]) for i in range(n)]
+    prev = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col]), None)
+        if piv is None:
+            raise ArithmeticError("singular matrix")
+        work[col], work[piv] = work[piv], work[col]
+        p, tail = work[col][col], work[col][col + 1 :]
+        for r, row in enumerate(work):
+            if r != col:
+                f = row[col]
+                row[col + 1 :] = [(p * v - f * w) // prev for v, w in zip(row[col + 1 :], tail)]
+        prev = p
+    return [[Fraction(v, prev) for v in row[n:]] for row in work]
 
 
 def mat_solve(a: list[list], rhs: list[list], zero, one):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbistring.cyclo import Cyclo, _poly_divmod, _poly_mul, cyclotomic_poly, euler_phi, mat_det
+from orbistring.cyclo import Cyclo, _int_solve, _poly_divmod, _poly_mul, cyclotomic_poly, euler_phi, mat_det
 
 
 def mat_solve(a: list[list], rhs: list[list], zero, one):
@@ -102,6 +102,40 @@ def test_exact_linear_algebra():
     assert prod == eye
     assert mat_det(m, zero, one) == one - i * i  # 1 - i^2 = 2
     assert mat_det([[one, one], [one, one]], zero, one) == zero
+
+
+def test_int_solve_matches_field_oracle():
+    # random integer systems up to 8x8 with 0-3 right-hand sides: a third are
+    # products through an inner dimension below n (rank-deficient), and a third
+    # of the entries are zero so that pivots must be searched for
+    rng = random.Random(2024)
+
+    def entry():
+        return rng.choice([0, rng.randint(-9, 9), rng.randint(-10**6, 10**6)])
+
+    singular = 0
+    for trial in range(2400):
+        n, m = rng.randint(1, 8), rng.randint(0, 3)
+        if trial % 3:
+            a = [[entry() for _ in range(n)] for _ in range(n)]
+        else:
+            r = rng.randint(0, n - 1)
+            left = [[entry() for _ in range(r)] for _ in range(n)]
+            right = [[entry() for _ in range(n)] for _ in range(r)]
+            a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if r else [0] * n for row in left]
+        rhs = [[entry() for _ in range(m)] for _ in range(n)]
+        given = ([list(row) for row in a], [list(row) for row in rhs])
+        try:
+            want = mat_solve([[Fraction(c) for c in row] for row in a], rhs, Fraction(0), Fraction(1))
+        except ArithmeticError:
+            singular += 1
+            with pytest.raises(ArithmeticError, match="^singular matrix$"):
+                _int_solve(a, rhs)
+        else:
+            got = _int_solve(a, rhs)
+            assert got == want and all(type(c) is Fraction for row in got for c in row)
+        assert (a, rhs) == given
+    assert 800 <= singular <= 1200
 
 
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
