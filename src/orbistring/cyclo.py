@@ -454,25 +454,6 @@ def _int_solve(a: list[list[int]], rhs: list[list[int]]) -> list[list[Fraction]]
     return [[Fraction(v, prev) for v in row[n:]] for row in work]
 
 
-def mat_solve(a: list[list], rhs: list[list], zero, one):
-    """Solve a * x = rhs by Gauss-Jordan over an exact field; a must be square invertible."""
-    n = len(a)
-    m = len(rhs[0]) if rhs else 0
-    work = [list(a[i]) + list(rhs[i]) for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise ArithmeticError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = one / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [vr - f * vc for vr, vc in zip(work[r], work[col])]
-    return [row[n : n + m] for row in work]
-
-
 def mat_det(a: list[list], zero, one):
     """Determinant by fraction-free-ish Gaussian elimination over an exact field."""
     n = len(a)

@@ -17,7 +17,7 @@ from itertools import product
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from .cyclo import Cyclo, _poly_divmod, _poly_inverse_mod, _poly_mul, _poly_sub, _poly_trim, mat_det, mat_solve
+from .cyclo import Cyclo, _int_solve, _poly_divmod, _poly_inverse_mod, _poly_mul, _poly_sub, _poly_trim, mat_det
 from .groups import FiniteGroup, GSet, conjugacy_classes, fixed_points, point_gset
 from .phases import TwoCocycle, alpha_regular_reps
 
@@ -528,14 +528,28 @@ def _splitting(factor: list[Fraction]) -> tuple[Fraction, int] | None:
     return None
 
 
-def _probe_split(ring: SectorRing, rng) -> tuple[list[list[Fraction]], list[list[Fraction]]] | None:
-    """The dense powers 1, x, ..., x^(n-1) of a probe x whose minimal polynomial
-    has full degree n and is squarefree, and the sorted irreducible factors of
-    that polynomial.
+def _squarefree(f: list[int]) -> bool:
+    """gcd(f, f') = 1 for an integer f of degree >= 1: the Sylvester matrix of
+    f and f', whose determinant is their resultant, is nonsingular."""
+    d = [k * c for k, c in enumerate(f)][1:]
+    size = 2 * len(d) - 1
+    rows = [[0] * i + f + [0] * (size - len(f) - i) for i in range(len(d) - 1)]
+    rows += [[0] * i + d + [0] * (size - len(d) - i) for i in range(len(d))]
+    try:
+        _int_solve(rows, [[] for _ in rows])
+    except ArithmeticError:
+        return False
+    return True
 
-    One solve in the basis 1, ..., x^(n-1) writes x^n, which gives the minimal
-    polynomial, and P_c(x) for each c prime to the group exponent e, where P_c
-    is the power map (g, m) -> (g^c, m) on orbit sums.  The eigenvalue
+
+def _probe_split(ring: SectorRing, rng) -> tuple[list[list[int]], list[list[Fraction]]] | None:
+    """The dense integer powers 1, x, ..., x^(n-1) of an integral probe x whose
+    minimal polynomial has full degree n and is squarefree, and the sorted
+    irreducible factors of that polynomial.
+
+    One integer solve in the basis 1, ..., x^(n-1) writes x^n, which gives the
+    minimal polynomial, and P_c(x) for each c prime to the group exponent e,
+    where P_c is the power map (g, m) -> (g^c, m) on orbit sums.  The eigenvalue
     |C_g| chi(g) / chi(1) of a class sum goes to that of C_(g^c) under
     zeta_e -> zeta_e^c, so the polynomials h_c with P_c(x) = h_c(x) act on the
     eigenvalues of x as Gal(Q(zeta_e)/Q) (Dixon 1967).
@@ -553,29 +567,27 @@ def _probe_split(ring: SectorRing, rng) -> tuple[list[list[Fraction]], list[list
         images.append([index[walk[c], m] for c in cs])
     sparse, unit, n = ring.table, ring.unit_coords, ring.dim
     for _ in range(200):
-        probe = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
+        probe = [rng.randint(-9, 9) for _ in range(n)]
         x = _nonzero(probe)
         powers = [unit]
         for _ in range(n):
             powers.append(_ring_product(sparse, powers[-1], x))
-        dense = [[v.get(k, Fraction(0)) for k in range(n)] for v in powers]
-        rhs = [[dense[n][k]] + [Fraction(0)] * len(cs) for k in range(n)]
+        dense = [[v.get(k, 0) for k in range(n)] for v in powers]
+        rhs = [[dense[n][k]] + [0] * len(cs) for k in range(n)]
         for i, row in enumerate(images):
             for j, k in enumerate(row, start=1):
                 rhs[k][j] = probe[i]
         try:
-            sol = mat_solve([list(col) for col in zip(*dense[:n])], rhs, Fraction(0), Fraction(1))
+            sol = _int_solve([list(col) for col in zip(*dense[:n])], rhs)
         except ArithmeticError:  # 1, ..., x^(n-1) are dependent: the degree is below n
             continue
-        mp = [-row[0] for row in sol] + [Fraction(1)]
-        if any(c.denominator != 1 for c in mp):
+        if any(row[0].denominator != 1 for row in sol):
             raise SectorError("minimal polynomial of an integral probe is not integral")
-        try:
-            _poly_inverse_mod([k * c for k, c in enumerate(mp)][1:], mp)
-        except ZeroDivisionError:  # not squarefree
+        mp = [-int(row[0]) for row in sol] + [1]
+        if not _squarefree(mp):
             continue
         galois = [_poly_trim([row[j] for row in sol]) for j in range(1, len(cs) + 1)]
-        return dense[:n], _factor_monic_over_q([int(c) for c in mp], galois, e)
+        return dense[:n], _factor_monic_over_q(mp, galois, e)
     return None
 
 
@@ -595,8 +607,9 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
     under the same square root, and the Chinese remainder theorem gives h with
     h = alpha (mod g) on every component.  The rational map sending probe_a^k
     to h(probe_b)^k is then verified exactly as a unital algebra isomorphism.
-    Dimension or component mismatches are certified obstructions; components
-    of degree > 2 are reported as inconclusive.
+    Probes, squarefree tests, the witness solve and its checks run on ints
+    through one fraction-free elimination.  Dimension or component mismatches
+    are certified obstructions; components of degree > 2 are reported inconclusive.
     """
     import random
 
@@ -652,27 +665,30 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
 
     unit_a, unit_b = _nonzero(powers_a[0]), _nonzero(powers_b[0])
     beta = _nonzero([sum(c * v[k] for c, v in zip(h, powers_b)) for k in range(n)])
-    powers_beta = [unit_b]
+    d = lcm(*(c.denominator for c in beta.values()))
+    d_beta = {k: int(d * c) for k, c in beta.items()}
+    powers_beta = [unit_b]  # (d beta)^k
     for _ in range(n - 1):
-        powers_beta.append(_ring_product(sb, powers_beta[-1], beta))
-    # T probe_a^k = beta^k, solved as (rows probe_a^k) T^t = (rows beta^k)
-    rows_beta = [[v.get(k, Fraction(0)) for k in range(n)] for v in powers_beta]
-    Tt = mat_solve(powers_a, rows_beta, Fraction(0), Fraction(1))
-    Tq = [list(row) for row in zip(*Tt)]
+        powers_beta.append(_ring_product(sb, powers_beta[-1], d_beta))
+    # T probe_a^k = beta^k, solved over the integers as (rows d^k probe_a^k) T^t = (rows (d beta)^k)
+    rows_beta = [[v.get(k, 0) for k in range(n)] for v in powers_beta]
+    Tt = _int_solve([[d**k * c for c in row] for k, row in enumerate(powers_a)], rows_beta)
+    D = lcm(*(c.denominator for row in Tt for c in row))
+    DT = [[int(D * c) for c in row] for row in Tt]  # DT[i] = D T e_i, checked in place of T
 
-    def apply(v: dict) -> dict:
-        return _nonzero([sum(Tq[r][k] * c for k, c in v.items()) for r in range(n)])
+    def apply(v: dict, s: int) -> dict:  # s D T v
+        return _nonzero([s * sum(DT[k][r] * c for k, c in v.items()) for r in range(n)])
 
-    if apply(unit_a) != unit_b:
+    if apply(unit_a, 1) != {k: D * c for k, c in unit_b.items()}:
         rep.detail = "witness does not map unit to unit; inconclusive"
         return rep
-    cols = [_nonzero(row) for row in Tt]  # cols[i] = T e_i
+    cols = [_nonzero(row) for row in DT]
     for i in range(n):
         for j in range(n):
-            if apply(dict(sa.get((i, j), ()))) != _ring_product(sb, cols[i], cols[j]):
+            if apply(dict(sa.get((i, j), ())), D) != _ring_product(sb, cols[i], cols[j]):
                 rep.detail = "witness failed the homomorphism check; inconclusive"
                 return rep
     rep.isomorphic = True
-    rep.witness = Tq
+    rep.witness = [list(row) for row in zip(*Tt)]
     rep.detail = "rational basis change verified on all basis pairs"
     return rep

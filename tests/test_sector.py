@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from orbistring import sector
-from orbistring.cyclo import Cyclo, _poly_divmod
+from orbistring.cyclo import Cyclo, _poly_divmod, _poly_inverse_mod, _poly_mul
 from orbistring.groups import (
     CATALOG_NAMES,
     GSet,
@@ -23,6 +23,7 @@ from orbistring.phases import catalog_cocycle, coboundary, discrete_torsion, Pha
 from orbistring.sector import (
     SectorError,
     _probe_split,
+    _squarefree,
     dw_frobenius,
     morita_compare,
     orbifold_string_ring,
@@ -335,6 +336,38 @@ def test_probe_split_divides_once_per_factor(monkeypatch):
     assert sorted(calls) == [len(f) - 1 for f in factors] == [1, 12]
 
 
+@pytest.mark.parametrize("spec", ["coset:S4:S3", "point:S4", "point:Z6", "point:D4", "point:Z13"])
+def test_probe_split_powers_are_int(spec):
+    powers, _ = _probe_split(orbifold_string_ring(_gset(spec)), random.Random(7))
+    assert all(type(c) is int for row in powers for c in row)
+
+
+def test_squarefree_matches_euclid_oracle():
+    # random monic integer polynomials of degree 1-12; every odd draw is g^2 h
+    rng = random.Random(31)
+
+    def monic(deg):
+        return [rng.randint(-5, 5) for _ in range(deg)] + [1]
+
+    repeated = 0
+    for trial in range(1200):
+        if trial % 2:
+            deg = rng.randint(2, 12)
+            k = rng.randint(1, deg // 2)
+            g = monic(k)
+            f = [int(c) for c in _poly_mul(_poly_mul(g, g), monic(deg - 2 * k))]
+        else:
+            f = monic(rng.randint(1, 12))
+        try:
+            _poly_inverse_mod([Fraction(k * c) for k, c in enumerate(f)][1:], [Fraction(c) for c in f])
+        except ZeroDivisionError:
+            repeated += 1
+            assert _squarefree(f) is False
+        else:
+            assert _squarefree(f) is True
+    assert repeated >= 600
+
+
 _SWEEP = (
     ["coset:S3:Z2", "coset:S3:Z3", "coset:S4:S3", "coset:Z4:Z2"]
     + [f"point:{name}" for name in CATALOG_NAMES]
@@ -354,7 +387,7 @@ def test_morita_sweep_digest():
 
 
 # the exact solve that the probe and the witness run through
-_SOLVE = "mat_solve"
+_SOLVE = "_int_solve"
 
 
 def _patch_solve(monkeypatch, caller, edit):
@@ -370,7 +403,10 @@ def _patch_solve(monkeypatch, caller, edit):
 
 @pytest.mark.parametrize(
     "column,detail",
-    [(1, "witness failed the homomorphism check; inconclusive"), (0, "witness does not map unit to unit; inconclusive")],
+    [
+        (1, "witness failed the homomorphism check; inconclusive"),
+        (0, "witness does not map unit to unit; inconclusive"),
+    ],
 )
 def test_morita_witness_gates_fire(monkeypatch, column, detail):
     # row i of the witness solve is T e_i; adding e_0 to T e_0 moves the unit
