@@ -386,19 +386,15 @@ def test_morita_sweep_digest():
     assert digest.hexdigest() == "e82d348884ca58797405e00fc09026138fb4143c962d46cdc713a0a49844c331"
 
 
-# the exact solve that the probe and the witness run through
-_SOLVE = "_int_solve"
-
-
 def _patch_solve(monkeypatch, caller, edit):
-    """Pass every solution that a solve called from `caller` returns through edit."""
-    solve = getattr(sector, _SOLVE)
+    """Pass every solution of a Morita solve called from `caller` through edit."""
+    solve = sector._int_solve
 
     def patched(*args):
         sol = solve(*args)
         return edit(sol) if sys._getframe(1).f_code.co_name == caller else sol
 
-    monkeypatch.setattr(sector, _SOLVE, patched)
+    monkeypatch.setattr(sector, "_int_solve", patched)
 
 
 @pytest.mark.parametrize(
