@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbistring.cyclo import Cyclo, _int_solve, _poly_divmod, _poly_mul, cyclotomic_poly, euler_phi, mat_det
+from orbistring.cyclo import Cyclo, _int_solve, _poly_divmod, _poly_mul, cyclotomic_poly, euler_phi
 
 
 def mat_solve(a: list[list], rhs: list[list], zero, one):
@@ -29,6 +29,30 @@ def mat_solve(a: list[list], rhs: list[list], zero, one):
                 f = work[r][col]
                 work[r] = [vr - f * vc for vr, vc in zip(work[r], work[col])]
     return [row[n : n + m] for row in work]
+
+
+def mat_det(a: list[list], zero, one):
+    """Determinant by dense Gaussian elimination over an exact field, Fraction or Cyclo.
+
+    The field oracle for the library's rank tests.
+    """
+    n = len(a)
+    work = [list(row) for row in a]
+    det = one
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col]), None)
+        if piv is None:
+            return zero
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            det = zero - det
+        det = det * work[col][col]
+        inv = one / work[col][col]
+        for r in range(col + 1, n):
+            if work[r][col]:
+                f = work[r][col] * inv
+                work[r] = [vr - f * vc for vr, vc in zip(work[r], work[col])]
+    return det
 
 
 def test_cyclotomic_polys():

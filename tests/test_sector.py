@@ -22,6 +22,7 @@ from orbistring.groups import (
 from orbistring.phases import catalog_cocycle, coboundary, discrete_torsion, Phase, trivial_cocycle
 from orbistring.sector import (
     SectorError,
+    _factor_monic_over_q,
     _probe_split,
     _squarefree,
     dw_frobenius,
@@ -386,6 +387,13 @@ def test_morita_sweep_digest():
     assert digest.hexdigest() == "e82d348884ca58797405e00fc09026138fb4143c962d46cdc713a0a49844c331"
 
 
+def test_factor_rejects_a_repeated_root():
+    # (x - 1)^2 (x - 2) has two distinct roots modulo every prime, never three,
+    # so the search for a split prime gives up
+    with pytest.raises(SectorError, match="^rational factorization failed$"):
+        _factor_monic_over_q([-2, 5, -4, 1], [], 2)
+
+
 def _patch_solve(monkeypatch, caller, edit):
     """Pass every solution of a Morita solve called from `caller` through edit."""
     solve = sector._int_solve
@@ -496,6 +504,36 @@ def test_dense_views_are_cyclo_at_ring_level():
                 row = ring.structure[i][j]
                 assert all(isinstance(c, Cyclo) and c.level == ring.level for c in row)
                 assert list(row) == ring.mult(ring.basis_vector(i), ring.basis_vector(j))
+
+
+def _repeat_pairing_row(monkeypatch):
+    """Make row 1 of every trace pairing a copy of row 0."""
+    pairing = sector._pairing
+
+    def patched(*args):
+        rows = pairing(*args)
+        rows[1] = type(rows[0])(rows[0])
+        return rows
+
+    monkeypatch.setattr(sector, "_pairing", patched)
+
+
+def test_pairing_gates_fire_on_a_repeated_row(monkeypatch):
+    tw = _level8_center()
+    assert (tw.level, tw.dim) == (8, 4)
+    _repeat_pairing_row(monkeypatch)
+    with pytest.raises(SectorError, match="^Frobenius pairing is degenerate$"):
+        dw_frobenius(catalog_group("S3"))
+    with pytest.raises(SectorError, match="^twisted Frobenius pairing is degenerate$"):
+        _level8_center()
+
+
+def test_traceless_ring_has_no_pairing():
+    ring = orbifold_string_ring(point_gset(catalog_group("S3")))
+    assert ring.trace is None
+    for method in (ring.pairing_nondegenerate, ring.pairing_matrix, lambda: ring.trace_of(ring.unit)):
+        with pytest.raises(SectorError, match="^ring has no trace$"):
+            method()
 
 
 def _corrupt_constant(ring, i, j, k, change):
@@ -614,6 +652,34 @@ def test_sector_ring_digest():
     for ring in _digest_rings():
         digest.update(json.dumps(ring.to_json(), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == "51c185266a365ee3fcdf2391a1036827546b1daea78275c51b0be1356f86c403"
+
+
+def _crit03_centers():
+    """The twisted centers criterion 03 builds at seed 42: each base cocycle's
+    center once, then the 50 centers twisted by a random coboundary."""
+    rng = random.Random(42 + 3)
+    for name in [n for n in CATALOG_NAMES if n.startswith("Z") and n != "Z2xZ2"] + ["Z2xZ2"]:
+        G = catalog_group(name)
+        bases = [trivial_cocycle(G)] + ([catalog_cocycle(G, "nontrivial")] if name == "Z2xZ2" else [])
+        for alpha in bases:
+            yield twisted_center(G, alpha)
+            for _ in range(50):
+                den = 2 * G.order
+                beta = [Phase.one()] + [Phase.of(rng.randrange(den), den) for _ in range(G.order - 1)]
+                yield twisted_center(G, alpha * coboundary(G, beta))
+
+
+def test_generators_pinned():
+    # the catalog point rings, the coset rings of the sweep and criterion 03's
+    # twisted centers; the digest was computed with the elimination inside
+    # _generators, before it moved to cyclo
+    rings = [orbifold_string_ring(_gset(spec)) for spec in _SWEEP if spec.startswith(("point:", "coset:"))]
+    rings += _crit03_centers()
+    digest = hashlib.sha256()
+    for ring in rings:
+        digest.update(json.dumps(ring._generators()).encode() + b"\n")
+    assert len(rings) == 4 + len(CATALOG_NAMES) + 51 * 10
+    assert digest.hexdigest() == "d773e628c248ecd23dc26ba3427a939bccc94fd19aef05033e2adad501e77747"
 
 
 def _oracle_associativity(ring):
