@@ -428,7 +428,7 @@ def _poly_inverse_mod(a: list[Fraction], m: list[Fraction]) -> list[Fraction]:
     return [c / r0[0] for c in s0]
 
 
-# exact linear algebra: a solve over the integers, mat_det over Fraction or Cyclo
+# exact linear algebra: a solve over the integers, rank by sparse echelon over Fraction or Cyclo
 
 
 def _int_solve(a: list[list[int]], rhs: list[list[int]]) -> list[list[Fraction]]:
@@ -454,22 +454,18 @@ def _int_solve(a: list[list[int]], rhs: list[list[int]]) -> list[list[Fraction]]
     return [[Fraction(v, prev) for v in row[n:]] for row in work]
 
 
-def mat_det(a: list[list], zero, one):
-    """Determinant by fraction-free-ish Gaussian elimination over an exact field."""
-    n = len(a)
-    work = [list(row) for row in a]
-    det = one
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            return zero
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = zero - det
-        det = det * work[col][col]
-        inv = one / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] * inv
-                work[r] = [vr - f * vc for vr, vc in zip(work[r], work[col])]
-    return det
+def _echelon_insert(rows: dict[int, dict], v: dict, zero, one) -> dict:
+    """Reduce the sparse row v {index: coefficient}, in place, against echelon
+    rows {pivot: row}, each row 1 at its least index, its pivot.  What is left,
+    scaled to 1 at its least index, joins rows and is returned; {} means v lies
+    in the span of rows.  Coefficients come from one exact field, Fraction or
+    Cyclo, with the given zero and one."""
+    for p in sorted(rows):
+        if c := v.get(p):
+            for k, r in rows[p].items():
+                v[k] = v.get(k, zero) - c * r
+    v = {k: c for k, c in v.items() if c}
+    if v:
+        inv = one / v[min(v)]
+        rows[min(v)] = v = {k: c * inv for k, c in v.items()}
+    return v

@@ -17,7 +17,7 @@ from itertools import product
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from .cyclo import Cyclo, _int_solve, _poly_divmod, _poly_inverse_mod, _poly_mul, _poly_sub, _poly_trim, mat_det
+from .cyclo import Cyclo, _echelon_insert, _int_solve, _poly_divmod, _poly_inverse_mod, _poly_mul, _poly_sub, _poly_trim
 from .groups import FiniteGroup, GSet, conjugacy_classes, fixed_points, point_gset
 from .phases import TwoCocycle, alpha_regular_reps
 
@@ -90,12 +90,15 @@ def _ring_product(sparse: dict, u: dict, v: dict) -> dict:
     return _expand([((i, j), ci * cj) for i, ci in u.items() for j, cj in v.items()], sparse)
 
 
-def _pairing(dim: int, sparse: dict, trace: Sequence | None, zero) -> list[list]:
-    """The matrix trace(e_i e_j) from sparse structure constants."""
+def _pairing(dim: int, sparse: dict, trace: Sequence | None, zero) -> list[dict]:
+    """The rows {j: trace(e_i e_j)} of the trace pairing, zero entries dropped,
+    summed from sparse structure constants over the basis elements of nonzero trace."""
     if trace is None:
         raise SectorError("ring has no trace")
+    live = _nonzero(trace)
     return [
-        [sum((c * trace[k] for k, c in sparse.get((i, j), ())), zero) for j in range(dim)] for i in range(dim)
+        _nonzero([sum((c * live[k] for k, c in sparse.get((i, j), ()) if k in live), zero) for j in range(dim)])
+        for i in range(dim)
     ]
 
 
@@ -160,30 +163,18 @@ class SectorRing:
 
         A candidate, non-unit basis elements first in index order, joins S when
         it lies outside the span W of the products found so far; W is then closed
-        under left multiplication by S.  W is kept as echelon rows by exact
-        elimination in the ring's coefficients, and the search stops at full rank.
+        under left multiplication by S.  W is kept as echelon rows by
+        cyclo._echelon_insert in the ring's coefficients, and the search stops
+        at full rank.
         """
         table, n = self.table, self.dim
         zero, one = self._scalars()
-        rows: dict[int, dict] = {}  # pivot -> row of W whose least index is the pivot, with coefficient 1
-
-        def insert(v: dict) -> dict:
-            """Reduce v against W; what is left, if anything, becomes a new row."""
-            for p in sorted(rows):
-                if c := v.get(p):
-                    for k, r in rows[p].items():
-                        v[k] = v.get(k, zero) - c * r
-            v = {k: c for k, c in v.items() if c}
-            if v:
-                inv = one / v[min(v)]
-                rows[min(v)] = v = {k: c * inv for k, c in v.items()}
-            return v
-
+        rows: dict[int, dict] = {}  # the echelon rows of W, by pivot
         gens: list[int] = []
         for cand in sorted(range(n), key=lambda i: i in self.unit_coords):
             if len(rows) == n:
                 break
-            if not insert({cand: one}):
+            if not _echelon_insert(rows, {cand: one}, zero, one):
                 continue
             gens.append(cand)
             todo = list(rows.values())
@@ -194,7 +185,7 @@ class SectorRing:
                     for m, c in w.items():
                         for k, t in table.get((s, m), ()):
                             v[k] = v.get(k, zero) + c * t
-                    if row := insert(v):
+                    if row := _echelon_insert(rows, v, zero, one):
                         todo.append(row)
         return gens
 
@@ -239,12 +230,15 @@ class SectorRing:
 
     def pairing_matrix(self) -> list[list[Cyclo]]:
         """trace(e_i e_j)."""
-        return _pairing(self.dim, self.table, self.trace, Cyclo.zero(self.level))
+        zero = Cyclo.zero(self.level)
+        return [[row.get(j, zero) for j in range(self.dim)] for row in _pairing(self.dim, self.table, self.trace, zero)]
 
     def pairing_nondegenerate(self) -> bool:
-        """The pairing's determinant is nonzero, computed in the coefficients of the checks."""
+        """Every row of the pairing is independent of the rows before it, by the
+        sparse echelon in the coefficients of the checks."""
         zero, one = self._scalars()
-        return bool(mat_det(_pairing(self.dim, self.table, self.trace, zero), zero, one))
+        rows: dict[int, dict] = {}
+        return all(_echelon_insert(rows, row, zero, one) for row in _pairing(self.dim, self.table, self.trace, zero))
 
     def is_commutative(self) -> bool:
         S = self.table
@@ -528,24 +522,16 @@ def _splitting(factor: list[Fraction]) -> tuple[Fraction, int] | None:
     return None
 
 
-def _squarefree(f: list[int]) -> bool:
-    """gcd(f, f') = 1 for an integer f of degree >= 1: the Sylvester matrix of
-    f and f', whose determinant is their resultant, is nonsingular."""
-    d = [k * c for k, c in enumerate(f)][1:]
-    size = 2 * len(d) - 1
-    rows = [[0] * i + f + [0] * (size - len(f) - i) for i in range(len(d) - 1)]
-    rows += [[0] * i + d + [0] * (size - len(d) - i) for i in range(len(d))]
-    try:
-        _int_solve(rows, [[] for _ in rows])
-    except ArithmeticError:
-        return False
-    return True
-
-
 def _probe_split(ring: SectorRing, rng) -> tuple[list[list[int]], list[list[Fraction]]] | None:
     """The dense integer powers 1, x, ..., x^(n-1) of an integral probe x whose
-    minimal polynomial has full degree n and is squarefree, and the sorted
-    irreducible factors of that polynomial.
+    minimal polynomial has full degree n, and the sorted irreducible factors of
+    that polynomial.
+
+    The polynomial needs no squarefree test.  The ring is the sum of the
+    centers Z(Q[G_m]) over orbit representatives m, a product of number fields
+    by Maschke's theorem, so a minimal polynomial of full degree is a product
+    of distinct irreducibles; _split_prime accepts only a prime modulo which it
+    has n distinct roots, which certifies that again.
 
     One integer solve in the basis 1, ..., x^(n-1) writes x^n, which gives the
     minimal polynomial, and P_c(x) for each c prime to the group exponent e,
@@ -584,8 +570,6 @@ def _probe_split(ring: SectorRing, rng) -> tuple[list[list[int]], list[list[Frac
         if any(row[0].denominator != 1 for row in sol):
             raise SectorError("minimal polynomial of an integral probe is not integral")
         mp = [-int(row[0]) for row in sol] + [1]
-        if not _squarefree(mp):
-            continue
         galois = [_poly_trim([row[j] for row in sol]) for j in range(1, len(cs) + 1)]
         return dense[:n], _factor_monic_over_q(mp, galois, e)
     return None
@@ -607,9 +591,9 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
     under the same square root, and the Chinese remainder theorem gives h with
     h = alpha (mod g) on every component.  The rational map sending probe_a^k
     to h(probe_b)^k is then verified exactly as a unital algebra isomorphism.
-    Probes, squarefree tests, the witness solve and its checks run on ints
-    through one fraction-free elimination.  Dimension or component mismatches
-    are certified obstructions; components of degree > 2 are reported inconclusive.
+    Probes, the witness solve and its checks run on ints through one
+    fraction-free elimination.  Dimension or component mismatches are
+    certified obstructions; components of degree > 2 are reported inconclusive.
     """
     import random
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbistring.cyclo import Cyclo, _int_solve, _poly_divmod, _poly_mul, cyclotomic_poly, euler_phi
+from orbistring.cyclo import Cyclo, _echelon_insert, _int_solve, _poly_divmod, _poly_mul, cyclotomic_poly, euler_phi
 
 
 def mat_solve(a: list[list], rhs: list[list], zero, one):
@@ -343,3 +343,44 @@ def test_cyclo_mixes_with_int_and_fraction(case):
 def test_bad_level_is_a_value_error(make):
     with pytest.raises(ValueError, match="level"):
         make()
+
+
+def test_echelon_rank_matches_determinant_oracle():
+    # random square matrices up to 8x8 over Q and Q(zeta_N): a third have two
+    # zero entries in three, and a third are products through an inner
+    # dimension below n (rank-deficient)
+    rng = random.Random(2026)
+    deficient = 0
+    for trial in range(2100):
+        n, level = rng.randint(1, 8), rng.choice([1, 3, 4, 5, 8, 12])
+        zero, one = (Fraction(0), Fraction(1)) if level == 1 else (Cyclo.zero(level), Cyclo.one(level))
+
+        def entry():
+            if trial % 3 == 1 and rng.random() < 2 / 3:
+                return zero
+            if level == 1:
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            return Cyclo(level, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(euler_phi(level))])
+
+        if trial % 3 == 2:
+            r = rng.randint(0, n - 1)
+            left = [[entry() for _ in range(r)] for _ in range(n)]
+            right = [[entry() for _ in range(n)] for _ in range(r)]
+            a = [[sum((row[t] * right[t][j] for t in range(r)), zero) for j in range(n)] for row in left]
+        else:
+            a = [[entry() for _ in range(n)] for _ in range(n)]
+        rows: dict = {}
+        independent = [bool(_echelon_insert(rows, {j: c for j, c in enumerate(row) if c}, zero, one)) for row in a]
+        assert all(independent) == (mat_det(a, zero, one) != zero)
+        deficient += not all(independent)
+        assert len(rows) == sum(independent)
+        assert all(min(row) == p and row[p] == one for p, row in rows.items())
+        # a combination of the rows already inserted lies in their span
+        combo: dict = {}
+        for row in a:
+            c = entry()
+            for j, x in enumerate(row):
+                combo[j] = combo.get(j, zero) + c * x
+        assert _echelon_insert(rows, {j: x for j, x in combo.items() if x}, zero, one) == {}
+        assert len(rows) == sum(independent)
+    assert 700 <= deficient <= 1400

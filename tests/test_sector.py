@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from orbistring import sector
-from orbistring.cyclo import Cyclo, _poly_divmod, _poly_inverse_mod, _poly_mul
+from orbistring.cyclo import Cyclo, _poly_divmod
 from orbistring.groups import (
     CATALOG_NAMES,
     GSet,
@@ -24,7 +24,6 @@ from orbistring.sector import (
     SectorError,
     _factor_monic_over_q,
     _probe_split,
-    _squarefree,
     dw_frobenius,
     morita_compare,
     orbifold_string_ring,
@@ -341,32 +340,6 @@ def test_probe_split_divides_once_per_factor(monkeypatch):
 def test_probe_split_powers_are_int(spec):
     powers, _ = _probe_split(orbifold_string_ring(_gset(spec)), random.Random(7))
     assert all(type(c) is int for row in powers for c in row)
-
-
-def test_squarefree_matches_euclid_oracle():
-    # random monic integer polynomials of degree 1-12; every odd draw is g^2 h
-    rng = random.Random(31)
-
-    def monic(deg):
-        return [rng.randint(-5, 5) for _ in range(deg)] + [1]
-
-    repeated = 0
-    for trial in range(1200):
-        if trial % 2:
-            deg = rng.randint(2, 12)
-            k = rng.randint(1, deg // 2)
-            g = monic(k)
-            f = [int(c) for c in _poly_mul(_poly_mul(g, g), monic(deg - 2 * k))]
-        else:
-            f = monic(rng.randint(1, 12))
-        try:
-            _poly_inverse_mod([Fraction(k * c) for k, c in enumerate(f)][1:], [Fraction(c) for c in f])
-        except ZeroDivisionError:
-            repeated += 1
-            assert _squarefree(f) is False
-        else:
-            assert _squarefree(f) is True
-    assert repeated >= 600
 
 
 _SWEEP = (
