@@ -16,12 +16,16 @@ from orbistring import selftest as st
 SEED = 42
 
 LIMITS = {
-    "criterion-01 dijkgraaf-witten-point": 5.0,
-    "criterion-02 discrete-torsion": 5.0,
-    # crit03 ran in 1.8-1.9 s in-process on a 2-CPU VM once associativity was
-    # checked on generator triples and cocycles held integer exponents (3.6-3.7 s
-    # before); 10 s leaves room for the 2x host slowdown (perfbench/README.md)
-    "criterion-03 cohomology-invariance": 10.0,
+    # crit01 ran in 0.013-0.015 s and crit02 in 0.018-0.022 s in fresh processes
+    # on a 2-CPU VM (crit_0N_*(42), alternating with the tree before the pairing
+    # moved to the sparse echelon at 0.014-0.019 s and 0.018-0.021 s); 1 s
+    # leaves room for the 2x host slowdown (perfbench/README.md)
+    "criterion-01 dijkgraaf-witten-point": 1.0,
+    "criterion-02 discrete-torsion": 1.0,
+    # crit03 ran in 0.87-0.98 s in fresh processes on a 2-CPU VM once the
+    # pairing was a rank test on the sparse echelon (0.94-1.04 s before,
+    # alternating); 5 s leaves room for the 2x host slowdown (perfbench/README.md)
+    "criterion-03 cohomology-invariance": 5.0,
     # crit04 ran in 0.006-0.011 s in-process (crit_04_morita(42), fresh
     # processes, alternating with the field solve at 0.008-0.016 s) on a 2-CPU VM
     # once the Morita comparator ran on integers through one fraction-free solve;
@@ -32,8 +36,12 @@ LIMITS = {
     # before); 8 s and 3 s leave room for the 2x host slowdown (perfbench/README.md)
     "criterion-05 operad-axioms": 8.0,
     "criterion-06 g-graded-operad": 3.0,
-    "criterion-07 holonomy-figure": 5.0,
-    "criterion-08 lens-rings": 5.0,
+    # crit07 ran in under 0.001 s and crit08 in 0.014-0.015 s in fresh processes
+    # on a 2-CPU VM (alternating with the tree before the sparse echelon: under
+    # 0.001 s and 0.014-0.028 s); 1 s leaves room for the 2x host slowdown
+    # (perfbench/README.md)
+    "criterion-07 holonomy-figure": 1.0,
+    "criterion-08 lens-rings": 1.0,
     # crit09 ran in 0.03-0.05 s in a fresh process on a 2-CPU VM once the BV
     # checker read tabulated brackets in its Jacobi loop (0.05-0.12 s before);
     # 1 s leaves room for the 2x host slowdown (perfbench/README.md)
