@@ -117,6 +117,17 @@ def test_restricted_characters():
         assert all(p.is_one() for p in restrict_to_centralizer(tau0, g).values())
 
 
+def test_restriction_names_a_broken_character():
+    # tau(0,1) = -1 on Z2xZ2 breaks chi(1 * 2) = chi(1) chi(2)
+    G = catalog_group("Z2xZ2")
+    table = [list(row) for row in discrete_torsion(trivial_cocycle(G)).tau]
+    table[0][1] = Phase.of(1, 2)
+    tau = TorsionCocycle(G, tuple(map(tuple, table)))
+    with pytest.raises(CocycleError, match=r"^tau\(g=0,-\) is not a character on the centralizer$") as exc:
+        restrict_to_centralizer(tau, 0)
+    assert exc.value.witness == (0, 1, 2)
+
+
 def test_character_property_all_catalog():
     for name in CATALOG_NAMES:
         G = catalog_group(name)

@@ -226,6 +226,23 @@ def test_morita_negative_cases():
     assert rep2.component_degrees_right == [1, 1, 1, 1]
 
 
+def test_morita_splitting_fields_differ():
+    # Z3 on a point and a free orbit: Q + Q + Q(sqrt -3); point:Z4: Q + Q + Q(i)
+    Z3 = catalog_group("Z3")
+    X = GSet.from_table(Z3, [[0, 0, 0]] + [[1 + (x - 1 + g) % 3 for g in range(3)] for x in range(1, 4)])
+    Y = point_gset(catalog_group("Z4"))
+    for left, right in ((X, Y), (Y, X)):
+        assert morita_compare(left, right).to_json() == {
+            "dim_left": 4,
+            "dim_right": 4,
+            "isomorphic": False,
+            "obstruction": "spectrum mismatch: splitting fields differ",
+            "detail": "",
+            "component_degrees_left": [1, 1, 2],
+            "component_degrees_right": [1, 1, 2],
+        }
+
+
 def test_morita_self_translation_vs_trivial_point():
     rep = morita_compare(translation_gset(catalog_group("S3")), point_gset(catalog_group("Z1")))
     assert rep.isomorphic is True
@@ -546,6 +563,18 @@ def test_check_associative_names_corrupted_triple():
         ring.check_associative()
         with pytest.raises(SectorError, match=re.escape(f"associativity fails at basis triple {witness}")):
             _corrupt_constant(ring, i, j, k, change).check_associative()
+
+
+def test_orbit_constant_gate_fires(monkeypatch):
+    # splitting the transposition orbit of point:S4 in two makes the orbit sums
+    # fail to close: a product is no longer constant on the fake orbits
+    X = point_gset(catalog_group("S4"))
+    orbits = sector.sector_orbits(X)
+    assert [len(o) for o in orbits] == [1, 6, 8, 3, 6]
+    fake = orbits[:1] + [orbits[1][:1], orbits[1][1:]] + orbits[2:]
+    monkeypatch.setattr(sector, "sector_orbits", lambda X: fake)
+    with pytest.raises(SectorError, match="^product failed to be orbit-constant$"):
+        orbifold_string_ring(X)
 
 
 def test_check_unit_names_corrupted_element():
