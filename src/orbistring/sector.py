@@ -489,37 +489,10 @@ def _factor_monic_over_q(ipoly: list[int], galois: list[list[Fraction]], e: int)
     return factors
 
 
-def _squarefree_core(q: Fraction) -> tuple[Fraction, int]:
-    """q = s^2 * d with d a squarefree integer (sign included); returns (s, d)."""
-    num, den = q.numerator, q.denominator
-    n = num * den  # q = n / den^2
-    s = Fraction(1, den)
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    d = 1
-    p = 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            s *= Fraction(p) ** (e // 2)
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    d *= n  # leftover prime
-    return s, sign * d
-
-
-def _splitting(factor: list[Fraction]) -> tuple[Fraction, int] | None:
-    """(s, core) with disc = s^2 * core for a quadratic factor, (1, 0) for a linear
-    one, and None for degrees this comparator does not resolve."""
-    if len(factor) == 2:
-        return Fraction(1), 0
-    if len(factor) == 3:
-        return _squarefree_core(factor[1] ** 2 - 4 * factor[0])
-    return None
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The positive rational square root of q, or None when q is not a rational square."""
+    r = Fraction(isqrt(max(q.numerator, 0)), isqrt(q.denominator))
+    return r if r * r == q else None
 
 
 def _probe_split(ring: SectorRing, rng) -> tuple[list[list[int]], list[list[Fraction]]] | None:
@@ -585,15 +558,17 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
     the components.  The power maps (g, m) -> (g^c, m) act on the probe's
     eigenvalues as Gal(Q(zeta_e)/Q), so the Galois orbits of its roots modulo
     a prime p = 1 (mod e), lifted by Hensel's lemma, give the factors, each
-    certified by exact division.  Components are matched by (degree,
-    squarefree discriminant core).  For matched factors f of A and g of B the
-    root map alpha (a rational polynomial) sends a root of g to the root of f
-    under the same square root, and the Chinese remainder theorem gives h with
-    h = alpha (mod g) on every component.  The rational map sending probe_a^k
-    to h(probe_b)^k is then verified exactly as a unital algebra isomorphism.
-    Probes, the witness solve and its checks run on ints through one
-    fraction-free elimination.  Dimension or component mismatches are
-    certified obstructions; components of degree > 2 are reported inconclusive.
+    certified by exact division.  Each factor f of A is matched with the first
+    unused factor g of B of its degree that, for a quadratic, has the same
+    field: Q(sqrt disc_f) = Q(sqrt disc_g) exactly when disc_f / disc_g is the
+    square of a rational r.  The root map alpha (a rational polynomial, with
+    that r) sends a root of g to a root of f, and the Chinese remainder theorem
+    gives h with h = alpha (mod g) on every component.  The rational map
+    sending probe_a^k to h(probe_b)^k is then verified exactly as a unital
+    algebra isomorphism.  Probes, the witness solve and its checks run on ints
+    through one fraction-free elimination.  Dimension, component or field
+    mismatches are certified obstructions; components of degree > 2 are
+    reported inconclusive.
     """
     import random
 
@@ -620,28 +595,31 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
         rep.isomorphic = False
         rep.obstruction = "spectrum mismatch: component degrees differ"
         return rep
-    split_a = [_splitting(f) for f in factors_a]
-    split_b = [_splitting(g) for g in factors_b]
-    if None in split_a or None in split_b:
+    if rep.component_degrees_left[-1] > 2:
         rep.detail = "component of degree > 2; inconclusive"
         return rep
-    sig_a = [(len(f), core) for f, (_, core) in zip(factors_a, split_a)]
-    sig_b = [(len(g), core) for g, (_, core) in zip(factors_b, split_b)]
-    if sorted(sig_a) != sorted(sig_b):
-        rep.isomorphic = False
-        rep.obstruction = "spectrum mismatch: splitting fields differ"
-        return rep
 
-    # h = alpha (mod g) for each factor f of A and the first unused g of B with its signature
+    # h = alpha (mod g) for each factor f of A and the first unused g of B over the same field
     h, mod = [Fraction(0)], [Fraction(1)]
     used = [False] * len(factors_b)
-    for f, (s_f, _), sig in zip(factors_a, split_a, sig_a):
-        j = next(j for j, s in enumerate(sig_b) if not used[j] and s == sig)
+    for f in factors_a:
+        for j, g in enumerate(factors_b):
+            if used[j] or len(g) != len(f):
+                continue
+            if len(f) == 2:
+                alpha = [-f[0]]
+                break
+            # Q(sqrt disc_f) = Q(sqrt disc_g) iff disc_f / disc_g = r^2 with r rational;
+            # alpha sends the root (-g_1 + sqrt disc_g)/2 of g to (-f_1 + r sqrt disc_g)/2 of f
+            r = _rational_sqrt((f[1] ** 2 - 4 * f[0]) / (g[1] ** 2 - 4 * g[0]))
+            if r is not None:
+                alpha = [(r * g[1] - f[1]) / 2, r]
+                break
+        else:
+            rep.isomorphic = False
+            rep.obstruction = "spectrum mismatch: splitting fields differ"
+            return rep
         used[j] = True
-        g, (s_g, _) = factors_b[j], split_b[j]
-        # alpha sends the root (-g_1 + s_g sqrt(core))/2 of g to (-f_1 + s_f sqrt(core))/2 of f
-        r = s_f / s_g
-        alpha = [-f[0]] if len(f) == 2 else [(r * g[1] - f[1]) / 2, r]
         inv = _poly_inverse_mod(_poly_divmod(mod, g)[1], g)
         t = _poly_divmod(_poly_mul(_poly_sub(h, alpha), inv), g)[1]
         h = _poly_sub(h, _poly_mul(mod, t))

@@ -24,6 +24,7 @@ from orbistring.sector import (
     SectorError,
     _factor_monic_over_q,
     _probe_split,
+    _rational_sqrt,
     dw_frobenius,
     morita_compare,
     orbifold_string_ring,
@@ -382,6 +383,47 @@ def test_factor_rejects_a_repeated_root():
     # so the search for a split prime gives up
     with pytest.raises(SectorError, match="^rational factorization failed$"):
         _factor_monic_over_q([-2, 5, -4, 1], [], 2)
+
+
+def _squarefree_core(q):
+    """Oracle: q = s^2 * d with s > 0 and d a squarefree integer (sign included),
+    by trial division; returns (s, d)."""
+    num, den = q.numerator, q.denominator
+    n = num * den  # q = n / den^2
+    s = Fraction(1, den)
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    d = 1
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            s *= Fraction(p) ** (e // 2)
+            if e % 2:
+                d *= p
+        p += 1 if p == 2 else 2
+    d *= n  # leftover prime
+    return s, sign * d
+
+
+def test_rational_sqrt_matches_squarefree_core_oracle():
+    # Q(sqrt d1) = Q(sqrt d2) iff d1 / d2 is a rational square, and its root is s1 / s2
+    rng = random.Random(19)
+    cores = [-15, -7, -5, -3, -2, -1, 2, 3, 5, 6, 10]
+    shared = 0
+    for _ in range(3000):
+        c1 = rng.choice(cores)
+        c2 = c1 if rng.random() < 0.5 else rng.choice(cores)
+        d1, d2 = (Fraction(rng.randint(1, 40), rng.randint(1, 40)) ** 2 * c for c in (c1, c2))
+        (s1, k1), (s2, k2) = _squarefree_core(d1), _squarefree_core(d2)
+        assert (k1, k2) == (c1, c2) and s1 > 0 and s2 > 0
+        shared += c1 == c2
+        assert _rational_sqrt(d1 / d2) == (s1 / s2 if c1 == c2 else None)
+    assert 1400 < shared < 1800
+    assert _rational_sqrt(Fraction(-4, 9)) is None and _rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)
 
 
 def _patch_solve(monkeypatch, caller, edit):
