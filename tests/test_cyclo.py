@@ -6,7 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbistring.cyclo import Cyclo, _echelon_insert, _int_solve, _poly_divmod, _poly_mul, cyclotomic_poly, euler_phi
+from orbistring.cyclo import Cyclo, _echelon_insert, _int_solve, cyclotomic_poly, euler_phi
+
+
+def _poly_mul(a: list, b: list) -> list:
+    """The product of two ascending coefficient lists: the oracle for polynomial products."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _frac_poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """The remainder of a modulo b (nonzero leading coefficient) by long division in Q[x]."""
+    a = list(a)
+    for k in range(len(a) - len(b), -1, -1):
+        c = a[k + len(b) - 1] / b[-1]
+        for i, x in enumerate(b):
+            a[k + i] -= c * x
+    return a[: len(b) - 1]
 
 
 def mat_solve(a: list[list], rhs: list[list], zero, one):
@@ -63,6 +82,17 @@ def test_cyclotomic_polys():
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
     assert euler_phi(12) == 4
+
+
+def test_cyclotomic_product_over_divisors():
+    # x^n - 1 is the product of the d-th cyclotomic polynomials over d | n, and the n-th has degree phi(n)
+    for n in range(1, 200):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _poly_mul(prod, list(cyclotomic_poly(d)))
+        assert prod == [-1] + [0] * (n - 1) + [1]
+        assert len(cyclotomic_poly(n)) - 1 == euler_phi(n) == _totient(n)
 
 
 def test_roots_of_unity():
@@ -195,7 +225,7 @@ small = st.fractions(min_value=-7, max_value=7, max_denominator=5)
 
 def _oracle(n, poly):
     """Coefficients of poly(zeta_n) in the basis 1, ..., zeta^(phi-1)."""
-    rem = _poly_divmod([Fraction(c) for c in poly] or [Fraction(0)], [Fraction(c) for c in cyclotomic_poly(n)])[1]
+    rem = _frac_poly_rem([Fraction(c) for c in poly], [Fraction(c) for c in cyclotomic_poly(n)])
     return rem + [Fraction(0)] * (euler_phi(n) - len(rem))
 
 
