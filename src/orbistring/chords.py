@@ -664,7 +664,6 @@ def _cactus_walk(c: Cactus):
             ):
                 raise CactusError("boundary walk does not close at the base point")
             segments.append((s, remaining, cur_lobe, cur_off))
-            s = L
             break
         segments.append((s, delta, cur_lobe, cur_off))
         s += delta
@@ -674,9 +673,7 @@ def _cactus_walk(c: Cactus):
             break
         off2, qi = endpoint
         joint = joints[qi]
-        pos = next((k for k, (lo, of) in enumerate(joint) if lo == cur_lobe and of == off2), None)
-        if pos is None:
-            raise CactusError("walk arrived at a joint with no matching incidence")
+        pos = joint.index((cur_lobe, off2))
         if s == L:
             # the closing arrival switches back onto the base incidence
             if not c.base_on_joint or joint[(pos + 1) % len(joint)] != (c.base_lobe, base_offset):
@@ -688,8 +685,6 @@ def _cactus_walk(c: Cactus):
         guard += 1
         if guard > max_steps:
             raise CactusError("boundary walk does not close; dual graph is not a tree")
-    if s != L:
-        raise CactusError("boundary walk came back early; cactus is disconnected")
     for qi, joint in enumerate(joints):
         if len(visits.get(qi, [])) != len(joint):
             raise CactusError(f"joint {qi} was not visited once per incident lobe")

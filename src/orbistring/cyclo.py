@@ -4,7 +4,7 @@ Elements are polynomials in zeta = exp(2*pi*i/N) of degree < phi(N), reduced
 modulo the N-th cyclotomic polynomial and stored as integer numerators over
 one positive common denominator, in lowest terms.  Products reduce through an
 integer table of the powers of zeta; Fractions appear only where values enter
-or leave (the constructor, rational_part, str) and in the Euclid of inverse.
+or leave (the constructor, rational_part, str) and in the solve of inverse.
 Everything is immutable and hashable.
 """
 
@@ -17,9 +17,6 @@ from math import gcd, lcm
 from typing import Iterable
 
 
-_F0 = Fraction(0)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Ascending integer coefficients of the n-th cyclotomic polynomial."""
@@ -27,13 +24,13 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
         raise ValueError("level must be positive")
     if n == 1:
         return (-1, 1)
-    poly = [Fraction(-1)] + [_F0] * (n - 1) + [Fraction(1)]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod(poly, [Fraction(c) for c in cyclotomic_poly(d)])
+            poly, rem = _poly_divmod(poly, cyclotomic_poly(d))
             if any(rem):
                 raise ArithmeticError("inexact polynomial division")
-    return tuple(int(c) for c in poly)
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
@@ -265,9 +262,11 @@ class Cyclo:
             k = index.get(tuple(sign * x // g for x in self.num))
             if k is not None:
                 return _roots(self.level)[-k % self.level]._scale(sign * self.den, g)
-        mod = [Fraction(c) for c in cyclotomic_poly(self.level)]
-        inv = _poly_inverse_mod([Fraction(x) for x in self.num], mod)
-        return Cyclo(self.level, [c * self.den for c in inv])
+        # else solve x y = 1 as M y = den e_0, column j of M the numerators of zeta^j num
+        level, num = self.level, list(self.num)
+        cols = [_reduce(level, [0] * j + num) for j in range(len(num))]
+        rhs = [[self.den]] + [[0]] * (len(num) - 1)
+        return Cyclo(level, [row[0] for row in _int_solve([list(r) for r in zip(*cols)], rhs)])
 
     def __truediv__(self, other):
         if isinstance(other, Cyclo):
@@ -370,62 +369,18 @@ class Cyclo:
         return out
 
 
-# polynomial helpers over Q ------------------------------------------------
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i in range(n):
-        if i < len(a):
-            out[i] += a[i]
-        if i < len(b):
-            out[i] -= b[i]
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """The quotient and remainder of a by a monic integer b, ascending integer
+    coefficients; the remainder has deg b entries."""
     a = list(a)
-    b = _poly_trim(list(b))
-    if len(b) == 1 and not b[0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] / b[-1]
+    d = len(b) - 1
+    q = [0] * max(0, len(a) - d)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + d]
         if c:
-            q[k] = c
-            for i, bi in enumerate(b):
-                a[k + i] -= c * bi
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_inverse_mod(a: list[Fraction], m: list[Fraction]) -> list[Fraction]:
-    """b with a*b = 1 modulo m, by extended Euclid in Q[x]."""
-    r0, r1 = m, a
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while any(r1):
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    r0 = _poly_trim(list(r0))
-    if len(r0) != 1 or not r0[0]:
-        raise ZeroDivisionError("not invertible modulo the polynomial")
-    return [c / r0[0] for c in s0]
+            for i, x in enumerate(b):
+                a[k + i] -= c * x
+    return q, (a + [0] * d)[:d]
 
 
 # exact linear algebra: a solve over the integers, rank by sparse echelon over Fraction or Cyclo

@@ -17,7 +17,7 @@ from itertools import product
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from .cyclo import Cyclo, _echelon_insert, _int_solve, _poly_divmod, _poly_inverse_mod, _poly_mul, _poly_sub, _poly_trim
+from .cyclo import Cyclo, _echelon_insert, _int_solve, _poly_divmod
 from .groups import FiniteGroup, GSet, conjugacy_classes, fixed_points, point_gset
 from .phases import TwoCocycle, alpha_regular_reps
 
@@ -443,7 +443,7 @@ def _split_prime(ipoly: list[int], galois: list[list[Fraction]], e: int) -> tupl
     raise SectorError("rational factorization failed")
 
 
-def _factor_monic_over_q(ipoly: list[int], galois: list[list[Fraction]], e: int) -> list[list[Fraction]]:
+def _factor_monic_over_q(ipoly: list[int], galois: list[list[Fraction]], e: int) -> list[list[int]]:
     """Factor a squarefree monic integer polynomial whose roots lie in Q(zeta_e)
     into monic irreducible factors, sorted by (degree, coefficients).
 
@@ -467,8 +467,8 @@ def _factor_monic_over_q(ipoly: list[int], galois: list[list[Fraction]], e: int)
         }
 
     hp = [[c.numerator * pow(c.denominator, -1, p) % p for c in h] for h in galois]
-    remaining = [Fraction(c) for c in ipoly]
-    factors: list[list[Fraction]] = []
+    remaining = ipoly
+    factors: list[list[int]] = []
     seen: set[int] = set()
     for r in roots:
         if r in seen:
@@ -480,7 +480,7 @@ def _factor_monic_over_q(ipoly: list[int], galois: list[list[Fraction]], e: int)
         prod = [1]
         for s in orbit:
             prod = [((prod[k - 1] if k else 0) - lifted[s] * c) % m for k, c in enumerate(prod)] + [1]
-        cand = [Fraction(c - m if 2 * c > m else c) for c in prod]
+        cand = [c - m if 2 * c > m else c for c in prod]
         remaining, rem = _poly_divmod(remaining, cand)
         if any(rem):
             raise SectorError("rational factorization failed")
@@ -495,7 +495,26 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return r if r * r == q else None
 
 
-def _probe_split(ring: SectorRing, rng) -> tuple[list[list[int]], list[list[Fraction]]] | None:
+def _crt(matched: list[tuple[list[int], list]], n: int) -> list[Fraction]:
+    """The h of degree < n with h = alpha (mod g) for each pair (g, alpha): g
+    distinct monic irreducible integer polynomials, degrees summing to n, and
+    alpha rational of any degree.  Per g, the coordinates of sum_k h_k x^k
+    modulo g (x^k mod g by shift and reduce) equal those of alpha: n integer
+    equations, scaled by the lcm of alpha's denominators, in one solve."""
+    scale = lcm(*(c.denominator for _, alpha in matched for c in alpha))
+    rows, rhs = [], []
+    for g, alpha in matched:
+        cur, powers = [1] + [0] * (len(g) - 2), []
+        for _ in range(max(n, len(alpha))):
+            powers.append(cur)
+            top = cur[-1]
+            cur = [-top * g[0]] + [c - top * gi for c, gi in zip(cur, g[1:-1])]
+        rows += zip(*powers[:n])
+        rhs += [[sum(int(a * scale) * x for a, x in zip(alpha, coord))] for coord in zip(*powers)]
+    return [row[0] / scale for row in _int_solve(rows, rhs)]
+
+
+def _probe_split(ring: SectorRing, rng) -> tuple[list[list[int]], list[list[int]]] | None:
     """The dense integer powers 1, x, ..., x^(n-1) of an integral probe x whose
     minimal polynomial has full degree n, and the sorted irreducible factors of
     that polynomial.
@@ -543,7 +562,7 @@ def _probe_split(ring: SectorRing, rng) -> tuple[list[list[int]], list[list[Frac
         if any(row[0].denominator != 1 for row in sol):
             raise SectorError("minimal polynomial of an integral probe is not integral")
         mp = [-int(row[0]) for row in sol] + [1]
-        galois = [_poly_trim([row[j] for row in sol]) for j in range(1, len(cs) + 1)]
+        galois = [[row[j] for row in sol] for j in range(1, len(cs) + 1)]
         return dense[:n], _factor_monic_over_q(mp, galois, e)
     return None
 
@@ -562,11 +581,12 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
     unused factor g of B of its degree that, for a quadratic, has the same
     field: Q(sqrt disc_f) = Q(sqrt disc_g) exactly when disc_f / disc_g is the
     square of a rational r.  The root map alpha (a rational polynomial, with
-    that r) sends a root of g to a root of f, and the Chinese remainder theorem
-    gives h with h = alpha (mod g) on every component.  The rational map
+    that r) sends a root of g to a root of f, and the Chinese remainder theorem,
+    one integer solve in the n coefficients of h (_crt), gives the h of degree
+    < n with h = alpha (mod g) on every component.  The rational map
     sending probe_a^k to h(probe_b)^k is then verified exactly as a unital
-    algebra isomorphism.  Probes, the witness solve and its checks run on ints
-    through one fraction-free elimination.  Dimension, component or field
+    algebra isomorphism.  Probes, the CRT, the witness solve and its checks run
+    on ints through one fraction-free elimination.  Dimension, component or field
     mismatches are certified obstructions; components of degree > 2 are
     reported inconclusive.
     """
@@ -599,8 +619,8 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
         rep.detail = "component of degree > 2; inconclusive"
         return rep
 
-    # h = alpha (mod g) for each factor f of A and the first unused g of B over the same field
-    h, mod = [Fraction(0)], [Fraction(1)]
+    # pair each factor f of A with the first unused g of B over the same field and the root map alpha
+    matched = []
     used = [False] * len(factors_b)
     for f in factors_a:
         for j, g in enumerate(factors_b):
@@ -611,7 +631,7 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
                 break
             # Q(sqrt disc_f) = Q(sqrt disc_g) iff disc_f / disc_g = r^2 with r rational;
             # alpha sends the root (-g_1 + sqrt disc_g)/2 of g to (-f_1 + r sqrt disc_g)/2 of f
-            r = _rational_sqrt((f[1] ** 2 - 4 * f[0]) / (g[1] ** 2 - 4 * g[0]))
+            r = _rational_sqrt(Fraction(f[1] ** 2 - 4 * f[0], g[1] ** 2 - 4 * g[0]))
             if r is not None:
                 alpha = [(r * g[1] - f[1]) / 2, r]
                 break
@@ -620,10 +640,8 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
             rep.obstruction = "spectrum mismatch: splitting fields differ"
             return rep
         used[j] = True
-        inv = _poly_inverse_mod(_poly_divmod(mod, g)[1], g)
-        t = _poly_divmod(_poly_mul(_poly_sub(h, alpha), inv), g)[1]
-        h = _poly_sub(h, _poly_mul(mod, t))
-        mod = _poly_mul(mod, g)
+        matched.append((g, alpha))
+    h = _crt(matched, n)
 
     unit_a, unit_b = _nonzero(powers_a[0]), _nonzero(powers_b[0])
     beta = _nonzero([sum(c * v[k] for c, v in zip(h, powers_b)) for k in range(n)])

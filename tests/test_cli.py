@@ -421,3 +421,18 @@ def test_json_integer_fields_reject_non_integers(capsys, tmp_path):
         assert (code, out) == (1, ""), argv
         blob = json.loads(err)
         assert blob["kind"] == kind and named in blob["error"], argv
+
+
+def test_uncactus_unlocated_mark_is_domain_error(capsys):
+    # lobes 1 and 2 meet at two joints; the walk still closes, but every arc it takes on lobe 1
+    # ends at the joint on lobe 1's mark (offset 0) and none starts there, so no arc holds the mark
+    cactus = {
+        "perimeters": [[1, 2], [1, 2]],
+        "joints": [[[1, [0, 1]], [2, [1, 8]]], [[2, [1, 4]], [1, [1, 8]]]],
+        "base_lobe": 1,
+        "base_offset": [1, 4],
+        "base_on_joint": False,
+    }
+    code, out, err = run(capsys, "uncactus", "--cactus", json.dumps(cactus))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "could not locate the marked point of lobe 1", "kind": "CactusError"}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbistring.cyclo import Cyclo, _echelon_insert, _int_solve, cyclotomic_poly, euler_phi
+from orbistring.cyclo import Cyclo, _echelon_insert, _int_solve, _poly_divmod, cyclotomic_poly, euler_phi
 
 
 def _poly_mul(a: list, b: list) -> list:
@@ -93,6 +93,18 @@ def test_cyclotomic_product_over_divisors():
                 prod = _poly_mul(prod, list(cyclotomic_poly(d)))
         assert prod == [-1] + [0] * (n - 1) + [1]
         assert len(cyclotomic_poly(n)) - 1 == euler_phi(n) == _totient(n)
+
+
+def test_poly_divmod_by_monic_integer_divisors():
+    # a = q b + r with r of deg b integer entries, for random integer a and monic integer b
+    rng = random.Random(20)
+    for _ in range(3000):
+        a = [rng.randint(-50, 50) for _ in range(rng.randint(1, 15))]
+        b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [1]
+        q, r = _poly_divmod(a, b)
+        assert len(r) == len(b) - 1
+        assert all(type(c) is int for c in q + r)
+        assert not any(_padd(_padd(_poly_mul(q, b), r), a, -1))
 
 
 def test_roots_of_unity():

@@ -4,11 +4,12 @@ import random
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from orbistring import sector
-from orbistring.cyclo import Cyclo, _poly_divmod
+from orbistring.cyclo import Cyclo, _poly_divmod, cyclotomic_poly
 from orbistring.groups import (
     CATALOG_NAMES,
     GSet,
@@ -22,6 +23,7 @@ from orbistring.groups import (
 from orbistring.phases import catalog_cocycle, coboundary, discrete_torsion, Phase, trivial_cocycle
 from orbistring.sector import (
     SectorError,
+    _crt,
     _factor_monic_over_q,
     _probe_split,
     _rational_sqrt,
@@ -356,8 +358,31 @@ def test_probe_split_divides_once_per_factor(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["coset:S4:S3", "point:S4", "point:Z6", "point:D4", "point:Z13"])
 def test_probe_split_powers_are_int(spec):
-    powers, _ = _probe_split(orbifold_string_ring(_gset(spec)), random.Random(7))
+    powers, factors = _probe_split(orbifold_string_ring(_gset(spec)), random.Random(7))
     assert all(type(c) is int for row in powers for c in row)
+    assert all(type(c) is int for f in factors for c in f)
+
+
+def test_crt_solves_every_congruence():
+    # distinct monic irreducibles (cyclotomic, x^2 - p, x - a) and rational alpha
+    # of any degree, also at or above deg g: h has n coefficients and h - alpha
+    # is divisible by each g
+    rng = random.Random(21)
+    irreducibles = [list(cyclotomic_poly(d)) for d in range(1, 16)]
+    irreducibles += [[-p, 0, 1] for p in (2, 3, 5, 7)] + [[-a, 1] for a in (0, 2, -3, 5)]
+    for _ in range(300):
+        gs = rng.sample(irreducibles, rng.randint(1, 4))
+        n = sum(len(g) - 1 for g in gs)
+        matched = [
+            (g, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, len(g) + 3))])
+            for g in gs
+        ]
+        h = _crt(matched, n)
+        assert len(h) == n
+        for g, alpha in matched:
+            diff = [(h[k] if k < n else 0) - (alpha[k] if k < len(alpha) else 0) for k in range(max(n, len(alpha)))]
+            scale = lcm(*(c.denominator for c in diff))
+            assert not any(_poly_divmod([int(c * scale) for c in diff], g)[1])
 
 
 _SWEEP = (
