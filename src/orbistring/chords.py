@@ -7,7 +7,9 @@ classes and region walks store each coordinate as an integer tick t standing
 for t/L, one scale L per object, and a class on the least L, so equal classes
 have equal ticks.  Validation, walks and composition run on ints; Fractions
 appear only in the input readers, the Fraction views, to_json, regions_report
-and the cactus side.
+and the cactus side.  A cactus must be a tree of circles: its lobe-joint
+incidence graph is checked to be connected and acyclic before its boundary
+walk unrolls it onto the circle.
 Classes are quotients by chord relabeling and flips, by moving marks within a
 cluster (the vertex set of one tree), and by forgetting tree shapes: only the
 cluster partition and the interval labeling survive, which is exactly the data
@@ -107,27 +109,28 @@ def _check_crossings(spans: Sequence[tuple[int, int]]) -> None:
                 raise DiagramError("crossing", f"chords {i} and {j} cross", (i, j))
 
 
+def _find(parent: dict[int, int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _clusters(chords: Sequence[tuple[int, int]]) -> list[list[int]]:
     """Trees of the endpoint forest; raises on any cycle."""
     parent: dict[int, int] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for x, y in chords:
         parent.setdefault(x, x)
         parent.setdefault(y, y)
     for idx, (x, y) in enumerate(chords):
-        rx, ry = find(x), find(y)
+        rx, ry = _find(parent, x), _find(parent, y)
         if rx == ry:
             raise DiagramError("cycle", f"chord {idx} closes a cycle in the endpoint forest", idx)
         parent[rx] = ry
     groups: dict[int, list[int]] = {}
     for v in parent:
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(_find(parent, v), []).append(v)
     return sorted([sorted(g) for g in groups.values()])
 
 
@@ -215,21 +218,9 @@ def _label(dec: _Decomposition, marks: Sequence[int], forced_arc_labels=None) ->
     """
     faces, vertices = dec.faces, dec.vertices
     n = len(faces)
-
-    # faces ordered by their least arc start, for deterministic matching
-    order = sorted(range(n), key=lambda f: min(u[1] for u in faces[f] if u[0] == "seg"))
     touched = [{u[1] for u in units if u[0] == "pass"} for units in faces]
     cluster_at = {u[2]: u[1] for units in faces for u in units if u[0] == "pass"}  # vertex -> its cluster
 
-    def candidates(z: int) -> list[int]:
-        if z in cluster_at:
-            ci = cluster_at[z]
-            return [f for f in order if ci in touched[f]]
-        return [dec.face_of_point(z)]
-
-    cand = [candidates(z) for z in marks]
-
-    assignment: list[int | None] = [None] * n  # mark index -> face index
     if forced_arc_labels is not None:
         if len(vertices) != len(forced_arc_labels):
             raise DiagramError("arity", "interval label count does not match vertices", len(forced_arc_labels))
@@ -240,15 +231,27 @@ def _label(dec: _Decomposition, marks: Sequence[int], forced_arc_labels=None) ->
                 raise DiagramError("mark-off-region", "inconsistent interval labels", vi)
         if not vertices:
             face_label[0] = 1
-        missing = set(range(1, n + 1)) - set(face_label.values())  # n faces, so a bijection iff empty
+        face_of_label = {lab: f for f, lab in face_label.items()}
+        missing = set(range(1, n + 1)) - face_of_label.keys()  # n faces, so a bijection iff empty
         if missing:
             raise DiagramError("mark-off-region", "interval labels are not a bijection", min(missing))
-        for mi in range(n):
-            f = next(f for f, lab in face_label.items() if lab == mi + 1)
-            if f not in cand[mi]:
+        for mi, z in enumerate(marks):
+            f = face_of_label[mi + 1]
+            on_face = cluster_at[z] in touched[f] if z in cluster_at else dec.face_of_point(z) == f
+            if not on_face:
                 raise DiagramError("mark-off-region", f"mark {mi + 1} is not on region {mi + 1}", mi)
-            assignment[mi] = f
     else:
+        # faces ordered by their least arc start, for deterministic matching
+        order = sorted(range(n), key=lambda f: min(u[1] for u in faces[f] if u[0] == "seg"))
+
+        def candidates(z: int) -> list[int]:
+            if z in cluster_at:
+                ci = cluster_at[z]
+                return [f for f in order if ci in touched[f]]
+            return [dec.face_of_point(z)]
+
+        cand = [candidates(z) for z in marks]
+        assignment: list[int | None] = [None] * n  # mark index -> face index
 
         def backtrack(mi: int, used: set[int]) -> bool:
             if mi == n:
@@ -266,8 +269,8 @@ def _label(dec: _Decomposition, marks: Sequence[int], forced_arc_labels=None) ->
             raise DiagramError(
                 "mark-off-region", f"mark {bad + 1} cannot be placed on its own region", bad
             )
+        face_of_label = {mi + 1: assignment[mi] for mi in range(n)}
 
-    face_of_label = {mi + 1: assignment[mi] for mi in range(n)}
     regions = tuple(tuple(faces[face_of_label[lab]]) for lab in range(1, n + 1))
     label_of_face = {f: lab for lab, f in face_of_label.items()}
     arc_labels = tuple(label_of_face[f] for f in dec.arc_face)
@@ -542,14 +545,20 @@ class Cactus:
 
     Lobe i is parameterized from its own marked point; a joint incidence
     (lobe, offset) records where the joint sits on that lobe.  base_offset is
-    the position of the global base point on its lobe.
+    the position of the global base point on its lobe, and the base point sits
+    on a joint exactly when (base_lobe, base_offset) is a joint incidence.  A
+    valid cactus is a tree of circles: its lobe-joint incidence graph is
+    connected and acyclic, which the boundary walk checks before it starts.
     """
 
     perimeters: tuple[Fraction, ...]
     joints: tuple[tuple[tuple[int, Fraction], ...], ...]
     base_lobe: int
     base_offset: Fraction
-    base_on_joint: bool = False
+
+    @property
+    def base_on_joint(self) -> bool:
+        return any((self.base_lobe, self.base_offset) in j for j in self.joints)
 
     def to_json(self) -> dict:
         return {
@@ -590,7 +599,6 @@ def to_cactus(md: MDClass) -> Cactus:
         tuple(tuple((lo, Fraction(off, md.L)) for lo, off in j) for j in joints),
         lobe,
         Fraction(base, md.L),
-        0 in incid,
     )
 
 
@@ -598,6 +606,9 @@ def _cactus_walk(c: Cactus):
     """Checked boundary walk of a cactus from its base point, on ticks modulo L,
     the lcm of the denominators of its perimeters and offsets.
 
+    The lobe-joint incidence graph must be a tree: no joint closes a cycle
+    (union-find) and every lobe is joined to lobe 1.  The walk then passes
+    every arc of every lobe once and closes at the base point after L ticks.
     Returns L, the lobe perimeters, the segments as (global start, length,
     lobe, lobe offset) tuples and, per joint, the global positions at which
     the walk visits it, all in ticks.
@@ -612,7 +623,11 @@ def _cactus_walk(c: Cactus):
     perims = [_tick(p, L) for p in c.perimeters]
     joints = [[(lobe, _tick(off, L)) for lobe, off in joint] for joint in c.joints]
     base_offset = _tick(c.base_offset, L)
+    # a lone lobe without joints reads its base offset modulo its perimeter
+    if c.joints and not 0 <= base_offset < perims[c.base_lobe - 1]:
+        raise CactusError(f"base point offset out of range on lobe {c.base_lobe}")
     by_lobe: dict[int, list[tuple[int, int]]] = {i + 1: [] for i in range(n)}
+    parent = {x: x for x in range(-len(joints), n + 1) if x}  # lobe i is node i, joint qi node -1 - qi
     for qi, joint in enumerate(joints):
         if len(joint) < 2:
             raise CactusError(f"joint {qi} touches fewer than two lobes")
@@ -626,11 +641,18 @@ def _cactus_walk(c: Cactus):
             if not 0 <= off < perims[lobe - 1]:
                 raise CactusError(f"joint {qi} offset out of range on lobe {lobe}")
             by_lobe[lobe].append((off, qi))
+            root = _find(parent, lobe)
+            if root == _find(parent, -1 - qi):
+                raise CactusError(f"joint {qi} closes a cycle through lobe {lobe}")
+            parent[root] = -1 - qi
     for lobe, offs in by_lobe.items():
         offs.sort()
         for (o1, _), (o2, _) in zip(offs, offs[1:]):
             if o1 == o2:
                 raise CactusError(f"two joints at the same point of lobe {lobe}")
+    for lobe in range(2, n + 1):
+        if _find(parent, lobe) != _find(parent, 1):
+            raise CactusError(f"lobe {lobe} is not joined to lobe 1")
 
     def next_joint(lobe: int, off: int) -> tuple[int, int] | None:
         """First joint strictly ahead of the given lobe offset (cyclically): on
@@ -643,51 +665,18 @@ def _cactus_walk(c: Cactus):
     # (global start, length, lobe, lobe offset at start)
     segments: list[tuple[int, int, int, int]] = []
     visits: dict[int, list[int]] = {}
-    guard = 0
-    max_steps = 4 + sum(len(j) for j in joints) + n
     while s < L:
         r = perims[cur_lobe - 1]
         nj = next_joint(cur_lobe, cur_off)
-        remaining = L - s
-        if nj is None:
-            delta, endpoint = r, None
-        else:
-            off2, qi = nj
-            delta = (off2 - cur_off - 1) % r + 1
-            endpoint = (off2, qi)
-        if delta > remaining:
-            # the walk must close mid-lobe exactly at the base point
-            if (
-                c.base_on_joint
-                or cur_lobe != c.base_lobe
-                or (cur_off + remaining) % r != base_offset
-            ):
-                raise CactusError("boundary walk does not close at the base point")
-            segments.append((s, remaining, cur_lobe, cur_off))
-            break
-        segments.append((s, delta, cur_lobe, cur_off))
+        delta = r if nj is None else (nj[0] - cur_off - 1) % r + 1
+        segments.append((s, min(delta, L - s), cur_lobe, cur_off))
         s += delta
-        if endpoint is None:
-            if s != L or c.base_on_joint or cur_lobe != c.base_lobe:
-                raise CactusError("boundary walk does not close")
+        if nj is None or s > L:  # a lone lobe without joints, or the base point mid-arc
             break
-        off2, qi = endpoint
+        off2, qi = nj
         joint = joints[qi]
-        pos = joint.index((cur_lobe, off2))
-        if s == L:
-            # the closing arrival switches back onto the base incidence
-            if not c.base_on_joint or joint[(pos + 1) % len(joint)] != (c.base_lobe, base_offset):
-                raise CactusError("boundary walk ends on a joint away from the base point")
-            visits.setdefault(qi, []).append(0)
-            break
-        visits.setdefault(qi, []).append(s)
-        cur_lobe, cur_off = joint[(pos + 1) % len(joint)]
-        guard += 1
-        if guard > max_steps:
-            raise CactusError("boundary walk does not close; dual graph is not a tree")
-    for qi, joint in enumerate(joints):
-        if len(visits.get(qi, [])) != len(joint):
-            raise CactusError(f"joint {qi} was not visited once per incident lobe")
+        visits.setdefault(qi, []).append(s % L)  # the closing arrival at a base joint is 0
+        cur_lobe, cur_off = joint[(joint.index((cur_lobe, off2)) + 1) % len(joint)]
     return L, perims, segments, visits
 
 
@@ -696,13 +685,11 @@ def from_cactus(c: Cactus) -> MDClass:
     n = len(c.perimeters)
     L, perims, segments, visits = _cactus_walk(c)
     chords = [chord for qi in sorted(visits) for chord in pairwise(sorted(visits[qi]))]
-    marks = []
-    for lobe, r in enumerate(perims, 1):
+    marks = [0] * n
+    for g0, dl, lo, off0 in segments:  # the segments of a lobe cover it once
         # the marked point, lobe offset 0, lies -off0 % r into the segment from lobe offset off0
-        at = [(g0 + -off0 % r) % L for g0, dl, lo, off0 in segments if lo == lobe and -off0 % r < dl]
-        if not at:
-            raise CactusError(f"could not locate the marked point of lobe {lobe}")
-        marks.append(at[0])
+        if (k := -off0 % perims[lo - 1]) < dl:
+            marks[lo - 1] = (g0 + k) % L
     arc_label = {g0: lo for g0, _, lo, _ in segments}  # segments start at ticks below L
     arc_labels = tuple(arc_label[v] for v in sorted({v for pos in visits.values() for v in pos}))
     return canonical_md(_label(_decompose(n, L, chords), marks, arc_labels))
@@ -757,7 +744,11 @@ def parse_cactus(data: str | dict) -> Cactus:
         base_on_joint = bool(data.get("base_on_joint", False))
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
         raise CactusError(f"bad cactus JSON: {e}") from None
-    return Cactus(perims, tuple(sorted(joints)), base_lobe, base_offset, base_on_joint)
+    c = Cactus(perims, tuple(sorted(joints)), base_lobe, base_offset)
+    if base_on_joint != c.base_on_joint:
+        where = "a joint incidence" if c.base_on_joint else "not a joint incidence"
+        raise CactusError(f"base_on_joint contradicts the joints: the base point is {where}")
+    return c
 
 
 # randomized diagrams for property testing -----------------------------------

@@ -522,9 +522,7 @@ def test_three_lobe_chain_cactus():
     assert md.n == 3
     assert len(md.clusters) == 2
     assert all(len(g) == 2 for g in md.clusters)
-    assert to_cactus(md) == Cactus(
-        k.perimeters, tuple(sorted(k.joints)), k.base_lobe, k.base_offset, False
-    )
+    assert to_cactus(md) == Cactus(k.perimeters, tuple(sorted(k.joints)), k.base_lobe, k.base_offset)
 
 
 def test_invalid_cactus_rejected():
@@ -533,6 +531,42 @@ def test_invalid_cactus_rejected():
     with pytest.raises(CactusError):
         # disconnected: two lobes, no joints
         from_cactus(Cactus((F(1, 2), F(1, 2)), (), 1, F(0)))
+
+
+def test_cactus_reader_fuzz():
+    """Every to_cactus output reads back through JSON to its class, and every
+    perturbation of one (a joint dropped, a joint added, base_on_joint flipped)
+    is refused with a CactusError, never a DiagramError: a dropped joint
+    disconnects the tree of lobes, an added one closes a cycle, and a flipped
+    flag contradicts the joints."""
+    rng = random.Random(53)
+    for _ in range(150):
+        c = random_md(rng, rng.randint(1, 5))
+        data = to_cactus(c).to_json()
+        assert from_cactus(parse_cactus(json.dumps(data))) == c
+        perims = [F(*p) for p in data["perimeters"]]
+        n = len(perims)
+        perturbed = [{**data, "base_on_joint": not data["base_on_joint"]}]
+        if data["joints"]:
+            drop = rng.randrange(len(data["joints"]))
+            perturbed.append({**data, "joints": data["joints"][:drop] + data["joints"][drop + 1 :]})
+        if n > 1:
+            extra = []
+            for lobe in rng.sample(range(1, n + 1), rng.randint(2, min(n, 3))):
+                off = perims[lobe - 1] * F(rng.randrange(4), 4)
+                extra.append([lobe, [off.numerator, off.denominator]])
+            perturbed.append({**data, "joints": data["joints"] + [extra]})
+        for blob in perturbed:
+            with pytest.raises(CactusError):
+                from_cactus(parse_cactus(json.dumps(blob)))
+    crosswise = {
+        "perimeters": [[1, 2], [1, 2]],
+        "joints": [[[1, [0, 1]], [2, [1, 4]]], [[1, [1, 4]], [2, [0, 1]]]],
+        "base_lobe": 1,
+        "base_offset": [1, 8],
+    }
+    with pytest.raises(CactusError, match="^joint 1 closes a cycle through lobe 2$"):
+        from_cactus(parse_cactus(crosswise))
 
 
 def test_diagram_json_roundtrip():
@@ -612,7 +646,7 @@ def compose_cactus(base: Cactus, parts: list[Cactus]) -> Cactus:
     if base.base_on_joint:
         raise CactusError("base point on a joint is outside the generic composition")
     bl, boff = locate(base.base_lobe, base.base_offset)
-    return Cactus(tuple(perims), tuple(sorted(joints)), bl, boff, False)
+    return Cactus(tuple(perims), tuple(sorted(joints)), bl, boff)
 
 
 def _locate_circle(tape, s):

@@ -424,8 +424,8 @@ def test_json_integer_fields_reject_non_integers(capsys, tmp_path):
 
 
 def test_uncactus_unlocated_mark_is_domain_error(capsys):
-    # lobes 1 and 2 meet at two joints; the walk still closes, but every arc it takes on lobe 1
-    # ends at the joint on lobe 1's mark (offset 0) and none starts there, so no arc holds the mark
+    # lobes 1 and 2 meet at two joints, so no arc of the walk starts at lobe 1's mark (offset 0);
+    # the two joints close a cycle of lobes, and the tree check refuses the cactus before the walk
     cactus = {
         "perimeters": [[1, 2], [1, 2]],
         "joints": [[[1, [0, 1]], [2, [1, 8]]], [[2, [1, 4]], [1, [1, 8]]]],
@@ -435,4 +435,41 @@ def test_uncactus_unlocated_mark_is_domain_error(capsys):
     }
     code, out, err = run(capsys, "uncactus", "--cactus", json.dumps(cactus))
     assert (code, out) == (1, "")
-    assert json.loads(err) == {"error": "could not locate the marked point of lobe 1", "kind": "CactusError"}
+    assert json.loads(err) == {"error": "joint 1 closes a cycle through lobe 2", "kind": "CactusError"}
+
+
+def test_uncactus_reader_checks_name_their_witness(capsys):
+    """Each check of the cactus reader, one defect per input, through the CLI."""
+    two = {"perimeters": [[1, 2], [1, 2]], "base_lobe": 1, "base_offset": [1, 4]}
+    three = {"perimeters": [[1, 4], [1, 4], [1, 2]], "base_lobe": 1, "base_offset": [1, 8]}
+    joint = [[1, [0, 1]], [2, [0, 1]]]
+    cases = [
+        ({**two, "perimeters": [[1, 2], [1, 4]], "joints": [joint]},
+         "lobe perimeters must be positive and sum to 1"),
+        ({**two, "joints": [joint], "base_lobe": 3}, "base point on unknown lobe 3"),
+        ({**two, "joints": [joint], "base_lobe": 2, "base_offset": [1, 2]},
+         "base point offset out of range on lobe 2"),
+        ({**two, "joints": [[[1, [0, 1]]], [[1, [1, 8]], [2, [0, 1]]]]},
+         "joint 0 touches fewer than two lobes"),
+        ({**two, "joints": [[[1, [0, 1]], [3, [0, 1]]]]}, "joint 0 touches unknown lobe 3"),
+        ({**two, "joints": [[[1, [0, 1]], [1, [1, 8]]]]}, "joint 0 touches lobe 1 twice"),
+        ({**two, "joints": [[[1, [0, 1]], [2, [1, 2]]]]}, "joint 0 offset out of range on lobe 2"),
+        ({**three, "joints": [joint, [[1, [0, 1]], [3, [0, 1]]]]}, "two joints at the same point of lobe 1"),
+        # the crosswise two-lobe cactus used to leak a DiagramError ("2 regions need 1 chords, got 2")
+        ({**two, "joints": [[[1, [0, 1]], [2, [1, 4]]], [[1, [1, 4]], [2, [0, 1]]]], "base_offset": [1, 8]},
+         "joint 1 closes a cycle through lobe 2"),
+        ({**three, "joints": [joint]}, "lobe 3 is not joined to lobe 1"),
+        ({**two, "joints": []}, "lobe 2 is not joined to lobe 1"),
+        ({**two, "joints": [joint], "base_on_joint": True},
+         "base_on_joint contradicts the joints: the base point is not a joint incidence"),
+        ({**two, "joints": [joint], "base_offset": [0, 1]},
+         "base_on_joint contradicts the joints: the base point is a joint incidence"),
+    ]
+    for cactus, message in cases:
+        code, out, err = run(capsys, "uncactus", "--cactus", json.dumps(cactus))
+        assert (code, out) == (1, ""), cactus
+        assert json.loads(err) == {"error": message, "kind": "CactusError"}, cactus
+    # the same joint with the base point on it, flagged as such, is a valid cactus
+    on_joint = {**two, "joints": [joint], "base_offset": [0, 1], "base_on_joint": True}
+    code, out, _ = run(capsys, "uncactus", "--cactus", json.dumps(on_joint))
+    assert code == 0 and json.loads(out)["n"] == 2
