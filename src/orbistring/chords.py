@@ -18,6 +18,7 @@ this module canonicalizes and compares.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -623,8 +624,7 @@ def _cactus_walk(c: Cactus):
     perims = [_tick(p, L) for p in c.perimeters]
     joints = [[(lobe, _tick(off, L)) for lobe, off in joint] for joint in c.joints]
     base_offset = _tick(c.base_offset, L)
-    # a lone lobe without joints reads its base offset modulo its perimeter
-    if c.joints and not 0 <= base_offset < perims[c.base_lobe - 1]:
+    if not 0 <= base_offset < perims[c.base_lobe - 1]:
         raise CactusError(f"base point offset out of range on lobe {c.base_lobe}")
     by_lobe: dict[int, list[tuple[int, int]]] = {i + 1: [] for i in range(n)}
     parent = {x: x for x in range(-len(joints), n + 1) if x}  # lobe i is node i, joint qi node -1 - qi
@@ -741,7 +741,10 @@ def parse_cactus(data: str | dict) -> Cactus:
         )
         base_lobe = _json_int(data["base_lobe"], "field 'base_lobe'", ValueError)
         base_offset = Fraction(*_ints(data["base_offset"], 2, "base_offset"))
-        base_on_joint = bool(data.get("base_on_joint", False))
+        base_on_joint = data.get("base_on_joint", False)
+        if type(base_on_joint) is not bool:
+            got = json.dumps(base_on_joint, default=repr)
+            raise ValueError(f"field 'base_on_joint': expected true or false, got {got}")
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
         raise CactusError(f"bad cactus JSON: {e}") from None
     c = Cactus(perims, tuple(sorted(joints)), base_lobe, base_offset)

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from .cyclo import Cyclo, _echelon_insert, _int_solve, _poly_divmod
+from .cyclo import Cyclo, _echelon_insert, _int_solve, _make, _poly_divmod, _reduce
 from .groups import FiniteGroup, GSet, conjugacy_classes, fixed_points, point_gset
 from .phases import TwoCocycle, alpha_regular_reps
 
@@ -201,6 +201,12 @@ class SectorRing:
         so N is the whole ring.  On a failure the full scan names the
         lexicographically first failing basis triple, which exists because a
         failing generator triple is a basis triple.
+
+        A commutative table is checked on the pairs i < k only.  If
+        T[(a, b)] == T[(b, a)] for every a, b, then holds builds the same terms
+        for left(k, j, i) as for right(i, j, k), and for right(k, j, i) as for
+        left(i, j, k); so holds(i, j, k) iff holds(k, j, i), and holds(i, j, i)
+        always.
         """
         T, n = self.table, range(self.dim)
 
@@ -209,7 +215,8 @@ class SectorRing:
             right = _expand([((i, m), c) for m, c in T.get((j, k), ())], T)
             return left == right
 
-        if all(holds(i, j, k) for j in self._generators() for i in n for k in n):
+        pairs = list(combinations(n, 2) if self.is_commutative() else product(n, repeat=2))
+        if all(holds(i, j, k) for j in self._generators() for i, k in pairs):
             return
         for i, j, k in product(n, repeat=3):
             if not holds(i, j, k):
@@ -311,7 +318,7 @@ def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
     phases that make the twisted class sum central.  With alpha(x, y) =
     zeta_N^a(x, y), each class sum is kept as root exponents mod N, so
     centrality is exponent arithmetic and each product is a count of terms
-    per root of unity, reduced to Q(zeta_N) once per coefficient.
+    per root of unity, reduced to Q(zeta_N) on integers once per coefficient.
     """
     N, a = alpha.modulus, alpha.exps
     data = conjugacy_classes(G)
@@ -358,7 +365,8 @@ def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
                     if row is None:
                         row = counts[z] = [0] * N
                     row[(ex + ey + a[x][y]) % N] += 1
-            coords = [Cyclo(N, counts[r]) if r in counts else zero for r in reps]  # 1 at each rep
+            # coefficient 1 at each rep; integer counts reduce without Fractions
+            coords = [_make(N, _reduce(N, counts[r]), 1) if r in counts else zero for r in reps]
             # the product is sum_k coords[k] * (class sum k): compare in Q(zeta_N)
             zeros = [0] * N
             for z in range(G.order):
@@ -367,7 +375,7 @@ def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
                 turned = row[e:] + row[:e]  # the term at zeta^t moves to zeta^(t - e)
                 at_rep, want = (zeros, zero) if k is None else (counts.get(reps[k], zeros), coords[k])
                 # equal counts per root are equal numbers; unequal ones may still agree in Q(zeta_N)
-                if turned != at_rep and Cyclo(N, turned) != want:
+                if turned != at_rep and _make(N, _reduce(N, turned), 1) != want:
                     raise SectorError("twisted product left the span of the twisted class sums")
             if nonzero := tuple((k, c) for k, c in enumerate(coords) if c):
                 table[i, j] = nonzero

@@ -147,13 +147,13 @@ def crit_03_cohomology_invariance(seed: int) -> CheckResult:
         if name == "Z2xZ2":
             bases.append(catalog_cocycle(G, "nontrivial"))
         for alpha in bases:
+            t1 = twisted_center(G, alpha)
             for trial in range(50):
                 den = 2 * G.order
                 beta = [Phase.one()] + [
                     Phase.of(rng.randrange(den), den) for _ in range(G.order - 1)
                 ]
                 alpha2 = alpha * coboundary(G, beta)
-                t1 = twisted_center(G, alpha)
                 t2 = twisted_center(G, alpha2)
                 if t1.dim != t2.dim:
                     return CheckResult(

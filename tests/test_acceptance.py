@@ -22,10 +22,11 @@ LIMITS = {
     # leaves room for the 2x host slowdown (perfbench/README.md)
     "criterion-01 dijkgraaf-witten-point": 1.0,
     "criterion-02 discrete-torsion": 1.0,
-    # crit03 ran in 0.87-0.98 s in fresh processes on a 2-CPU VM once the
-    # pairing was a rank test on the sparse echelon (0.94-1.04 s before,
-    # alternating); 5 s leaves room for the 2x host slowdown (perfbench/README.md)
-    "criterion-03 cohomology-invariance": 5.0,
+    # crit03 ran in 0.61-0.93 s in fresh processes on a 2-CPU VM once it built
+    # each base ring once and commutative rings checked associativity on i < k
+    # pairs (1.20-1.88 s before, alternating); 3 s leaves room for the 2x host
+    # slowdown (perfbench/README.md)
+    "criterion-03 cohomology-invariance": 3.0,
     # crit04 ran in 0.006-0.011 s in-process (crit_04_morita(42), fresh
     # processes, alternating with the field solve at 0.008-0.016 s) on a 2-CPU VM
     # once the Morita comparator ran on integers through one fraction-free solve;

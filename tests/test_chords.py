@@ -542,7 +542,9 @@ def test_cactus_reader_fuzz():
     rng = random.Random(53)
     for _ in range(150):
         c = random_md(rng, rng.randint(1, 5))
-        data = to_cactus(c).to_json()
+        k = to_cactus(c)
+        assert 0 <= k.base_offset < k.perimeters[k.base_lobe - 1]  # the reader refuses any other offset
+        data = k.to_json()
         assert from_cactus(parse_cactus(json.dumps(data))) == c
         perims = [F(*p) for p in data["perimeters"]]
         n = len(perims)

@@ -464,6 +464,12 @@ def test_uncactus_reader_checks_name_their_witness(capsys):
          "base_on_joint contradicts the joints: the base point is not a joint incidence"),
         ({**two, "joints": [joint], "base_offset": [0, 1]},
          "base_on_joint contradicts the joints: the base point is a joint incidence"),
+        # a JSON string is not a boolean, whatever it spells
+        ({**two, "joints": [joint], "base_offset": [0, 1], "base_on_joint": "false"},
+         "bad cactus JSON: field 'base_on_joint': expected true or false, got \"false\""),
+        # a lone lobe without joints keeps its base offset in [0, r) like every other cactus
+        ({"perimeters": [[1, 1]], "joints": [], "base_lobe": 1, "base_offset": [1, 1]},
+         "base point offset out of range on lobe 1"),
     ]
     for cactus, message in cases:
         code, out, err = run(capsys, "uncactus", "--cactus", json.dumps(cactus))
@@ -473,3 +479,24 @@ def test_uncactus_reader_checks_name_their_witness(capsys):
     on_joint = {**two, "joints": [joint], "base_offset": [0, 1], "base_on_joint": True}
     code, out, _ = run(capsys, "uncactus", "--cactus", json.dumps(on_joint))
     assert code == 0 and json.loads(out)["n"] == 2
+
+
+def test_group_table_checks_name_their_witness(capsys, tmp_path):
+    """Each check of FiniteGroup.from_table, one defect per table, through dw."""
+    quasigroup = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    cases = [
+        ([], "empty multiplication table"),
+        ([[0, 1], [1]], "row 1 has length 1, expected 2"),
+        ([[0, 1], [1, 2]], "entry out of range in row 1"),
+        ([[0, 1], [-1, 0]], "entry out of range in row 1"),
+        ([[1, 0], [0, 1]], "element 0 is not an identity at 0"),
+        ([[0, 1, 2], [1, 1, 2], [2, 2, 0]], "row or column 1 is not a permutation"),  # row 1
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "row or column 1 is not a permutation"),  # column 1 only
+        (quasigroup, "associativity fails at triple (1,1,2)"),  # a Latin square, not a group
+    ]
+    group = tmp_path / "g.json"
+    for mult, message in cases:
+        group.write_text(json.dumps({"name": "G", "mult": mult}))
+        code, out, err = run(capsys, "dw", "--group", f"@{group}")
+        assert (code, out) == (1, ""), mult
+        assert json.loads(err) == {"error": message, "kind": "GroupError"}, mult

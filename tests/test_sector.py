@@ -4,6 +4,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -815,6 +816,27 @@ def test_check_associative_matches_full_scan_oracle():
                 bad.check_associative()
             assert str(err.value) == want
     assert failing >= 250
+    # symmetric corruptions change c_ij^k and c_ji^k together, so the table stays
+    # commutative and the generator pass runs over the pairs i < k only
+    failing = 0
+    for _ in range(300):
+        ring = rng.choice(rings)
+        n, z = ring.dim, Cyclo.root(ring.level, rng.randrange(ring.level))
+        i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        delta = rng.choice([1, -1, 2, z])
+        bad = _corrupt_constant(ring, i, j, k, lambda c: c + delta)
+        if i != j:
+            bad = _corrupt_constant(bad, j, i, k, lambda c: c + delta)
+        assert bad.is_commutative()
+        want = _oracle_associativity(bad)
+        if want is None:
+            bad.check_associative()
+        else:
+            failing += 1
+            with pytest.raises(SectorError) as err:
+                bad.check_associative()
+            assert str(err.value) == want
+    assert failing >= 200
 
 
 def _z8_center_16():
@@ -836,7 +858,39 @@ def test_check_associative_multiplies_generator_triples_only(monkeypatch):
     expand = sector._expand
     monkeypatch.setattr(sector, "_expand", counted)
     ring.check_associative()
-    assert len(calls) == 2 * 8**2
+    # the table is commutative: two expansions per pair i < k for the one generator
+    assert len(calls) == 2 * (8 * 7 // 2)
+
+
+def test_check_associative_scans_all_pairs_of_a_noncommutative_ring(monkeypatch):
+    # M_2(Q) on the matrix units E11, E12, E21, E22 (E_ab E_cd = [b = c] E_ad),
+    # with unit E11 + E22: associative and not commutative
+    table = {}
+    for a, b, c, d in product((0, 1), repeat=4):
+        if b == c:
+            table[2 * a + b, 2 * c + d] = ((2 * a + d, 1),)
+    ring = sector.SectorRing(("E11", "E12", "E21", "E22"), 1, table, {0: 1, 3: 1})
+    assert not ring.is_commutative() and ring._generators() == [1, 2]
+    ring.check_unit()
+    assert _oracle_associativity(ring) is None
+    calls = []
+
+    def counted(terms, sparse):
+        calls.append(1)
+        return expand(terms, sparse)
+
+    expand = sector._expand
+    monkeypatch.setattr(sector, "_expand", counted)
+    ring.check_associative()
+    # two expansions per pair (i, k), all n^2 of them, for each of the two generators
+    assert len(calls) == 2 * 2 * 4**2
+    for (i, j, k), value in (((0, 1, 1), 2), ((1, 2, 0), 0), ((3, 3, 1), 1), ((2, 1, 3), -1)):
+        bad = _corrupt_constant(ring, i, j, k, lambda c: value)
+        want = _oracle_associativity(bad)
+        assert want is not None and not bad.is_commutative(), (i, j, k)
+        with pytest.raises(SectorError) as err:
+            bad.check_associative()
+        assert str(err.value) == want, (i, j, k)
 
 
 def test_check_associative_catches_triples_off_the_generators():
