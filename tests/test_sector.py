@@ -846,9 +846,8 @@ def _z8_center_16():
     return twisted_center(Z8, trivial_cocycle(Z8) * coboundary(Z8, beta))
 
 
-def test_check_associative_multiplies_generator_triples_only(monkeypatch):
-    ring = _z8_center_16()
-    assert (ring.level, ring.dim, ring._generators()) == (16, 8, [1])
+def _expand_calls(monkeypatch, ring) -> int:
+    """The number of sector._expand calls in one passing check_associative."""
     calls = []
 
     def counted(terms, sparse):
@@ -858,8 +857,14 @@ def test_check_associative_multiplies_generator_triples_only(monkeypatch):
     expand = sector._expand
     monkeypatch.setattr(sector, "_expand", counted)
     ring.check_associative()
+    return len(calls)
+
+
+def test_check_associative_multiplies_generator_triples_only(monkeypatch):
+    ring = _z8_center_16()
+    assert (ring.level, ring.dim, ring._generators()) == (16, 8, [1])
     # the table is commutative: two expansions per pair i < k for the one generator
-    assert len(calls) == 2 * (8 * 7 // 2)
+    assert _expand_calls(monkeypatch, ring) == 2 * (8 * 7 // 2)
 
 
 def test_check_associative_scans_all_pairs_of_a_noncommutative_ring(monkeypatch):
@@ -873,17 +878,8 @@ def test_check_associative_scans_all_pairs_of_a_noncommutative_ring(monkeypatch)
     assert not ring.is_commutative() and ring._generators() == [1, 2]
     ring.check_unit()
     assert _oracle_associativity(ring) is None
-    calls = []
-
-    def counted(terms, sparse):
-        calls.append(1)
-        return expand(terms, sparse)
-
-    expand = sector._expand
-    monkeypatch.setattr(sector, "_expand", counted)
-    ring.check_associative()
     # two expansions per pair (i, k), all n^2 of them, for each of the two generators
-    assert len(calls) == 2 * 2 * 4**2
+    assert _expand_calls(monkeypatch, ring) == 2 * 2 * 4**2
     for (i, j, k), value in (((0, 1, 1), 2), ((1, 2, 0), 0), ((3, 3, 1), 1), ((2, 1, 3), -1)):
         bad = _corrupt_constant(ring, i, j, k, lambda c: value)
         want = _oracle_associativity(bad)
