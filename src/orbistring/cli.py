@@ -310,7 +310,10 @@ def _parse_delta(spec: str, basis: list) -> dict:
             raise UsageError(f"{bad}; expected integer indices and a coefficient p or p/q") from None
         if not (0 <= i < len(basis) and 0 <= j < len(basis)):
             raise UsageError(f"{bad}; indices run from 0 to {len(basis) - 1}")
-        delta.setdefault(basis[i], {})[basis[j]] = c
+        row = delta.setdefault(basis[i], {})
+        if basis[j] in row:
+            raise UsageError(f"{bad}; repeats the (from, to) pair of an earlier entry")
+        row[basis[j]] = c
     return delta
 
 

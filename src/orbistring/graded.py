@@ -267,26 +267,6 @@ def sphere_quotient_ring(p: int) -> GradedPresentation:
 # BV checker -----------------------------------------------------------------
 
 
-def _tabulated(table: dict, fn: Callable, *key):
-    """fn(*key), a dict, computed once per key and then read from table.
-
-    An overflow is stored as its message and raised afresh on every lookup.
-    A stored exception would hold, through its traceback, the frame of the
-    check that owns the table: a reference cycle that only the garbage
-    collector frees.
-    """
-    val = table.get(key)
-    if val is None:
-        try:
-            val = fn(*key)
-        except WindowOverflow as e:
-            val = str(e)
-        table[key] = val
-    if type(val) is str:
-        raise WindowOverflow(val)
-    return val
-
-
 @dataclass
 class BVData:
     """A degree window of an algebra together with a candidate degree +1 operator.
@@ -305,8 +285,22 @@ class BVData:
     _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def product(self, a, b) -> Element:
-        """mult(a, b), computed at most once per basis pair; do not mutate the result."""
-        return _tabulated(self._products, self.mult, a, b)
+        """mult(a, b), computed at most once per basis pair; do not mutate the result.
+
+        An overflow is stored as its message and raised afresh on every lookup.
+        A stored exception would hold, through its traceback, the frame of the
+        check that asked: a reference cycle that only the garbage collector frees.
+        """
+        val = self._products.get((a, b))
+        if val is None:
+            try:
+                val = self.mult(a, b)
+            except WindowOverflow as e:
+                val = str(e)
+            self._products[a, b] = val
+        if type(val) is str:
+            raise WindowOverflow(val)
+        return val
 
     def apply_delta(self, x: Element) -> Element:
         out: Element = {}
@@ -384,16 +378,22 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
     rule {a, bc} = {a,b}c + (-1)^{(|a|+1)|b|} b{a,c}, and graded Jacobi with
     the shifted signs.  Tuples whose products leave the window are skipped.
 
-    Products and brackets are tabulated once per check: each basis product
-    is computed at most once (D.product keeps it for the life of D), and each
-    basis bracket {x,y} at most once (a table local to this call, since it
-    depends on Delta).  Every other bracket, such as {x,{y,z}} or {{x,y},z},
-    is summed from the basis brackets by linearity in each argument.
+    After the degree and Delta^2 passes, so that a check failing there builds
+    nothing, the basis brackets {x,y} and the basis products y*z are tabulated
+    once per check, one row per basis element, with None for an overflow.
+    Products go through D.product, so each basis pair is multiplied at most
+    once for the life of D.  Every other bracket, such as {x,{y,z}} or
+    {{x,y},z}, is summed from the bracket rows by linearity in each argument.
     Linearity in the first argument needs each of its terms to have the
     parity of the degree the bracket is taken at, as they do once Delta
     passed the degree check; otherwise, and whenever a summand overflows
     (terms may cancel), the bracket is computed elementwise.  So a tuple is
     skipped exactly when the elementwise bracket overflows.
+
+    A sum with an empty argument ({x,y}, {x,z}, {y,z} or y*z) is skipped: it
+    is empty and forms no product, so it cannot overflow, and the elementwise
+    bracket with an empty argument is empty too (each of its three terms is a
+    product with an empty factor, or Delta of one), so the rule above holds.
     """
     rep = BVReport(True)
     one = Fraction(1)
@@ -425,75 +425,90 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
     deg = {b: D.degree(b) for b in D.basis}
     parity = ({b for b in D.basis if not deg[b] % 2}, {b for b in D.basis if deg[b] % 2})
     unit = {b: {b: one} for b in D.basis}
-    brackets: dict = {}
 
-    def basis_bracket(x, y):
-        return bracket(D, {x: one}, {y: one}, deg[x])  # y may lie outside the basis
+    def or_none(fn, *args):
+        """fn(*args), or None when it leaves the window."""
+        try:
+            return fn(*args)
+        except WindowOverflow:
+            return None
 
-    def brk(x, y):
-        return _tabulated(brackets, basis_bracket, x, y)
+    brackets = {x: {y: or_none(bracket, D, unit[x], unit[y], deg[x]) for y in D.basis} for x in D.basis}
+    products = {y: {z: or_none(D.product, y, z) for z in D.basis} for y in D.basis}
 
     def brk_el(a, b, da):
-        """{a, b} for elements a and b, summed from the basis brackets."""
+        """{a, b} for elements a and b, summed from the bracket rows."""
         if not parity[da % 2].issuperset(a):  # a term of a outside the basis or of the other parity
             return bracket(D, a, b, da)
         out: Element = {}
-        try:
-            for u, cu in a.items():
-                for w, cw in b.items():
-                    for m, v in brk(u, w).items():
-                        acc = out.get(m, 0) + cu * cw * v
-                        if acc:
-                            out[m] = acc
-                        else:
-                            out.pop(m, None)
-        except WindowOverflow:
-            if len(a) * len(b) == 1:
-                raise  # the elementwise bracket forms exactly the same products
-            return bracket(D, a, b, da)  # terms may cancel, so it may stay in the window
+        for u, cu in a.items():
+            row = brackets[u]
+            for w, cw in b.items():
+                if w not in row:  # w lies outside the basis
+                    row[w] = or_none(bracket, D, unit[u], {w: one}, deg[u])
+                if row[w] is None:
+                    if len(a) * len(b) == 1:  # the elementwise bracket forms exactly the same products
+                        raise WindowOverflow(f"bracket {{{u}, {w}}} leaves the window")
+                    return bracket(D, a, b, da)  # terms may cancel, so it may stay in the window
+                for m, v in row[w].items():
+                    acc = out.get(m, 0) + cu * cw * v
+                    if acc:
+                        out[m] = acc
+                    else:
+                        out.pop(m, None)
         return out
 
     # every computed element is free of zero coefficients, so != compares values
     for x in D.basis:
         for y in D.basis:
-            try:
-                lhs = brk(x, y)
-                rhs = el_scale(brk(y, x), 1 if ((deg[x] + 1) * (deg[y] + 1)) % 2 else -1)
-            except WindowOverflow:
+            lhs, rhs = brackets[x][y], brackets[y][x]
+            if lhs is None or rhs is None:
                 counts["skipped"] += 1
                 continue
+            rhs = el_scale(rhs, 1 if ((deg[x] + 1) * (deg[y] + 1)) % 2 else -1)
             if lhs != rhs and fail("antisymmetry", f"{{{x},{y}}} != -(-1)^((|a|+1)(|b|+1)) {{{y},{x}}}"):
                 return rep
             counts["antisym"] += 1
     for x in D.basis:
-        dx = deg[x]
+        dx, ux, bx = deg[x], unit[x], brackets[x]
         for y in D.basis:
-            try:
-                xy = brk(x, y)
-            except WindowOverflow:  # every Leibniz tuple (x, y, z) is skipped, so no Jacobi one is tried
+            xy = bx[y]
+            if xy is None:  # every Leibniz tuple (x, y, z) is skipped, so no Jacobi one is tried
                 counts["skipped"] += len(D.basis)
                 continue
-            dy = deg[y]
+            dy, uy, by, py = deg[y], unit[y], brackets[y], products[y]
             leibniz_sign = -1 if ((dx + 1) * dy) % 2 else 1
             jacobi_sign = -1 if ((dx + 1) * (dy + 1)) % 2 else 1
             for z in D.basis:
-                try:
-                    lhs = brk_el(unit[x], D.product(y, z), dx)
-                    rhs = el_add(D.mult_el(xy, unit[z]), D.mult_el(unit[y], brk(x, z)), leibniz_sign)
-                except WindowOverflow:
+                p, xz = py[z], bx[z]
+                if p is None or xz is None:
                     counts["skipped"] += 1
                     continue
-                if lhs != rhs and fail("leibniz", f"{{{x}, {y}*{z}}} fails the derivation rule"):
-                    return rep
+                if p or xy or xz:  # else every sum is over an empty element
+                    try:
+                        lhs = brk_el(ux, p, dx) if p else {}
+                        t1 = D.mult_el(xy, unit[z]) if xy else {}
+                        rhs = el_add(t1, D.mult_el(uy, xz), leibniz_sign) if xz else t1
+                    except WindowOverflow:
+                        counts["skipped"] += 1
+                        continue
+                    if lhs != rhs and fail("leibniz", f"{{{x}, {y}*{z}}} fails the derivation rule"):
+                        return rep
                 counts["leibniz"] += 1
-                try:
-                    lhs = brk_el(unit[x], brk(y, z), dx)
-                    rhs = el_add(brk_el(xy, unit[z], dx + dy + 1), brk_el(unit[y], brk(x, z), dy), jacobi_sign)
-                except WindowOverflow:
+                yz = by[z]
+                if yz is None:
                     counts["skipped"] += 1
                     continue
-                if lhs != rhs and fail("jacobi", f"jacobi fails at ({x},{y},{z})"):
-                    return rep
+                if yz or xy or xz:
+                    try:
+                        lhs = brk_el(ux, yz, dx) if yz else {}
+                        t1 = brk_el(xy, unit[z], dx + dy + 1) if xy else {}
+                        rhs = el_add(t1, brk_el(uy, xz, dy), jacobi_sign) if xz else t1
+                    except WindowOverflow:
+                        counts["skipped"] += 1
+                        continue
+                    if lhs != rhs and fail("jacobi", f"jacobi fails at ({x},{y},{z})"):
+                        return rep
                 counts["jacobi"] += 1
     rep.checked = counts
     return rep

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from orbistring import graded
 from orbistring import selftest as st
 
 SEED = 42
@@ -97,6 +98,25 @@ def test_criterion_08_lens_rings():
 
 def test_criterion_09_bv_checker():
     _run(st.crit_09_bv_checker)
+
+
+@pytest.mark.parametrize(
+    "refuses,detail",
+    [
+        (lambda D: False, "degree-violating Delta not caught"),
+        (lambda D: D.window == (0, 0), "Z(Q[S3]) with Delta=0 fails"),
+        (lambda D: D.window == (-3, 6) and not D.delta, "lens(3,2) with Delta=0 fails"),
+    ],
+)
+def test_criterion_09_negative_controls(monkeypatch, refuses, detail):
+    # a bv_check that refuses only the named windows and passes everything else
+    def patched(D, max_failures=1):
+        return graded.BVReport(False, [{"axiom": "patched", "witness": ""}]) if refuses(D) else graded.BVReport(True)
+
+    monkeypatch.setattr(st, "bv_check", patched)
+    result = st.crit_09_bv_checker(SEED)
+    assert result.ok is False
+    assert result.detail == detail
 
 
 @pytest.mark.slow

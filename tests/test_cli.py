@@ -1,8 +1,10 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 from orbistring.cli import main
+from orbistring.graded import basis_window, lens_ring
 
 
 def run(capsys, *argv):
@@ -203,6 +205,13 @@ def test_empty_ring_window_is_domain_error(capsys):
     assert json.loads(err) == {"error": "empty degree window", "kind": "GradedError"}
 
 
+def test_nonpositive_cyclic_order_is_domain_error(capsys):
+    for argv in (["--name", "lens", "--n", "3", "--p", "0"], ["--name", "sphere-quotient", "--p", "0"]):
+        code, out, err = run(capsys, "ring", *argv)
+        assert code == 1 and out == "", argv
+        assert json.loads(err) == {"error": "the cyclic order must be positive", "kind": "GradedError"}, argv
+
+
 def test_morita_cli(capsys):
     code, out, _ = run(capsys, "morita", "--left", "coset:S3:Z3", "--right", "point:Z3")
     assert code == 0
@@ -310,6 +319,7 @@ def test_bad_bvcheck_delta_is_usage_error(capsys):
         (lens + ['{"entries":[[1.5,2,"1"]]}'], '[1.5, 2, "1"]'),
         (lens + ['{"entries":[[1,2]]}'], "[1, 2]"),
         (lens + ['{"entries":"x"}'], "entries"),
+        (lens + ['{"entries":[[0,4,"1"],[0,4,"-1"]]}'], '[0, 4, "-1"]; repeats the (from, to) pair'),
         (["bvcheck", "--dw", "S3", "--delta", '{"entries":[]}'], "--dw"),
     ]
     for argv, named in cases:
@@ -500,3 +510,43 @@ def test_group_table_checks_name_their_witness(capsys, tmp_path):
         code, out, err = run(capsys, "dw", "--group", f"@{group}")
         assert (code, out) == (1, ""), mult
         assert json.loads(err) == {"error": message, "kind": "GroupError"}, mult
+
+
+def _menichi_delta_entries(power):
+    """Menichi's Delta(a u^k v^j) = k^power u^(k-1) v^j on lens(3,2) [-3, 6], as --delta entries."""
+    basis = basis_window(lens_ring(3, 2), -3, 6)
+    entries = [
+        [i, basis.index((0, k - 1, j)), str(k**power)] for i, (a, k, j) in enumerate(basis) if a == 1 and k > 0
+    ]
+    return json.dumps({"entries": entries})
+
+
+BVCHECK_DIGESTS = [
+    (["--name", "lens", "--n", "3", "--p", "1", "--window=-3:6"],
+     "aa979e030d214f95d7cf801f7c9c3cf3af7ffd061d38821962b87171b681a10a"),
+    (["--name", "lens", "--n", "3", "--p", "2", "--window=-3:2"],
+     "e578a79058ec003f18b9c10d28718196b6f2877e81189ca7da781093a5f96730"),
+    (["--name", "lens", "--n", "3", "--p", "3", "--window=-3:0"],
+     "d204112d4f63fc9c6ebb13f82d55632e5e5f442920994441a7f4581993ced496"),
+    (["--name", "lens", "--n", "5", "--p", "2", "--window=-5:4"],
+     "e578a79058ec003f18b9c10d28718196b6f2877e81189ca7da781093a5f96730"),
+    (["--name", "sphere-quotient", "--p", "2", "--window=-2:3"],
+     "000285610bf62fe9534e315adf5e0b3347680d6a97a976ef8b8864485c852a9a"),
+    (["--name", "sphere-quotient", "--p", "3", "--window=-2:1"],
+     "ca8dc61f647689a8848ce1d164c9e777e73be4a96af75f945f5ba8399d53e08f"),
+    (["--dw", "S3"], "c6a8115a73fe16b61c50c317c4f1da56d336c03c3f4baf3e8ea2e2408ed52c98"),
+    (["--dw", "S4"], "6f6da786663b88da4362a0394bb8ee1a9f089bc30bd4225ba25a738cabca1c96"),
+    (["--name", "lens", "--n", "3", "--p", "2", "--window=-3:6", "--delta", _menichi_delta_entries(1)],
+     "592b1dbf7d003d478f936c4426cdb3c3cf683d13081e71ddb90abd2230fc9a6a"),
+    (["--name", "lens", "--n", "3", "--p", "2", "--window=-3:6", "--delta", _menichi_delta_entries(2)],
+     "2dcaca0aca1a008e415998bfb223cd40ae09504c7c019c6b9f17f999bb77ccf9"),
+]
+
+
+def test_bvcheck_output_digests_are_pinned(capsys):
+    # the benchmark's Delta = 0 windows, two degree-0 rings, and Menichi's Delta
+    # on lens(3,2) with its square (which fails Jacobi)
+    for argv, digest in BVCHECK_DIGESTS:
+        code, out, err = run(capsys, "bvcheck", *argv, "--format", "json")
+        assert code == 0 and err == "", argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

@@ -543,6 +543,18 @@ def _random_delta(rng, basis, degree, homogeneous):
     return delta
 
 
+def _basis_bracket_kinds(D):
+    """How many basis brackets {x,y} are empty, nonempty, or leave the window."""
+    kinds = Counter()
+    for x in D.basis:
+        for y in D.basis:
+            try:
+                kinds["nonempty" if bracket(D, {x: F(1)}, {y: F(1)}, D.degree(x)) else "empty"] += 1
+            except WindowOverflow:
+                kinds["overflow"] += 1
+    return kinds
+
+
 @pytest.mark.parametrize("w", range(len(ORACLE_WINDOWS)))
 def test_bv_check_matches_elementwise_oracle(w):
     make, lo, hi, cases = ORACLE_WINDOWS[w]
@@ -565,3 +577,19 @@ def test_bv_check_matches_elementwise_oracle(w):
             assert (got.ok, got.failures, got.checked) == (want.ok, want.failures, want.checked)
             seen[want.ok, bool(want.checked and want.checked["jacobi"])] += 1
     assert seen[True, True] > 0
+    # Delta with a single source term, drawn after the cases above so that their
+    # draws stay the same: most basis brackets are empty, a few are not, and
+    # those sit beside products that overflow
+    pairs = [(b, t) for b in D0.basis for t in D0.basis if D0.degree(t) == D0.degree(b) + 1]
+    brackets = Counter()
+    for _ in range(cases // 2 if pairs else 0):
+        b, t = rng.choice(pairs)
+        delta = {b: {t: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))}}
+        for max_failures in (1, 5, 10**6):
+            got, want = bv_check(build(delta), max_failures), _oracle_bv_check(build(delta), max_failures)
+            assert (got.ok, got.failures, got.checked) == (want.ok, want.failures, want.checked)
+        assert want.checked["jacobi"] > 0
+        brackets.update(_basis_bracket_kinds(build(delta)))
+    if pairs:  # lens(3,3) [-3,0] and sphere-quotient(3) [-2,1] have no product that overflows
+        assert 0 < brackets["nonempty"] < brackets["empty"]
+        assert bool(brackets["overflow"]) == bool(_basis_bracket_kinds(D0)["overflow"])
