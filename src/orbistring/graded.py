@@ -287,9 +287,9 @@ class BVData:
     def product(self, a, b) -> Element:
         """mult(a, b), computed at most once per basis pair; do not mutate the result.
 
-        An overflow is stored as its message and raised afresh on every lookup.
-        A stored exception would hold, through its traceback, the frame of the
-        check that asked: a reference cycle that only the garbage collector frees.
+        An overflow is kept as its message and raised afresh on every lookup: a
+        kept exception would tie the asking frame, through its traceback, into
+        a reference cycle that only the garbage collector frees.
         """
         val = self._products.get((a, b))
         if val is None:
