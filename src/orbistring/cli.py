@@ -290,7 +290,7 @@ def cmd_ring(args) -> str:
     return _render(payload, args.format, rows, "multiplication over the window")
 
 
-def _parse_delta(spec: str, basis: list) -> dict:
+def _parse_delta(spec: str, basis: tuple) -> dict:
     """Delta from {"entries": [[from, to, coeff], ...]}, indices into the window basis."""
     data = _load_json_arg(spec)
     entries = data.get("entries", []) if isinstance(data, dict) else None
@@ -328,10 +328,9 @@ def cmd_bvcheck(args) -> str:
     else:
         lo, hi = _parse_window("-6:6" if args.window is None else args.window)
         P = _resolve_presentation(args)
-        basis = graded.basis_window(P, lo, hi)
-        delta = _parse_delta(args.delta, basis) if args.delta else {}
-        D = graded.graded_window_bv(P, lo, hi, delta)
-        basis_names = [P.mono_str(m) for m in basis]
+        D = graded.graded_window_bv(P, lo, hi)
+        D.delta = _parse_delta(args.delta, D.basis) if args.delta else {}
+        basis_names = [P.mono_str(m) for m in D.basis]
     rep = graded.bv_check(D)
     payload = rep.to_json()
     payload["basis"] = basis_names

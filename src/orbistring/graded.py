@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
+from operator import mul
 from typing import Callable, Sequence
 
 
@@ -178,8 +180,6 @@ def basis_window(P: GradedPresentation, lo: int, hi: int) -> list[Monomial]:
     """All normal monomials with degree in [lo, hi], sorted by (degree, exponents)."""
     if lo > hi:
         raise GradedError("empty degree window")
-    k = len(P.gens)
-    degs = [d for _, d in P.gens]
     caps: list[int | None] = []
     for i, (name, deg) in enumerate(P.gens):
         p = P.root_orders[i]
@@ -187,53 +187,23 @@ def basis_window(P: GradedPresentation, lo: int, hi: int) -> list[Monomial]:
             caps.append(p - 1)
         elif P.is_odd(i):
             caps.append(1)
+        elif pure := [z[i] - 1 for z in P.zero_monomials if z[i] > 0 and not any(z[:i] + z[i + 1 :])]:
+            caps.append(min(pure))
+        elif deg > 0:
+            caps.append(None)  # bounded by the window itself
         else:
-            pure = None
-            for z in P.zero_monomials:
-                if z[i] > 0 and all(e == 0 for j, e in enumerate(z) if j != i):
-                    pure = z[i] - 1 if pure is None else min(pure, z[i] - 1)
-            if pure is not None:
-                caps.append(pure)
-            elif deg > 0:
-                caps.append(None)  # bounded by the window itself
-            else:
-                raise GradedError(
-                    f"generator {name} has unbounded negative degree; window is infinite"
-                )
-    # degree range reachable by generators i.. ; None is an unbounded maximum
-    min_rest = [0] * (k + 1)
-    max_rest: list[int | None] = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        d, cap = degs[i], caps[i]
-        min_rest[i] = min_rest[i + 1] + (0 if cap is None else min(0, d * cap))
-        above = max_rest[i + 1]
-        max_rest[i] = None if cap is None or above is None else above + max(0, d * cap)
-    out: list[Monomial] = []
-
-    def rec(i: int, cur: int, mono: list[int]):
-        if i == k:
-            if lo <= cur <= hi:
-                nm = P.normal_monomial(mono)
-                if nm == tuple(mono):
-                    out.append(nm)
-            return
-        d, cap = degs[i], caps[i]
-        if cap is None:
-            top = (hi - cur - min_rest[i + 1]) // d
-            if top < 0:
-                return
-            cap = top
-        for e in range(cap + 1):
-            nxt = cur + e * d
-            above = max_rest[i + 1]
-            if nxt + min_rest[i + 1] > hi or (above is not None and nxt + above < lo):
-                continue
-            mono.append(e)
-            rec(i + 1, nxt, mono)
-            mono.pop()
-
-    rec(0, 0, [])
-    return sorted(set(out), key=lambda m: (P.degree(m), m))
+            raise GradedError(f"generator {name} has unbounded negative degree; window is infinite")
+    degs = [d for _, d in P.gens]
+    # the capped generators reach down to degree low, so a free one of degree d has e * d <= hi - low
+    low = sum(min(0, d * cap) for d, cap in zip(degs, caps) if cap is not None)
+    ranges = [range((hi - low) // d + 1 if cap is None else cap + 1) for d, cap in zip(degs, caps)]
+    found = []
+    for m in product(*ranges):
+        deg = sum(map(mul, m, degs))
+        if lo <= deg <= hi and P.normal_monomial(m) == m:
+            found.append((deg, m))
+    found.sort()
+    return [m for _, m in found]
 
 
 # shipped rings --------------------------------------------------------------
@@ -397,7 +367,7 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
     """
     rep = BVReport(True)
     one = Fraction(1)
-    counts = {"degree": 0, "delta2": 0, "antisym": 0, "leibniz": 0, "jacobi": 0, "skipped": 0}
+    counts = rep.checked = {"degree": 0, "delta2": 0, "antisym": 0, "leibniz": 0, "jacobi": 0, "skipped": 0}
 
     def fail(kind, witness) -> bool:
         """Record a failure; True when the check should stop."""
@@ -510,5 +480,4 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
                     if lhs != rhs and fail("jacobi", f"jacobi fails at ({x},{y},{z})"):
                         return rep
                 counts["jacobi"] += 1
-    rep.checked = counts
     return rep

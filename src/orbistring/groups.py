@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class GroupError(ValueError):
@@ -167,18 +167,22 @@ def translation_gset(G: FiniteGroup) -> GSet:
     return GSet(G, G.order, G.mult)
 
 
-def subgroup_closure(G: FiniteGroup, gens: Iterable[int]) -> list[int]:
-    out = {0}
-    frontier = [0]
-    gens = list(gens)
+def _closure(identity, gens: Sequence, mul: Callable) -> list:
+    """Everything reached from identity by right multiplication with gens, sorted."""
+    out = {identity}
+    frontier = [identity]
     while frontier:
         x = frontier.pop()
         for g in gens:
-            y = G.mul(x, g)
+            y = mul(x, g)
             if y not in out:
                 out.add(y)
                 frontier.append(y)
     return sorted(out)
+
+
+def subgroup_closure(G: FiniteGroup, gens: Iterable[int]) -> list[int]:
+    return _closure(0, list(gens), G.mul)
 
 
 def coset_gset(G: FiniteGroup, subgroup_elems: Sequence[int]) -> GSet:
@@ -221,17 +225,7 @@ def perm_closure(gens: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
         if sorted(t) != list(range(k)):
             raise GroupError(f"generator {g} is not a permutation of 0..{k - 1}")
         gs.append(t)
-    ident = tuple(range(k))
-    out = {ident}
-    frontier = [ident]
-    while frontier:
-        p = frontier.pop()
-        for g in gs:
-            q = perm_mul(p, g)
-            if q not in out:
-                out.add(q)
-                frontier.append(q)
-    return sorted(out)
+    return _closure(tuple(range(k)), gs, perm_mul)
 
 
 def cycle_name(p: tuple[int, ...]) -> str:

@@ -52,14 +52,10 @@ class Phase:
         return str(self.q)
 
 
-def _table_level(table: Sequence[Sequence[Phase]]) -> int:
-    """The least common denominator of a table of phases."""
-    return lcm(*(p.q.denominator for row in table for p in row))
-
-
 def _table_exponents(table: Sequence[Sequence[Phase]]) -> tuple[int, list[list[int]]]:
-    """(L, k): L the table's level and table[g][h] = exp(2*pi*i*k[g][h]/L)."""
-    L = _table_level(table)
+    """(L, k): L the table's level, the least common denominator of its phases,
+    and table[g][h] = exp(2*pi*i*k[g][h]/L)."""
+    L = lcm(*(p.q.denominator for row in table for p in row))
     return L, [[p.q.numerator * (L // p.q.denominator) for p in row] for row in table]
 
 
@@ -168,9 +164,6 @@ class TorsionCocycle:
 
     group: FiniteGroup
     tau: tuple[tuple[Phase, ...], ...]
-
-    def level(self) -> int:
-        return _table_level(self.tau)
 
 
 def _torsion_exponents(alpha: TwoCocycle) -> list[list[int]]:

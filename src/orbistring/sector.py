@@ -321,7 +321,6 @@ def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
     per root of unity, reduced to Q(zeta_N) on integers once per coefficient.
     """
     N, a = alpha.modulus, alpha.exps
-    data = conjugacy_classes(G)
     regular = alpha_regular_reps(alpha)
     mul, inv = G.mult, G.inv
 
@@ -332,21 +331,19 @@ def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
     exponents: list[dict[int, int]] = []  # class sum of reps[i] = sum of zeta_N^e u_x over {x: e}
     reps: list[int] = []
     for rep in regular:
-        cls = next(c for c in data.classes if c[0] == rep)
         exps = {rep: 0}
-        # spread the coefficient over the class by twisted conjugation
+        # spread the coefficient over the class by twisted conjugation; every
+        # conjugate of every member is reached, so a second phase means no central sum
         frontier = [rep]
         while frontier:
             x = frontier.pop()
             for h in range(G.order):
                 y = mul[mul[h][x]][inv[h]]
-                if y in exps:
-                    continue
-                exps[y] = (conjugation(h, x) + exps[x]) % N
-                frontier.append(y)
-        for h in range(G.order):
-            for x in cls:
-                if exps[mul[mul[h][x]][inv[h]]] != (conjugation(h, x) + exps[x]) % N:
+                e = (conjugation(h, x) + exps[x]) % N
+                if y not in exps:
+                    exps[y] = e
+                    frontier.append(y)
+                elif exps[y] != e:
                     raise SectorError(f"twisted class sum for rep {rep} is not central")
         exponents.append(exps)
         reps.append(rep)

@@ -13,6 +13,7 @@ import pytest
 
 from orbistring import graded
 from orbistring import selftest as st
+from orbistring.cli import main
 
 SEED = 42
 
@@ -117,6 +118,34 @@ def test_criterion_09_negative_controls(monkeypatch, refuses, detail):
     result = st.crit_09_bv_checker(SEED)
     assert result.ok is False
     assert result.detail == detail
+
+
+def _wrong_u_times_u(P, x, y):
+    """multiply with u * u corrupted to 0; every other product is exact."""
+    return {} if x == y == P.monomial(u=1) else graded.multiply(P, x, y)
+
+
+def test_criterion_08_negative_controls(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(st, "basis_window", lambda P, lo, hi: graded.basis_window(P, lo, hi)[:-1])
+        result = st.crit_08_lens_rings(SEED)
+    assert result.ok is False
+    assert result.detail == "p=1 window ['a', 'a*u', '1', 'a*u^2', 'u', 'a*u^3']"
+    monkeypatch.setattr(st, "multiply", _wrong_u_times_u)
+    result = st.crit_08_lens_rings(SEED)
+    assert result.ok is False
+    assert result.detail == "(n,p)=(3,2) u-u fails"
+
+
+def test_selftest_cli_fails_when_a_criterion_fails(monkeypatch, capsys):
+    monkeypatch.setattr(st, "multiply", _wrong_u_times_u)
+    code = main(["selftest", "--seed", str(SEED)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert lines[7] == "criterion-08 lens-rings: FAIL ((n,p)=(3,2) u-u fails)"
+    assert all(": PASS (" in line for line in lines[:7] + lines[8:9])
+    assert lines[9:] == [f"selftest seed={SEED}: 8/9 PASS", "selftest failed"]
 
 
 @pytest.mark.slow

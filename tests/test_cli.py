@@ -539,7 +539,7 @@ BVCHECK_DIGESTS = [
     (["--name", "lens", "--n", "3", "--p", "2", "--window=-3:6", "--delta", _menichi_delta_entries(1)],
      "592b1dbf7d003d478f936c4426cdb3c3cf683d13081e71ddb90abd2230fc9a6a"),
     (["--name", "lens", "--n", "3", "--p", "2", "--window=-3:6", "--delta", _menichi_delta_entries(2)],
-     "2dcaca0aca1a008e415998bfb223cd40ae09504c7c019c6b9f17f999bb77ccf9"),
+     "0ac111482a770ed366ff29b54d0ed8454b14bada36cf49141aad8cd80301a13d"),
 ]
 
 
@@ -550,3 +550,13 @@ def test_bvcheck_output_digests_are_pinned(capsys):
         code, out, err = run(capsys, "bvcheck", *argv, "--format", "json")
         assert code == 0 and err == "", argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_bvcheck_reports_what_held_before_the_failure(capsys):
+    # the check stops at the first failure and still reports the instances it checked
+    argv = BVCHECK_DIGESTS[-1][0]
+    code, out, err = run(capsys, "bvcheck", *argv, "--format", "json")
+    blob = json.loads(out)
+    assert (code, err, blob["ok"]) == (0, "", False)
+    assert blob["failures"] == [{"axiom": "jacobi", "witness": "jacobi fails at ((1, 0, 0),(1, 1, 0),(1, 2, 0))"}]
+    assert blob["checked"] == {"antisym": 228, "degree": 18, "delta2": 16, "jacobi": 42, "leibniz": 43, "skipped": 98}

@@ -234,6 +234,107 @@ def test_presentation_json():
     assert "a^2" in blob["relations"][0]
 
 
+def _oracle_basis_window(P, lo, hi):
+    """basis_window as a pruned recursion over the generators, with suffix bounds."""
+    if lo > hi:
+        raise GradedError("empty degree window")
+    k = len(P.gens)
+    degs = [d for _, d in P.gens]
+    caps = []
+    for i, (name, deg) in enumerate(P.gens):
+        p = P.root_orders[i]
+        if p is not None:
+            caps.append(p - 1)
+        elif P.is_odd(i):
+            caps.append(1)
+        else:
+            pure = None
+            for z in P.zero_monomials:
+                if z[i] > 0 and all(e == 0 for j, e in enumerate(z) if j != i):
+                    pure = z[i] - 1 if pure is None else min(pure, z[i] - 1)
+            if pure is not None:
+                caps.append(pure)
+            elif deg > 0:
+                caps.append(None)
+            else:
+                raise GradedError(f"generator {name} has unbounded negative degree; window is infinite")
+    # degree range reachable by generators i.. ; None is an unbounded maximum
+    min_rest = [0] * (k + 1)
+    max_rest = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        d, cap = degs[i], caps[i]
+        min_rest[i] = min_rest[i + 1] + (0 if cap is None else min(0, d * cap))
+        above = max_rest[i + 1]
+        max_rest[i] = None if cap is None or above is None else above + max(0, d * cap)
+    out = []
+
+    def rec(i, cur, mono):
+        if i == k:
+            if lo <= cur <= hi and P.normal_monomial(mono) == tuple(mono):
+                out.append(tuple(mono))
+            return
+        d, cap = degs[i], caps[i]
+        if cap is None:
+            cap = (hi - cur - min_rest[i + 1]) // d
+        for e in range(cap + 1):
+            nxt = cur + e * d
+            above = max_rest[i + 1]
+            if nxt + min_rest[i + 1] > hi or (above is not None and nxt + above < lo):
+                continue
+            mono.append(e)
+            rec(i + 1, nxt, mono)
+            mono.pop()
+
+    rec(0, 0, [])
+    return sorted(set(out), key=lambda m: (P.degree(m), m))
+
+
+def _random_presentation(rng):
+    """1-4 generators of degree -5..5, roots of unity in degree 0, random zero monomials."""
+    while True:
+        n = rng.randint(1, 4)
+        gens, roots = [], []
+        for i in range(n):
+            d = rng.randint(-5, 5)
+            gens.append((f"x{i}", d))
+            roots.append(rng.randint(1, 4) if d == 0 else None)
+        zero = []
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:  # a pure power, which caps its generator
+                z = [0] * n
+                z[rng.randrange(n)] = rng.randint(1, 4)
+            else:
+                z = [rng.randint(0, 2) for _ in range(n)]
+            if any(z):
+                zero.append(tuple(z))
+        try:
+            return GradedPresentation(tuple(gens), tuple(roots), tuple(zero))
+        except GradedError:
+            continue
+
+
+def test_basis_window_matches_recursive_oracle():
+    # windows, empty windows and both errors, message for message
+    rng = random.Random(24)
+    outcomes = Counter()
+    for _ in range(3000):
+        P = _random_presentation(rng)
+        lo = rng.randint(-12, 8)
+        hi = lo + rng.randint(-1, 12)
+        try:
+            want = _oracle_basis_window(P, lo, hi)
+        except GradedError as e:
+            with pytest.raises(GradedError) as got:
+                basis_window(P, lo, hi)
+            assert str(got.value) == str(e), (P, lo, hi)
+            outcomes[str(e).split()[0]] += 1  # "empty" or "generator"
+            continue
+        assert basis_window(P, lo, hi) == want, (P, lo, hi)
+        outcomes["nonempty" if want else "no monomial"] += 1
+    assert outcomes["nonempty"] > 1000 and outcomes["no monomial"] > 100
+    assert outcomes["empty"] > 100 and outcomes["generator"] > 100
+
+
 # Menichi's BV operator on the loop homology of odd spheres, extended to the
 # lens presentation: Delta(a u^k v^j) = k u^(k-1) v^j (Comment. Math. Helv. 84,
 # 2009).  The windows are the ones the benchmark probes use.
@@ -410,7 +511,7 @@ def _oracle_bv_check(D, max_failures=1):
     """
     rep = graded.BVReport(True)
     one = F(1)
-    counts = {"degree": 0, "delta2": 0, "antisym": 0, "leibniz": 0, "jacobi": 0, "skipped": 0}
+    counts = rep.checked = {"degree": 0, "delta2": 0, "antisym": 0, "leibniz": 0, "jacobi": 0, "skipped": 0}
 
     def fail(kind, witness):
         rep.ok = False
@@ -501,7 +602,6 @@ def _oracle_bv_check(D, max_failures=1):
                     if len(rep.failures) >= max_failures:
                         return rep
                 counts["jacobi"] += 1
-    rep.checked = counts
     return rep
 
 

@@ -195,6 +195,15 @@ def test_twisted_center_abelian_dimension_formula():
     assert twisted_center(G, alpha).dim == expected == 1
 
 
+def test_twisted_center_refuses_a_class_without_a_central_sum(monkeypatch):
+    # under the nontrivial cocycle on Z2xZ2 only the identity is alpha-regular; fed
+    # every class rep, the spread of rep 1 meets a conjugate at a second phase
+    G = catalog_group("Z2xZ2")
+    monkeypatch.setattr(sector, "alpha_regular_reps", lambda alpha: list(conjugacy_classes(G).reps))
+    with pytest.raises(SectorError, match="^twisted class sum for rep 1 is not central$"):
+        twisted_center(G, catalog_cocycle(G, "nontrivial"))
+
+
 def test_twisted_center_dim_equals_regular_count_random_coboundary():
     rng = random.Random(9)
     G = catalog_group("Z2xZ2")
