@@ -278,13 +278,12 @@ def cmd_ring(args) -> str:
     table = []
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
-            prod = graded.multiply(P, {a: Fraction(1)}, {b: Fraction(1)})
-            if all(m in basis for m in prod):
-                entry = " + ".join(
-                    f"{c}*{P.mono_str(m)}" if c != 1 else P.mono_str(m)
-                    for m, c in sorted(prod.items())
-                )
-                table.append([i, j, entry if entry else "0"])
+            prod = graded._monomial_product(P, a, b)
+            if prod is None:
+                table.append([i, j, "0"])
+            elif prod[1] in basis:
+                sign, m = prod
+                table.append([i, j, P.mono_str(m) if sign == 1 else f"-1*{P.mono_str(m)}"])
     payload["products"] = table
     rows = (["i", "j", "product"], table)
     return _render(payload, args.format, rows, "multiplication over the window")

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from operator import mul
+from operator import add, mul
 from typing import Callable, Sequence
 
 
@@ -44,18 +45,27 @@ class GradedPresentation:
                     raise GradedError(f"root order of {name} must be positive")
             if p is None and deg == 0:
                 raise GradedError(f"free generator {name} of degree 0 makes windows infinite")
+        n = len(self.gens)
+        for z in self.zero_monomials:
+            if len(z) != n or min(z, default=0) < 0:
+                raise GradedError(f"zero monomial {tuple(z)} does not give one non-negative exponent per generator")
         # Graded commutativity on generator pairs; odd exponents stay <= 1, so
         # it then holds for every pair of monomials and multiply need not recheck.
-        n = len(self.gens)
         for i in range(n):
             for j in range(i, n):
                 a = tuple(int(k == i) for k in range(n))
                 b = tuple(int(k == j) for k in range(n))
-                if self.normal_monomial([x + y for x, y in zip(a, b)]) is None:
+                ab, ba = _monomial_product(self, a, b), _monomial_product(self, b, a)
+                if ab is None:
                     continue
                 swap = -1 if (self.gens[i][1] * self.gens[j][1]) % 2 else 1
-                if _koszul_sign(self, a, b) != swap * _koszul_sign(self, b, a):
+                if ab[0] != swap * ba[0]:
                     raise GradedError("graded commutativity failed; relations are inconsistent")
+
+    @cached_property
+    def _odd(self) -> tuple[int, ...]:
+        """Indices of the odd generators."""
+        return tuple(i for i, (_, d) in enumerate(self.gens) if d % 2)
 
     def index(self, name: str) -> int:
         for i, (g, _) in enumerate(self.gens):
@@ -66,19 +76,17 @@ class GradedPresentation:
     def degree(self, mono: Monomial) -> int:
         return sum(e * d for e, (_, d) in zip(mono, self.gens))
 
-    def is_odd(self, i: int) -> bool:
-        return self.gens[i][1] % 2 != 0
-
     def normal_monomial(self, mono: Sequence[int]) -> Monomial | None:
         """Reduced exponent vector, or None when the monomial is zero."""
         out = []
+        odd = self._odd
         for i, e in enumerate(mono):
             if e < 0:
                 raise GradedError("negative exponent")
             p = self.root_orders[i]
             if p is not None:
                 e %= p
-            if self.is_odd(i) and e > 1:
+            if e > 1 and i in odd:
                 return None  # x odd: x*x = -x*x over Q
             out.append(e)
         mono_t = tuple(out)
@@ -132,27 +140,27 @@ class GradedPresentation:
         }
 
 
-def _koszul_sign(P: GradedPresentation, a: Monomial, b: Monomial) -> int:
-    """Sign from commuting the odd generators of b leftwards past those of a."""
-    swaps = 0
-    for j in range(len(b)):
-        if not P.is_odd(j) or b[j] == 0:
-            continue
-        behind = sum(a[i] for i in range(j + 1, len(a)) if P.is_odd(i))
-        swaps += b[j] * behind
-    return -1 if swaps % 2 else 1
+def _monomial_product(P: GradedPresentation, a: Monomial, b: Monomial) -> tuple[int, Monomial] | None:
+    """(sign, normal form) of a*b, or None when it is zero; b's odd generators commute leftwards past a's."""
+    nm = P.normal_monomial(list(map(add, a, b)))
+    if nm is None:
+        return None
+    odd = P._odd
+    swaps = sum(b[j] * a[i] for j in odd if b[j] for i in odd if i > j)
+    return (-1 if swaps % 2 else 1), nm
 
 
 def multiply(P: GradedPresentation, x: Element, y: Element) -> Element:
     """Product in normal form."""
     out: Element = {}
+    zero = Fraction(0)  # so that every coefficient is a Fraction
     for ma, ca in x.items():
         for mb, cb in y.items():
-            nm = P.normal_monomial([ea + eb for ea, eb in zip(ma, mb)])
-            if nm is None:
+            prod = _monomial_product(P, ma, mb)
+            if prod is None:
                 continue
-            c = ca * cb * _koszul_sign(P, ma, mb)
-            acc = out.get(nm, Fraction(0)) + c
+            sign, nm = prod
+            acc = out.get(nm, zero) + (ca * cb if sign > 0 else -ca * cb)
             if acc:
                 out[nm] = acc
             else:
@@ -185,7 +193,7 @@ def basis_window(P: GradedPresentation, lo: int, hi: int) -> list[Monomial]:
         p = P.root_orders[i]
         if p is not None:
             caps.append(p - 1)
-        elif P.is_odd(i):
+        elif i in P._odd:
             caps.append(1)
         elif pure := [z[i] - 1 for z in P.zero_monomials if z[i] > 0 and not any(z[:i] + z[i + 1 :])]:
             caps.append(min(pure))
@@ -300,12 +308,12 @@ def graded_window_bv(P: GradedPresentation, lo: int, hi: int, delta: dict | None
     basis = tuple(basis_window(P, lo, hi))
     basis_set = set(basis)
 
+    coeff = {1: Fraction(1), -1: Fraction(-1)}  # shared: product rows are read-only
     def mult(a: Monomial, b: Monomial):
-        prod = multiply(P, {a: Fraction(1)}, {b: Fraction(1)})
-        for m in prod:
-            if m not in basis_set:
-                raise WindowOverflow(f"product {P.mono_str(a)} * {P.mono_str(b)} leaves the window")
-        return prod
+        prod = _monomial_product(P, a, b)
+        if prod is not None and prod[1] not in basis_set:
+            raise WindowOverflow(f"product {P.mono_str(a)} * {P.mono_str(b)} leaves the window")
+        return {} if prod is None else {prod[1]: coeff[prod[0]]}
 
     return BVData(basis, P.degree, mult, delta or {}, (lo, hi))
 
@@ -349,10 +357,16 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
     the shifted signs.  Tuples whose products leave the window are skipped.
 
     After the degree and Delta^2 passes, so that a check failing there builds
-    nothing, the basis brackets {x,y} and the basis products y*z are tabulated
+    nothing, the basis products y*z and the basis brackets {x,y} are tabulated
     once per check, one row per basis element, with None for an overflow.
     Products go through D.product, so each basis pair is multiplied at most
-    once for the life of D.  Every other bracket, such as {x,{y,z}} or
+    once for the life of D.  A bracket row is built from the product rows as
+    {x,y} = s Delta(x y) - s Delta(x) y - x Delta(y), s = (-1)^|x|, over the
+    terms b of Delta(x) and Delta(y) with a nonzero coefficient, and an entry
+    is None exactly when x*y, some b*y or some x*b overflows: the elementwise
+    bracket forms exactly these products, in the same order (apply_delta
+    drops zero coefficients and forms none), so both overflow together and
+    otherwise sum the same terms.  Every other bracket, such as {x,{y,z}} or
     {{x,y},z}, is summed from the bracket rows by linearity in each argument.
     Linearity in the first argument needs each of its terms to have the
     parity of the degree the bracket is taken at, as they do once Delta
@@ -403,8 +417,25 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
         except WindowOverflow:
             return None
 
-    brackets = {x: {y: or_none(bracket, D, unit[x], unit[y], deg[x]) for y in D.basis} for x in D.basis}
     products = {y: {z: or_none(D.product, y, z) for z in D.basis} for y in D.basis}
+    deltas = {b: D.apply_delta(unit[b]) for b in D.basis}  # no zero coefficients
+
+    def basis_bracket(x, y):
+        """{x, y} from the product rows and Delta, or None when a product it forms overflows."""
+        s, xy = (-1 if deg[x] % 2 else 1), products[x][y]
+        if xy is None:
+            return None
+        out = {m: s * v for m, v in D.apply_delta(xy).items()}
+        try:
+            for b, c in deltas[x].items():
+                out = el_add(out, D.product(b, y), -s * c)
+            for b, c in deltas[y].items():
+                out = el_add(out, D.product(x, b), -c)
+        except WindowOverflow:
+            return None
+        return out
+
+    brackets = {x: {y: basis_bracket(x, y) for y in D.basis} for x in D.basis}
 
     def brk_el(a, b, da):
         """{a, b} for elements a and b, summed from the bracket rows."""

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from orbistring import graded
+from orbistring import chords, gchords, graded
 from orbistring import selftest as st
 from orbistring.cli import main
 
@@ -99,6 +99,49 @@ def test_criterion_08_lens_rings():
 
 def test_criterion_09_bv_checker():
     _run(st.crit_09_bv_checker)
+
+
+def _first_two_swapped(parts):
+    parts = list(parts)
+    parts[:2] = parts[1::-1]
+    return parts
+
+
+def test_criterion_05_negative_control(monkeypatch):
+    # a composition that plugs the first two parts into each other's slots
+    monkeypatch.setattr(st, "compose", lambda base, parts: chords.compose(base, _first_two_swapped(parts)))
+    result = st.crit_05_operad(SEED)
+    assert result.ok is False
+    assert result.detail == "associativity fails at 0"
+
+
+def test_criterion_06_negative_control(monkeypatch):
+    # the same swap where the two parts have the same outer holonomy, so that
+    # the swapped composite still meets the matching contract
+    def swapped(W, parts):
+        same = len(parts) > 1 and parts[0].outer == parts[1].outer
+        return gchords.g_compose(W, _first_two_swapped(parts) if same else parts)
+
+    monkeypatch.setattr(st, "g_compose", swapped)
+    result = st.crit_06_g_operad(SEED)
+    assert result.ok is False
+    assert result.detail == "Z2: associativity instance fails"
+
+
+# crit07 rebuilds every lift of its witness, so only the witness's transports
+# and its existence reach the check
+@pytest.mark.parametrize(
+    "enumerate_gmd,detail",
+    [
+        (lambda md, G, outer, inner=None: gchords.enumerate_gmd(md, G, outer), "realized [0]"),
+        (lambda md, G, outer, inner=None: [], "no decoration with ih=((2,3),(2,3))"),
+    ],
+)
+def test_criterion_07_negative_controls(monkeypatch, enumerate_gmd, detail):
+    monkeypatch.setattr(st, "enumerate_gmd", enumerate_gmd)
+    result = st.crit_07_holonomy_figure(SEED)
+    assert result.ok is False
+    assert result.detail == detail
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from orbistring.cli import main
 from orbistring.graded import basis_window, lens_ring
 
@@ -180,6 +182,44 @@ def test_enumerate_rejects_empty_inner_entries(capsys):
         assert json.loads(err) == {"error": f"--inner entry {i} of {count} is empty", "kind": "usage"}
     code, out, _ = run(capsys, "enumerate", "--diagram", diagram, "--group", "Z2", "--outer", "0", "--inner", "0, 0")
     assert code == 0 and json.loads(out)["inner"] == [0, 0]
+
+
+TWO_REGIONS = {"n": 2, "chords": [[1, 4, 3, 4]], "marks": [[1, 2], [0, 1]]}
+IDENTITY = {"n": 1, "chords": [], "marks": [[0, 1]], "group": "Z2", "outer": 0, "delta": [], "lifts": [0]}
+
+
+def _gdiagram(**fields):
+    """IDENTITY with the given fields as JSON; a field set to None is left out."""
+    return json.dumps({k: v for k, v in {**IDENTITY, **fields}.items() if v is not None})
+
+
+BASE2 = _gdiagram(**TWO_REGIONS, delta=[0], lifts=[0, 0])
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["ih", "--gdiagram", _gdiagram(**TWO_REGIONS, lifts=[0, 0])], "need one identification element per chord"),
+        (["ih", "--gdiagram", _gdiagram(**TWO_REGIONS, delta=[0])], "need one mark lift per region"),
+        (
+            ["ih", "--gdiagram", _gdiagram(**TWO_REGIONS, delta=[0], lifts=[0, 0], outer=None)],
+            "bad decorated diagram JSON: 'outer'",
+        ),
+        (
+            ["gcompose", "--base", BASE2, "--parts", _gdiagram(group="Z3"), _gdiagram()],
+            "parts must be decorated over the same group",
+        ),
+        (["gcompose", "--base", BASE2, "--parts", _gdiagram()], "need 2 parts, got 1"),
+        (
+            ["enumerate", "--diagram", json.dumps(TWO_REGIONS), "--group", "S3", "--outer", "0", "--cap", "10"],
+            "search space 216 exceeds cap 10",
+        ),
+    ],
+)
+def test_gchords_input_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": message, "kind": "HolonomyError"}
 
 
 def test_ring_and_bvcheck_cli(capsys, tmp_path):

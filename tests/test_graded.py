@@ -97,9 +97,74 @@ def test_presentation_checks_graded_commutativity(monkeypatch):
     gens = (("a", 1), ("b", 3))
     GradedPresentation(gens, (None, None))
     # a sign that ignores the swap of two odd generators must refuse the build
-    monkeypatch.setattr(graded, "_koszul_sign", lambda P, a, b: 1)
+    real = graded._monomial_product
+    monkeypatch.setattr(graded, "_monomial_product", lambda P, a, b: (prod := real(P, a, b)) and (1, prod[1]))
     with pytest.raises(GradedError, match="graded commutativity failed"):
         GradedPresentation(gens, (None, None))
+
+
+def _oracle_monomial_product(P, a, b, seen):
+    """(sign, exponents) of a*b, or None when it is zero, from the word of a then b.
+
+    The word lists each generator once per unit of its exponent.  It is sorted
+    by adjacent swaps, each swap of two odd letters flipping the sign; then
+    roots of unity wrap, odd squares vanish and listed zero monomials vanish.
+    seen counts how often each rule fired.
+    """
+    word = [i for m in (a, b) for i, e in enumerate(m) for _ in range(e)]
+    sign = 1
+    for end in range(len(word) - 1, 0, -1):
+        for k in range(end):
+            if word[k] > word[k + 1]:
+                if P.gens[word[k]][1] % 2 and P.gens[word[k + 1]][1] % 2:
+                    sign = -sign
+                word[k], word[k + 1] = word[k + 1], word[k]
+    exps = [word.count(i) for i in range(len(P.gens))]
+    for i, ((_, d), p) in enumerate(zip(P.gens, P.root_orders)):
+        if p is not None and exps[i] >= p:
+            seen["wraparound"] += 1
+            exps[i] %= p
+        if d % 2 and exps[i] > 1:
+            seen["odd square"] += 1
+            return None
+    if any(all(e >= z for e, z in zip(exps, zm)) for zm in P.zero_monomials):
+        seen["zero monomial"] += 1
+        return None
+    seen["sign -1" if sign < 0 else "sign +1"] += 1
+    return sign, tuple(exps)
+
+
+def test_multiply_matches_word_sorting_oracle():
+    rng = random.Random(25)
+    coeffs = (1, -1, 2, F(1), F(-1), F(1, 2), F(-3, 2), F(2, 3))
+    rings = (
+        lambda: lens_ring(rng.choice((3, 5, 7)), rng.randint(1, 4)),
+        lambda: sphere_quotient_ring(rng.randint(1, 4)),
+        lambda: _random_presentation(rng),
+    )
+    seen = Counter()
+    for case in range(1500):
+        P = rings[case % 3]()
+        tops = [1 + (d % 2 == 0) for _, d in P.gens]  # odd squares come from products
+        x, y = (
+            {tuple(map(rng.randint, [0] * len(tops), tops)): rng.choice(coeffs) for _ in range(rng.randint(1, 5))}
+            for _ in "xy"
+        )
+        sums = {}
+        for ma, ca in x.items():
+            for mb, cb in y.items():
+                if (prod := _oracle_monomial_product(P, ma, mb, seen)) is not None:
+                    sums[prod[1]] = sums.get(prod[1], F(0)) + prod[0] * ca * cb
+        seen["cancelled"] += sum(1 for v in sums.values() if not v)
+        got = multiply(P, x, y)
+        assert got == {m: v for m, v in sums.items() if v}, (P, x, y)
+        assert all(type(v) is F for v in got.values())
+    for rule in ("wraparound", "odd square", "zero monomial", "sign -1", "sign +1", "cancelled"):
+        assert seen[rule] > 40, seen
+    # (1 + v)(v - 1) = v^2 - 1 = 0 where v^2 = 1
+    P = lens_ring(3, 2)
+    one, v = P.unit(), P.monomial(v=1)
+    assert multiply(P, el_add(one, v), el_add(v, one, -1)) == {}
 
 
 def test_normal_form_confluence_random_orders():
@@ -137,6 +202,20 @@ def test_degree0_free_generator_rejected():
 def test_root_of_unity_generator_checks(gens, roots, message):
     with pytest.raises(GradedError, match=message):
         GradedPresentation(gens, roots)
+
+
+@pytest.mark.parametrize(
+    "gens,zero",
+    [
+        ((("a", 2),), (0, 1)),  # read on a prefix, it made the unit zero
+        ((("a", 2), ("b", 2)), (1,)),  # basis_window indexed past its end
+        ((("a", 2), ("b", 2)), (2, -1)),
+    ],
+)
+def test_zero_monomial_needs_one_non_negative_exponent_per_generator(gens, zero):
+    with pytest.raises(GradedError) as e:
+        GradedPresentation(gens, (None,) * len(gens), (zero,))
+    assert str(e.value) == f"zero monomial {zero} does not give one non-negative exponent per generator"
 
 
 def test_monomial_rejects_unknown_generator_and_negative_exponent():
@@ -245,7 +324,7 @@ def _oracle_basis_window(P, lo, hi):
         p = P.root_orders[i]
         if p is not None:
             caps.append(p - 1)
-        elif P.is_odd(i):
+        elif P.gens[i][1] % 2:
             caps.append(1)
         else:
             pure = None
@@ -486,6 +565,19 @@ def test_bv_check_brackets_labels_outside_the_basis():
         got, want = bv_check(make(), max_failures), _oracle_bv_check(make(), max_failures)
         assert (got.ok, got.failures, got.checked) == (want.ok, want.failures, want.checked)
         assert list(got.checked.items()) == list(zip(CHECKED_KEYS, (2, 1, 4, 8, 8, 1)))
+
+
+def test_bv_check_forms_no_product_for_a_zero_delta_coefficient():
+    # Delta {x: {y: 0}} is Delta = 0, so the elementwise bracket forms no product
+    # with y, even where that product leaves the window or y has the wrong degree
+    P = lens_ring(3, 2)
+    basis = basis_window(P, -3, 2)
+    for x in basis:
+        for y in basis:
+            for max_failures in (1, 10**6):
+                got = bv_check(graded_window_bv(P, -3, 2, {x: {y: F(0)}}), max_failures)
+                want = _oracle_bv_check(graded_window_bv(P, -3, 2, {x: {y: F(0)}}), max_failures)
+                assert (got.ok, got.failures, got.checked) == (want.ok, want.failures, want.checked), (x, y)
 
 
 def test_bv_check_leaves_little_garbage():
