@@ -308,7 +308,7 @@ def graded_window_bv(P: GradedPresentation, lo: int, hi: int, delta: dict | None
     basis = tuple(basis_window(P, lo, hi))
     basis_set = set(basis)
 
-    coeff = {1: Fraction(1), -1: Fraction(-1)}  # shared: product rows are read-only
+    coeff = {1: Fraction(1), -1: Fraction(-1)}  # one Fraction per sign, shared by every product
     def mult(a: Monomial, b: Monomial):
         prod = _monomial_product(P, a, b)
         if prod is not None and prod[1] not in basis_set:

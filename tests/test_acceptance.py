@@ -103,7 +103,8 @@ def test_criterion_09_bv_checker():
 
 def _first_two_swapped(parts):
     parts = list(parts)
-    parts[:2] = parts[1::-1]
+    if len(parts) > 1:
+        parts[0], parts[1] = parts[1], parts[0]
     return parts
 
 
