@@ -7,9 +7,10 @@ classes and region walks store each coordinate as an integer tick t standing
 for t/L, one scale L per object, and a class on the least L, so equal classes
 have equal ticks.  Validation, walks and composition run on ints; Fractions
 appear only in the input readers, the Fraction views, to_json, regions_report
-and the cactus side.  A cactus must be a tree of circles: its lobe-joint
-incidence graph is checked to be connected and acyclic before its boundary
-walk unrolls it onto the circle.
+and the cactus side.  A composite is built from its parts, labels included,
+and its faces are walked only when rep_diagram walks its class.  A cactus
+must be a tree of circles: its lobe-joint incidence graph is checked to be
+connected and acyclic before its boundary walk unrolls it onto the circle.
 Classes are quotients by chord relabeling and flips, by moving marks within a
 cluster (the vertex set of one tree), and by forgetting tree shapes: only the
 cluster partition and the interval labeling survive, which is exactly the data
@@ -46,7 +47,7 @@ def _tick(v: Fraction, L: int) -> int:
 
 
 class _FractionViews:
-    """Fraction views of the mark and cluster ticks of a Diagram or an MDClass."""
+    """Fraction views of the mark and cluster ticks of a LabeledChords or an MDClass."""
 
     @property
     def marks(self) -> tuple[Fraction, ...]:
@@ -58,29 +59,36 @@ class _FractionViews:
 
 
 @dataclass(frozen=True)
-class Diagram(_FractionViews):
-    """A validated marked labeled chord diagram with its region decomposition,
-    every coordinate and length a tick modulo L."""
+class LabeledChords(_FractionViews):
+    """Chords, marks, sorted clusters and interval labels on ticks modulo L: all
+    that a class is read from.  A composite is built as this, without regions."""
 
     n: int
     L: int
     chord_ticks: tuple[tuple[int, int], ...]
     mark_ticks: tuple[int, ...]
-    vertices: tuple[int, ...]
     cluster_ticks: tuple[tuple[int, ...], ...]
+    arc_labels: tuple[int, ...]  # label of the arc starting at the i-th vertex, sorted
+
+    @property
+    def chords(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(x, self.L), Fraction(y, self.L)) for x, y in self.chord_ticks)
+
+
+@dataclass(frozen=True)
+class Diagram(LabeledChords):
+    """A validated marked labeled chord diagram with its region decomposition,
+    every coordinate and length a tick modulo L."""
+
+    vertices: tuple[int, ...]
     # per region (index = label-1): cyclic unit list, each unit either
     # ("seg", start, length) or ("pass", cluster_index, arrival, departure)
     regions: tuple[tuple[tuple, ...], ...]
-    arc_labels: tuple[int, ...]  # label of the arc starting at vertices[i]
 
     def region(self, label: int) -> tuple[tuple, ...]:
         if not 1 <= label <= self.n:
             raise DiagramError("arity", f"region label {label} out of range 1..{self.n}", label)
         return self.regions[label - 1]
-
-    @property
-    def chords(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple((Fraction(x, self.L), Fraction(y, self.L)) for x, y in self.chord_ticks)
 
     def perimeter(self, label: int) -> Fraction:
         return Fraction(sum(u[2] for u in self.region(label) if u[0] == "seg"), self.L)
@@ -118,13 +126,18 @@ def _find(parent: dict[int, int], x: int) -> int:
     return x
 
 
-def _clusters(chords: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """Trees of the endpoint forest; raises on any cycle."""
+def _clusters(chords: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Trees of the endpoint forest of chords given as tick pairs with distinct
+    ends, sorted, each sorted; raises on a crossing or on any cycle."""
+    spans = [(x, y) if x < y else (y, x) for x, y in chords]
+    if _crosses(spans):
+        _check_crossings(spans)
+        raise DiagramError("crossing", "chords cross, but the pairwise scan names no pair")
     parent: dict[int, int] = {}
-    for x, y in chords:
+    for x, y in spans:
         parent.setdefault(x, x)
         parent.setdefault(y, y)
-    for idx, (x, y) in enumerate(chords):
+    for idx, (x, y) in enumerate(spans):
         rx, ry = _find(parent, x), _find(parent, y)
         if rx == ry:
             raise DiagramError("cycle", f"chord {idx} closes a cycle in the endpoint forest", idx)
@@ -132,7 +145,7 @@ def _clusters(chords: Sequence[tuple[int, int]]) -> list[list[int]]:
     groups: dict[int, list[int]] = {}
     for v in parent:
         groups.setdefault(_find(parent, v), []).append(v)
-    return sorted([sorted(g) for g in groups.values()])
+    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
 
 def _face_units(
@@ -182,7 +195,7 @@ class _Decomposition:
 
     L: int
     chords: tuple[tuple[int, int], ...]
-    clusters: list[list[int]]
+    clusters: tuple[tuple[int, ...], ...]
     vertices: tuple[int, ...]
     faces: list[list[tuple]]
     arc_face: tuple[int, ...]  # face holding the arc that starts at vertices[i]
@@ -196,17 +209,9 @@ def _decompose(n: int, L: int, chords: Sequence[tuple[int, int]]) -> _Decomposit
     as tick pairs modulo L with distinct ends."""
     if len(chords) != n - 1:
         raise DiagramError("arity", f"{n} regions need {n - 1} chords, got {len(chords)}", len(chords))
-    spans = [tuple(sorted(c)) for c in chords]
-    if _crosses(spans):
-        _check_crossings(spans)
-        raise DiagramError("crossing", "chords cross, but the pairwise scan names no pair")
-    clusters = _clusters(spans)
+    clusters = _clusters(chords)
     vertices = tuple(sorted(v for grp in clusters for v in grp))
-
-    if not vertices:
-        faces, arc_face = [[("seg", 0, L)]], ()
-    else:
-        faces, arc_face = _face_units(vertices, clusters, L)
+    faces, arc_face = _face_units(vertices, clusters, L) if vertices else ([[("seg", 0, L)]], ())
     if len(faces) != n:
         raise DiagramError("zero-measure", f"expected {n} regions, found {len(faces)}", len(faces))
     return _Decomposition(L, tuple(chords), clusters, vertices, faces, arc_face)
@@ -275,16 +280,7 @@ def _label(dec: _Decomposition, marks: Sequence[int], forced_arc_labels=None) ->
     regions = tuple(tuple(faces[face_of_label[lab]]) for lab in range(1, n + 1))
     label_of_face = {f: lab for lab, f in face_of_label.items()}
     arc_labels = tuple(label_of_face[f] for f in dec.arc_face)
-    return Diagram(
-        n,
-        dec.L,
-        dec.chords,
-        tuple(marks),
-        vertices,
-        tuple(tuple(g) for g in dec.clusters),
-        regions,
-        arc_labels,
-    )
+    return Diagram(n, dec.L, dec.chords, tuple(marks), dec.clusters, arc_labels, vertices, regions)
 
 
 def validate_diagram(
@@ -380,7 +376,7 @@ def rep_diagram(md: MDClass) -> Diagram:
     return _label(_decompose(md.n, md.L, md.rep_ticks()), md.mark_ticks, md.arc_labels)
 
 
-def canonical_md(d: Diagram) -> MDClass:
+def canonical_md(d: LabeledChords) -> MDClass:
     cluster_min = {v: grp[0] for grp in d.cluster_ticks for v in grp}
     g = gcd(d.L, *d.mark_ticks, *cluster_min)  # so equal classes have equal ticks
     marks = tuple(cluster_min.get(z, z) // g for z in d.mark_ticks)
@@ -444,20 +440,16 @@ def region_walk(md: MDClass, label: int) -> WalkTape:
     d = rep_diagram(md)
     units = d.region(label)
     z = md.mark_ticks[label - 1]
+    # rep_diagram's forced labels put the mark on a passage or strictly inside an arc of its region
     if not d.vertices:
         units = (("seg", z, d.L),)
     elif z in d.vertices:
-        k = next((k for k, u in enumerate(units) if u[0] == "pass" and z in d.cluster_ticks[u[1]]), None)
-        if k is None:
-            raise DiagramError("mark-off-region", f"mark {label} is not on region {label}", label)
+        k = next(k for k, u in enumerate(units) if u[0] == "pass" and z in d.cluster_ticks[u[1]])
         units = units[k:] + units[:k]
     else:
-        for k, u in enumerate(units):
-            if u[0] == "seg" and 0 < (off := (z - u[1]) % d.L) < u[2]:
-                units = (("seg", z, u[2] - off),) + units[k + 1 :] + units[:k] + (("seg", u[1], off),)
-                break
-        else:
-            raise DiagramError("mark-off-region", f"mark {label} is not on region {label}", label)
+        k, u = next((k, u) for k, u in enumerate(units) if u[0] == "seg" and 0 < (z - u[1]) % d.L < u[2])
+        off = (z - u[1]) % d.L
+        units = (("seg", z, u[2] - off),) + units[k + 1 :] + units[:k] + (("seg", u[1], off),)
     steps = []
     pos = 0
     for u in units:
@@ -486,10 +478,10 @@ def locate(tape: WalkTape, s: int):
 # composition ----------------------------------------------------------------
 
 
-def _composite(base: MDClass, parts: Sequence[MDClass]) -> tuple[Diagram, list[WalkTape]]:
-    """The labeled composite diagram and the base region walks the parts are laid
-    along.  Its chords are the base's representative chords followed by each
-    part's, and its marks are the parts' marks, in order.
+def _composite(base: MDClass, parts: Sequence[MDClass]) -> tuple[LabeledChords, list[WalkTape]]:
+    """The composite diagram, built from its parts, and the base region walks
+    the parts are laid along.  Its chords are the base's representative chords
+    followed by each part's, and its marks are the parts' marks, in order.
 
     The base walks are scaled by P, the lcm of the parts' scales, and part
     i's tick a goes to walk position r·a/L_p, an integer, along base region
@@ -497,13 +489,13 @@ def _composite(base: MDClass, parts: Sequence[MDClass]) -> tuple[Diagram, list[W
     takes that part region's label, renumbered past the earlier parts: the
     arc leaving the base vertex at walk position pos runs along the part arc
     holding pos, and the arc leaving a part vertex placed inside a base arc
-    along the part arc starting there.  A part vertex placed on a passage sits
-    on its arrival vertex, whose outgoing arc lies in another base region.
+    along the part arc starting there.  A part vertex placed on a passage
+    sits on its arrival vertex and joins its base cluster.  No face is walked.
     """
     if len(parts) != base.n:
         raise DiagramError("arity", f"need {base.n} parts, got {len(parts)}", len(parts))
     P = lcm(*(p.L for p in parts))
-    new_chords = [(x * P, y * P) for x, y in rep_diagram(base).chord_ticks]
+    new_chords = [(x * P, y * P) for x, y in base.rep_ticks()]
     new_marks: list[int] = []
     label: dict[int, int] = {}  # composite vertex -> label of the arc leaving it
     tapes = [region_walk(base, i + 1).scaled(P) for i in range(base.n)]
@@ -523,8 +515,9 @@ def _composite(base: MDClass, parts: Sequence[MDClass]) -> tuple[Diagram, list[W
         new_chords += [(placed[x], placed[y]) for x, y in part.rep_ticks()]
         new_marks += [locate(tape, r * z // part.L)[1] for z in part.mark_ticks]
         offset += part.n
-    dec = _decompose(offset, base.L * P, new_chords)
-    return _label(dec, new_marks, [label[v] for v in dec.vertices]), tapes
+    clusters = _clusters(new_chords)
+    labels = tuple(label[v] for v in sorted(v for grp in clusters for v in grp))
+    return LabeledChords(offset, base.L * P, tuple(new_chords), tuple(new_marks), clusters, labels), tapes
 
 
 def compose(base: MDClass, parts: Sequence[MDClass]) -> MDClass:

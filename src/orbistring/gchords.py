@@ -22,7 +22,7 @@ from itertools import product
 from typing import Sequence
 
 from .chords import (
-    Diagram,
+    LabeledChords,
     MDClass,
     WalkTape,
     _composite,
@@ -31,7 +31,6 @@ from .chords import (
     identity_md,
     region_walk,
     relabel as relabel_md,
-    rep_diagram,
     validate_diagram,
 )
 from .groups import FiniteGroup, _json_int, _load_json
@@ -135,8 +134,10 @@ def decorate(
     return _decorated(d, group, outer, delta, lifts)
 
 
-def _decorated(d: Diagram, group: FiniteGroup, outer: int, delta: Sequence[int], lifts: Sequence[int]) -> GDiagram:
-    """Canonicalize a validated diagram with one element per chord and one lift per mark.
+def _decorated(
+    d: LabeledChords, group: FiniteGroup, outer: int, delta: Sequence[int], lifts: Sequence[int]
+) -> GDiagram:
+    """Canonicalize a validated diagram or a composite with one element per chord and one lift per mark.
 
     Flipping a chord inverts its element, relabeling permutes them, and only
     the per-cluster fiber identifications survive; a mark sitting on a cluster
@@ -282,7 +283,7 @@ def g_compose(W: GDiagram, parts: Sequence[GDiagram]) -> GDiagram:
     G = W.group
     # aligned with d: the base's chords, then each part's chords and marks
     base_deltas = W.rep_deltas()
-    new_delta = [base_deltas[c] for c in rep_diagram(W.base).chord_ticks]
+    new_delta = [base_deltas[c] for c in W.base.rep_ticks()]
     new_lifts: list[int] = []
     for tape, word, k_i, p in zip(tapes, words, W.lifts, parts):
         r, Lp = tape.total, p.base.L  # part tick a lies r·a/Lp along the tape

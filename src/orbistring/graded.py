@@ -37,6 +37,8 @@ class GradedPresentation:
     zero_monomials: tuple[Monomial, ...] = ()
 
     def __post_init__(self):
+        if (k := len(self.root_orders)) != (m := len(self.gens)):
+            raise GradedError(f"root order count {k} does not match generator count {m}")
         for (name, deg), p in zip(self.gens, self.root_orders):
             if p is not None:
                 if deg != 0:

@@ -357,6 +357,9 @@ def crit_07_holonomy_figure(seed: int) -> CheckResult:
     expected = {S3.names.index(nm) for nm in ("(1,2)", "(2,3)", "(1,3)")}
     if realized != expected:
         return CheckResult("criterion-07 holonomy-figure", False, f"realized {sorted(realized)}")
+    if (ih := incoming_holonomy(W)) != (h, h):
+        names = ",".join(S3.names[x] for x in ih)
+        return CheckResult("criterion-07 holonomy-figure", False, f"witness has ih=({names})")
     return CheckResult(
         "criterion-07 holonomy-figure",
         True,

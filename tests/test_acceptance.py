@@ -129,13 +129,20 @@ def test_criterion_06_negative_control(monkeypatch):
     assert result.detail == "Z2: associativity instance fails"
 
 
-# crit07 rebuilds every lift of its witness, so only the witness's transports
-# and its existence reach the check
+def _zero_lifts(md, G, outer, inner=None):
+    """enumerate_gmd with every witness's lifts replaced by (0, 0)."""
+    found = gchords.enumerate_gmd(md, G, outer, inner)
+    return [gchords.GDiagram(W.base, G, W.outer, W.transports, (0, 0)) for W in found]
+
+
+# crit07 rebuilds every lift of its witness for the sweep, so the witness's own
+# lifts reach only the check of its inner holonomies, which runs after it
 @pytest.mark.parametrize(
     "enumerate_gmd,detail",
     [
         (lambda md, G, outer, inner=None: gchords.enumerate_gmd(md, G, outer), "realized [0]"),
         (lambda md, G, outer, inner=None: [], "no decoration with ih=((2,3),(2,3))"),
+        (_zero_lifts, "witness has ih=((2,3),(1,2))"),
     ],
 )
 def test_criterion_07_negative_controls(monkeypatch, enumerate_gmd, detail):

@@ -37,7 +37,9 @@ from orbistring.chords import (
     to_cactus,
     validate_diagram,
 )
-from orbistring.gchords import from_gdiagram_json
+from orbistring import gchords
+from orbistring import selftest as st
+from orbistring.gchords import from_gdiagram_json, g_compose, incoming_holonomy, random_gdiagram
 from orbistring.groups import catalog_group
 
 
@@ -749,6 +751,85 @@ def test_compose_validates_no_part():
     misses = rep_diagram.cache_info().misses
     compose(base, parts)
     assert rep_diagram.cache_info().misses == misses
+
+
+def _oracle_composite(base, parts):
+    """Check the composite built from its parts against validation of the same
+    chords and marks, given as Fractions, which walks the composite's faces and
+    runs every check of the forced-label path; return the number of part
+    vertices placed on a base passage."""
+    d, tapes = _composite(base, parts)
+    v = validate_diagram(d.n, d.chords, d.marks, d.arc_labels)
+    assert v.clusters == d.clusters and canonical_md(v) == canonical_md(d), (base, parts)
+    if not set(v.mark_ticks) & set(v.vertices):  # each mark then names its region alone
+        assert canonical_md(validate_diagram(d.n, d.chords, d.marks)) == canonical_md(d), (base, parts)
+    return sum(
+        locate(tape, tape.total * x // p.L)[0] == "vertex"
+        for p, tape in zip(parts, tapes)
+        for grp in p.cluster_ticks
+        for x in grp
+    )
+
+
+def test_composite_matches_validation_of_its_chords():
+    rng = random.Random(2626)
+    on_passage = 0
+    for _ in range(600):
+        base = random_md(rng, rng.randint(1, 5))
+        parts = [identity_md() if rng.random() < 0.2 else random_md(rng, rng.randint(1, 5)) for _ in range(base.n)]
+        on_passage += _oracle_composite(base, parts)
+    assert on_passage >= 100, on_passage
+
+
+def test_composite_matches_validation_on_the_criteria_inputs(monkeypatch):
+    seen = []
+
+    def checked_compose(base, parts):
+        seen.append(_oracle_composite(base, parts))
+        return compose(base, parts)
+
+    def checked_g_compose(W, parts):
+        seen.append(_oracle_composite(W.base, [p.base for p in parts]))
+        return g_compose(W, parts)
+
+    monkeypatch.setattr(st, "compose", checked_compose)
+    monkeypatch.setattr(st, "g_compose", checked_g_compose)
+    assert st.crit_05_operad(42).ok and st.crit_06_g_operad(42).ok
+    assert len(seen) > 6000 and sum(seen) > 0, (len(seen), sum(seen))
+
+
+def _counted_face_walks(monkeypatch):
+    """A list that gets one entry per call of chords._face_units, and an S3
+    decorated base with parts whose region walks are cached."""
+    walks = []
+    face_units = chords._face_units
+    monkeypatch.setattr(chords, "_face_units", lambda *args: walks.append(args) or face_units(*args))
+    rng = random.Random(37)
+    G = catalog_group("S3")
+    W = random_gdiagram(rng, random_md(rng, 3), G, rng.randrange(G.order))
+    parts = [random_gdiagram(rng, random_md(rng, 2), G, h) for h in incoming_holonomy(W)]
+    rep_diagram.cache_clear()
+    gchords._region_words.cache_clear()
+    for p in [W] + parts:
+        incoming_holonomy(p)
+    walks.clear()
+    return walks, W, parts
+
+
+def test_compose_walks_no_face_of_the_composite(monkeypatch):
+    # the composite's class is built from its parts; it used to be validated
+    # afresh, face walk included
+    walks, W, parts = _counted_face_walks(monkeypatch)
+    compose(W.base, [p.base for p in parts])
+    assert walks == []
+
+
+def test_g_compose_walks_the_composite_once(monkeypatch):
+    # only the holonomy recheck walks the new class, through rep_diagram
+    walks, W, parts = _counted_face_walks(monkeypatch)
+    misses = rep_diagram.cache_info().misses
+    g_compose(W, parts)
+    assert len(walks) == 1 and rep_diagram.cache_info().misses == misses + 1
 
 
 def test_cactus_correspondence_is_operad_map():

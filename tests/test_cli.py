@@ -83,14 +83,19 @@ def test_crossing_diagram_domain_error(capsys):
 
 
 def test_interval_label_errors_name_their_witness(capsys):
-    # the count of labels given, and the least label no region carries; both
-    # errors used to name no witness
-    for labels, message, witness in (
-        ([1], "interval label count does not match vertices", "1"),
-        ([1, 5], "interval labels are not a bijection", "2"),
-        ([2, 2], "interval labels are not a bijection", "1"),
+    # the count of labels given, the least label no region carries, the first
+    # vertex whose arc contradicts its region's label, and the first mark off
+    # its labeled region; composition no longer reaches the last two
+    two = {"n": 2, "chords": [[1, 4, 3, 4]], "marks": [[1, 2], [0, 1]]}
+    three = {"n": 3, "chords": [[0, 1, 1, 4], [1, 2, 3, 4]], "marks": [[1, 8], [3, 8], [5, 8]]}
+    for data, labels, message, witness in (
+        (two, [1], "interval label count does not match vertices", "1"),
+        (two, [1, 5], "interval labels are not a bijection", "2"),
+        (two, [2, 2], "interval labels are not a bijection", "1"),
+        (three, [1, 2, 3, 3], "inconsistent interval labels", "3"),
+        (two, [2, 1], "mark 1 is not on region 1", "0"),
     ):
-        diagram = json.dumps({"n": 2, "chords": [[1, 4, 3, 4]], "marks": [[1, 2], [0, 1]], "interval_labels": labels})
+        diagram = json.dumps({**data, "interval_labels": labels})
         code, out, err = run(capsys, "validate", "--diagram", diagram)
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": message, "kind": "DiagramError", "witness": witness}

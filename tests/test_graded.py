@@ -218,6 +218,20 @@ def test_zero_monomial_needs_one_non_negative_exponent_per_generator(gens, zero)
     assert str(e.value) == f"zero monomial {zero} does not give one non-negative exponent per generator"
 
 
+@pytest.mark.parametrize(
+    "gens,roots,message",
+    [
+        # too few ended in a bare IndexError, and an extra order was ignored
+        ((("a", 2), ("b", 2)), (None,), "root order count 1 does not match generator count 2"),
+        ((("a", 2),), (None, 3), "root order count 2 does not match generator count 1"),
+    ],
+)
+def test_root_orders_need_one_entry_per_generator(gens, roots, message):
+    with pytest.raises(GradedError) as e:
+        GradedPresentation(gens, roots)
+    assert str(e.value) == message
+
+
 def test_monomial_rejects_unknown_generator_and_negative_exponent():
     P = lens_ring(3, 2)
     with pytest.raises(GradedError, match="unknown generator w"):
