@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from orbistring import chords
+from orbistring import chords, gchords
+from orbistring import selftest as st
 from orbistring.chords import (
     Cactus,
     CactusError,
@@ -37,8 +38,6 @@ from orbistring.chords import (
     to_cactus,
     validate_diagram,
 )
-from orbistring import gchords
-from orbistring import selftest as st
 from orbistring.gchords import from_gdiagram_json, g_compose, incoming_holonomy, random_gdiagram
 from orbistring.groups import catalog_group
 
@@ -795,7 +794,7 @@ def test_composite_matches_validation_on_the_criteria_inputs(monkeypatch):
     monkeypatch.setattr(st, "compose", checked_compose)
     monkeypatch.setattr(st, "g_compose", checked_g_compose)
     assert st.crit_05_operad(42).ok and st.crit_06_g_operad(42).ok
-    assert len(seen) > 6000 and sum(seen) > 0, (len(seen), sum(seen))
+    assert len(seen) > 6000 and sum(seen) >= 100, (len(seen), sum(seen))  # 6,111 composites, 510 on passages
 
 
 def _counted_face_walks(monkeypatch):
