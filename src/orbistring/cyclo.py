@@ -383,7 +383,51 @@ def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return q, (a + [0] * d)[:d]
 
 
-# exact linear algebra: a solve over the integers, rank by sparse echelon over Fraction or Cyclo
+# primes, and exact linear algebra: a solve over the integers, rank by sparse
+# echelon over Fraction or Cyclo, and its image over F_p
+
+
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin to the first 13 prime bases, which
+    decides every n < 3.3 * 10^24 exactly (Sorenson & Webster, Math. Comp. 86,
+    2017); every prime this package searches for is far below that."""
+    if n < 2:
+        return False
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prime_root(level: int, after: int) -> tuple[int, int]:
+    """The least prime p > after with p = 1 (mod level), and a primitive
+    level-th root of unity omega mod p.  omega is a root of the level-th
+    cyclotomic polynomial mod p, so zeta -> omega maps Z[zeta_level] onto F_p
+    as a ring homomorphism."""
+    p = after + 1 + (-after) % level
+    while not _is_prime(p):
+        p += level
+    primes = [q for q in range(2, level + 1) if level % q == 0 and _is_prime(q)]
+    # F_p^* is cyclic, so some g gives an omega of order exactly level
+    omegas = (pow(g, (p - 1) // level, p) for g in range(2, p))
+    return p, next(w for w in omegas if all(pow(w, level // q, p) != 1 for q in primes))
 
 
 def _int_solve(a: list[list[int]], rhs: list[list[int]]) -> list[list[Fraction]]:
@@ -423,4 +467,19 @@ def _echelon_insert(rows: dict[int, dict], v: dict, zero, one) -> dict:
     if v:
         inv = one / v[min(v)]
         rows[min(v)] = v = {k: c * inv for k, c in v.items()}
+    return v
+
+
+def _echelon_insert_mod(rows: dict[int, dict], v: dict, p: int) -> dict:
+    """_echelon_insert over F_p: v's integer coefficients are read modulo the
+    prime p, and v itself is left unchanged."""
+    v = {k: c % p for k, c in v.items()}
+    for piv in sorted(rows):
+        if c := v.get(piv):
+            for k, r in rows[piv].items():
+                v[k] = (v.get(k, 0) - c * r) % p
+    v = {k: c for k, c in v.items() if c}
+    if v:
+        inv = pow(v[min(v)], -1, p)
+        rows[min(v)] = v = {k: c * inv % p for k, c in v.items()}
     return v

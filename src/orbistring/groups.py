@@ -14,13 +14,43 @@ class GroupError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group on elements 0..order-1 with 0 the identity."""
+    """A finite group on elements 0..order-1 with 0 the identity.
+
+    Construction also derives, once, from the table:
+      conjugation[q][h] = h^-1 * q * h;
+      conjugacy, the classes by least member, each with its representative's
+        centralizer (a ConjugacyData);
+      generators, each element in index order that lies outside the subgroup
+        generated by the ones chosen before it.
+    They are not fields, so equality and hashing read the fields only.  They
+    are set at construction rather than cached on first use: a later write
+    to the instance dict would slow every attribute read on the group.
+    """
 
     name: str
     order: int
     mult: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     names: tuple[str, ...]
+
+    def __post_init__(self):
+        n, mult, inv = range(self.order), self.mult, self.inv
+        conj = tuple(tuple(mult[mult[inv[h]][q]][h] for h in n) for q in n)
+        classes: list[tuple[int, ...]] = []
+        for g in n:
+            if not any(g in c for c in classes):
+                classes.append(tuple(sorted(set(conj[g]))))
+        reps = tuple(c[0] for c in classes)
+        cents = tuple(tuple(h for h, c in enumerate(conj[r]) if c == r) for r in reps)
+        gens: list[int] = []
+        reached = {0}
+        for g in n:
+            if g not in reached:
+                gens.append(g)
+                reached = set(subgroup_closure(self, gens))
+        object.__setattr__(self, "conjugation", conj)
+        object.__setattr__(self, "conjugacy", ConjugacyData(tuple(classes), reps, cents))
+        object.__setattr__(self, "generators", tuple(gens))
 
     @staticmethod
     def from_table(name: str, mult: Sequence[Sequence[int]], names: Sequence[str] | None = None) -> "FiniteGroup":
@@ -66,7 +96,7 @@ class FiniteGroup:
 
     def conjugate(self, q: int, h: int) -> int:
         """h^-1 * q * h."""
-        return self.mul(self.mul(self.inv[h], q), h)
+        return self.conjugation[q][h]
 
     def is_abelian(self) -> bool:
         return all(self.mult[a][b] == self.mult[b][a] for a in range(self.order) for b in range(self.order))
@@ -103,18 +133,7 @@ class ConjugacyData:
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyData:
-    seen = [False] * G.order
-    classes, reps, cents = [], [], []
-    for g in range(G.order):
-        if seen[g]:
-            continue
-        orbit = sorted({G.conjugate(g, h) for h in range(G.order)})
-        for x in orbit:
-            seen[x] = True
-        classes.append(tuple(orbit))
-        reps.append(orbit[0])
-        cents.append(tuple(h for h in range(G.order) if G.mul(orbit[0], h) == G.mul(h, orbit[0])))
-    return ConjugacyData(tuple(classes), tuple(reps), tuple(cents))
+    return G.conjugacy
 
 
 def bun_holonomy_action(G: FiniteGroup, q: int, h: int) -> int:

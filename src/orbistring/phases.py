@@ -102,21 +102,42 @@ class CocycleReport:
 
 
 def _cocycle_law(G: FiniteGroup, L: int, a: Sequence[Sequence[int]]) -> CocycleReport:
-    """Normalization and a(g,h) + a(gh,k) = a(g,hk) + a(h,k) mod L, the cocycle
-    identity of alpha = exp(2 pi i a/L) read as integers."""
+    """Normalization and c(g,h,k) = a(g,h) + a(gh,k) - a(g,hk) - a(h,k) = 0 mod L,
+    the cocycle identity of alpha = exp(2 pi i a/L) read as integers.
+
+    Once the table is normalized, the identity is checked first only for k in
+    a generating set S of G.  That suffices by induction on the word length
+    of k, every element being a word in S.  It holds for k = e by
+    normalization: c(g,h,e) = a(gh,e) - a(h,e) = 0.  And c is minus the
+    coboundary of a, so it is a 3-cocycle, and its coboundary at (g, h, s, k')
+    gives
+        c(g,h,sk') = c(h,s,k') - c(gh,s,k') + c(g,hs,k') + c(g,h,s):
+    if the identity holds for k' and for s in S, at every g and h, the right
+    side vanishes, so it holds for sk'.  Only when a generator fails does the
+    full scan run, which names the lexicographically first failing triple.
+    """
     n = G.order
     for g in range(n):
         if a[0][g]:
             return CocycleReport(False, "not normalized: alpha(e,g) != 1", (0, g))
         if a[g][0]:
             return CocycleReport(False, "not normalized: alpha(g,e) != 1", (g, 0))
-    for g in range(n):
-        for h in range(n):
-            gh, hk = G.mult[g][h], G.mult[h]
-            for k in range(n):
-                if (a[g][h] + a[gh][k] - a[g][hk[k]] - a[h][k]) % L:
-                    return CocycleReport(False, "cocycle identity fails", (g, h, k))
-    return CocycleReport(True, "valid normalized 2-cocycle", None)
+    mult = G.mult
+
+    def first_failure(ks: Sequence[int]) -> tuple | None:
+        for g in range(n):
+            ag, mg = a[g], mult[g]
+            for h in range(n):
+                agh, ah, hk = ag[h], a[h], mult[h]
+                am = a[mg[h]]
+                for k in ks:
+                    if (agh + am[k] - ag[hk[k]] - ah[k]) % L:
+                        return (g, h, k)
+        return None
+
+    if first_failure(G.generators) is None:
+        return CocycleReport(True, "valid normalized 2-cocycle", None)
+    return CocycleReport(False, "cocycle identity fails", first_failure(range(n)))
 
 
 def is_two_cocycle(G: FiniteGroup, table: Sequence[Sequence[Phase]]) -> CocycleReport:
@@ -170,7 +191,7 @@ def _torsion_exponents(alpha: TwoCocycle) -> list[list[int]]:
     """T(g,h) = a(g,h) - a(h, h^-1 g h) mod L, so tau(g,h) = exp(2 pi i T(g,h)/L) for
     alpha = exp(2 pi i a/L), L = alpha.modulus; raises if T fails the groupoid law."""
     G, L, a = alpha.group, alpha.modulus, alpha.exps
-    T = [[(a[g][h] - a[h][G.conjugate(g, h)]) % L for h in range(G.order)] for g in range(G.order)]
+    T = [[(ag[h] - a[h][c]) % L for h, c in enumerate(cg)] for ag, cg in zip(a, G.conjugation)]
     rep = _torsion_law(G, L, T)
     if not rep.ok:
         raise CocycleError(rep.reason, rep.witness)
@@ -188,15 +209,34 @@ def check_torsion_law(t: TorsionCocycle) -> CocycleReport:
 
 
 def _torsion_law(G: FiniteGroup, L: int, T: Sequence[Sequence[int]]) -> CocycleReport:
-    """The groupoid law on tau(g,h) = exp(2 pi i T(g,h)/L), read as integers modulo L."""
-    for g in range(G.order):
-        Tg = T[g]
-        for h in range(G.order):
-            Th, Tc, hk = Tg[h], T[G.conjugate(g, h)], G.mult[h]
-            for k in range(G.order):
-                if Tg[hk[k]] != (Th + Tc[k]) % L:
-                    return CocycleReport(False, "groupoid cocycle law fails", (g, h, k))
-    return CocycleReport(True, "groupoid 1-cocycle law holds", None)
+    """The groupoid law T(g,hk) = T(g,h) + T(g^h,k) mod L, g^h = h^-1 g h, on
+    tau(g,h) = exp(2 pi i T(g,h)/L), read as integers modulo L.
+
+    The law is checked first only for k = e and for k in a generating set S
+    of G.  That suffices by induction on the word length of k, every element
+    being a word in S: if the law holds for k' and for s in S, at every g and
+    h, then
+        T(g, h sk') = T(g, hs) + T(g^(hs), k')            (k' at g, hs)
+                    = T(g,h) + T(g^h, s) + T(g^(hs), k')  (s at g, h)
+                    = T(g,h) + T(g^h, sk')                (k' at g^h, s),
+    so it holds for sk'.  Only when that check fails does the full scan run,
+    which names the lexicographically first failing triple.
+    """
+    conj, mult, n = G.conjugation, G.mult, G.order
+
+    def first_failure(ks: Sequence[int]) -> tuple | None:
+        for g in range(n):
+            Tg, cg = T[g], conj[g]
+            for h in range(n):
+                Th, Tc, hk = Tg[h], T[cg[h]], mult[h]
+                for k in ks:
+                    if Tg[hk[k]] != (Th + Tc[k]) % L:
+                        return (g, h, k)
+        return None
+
+    if first_failure((0,) + G.generators) is None:
+        return CocycleReport(True, "groupoid 1-cocycle law holds", None)
+    return CocycleReport(False, "groupoid cocycle law fails", first_failure(range(n)))
 
 
 def restrict_to_centralizer(t: TorsionCocycle, g: int) -> dict[int, Phase]:

@@ -15,9 +15,21 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Sequence
 
-from .cyclo import Cyclo, _echelon_insert, _int_solve, _make, _poly_divmod, _reduce
+from .cyclo import (
+    Cyclo,
+    _echelon_insert,
+    _echelon_insert_mod,
+    _int_solve,
+    _is_prime,
+    _make,
+    _poly_divmod,
+    _prime_root,
+    _reduce,
+    euler_phi,
+)
 from .groups import FiniteGroup, GSet, conjugacy_classes, fixed_points, point_gset
 from .phases import TwoCocycle, alpha_regular_reps
 
@@ -158,23 +170,52 @@ class SectorRing:
             return Fraction(0), Fraction(1)
         return Cyclo.zero(self.level), Cyclo.one(self.level)
 
+    @cached_property
+    def _modular(self) -> tuple[int, dict, tuple | None]:
+        """(p, table, trace): the table and trace reduced modulo the first prime
+        p > 2^31 with p = 1 (mod level) that divides no denominator in them,
+        with zeta_level read as a primitive level-th root of unity omega mod p.
+
+        zeta -> omega is a ring homomorphism from Z[zeta_level] onto F_p, and
+        it extends to every coefficient whose denominator p does not divide.
+        So sums and products of reduced constants are the reductions of the
+        exact ones, and a minor that is nonzero mod p is nonzero over
+        Q(zeta_level): a rank over F_p is a lower bound for the exact rank.
+        """
+        values = [c for row in self.table.values() for _, c in row] + list(self.trace or ())
+        den = lcm(*(c.den if isinstance(c, Cyclo) else c.denominator for c in values))
+        p, omega = _prime_root(self.level, 2**31)
+        while den % p == 0:
+            p, omega = _prime_root(self.level, p)
+        powers = [pow(omega, i, p) for i in range(euler_phi(self.level))]
+
+        def mod(c) -> int:
+            num, d = (sum(map(mul, c.num, powers)), c.den) if isinstance(c, Cyclo) else (c.numerator, c.denominator)
+            return num % p if d == 1 else num * pow(d, -1, p) % p
+
+        table = {key: tuple((k, r) for k, c in row if (r := mod(c))) for key, row in self.table.items()}
+        return p, table, None if self.trace is None else tuple(map(mod, self.trace))
+
     def _generators(self) -> list[int]:
         """Basis indices S whose right-normed products s_1 (s_2 (... s_r)) span the ring.
 
         A candidate, non-unit basis elements first in index order, joins S when
         it lies outside the span W of the products found so far; W is then closed
-        under left multiplication by S.  W is kept as echelon rows by
-        cyclo._echelon_insert in the ring's coefficients, and the search stops
-        at full rank.
+        under left multiplication by S.  The search runs on the table reduced
+        modulo the prime of _modular, with W kept as echelon rows over F_p by
+        cyclo._echelon_insert_mod, and stops at full rank.  Every basis element
+        is a candidate, so it always reaches full rank: the reduced products
+        span F_p^n, some n of them have a minor that is nonzero mod p, and that
+        minor is nonzero over Q(zeta_level), so the exact products span the ring.
         """
-        table, n = self.table, self.dim
-        zero, one = self._scalars()
-        rows: dict[int, dict] = {}  # the echelon rows of W, by pivot
+        p, table, _ = self._modular
+        n = self.dim
+        rows: dict[int, dict] = {}  # the echelon rows of W over F_p, by pivot
         gens: list[int] = []
         for cand in sorted(range(n), key=lambda i: i in self.unit_coords):
             if len(rows) == n:
                 break
-            if not _echelon_insert(rows, {cand: one}, zero, one):
+            if not _echelon_insert_mod(rows, {cand: 1}, p):
                 continue
             gens.append(cand)
             todo = list(rows.values())
@@ -184,8 +225,8 @@ class SectorRing:
                     v: dict = {}  # e_s w
                     for m, c in w.items():
                         for k, t in table.get((s, m), ()):
-                            v[k] = v.get(k, zero) + c * t
-                    if row := _echelon_insert(rows, v, zero, one):
+                            v[k] = v.get(k, 0) + c * t
+                    if row := _echelon_insert_mod(rows, v, p):
                         todo.append(row)
         return gens
 
@@ -241,10 +282,21 @@ class SectorRing:
         return [[row.get(j, zero) for j in range(self.dim)] for row in _pairing(self.dim, self.table, self.trace, zero)]
 
     def pairing_nondegenerate(self) -> bool:
-        """Every row of the pairing is independent of the rows before it, by the
-        sparse echelon in the coefficients of the checks."""
-        zero, one = self._scalars()
+        """Every row of the pairing is independent of the rows before it.
+
+        The rows are first built from the table and trace reduced modulo the
+        prime of _modular, which gives the reductions of the exact rows, and
+        run through the sparse echelon over F_p: full rank there proves the
+        exact pairing nondegenerate.  Only after a dependence mod p does the
+        exact echelon run, in the coefficients of the checks, so a pairing is
+        called degenerate by exact arithmetic alone.
+        """
+        p, table, trace = self._modular
         rows: dict[int, dict] = {}
+        if all(_echelon_insert_mod(rows, row, p) for row in _pairing(self.dim, table, trace, 0)):
+            return True
+        zero, one = self._scalars()
+        rows = {}
         return all(_echelon_insert(rows, row, zero, one) for row in _pairing(self.dim, self.table, self.trace, zero))
 
     def is_commutative(self) -> bool:
@@ -439,7 +491,7 @@ def _split_prime(ipoly: list[int], galois: list[list[Fraction]], e: int) -> tupl
     p = 1
     while tried < 1000:
         p += e
-        if p < 2 or dens % p == 0 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        if dens % p == 0 or not _is_prime(p):
             continue
         tried += 1
         roots = [x for x in range(p) if not _eval_mod(ipoly, x, p)]

@@ -11,9 +11,10 @@ import time
 
 import pytest
 
-from orbistring import chords, gchords, graded
+from orbistring import chords, gchords, graded, phases, sector
 from orbistring import selftest as st
 from orbistring.cli import main
+from orbistring.groups import conjugacy_classes
 
 SEED = 42
 
@@ -99,6 +100,107 @@ def test_criterion_08_lens_rings():
 
 def test_criterion_09_bv_checker():
     _run(st.crit_09_bv_checker)
+
+
+def _with_table(ring, table=None, trace=None):
+    """ring with its table or trace replaced, built without running its checks."""
+    return sector.SectorRing(
+        ring.labels, ring.level, table or ring.table, ring.unit_coords, trace or ring.trace, ring.meta
+    )
+
+
+def _bumped_constant(G):
+    """dw_frobenius with the constant of e_1 e_1 at e_0 raised by 1 on S3."""
+    ring = sector.dw_frobenius(G)
+    if G.name != "S3":
+        return ring
+    row = dict(ring.table[1, 1])
+    row[0] += 1
+    return _with_table(ring, table={**ring.table, (1, 1): tuple(sorted(row.items()))})
+
+
+def _zero_trace(G):
+    """dw_frobenius with its trace set to 0, so that its pairing is 0."""
+    return _with_table(sector.dw_frobenius(G), trace=(0,) * len(conjugacy_classes(G).classes))
+
+
+@pytest.mark.parametrize(
+    "dw_frobenius,detail",
+    [
+        (_bumped_constant, "S3: constants differ at (1,1)"),
+        (_zero_trace, "Z1: degenerate pairing"),
+    ],
+)
+def test_criterion_01_negative_controls(monkeypatch, dw_frobenius, detail):
+    monkeypatch.setattr(st, "dw_frobenius", dw_frobenius)
+    result = st.crit_01_dw_point(SEED)
+    assert result.ok is False
+    assert result.detail == detail
+
+
+def _broken_torsion(alpha):
+    """discrete_torsion with tau(g, k) moved by a third root of unity on S4,
+    for the transposition g = (1,2) and a k that is no generator of S4."""
+    tau = phases.discrete_torsion(alpha)
+    G = alpha.group
+    if G.name != "S4":
+        return tau
+    g, k = G.index_of_name("(1,2)"), G.index_of_name("(1,3)")
+    assert k not in G.generators
+    table = [list(row) for row in tau.tau]
+    table[g][k] = table[g][k] * phases.Phase.of(1, 3)
+    return phases.TorsionCocycle(G, tuple(map(tuple, table)))
+
+
+@pytest.mark.parametrize(
+    "name,patched,detail",
+    [
+        ("discrete_torsion", _broken_torsion, "S4: groupoid cocycle law fails"),
+        (
+            "twisted_center",
+            lambda G, alpha: sector.twisted_center(G, phases.trivial_cocycle(G)),
+            "nontrivial dim 4 != 1",
+        ),
+    ],
+)
+def test_criterion_02_negative_controls(monkeypatch, name, patched, detail):
+    monkeypatch.setattr(st, name, patched)
+    result = st.crit_02_discrete_torsion(SEED)
+    assert result.ok is False
+    assert result.detail == detail
+
+
+def test_criterion_03_negative_control(monkeypatch):
+    # a coboundary that drops the phase of element 1, so the twist differs from
+    # the one the rescaling is built from
+    def dropped(G, beta):
+        return phases.coboundary(G, [phases.Phase.one() if g == 1 else b for g, b in enumerate(beta)])
+
+    monkeypatch.setattr(st, "coboundary", dropped)
+    result = st.crit_03_cohomology_invariance(SEED)
+    assert result.ok is False
+    assert result.detail == "Z2: rescaling fails at (1,1,0)"
+
+
+@pytest.mark.parametrize(
+    "verdict,detail",
+    [
+        (True, "Z2 vs Z3 not rejected"),
+        (None, "[S3/Z2]: no separating probe found; inconclusive"),
+    ],
+)
+def test_criterion_04_negative_controls(monkeypatch, verdict, detail):
+    # a comparator that reports every pair with one verdict
+    def patched(X, Y, seed=7):
+        rep = sector.MoritaReport(1, 1, verdict, None)
+        if verdict is None:
+            rep.detail = "no separating probe found; inconclusive"
+        return rep
+
+    monkeypatch.setattr(st, "morita_compare", patched)
+    result = st.crit_04_morita(SEED)
+    assert result.ok is False
+    assert result.detail == detail
 
 
 def _first_two_swapped(parts):

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -206,3 +208,56 @@ def test_subgroups_for_morita():
         assert len(H) == order
         X = coset_gset(G, H)
         assert X.size == G.order // order
+
+
+def _conjugacy_oracle(G):
+    """Classes by least member, with the centralizer of each least member,
+    straight from the multiplication table."""
+    classes, reps, cents = [], [], []
+    for g in range(G.order):
+        if any(g in c for c in classes):
+            continue
+        orbit = tuple(sorted({G.mul(G.mul(G.inv[h], g), h) for h in range(G.order)}))
+        classes.append(orbit)
+        reps.append(orbit[0])
+        cents.append(tuple(h for h in range(G.order) if G.mul(orbit[0], h) == G.mul(h, orbit[0])))
+    return tuple(classes), tuple(reps), tuple(cents)
+
+
+def _generated_oracle(G, gens):
+    """The elements reached from the identity by right multiplication with gens."""
+    reached, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for y in (G.mul(x, s) for s in gens):
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return sorted(reached)
+
+
+def test_cached_group_data_matches_the_table():
+    digest = hashlib.sha256()
+    for name in CATALOG_NAMES:
+        G = catalog_group(name)
+        n = range(G.order)
+        assert all(G.conjugation[q][h] == G.mul(G.mul(G.inv[h], q), h) for q in n for h in n)
+        assert all(G.conjugate(q, h) == G.conjugation[q][h] for q in n for h in n)
+        assert _generated_oracle(G, G.generators) == list(n)
+        assert 0 not in G.generators
+        data = conjugacy_classes(G)
+        assert (data.classes, data.reps, data.centralizers) == _conjugacy_oracle(G)
+        assert conjugacy_classes(G) is data is G.conjugacy  # computed once per group
+        digest.update(json.dumps([data.classes, data.reps, data.centralizers]).encode() + b"\n")
+    # computed before the conjugacy data was cached on the group
+    assert digest.hexdigest() == "3b1f2f3e0776787d8b2831715383fb721dea44d16f55b7caa6eba1e16fd0b15f"
+
+
+def test_groups_with_derived_data_compare_and_hash_equal():
+    assert [f.name for f in dataclasses.fields(FiniteGroup)] == ["name", "order", "mult", "inv", "names"]
+    for name in CATALOG_NAMES:
+        G = catalog_group(name)
+        H = FiniteGroup.from_table(name, [list(row) for row in G.mult], G.names)
+        assert H is not G and H == G and hash(H) == hash(G) and {G: 1}[H] == 1
+        assert (H.conjugation, H.conjugacy, H.generators) == (G.conjugation, G.conjugacy, G.generators)
+    assert catalog_group("S3") != catalog_group("Z6")

@@ -236,6 +236,34 @@ def test_cocycle_check_matches_phase_oracle():
     assert len(seen) == 4 and min(seen.values()) >= 30, seen
 
 
+def test_cocycle_law_matches_full_scan_oracle_off_the_generators():
+    # normalized coboundaries with one entry off the identity row and column
+    # corrupted, so the identity check runs; its generator-first pass must
+    # name the oracle's triple, also when that triple's k is no generator
+    rng = random.Random(26)
+    off = Counter()
+    for t in range(300):
+        G = catalog_group(("Z4", "Z6", "S3", "Z2xZ2", "D4", "Q8", "S4")[t % 7])
+        den = rng.randint(2, 12)
+        beta = [Phase.one()] + [Phase.of(rng.randrange(den), den) for _ in range(G.order - 1)]
+        table = [list(row) for row in coboundary(G, beta).table]
+        if t % 5:
+            g, h = rng.randrange(1, G.order), rng.randrange(1, G.order)
+            table[g][h] = table[g][h] * Phase.of(rng.randrange(1, 5), 5)
+        want = _phase_cocycle_report(G, table)
+        rep = is_two_cocycle(G, table)
+        assert (rep.ok, rep.reason, rep.witness) == want, (G.name, t)
+        if want[0]:
+            assert make_cocycle(G, table).table == tuple(map(tuple, table))
+            continue
+        with pytest.raises(CocycleError) as exc:
+            make_cocycle(G, table)
+        assert (str(exc.value), exc.value.witness) == want[1:]
+        if want[2][2] not in G.generators:
+            off[G.name] += 1
+    assert sum(off.values()) >= 80 and len(off) >= 6, off
+
+
 def _corrupt_tau(tau, g, h, factor):
     table = [list(row) for row in tau.tau]
     table[g][h] = table[g][h] * factor
@@ -253,6 +281,42 @@ def test_torsion_law_names_corrupted_triple():
     assert check_torsion_law(tau).ok
     rep = check_torsion_law(_corrupt_tau(tau, 5, 7, Phase.of(1, 4)))
     assert (rep.ok, rep.reason, rep.witness) == (False, "groupoid cocycle law fails", (1, 2, 7))
+
+
+def _torsion_law_oracle(G, tau):
+    """(ok, reason, witness) of the groupoid law over all |G|^3 triples, in
+    Phase arithmetic, conjugating through the multiplication table."""
+    n = G.order
+    for g, h, k in product(range(n), repeat=3):
+        gh = G.mul(G.mul(G.inv[h], g), h)
+        if tau[g][G.mul(h, k)] != tau[g][h] * tau[gh][k]:
+            return False, "groupoid cocycle law fails", (g, h, k)
+    return True, "groupoid 1-cocycle law holds", None
+
+
+def test_torsion_law_matches_full_scan_oracle_off_the_generators():
+    # torsions of random twists with one entry corrupted; the generator-first
+    # check must name the oracle's triple, also when its k is no generator
+    rng = random.Random(27)
+    off = Counter()
+    for t in range(300):
+        G = catalog_group(("Z4", "Z6", "S3", "Z2xZ2", "D4", "Q8", "S4")[t % 7])
+        den = rng.randint(2, 12)
+        beta = [Phase.one()] + [Phase.of(rng.randrange(den), den) for _ in range(G.order - 1)]
+        tau = discrete_torsion(trivial_cocycle(G) * coboundary(G, beta))
+        if t % 5:
+            tau = _corrupt_tau(tau, rng.randrange(G.order), rng.randrange(G.order), Phase.of(rng.randrange(1, 6), 6))
+        want = _torsion_law_oracle(G, tau.tau)
+        rep = check_torsion_law(tau)
+        assert (rep.ok, rep.reason, rep.witness) == want, (G.name, t)
+        if not want[0] and want[2][2] not in (0,) + G.generators:
+            off[G.name] += 1
+    assert sum(off.values()) >= 80 and len(off) >= 6, off
+    # Z1 has no generators, so only k = e tests tau(e, e) = 1
+    Z1 = catalog_group("Z1")
+    assert Z1.generators == ()
+    rep = check_torsion_law(TorsionCocycle(Z1, ((Phase.of(1, 2),),)))
+    assert (rep.ok, rep.reason, rep.witness) == (False, "groupoid cocycle law fails", (0, 0, 0))
 
 
 def _oracle_cocycle(base, beta):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import re
 import sys
@@ -10,7 +11,7 @@ from math import lcm
 import pytest
 
 from orbistring import sector
-from orbistring.cyclo import Cyclo, _poly_divmod, cyclotomic_poly
+from orbistring.cyclo import Cyclo, _echelon_insert, _is_prime, _poly_divmod, _prime_root, cyclotomic_poly
 from orbistring.groups import (
     CATALOG_NAMES,
     GSet,
@@ -25,6 +26,7 @@ from orbistring.phases import catalog_cocycle, coboundary, discrete_torsion, Pha
 from orbistring.sector import (
     SectorError,
     _crt,
+    _eval_mod,
     _factor_monic_over_q,
     _probe_split,
     _rational_sqrt,
@@ -915,3 +917,135 @@ def test_check_associative_catches_triples_off_the_generators():
         assert j not in bad._generators()
         with pytest.raises(SectorError, match=re.escape(f"associativity fails at basis triple {witness}")):
             bad.check_associative()
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 6000) if _is_prime(n)] == [n for n in range(-3, 6000) if _trial_division_is_prime(n)]
+    # around 2^31 trial division needs only the primes up to 46341
+    small = [d for d in range(2, 46342) if _trial_division_is_prime(d)]
+    window = range(2**31 - 300, 2**31 + 300)
+    assert [n for n in window if _is_prime(n)] == [n for n in window if all(n % d for d in small)]
+    # the least strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 7, 9 and 12 prime bases
+    pseudoprimes = (
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+        3825123056546413051, 318665857834031151167461,
+    )
+    assert not any(_is_prime(n) for n in pseudoprimes)
+    assert all(_is_prime(n) for n in (2**31 - 1, 10**9 + 7, 2**61 - 1))
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 6, 8, 12, 16, 48])
+def test_prime_root_is_the_least_split_prime_with_a_primitive_root(level):
+    p, omega = _prime_root(level, 2**31)
+    assert p > 2**31 and (p - 1) % level == 0 and _is_prime(p)
+    assert not any(_is_prime(q) for q in range(2**31 + 1, p) if (q - 1) % level == 0)
+    assert [k for k in range(1, level + 1) if pow(omega, k, p) == 1] == [level]
+    assert _eval_mod(list(cyclotomic_poly(level)), omega, p) == 0
+    assert _prime_root(level, p)[0] > p
+
+
+def _idempotent_pair(trace):
+    """Q x Q on two orthogonal idempotents with the given trace, so that the
+    pairing is diag(trace)."""
+    table = {(0, 0): ((0, 1),), (1, 1): ((1, 1),)}
+    return sector.SectorRing(("e0", "e1"), 1, table, {0: 1, 1: 1}, trace)
+
+
+def _count_exact_echelon(monkeypatch):
+    calls = []
+    exact = sector._echelon_insert
+    monkeypatch.setattr(sector, "_echelon_insert", lambda *args: calls.append(1) or exact(*args))
+    return calls
+
+
+def test_pairing_that_vanishes_mod_the_prime_is_decided_exactly(monkeypatch):
+    calls = _count_exact_echelon(monkeypatch)
+    p = _prime_root(1, 2**31)[0]
+    ring = _idempotent_pair((1, p))  # diag(1, p): nondegenerate, singular mod p
+    assert ring._modular[0] == p and ring._modular[2] == (1, 0)
+    assert ring.pairing_nondegenerate() and calls
+    calls.clear()
+    assert not _idempotent_pair((1, 0)).pairing_nondegenerate() and calls
+    calls.clear()
+    assert _idempotent_pair((1, p + 1)).pairing_nondegenerate() and not calls
+    # a denominator p moves the reduction on to the next prime
+    ring = _idempotent_pair((1, Fraction(1, p)))
+    assert ring._modular[0] == _prime_root(1, p)[0]
+    assert ring.pairing_nondegenerate() and not calls
+
+
+def test_pairing_runs_the_exact_echelon_only_after_a_dependence_mod_p(monkeypatch):
+    calls = _count_exact_echelon(monkeypatch)
+    rings = [ring for ring in _oracle_rings() if ring.trace is not None]
+    assert len(rings) >= 40
+    for ring in rings:
+        zero, one = ring._scalars()
+        rows = {}
+        exact = sector._pairing(ring.dim, ring.table, ring.trace, zero)
+        assert all(_echelon_insert(rows, row, zero, one) for row in exact)
+        calls.clear()
+        assert ring.pairing_nondegenerate() and not calls
+
+
+def _square_vanishing_mod_p(level):
+    """Q(zeta_level)[x]/(x^3) on the basis 1, x, y = x^2/c, with x x = c y for a
+    constant c that is nonzero but vanishes modulo the ring's prime: c = p at
+    level 1, c = zeta - omega above."""
+    p, omega = _prime_root(level, 2**31)
+    c = p if level == 1 else Cyclo.root(level, 1) - omega
+    one = 1 if level == 1 else Cyclo.one(level)
+    table = {(0, k): ((k, one),) for k in range(3)} | {(k, 0): ((k, one),) for k in range(3)}
+    table[1, 1] = ((2, c),)
+    return sector.SectorRing(("1", "x", "y"), level, table, {0: one})
+
+
+def _exact_span_rank(ring, gens):
+    """The exact rank of the right-normed products of gens, closed under left
+    multiplication by gens, by the sparse echelon over Q(zeta_level)."""
+    zero, one = ring._scalars()
+    rows, todo = {}, [{s: one} for s in gens]
+    while todo:
+        w = todo.pop()
+        if row := _echelon_insert(rows, dict(w), zero, one):
+            todo += [sector._ring_product(ring.table, {s: one}, w) for s in gens]
+    return len(rows)
+
+
+@pytest.mark.parametrize("level", [1, 4])
+def test_generators_span_when_a_constant_vanishes_mod_the_prime(level):
+    ring = _square_vanishing_mod_p(level)
+    assert ring._modular[1][1, 1] == ()  # x x reduces to 0
+    ring.check_unit()
+    # mod p, x generates only x, so y joins as a generator of its own
+    assert ring._generators() == [1, 2, 0]
+    assert _exact_span_rank(ring, ring._generators()) == 3
+    assert _exact_span_rank(ring, [1, 0]) == 3  # over Q(zeta), x and 1 already span
+    assert _oracle_associativity(ring) is None
+    ring.check_associative()
+    z = Cyclo.root(level, 1) if level > 1 else 2
+    failing = 0
+    for i, j, k in product(range(3), repeat=3):
+        for change in (lambda c: c + 1, lambda c: c * z, lambda c: 0):
+            bad = _corrupt_constant(ring, i, j, k, change)
+            want = _oracle_associativity(bad)
+            if want is None:
+                bad.check_associative()
+                continue
+            failing += 1
+            with pytest.raises(SectorError) as err:
+                bad.check_associative()
+            assert str(err.value) == want
+    assert failing >= 30
+
+
+def test_light_test_and_pairing_run_no_cyclo_inverse(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Cyclo.inverse called")
+
+    monkeypatch.setattr(Cyclo, "inverse", refuse)
+    assert [dw_frobenius(catalog_group(name)).dim for name in ("S3", "D4")] == [3, 5]
+    assert sum(ring.dim for ring in _crit03_centers()) > 51 * 10
