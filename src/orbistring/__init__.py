@@ -71,7 +71,6 @@ from .phases import (
     catalog_cocycle,
     coboundary,
     discrete_torsion,
-    is_two_cocycle,
     make_cocycle,
     parse_cocycle,
     restrict_to_centralizer,
@@ -85,7 +84,6 @@ from .sector import (
     morita_compare,
     orbifold_string_ring,
     sector_basis,
-    sector_product,
     twisted_center,
 )
 

@@ -36,20 +36,26 @@ def _load_json_arg(value: str):
         raise UsageError(f"unreadable JSON in {value!r}: {e}") from None
 
 
-def resolve_group(name: str) -> groups.FiniteGroup:
-    """Catalog name, a JSON file path, or a <name>.json in ORBISTRING_CATALOG."""
+def _is_json_spec(spec: str) -> bool:
+    """True for JSON given inline or by file (@path, a .json path), False for a catalog name."""
+    return spec.startswith("@") or spec.endswith(".json") or spec.lstrip().startswith("{")
+
+
+def resolve_group(spec: str) -> groups.FiniteGroup:
+    """Inline JSON or a JSON file, else a catalog name: its <name>.json in
+    ORBISTRING_CATALOG first, then the built-in catalog."""
+    if _is_json_spec(spec):
+        return groups.parse_group(_load_json_arg(spec))
     catalog_dir = os.environ.get("ORBISTRING_CATALOG")
     if catalog_dir:
-        p = Path(catalog_dir) / f"{name}.json"
+        p = Path(catalog_dir) / f"{spec}.json"
         if p.exists():
             return groups.parse_group(_load_json_arg(f"@{p}"))
-    if name.endswith(".json") or name.startswith("@"):
-        return groups.parse_group(_load_json_arg(name))
-    return groups.catalog_group(name)
+    return groups.catalog_group(spec)
 
 
 def _resolve_cocycle(G: groups.FiniteGroup, spec: str) -> phases.TwoCocycle:
-    if spec.startswith("@") or spec.endswith(".json") or spec.lstrip().startswith("{"):
+    if _is_json_spec(spec):
         return phases.parse_cocycle(_load_json_arg(spec), G)
     return phases.catalog_cocycle(G, spec)
 

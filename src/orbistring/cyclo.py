@@ -19,7 +19,9 @@ from typing import Iterable
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Ascending integer coefficients of the n-th cyclotomic polynomial."""
+    """Ascending integer coefficients of the n-th cyclotomic polynomial: x^n - 1
+    divided by the monic Phi_d for the proper divisors d of n.  Every division
+    is exact, since x^n - 1 is the product of the Phi_d over all d | n."""
     if n < 1:
         raise ValueError("level must be positive")
     if n == 1:
@@ -27,9 +29,7 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_poly(d))
-            if any(rem):
-                raise ArithmeticError("inexact polynomial division")
+            poly, _ = _poly_divmod(poly, cyclotomic_poly(d))
     return tuple(poly)
 
 

@@ -82,9 +82,6 @@ class TwoCocycle:
     def table(self) -> tuple[tuple[Phase, ...], ...]:
         return tuple(tuple(Phase.of(e, self.modulus) for e in row) for row in self.exps)
 
-    def level(self) -> int:
-        return self.modulus
-
     def __mul__(self, other: "TwoCocycle") -> "TwoCocycle":
         if other.group is not self.group and other.group != self.group:
             raise CocycleError("cocycle product across different groups")
@@ -140,14 +137,6 @@ def _cocycle_law(G: FiniteGroup, L: int, a: Sequence[Sequence[int]]) -> CocycleR
     return CocycleReport(False, "cocycle identity fails", first_failure(range(n)))
 
 
-def is_two_cocycle(G: FiniteGroup, table: Sequence[Sequence[Phase]]) -> CocycleReport:
-    """Check normalization and the cocycle identity; report a violating triple on failure."""
-    n = G.order
-    if len(table) != n or any(len(r) != n for r in table):
-        raise CocycleError(f"table must be {n}x{n}")
-    return _cocycle_law(G, *_table_exponents(table))
-
-
 def make_cocycle(G: FiniteGroup, table: Sequence[Sequence[Phase]]) -> TwoCocycle:
     """Normalize (divide by alpha(e,e)) and validate, on the table's exponents
     modulo its level, from which the cocycle is built."""
@@ -187,12 +176,20 @@ class TorsionCocycle:
     tau: tuple[tuple[Phase, ...], ...]
 
 
+def _torsion_row(alpha: TwoCocycle, g: int) -> list[int]:
+    """The row T(g, -): T(g,h) = a(g,h) - a(h, g^h) mod L, g^h = h^-1 g h, for
+    alpha = exp(2 pi i a/L), L = alpha.modulus.  So tau(g,h) = exp(2 pi i T(g,h)/L),
+    and u_h^-1 u_g u_h = zeta_L^T(g,h) u_(g^h) in the alpha-twisted group algebra:
+    both u_g u_h and u_h u_(g^h) are multiples of u_(gh)."""
+    a, ag = alpha.exps, alpha.exps[g]
+    return [(ag[h] - a[h][c]) % alpha.modulus for h, c in enumerate(alpha.group.conjugation[g])]
+
+
 def _torsion_exponents(alpha: TwoCocycle) -> list[list[int]]:
-    """T(g,h) = a(g,h) - a(h, h^-1 g h) mod L, so tau(g,h) = exp(2 pi i T(g,h)/L) for
-    alpha = exp(2 pi i a/L), L = alpha.modulus; raises if T fails the groupoid law."""
-    G, L, a = alpha.group, alpha.modulus, alpha.exps
-    T = [[(ag[h] - a[h][c]) % L for h, c in enumerate(cg)] for ag, cg in zip(a, G.conjugation)]
-    rep = _torsion_law(G, L, T)
+    """The rows T(g, -) of _torsion_row over every g; raises if T fails the groupoid law."""
+    G = alpha.group
+    T = [_torsion_row(alpha, g) for g in range(G.order)]
+    rep = _torsion_law(G, alpha.modulus, T)
     if not rep.ok:
         raise CocycleError(rep.reason, rep.witness)
     return T
@@ -276,10 +273,6 @@ def parse_cocycle(data: str | dict, G: FiniteGroup) -> TwoCocycle:
     if len(num) != G.order or any(len(r) != G.order for r in num):
         raise CocycleError(f"num must be {G.order}x{G.order}")
     return make_cocycle(G, [[Phase.of(k, den) for k in row] for row in num])
-
-
-def cocycle_to_json(alpha: TwoCocycle) -> dict:
-    return {"group": alpha.group.name, "denominator": alpha.modulus, "num": [list(row) for row in alpha.exps]}
 
 
 def torsion_to_json(t: TorsionCocycle) -> dict:

@@ -30,8 +30,8 @@ from .cyclo import (
     _reduce,
     euler_phi,
 )
-from .groups import FiniteGroup, GSet, conjugacy_classes, fixed_points, point_gset
-from .phases import TwoCocycle, alpha_regular_reps
+from .groups import FiniteGroup, GSet, fixed_points, point_gset
+from .phases import TwoCocycle, _torsion_row, alpha_regular_reps
 
 
 class SectorError(ValueError):
@@ -45,19 +45,6 @@ def sector_basis(X: GSet) -> list[tuple[int, int]]:
         for m in fixed_points(X, g):
             out.append((g, m))
     return out
-
-
-def sector_product(X: GSet, a: tuple[int, int], b: tuple[int, int]) -> dict[tuple[int, int], Fraction]:
-    """Product of sector basis elements: (g,x)(h,y) = (gh,x) if x = y, else 0."""
-    g, x = a
-    h, y = b
-    if X.act[x][g] != x:
-        raise SectorError(f"point {x} is not fixed by {g}")
-    if X.act[y][h] != y:
-        raise SectorError(f"point {y} is not fixed by {h}")
-    if x != y:
-        return {}
-    return {(X.group.mul(g, h), x): Fraction(1)}
 
 
 def sector_act(X: GSet, p: tuple[int, int], h: int) -> tuple[int, int]:
@@ -271,11 +258,6 @@ class SectorRing:
             if left != {i: 1} or right != {i: 1}:
                 raise SectorError(f"unit law fails at basis element {i}")
 
-    def trace_of(self, v: Sequence[Cyclo]) -> Cyclo:
-        if self.trace is None:
-            raise SectorError("ring has no trace")
-        return sum((a * b for a, b in zip(v, self.trace)), Cyclo.zero(self.level))
-
     def pairing_matrix(self) -> list[list[Cyclo]]:
         """trace(e_i e_j)."""
         zero = Cyclo.zero(self.level)
@@ -316,14 +298,9 @@ class SectorRing:
         return out
 
 
-def orbifold_string_ring(X: GSet) -> SectorRing:
-    """The G-invariant sector ring: basis = orbit sums, product = transfer then project.
-
-    The transfer sums a class over its orbit members and the projection averages
-    by 1/|G|; with this normalization the unit is the invariant vector of the
-    identity sector and the one-point case is literally the class algebra.
-    Other conventions rescale the structure constants by powers of |G|.
-    """
+def _string_ring(X: GSet, identity_trace: Fraction | None) -> SectorRing:
+    """The G-invariant sector ring of X, checked associative and unital; with
+    identity_trace, each orbit sum in the unit has that trace and the rest 0."""
     G = X.group
     orbits = sector_orbits(X)
     index = {p: i for i, orb in enumerate(orbits) for p in orb}
@@ -345,60 +322,63 @@ def orbifold_string_ring(X: GSet) -> SectorRing:
                 table[i, j] = tuple(sorted(coords.items()))
     unit = {i: 1 for i, orb in enumerate(orbits) if orb[0][0] == 0}
     labels = tuple("{" + ",".join(f"({G.names[g]},{x})" for g, x in orb) + "}" for orb in orbits)
-    ring = SectorRing(labels, 1, table, unit, meta={"orbits": orbits, "gset": X})
+    trace = None if identity_trace is None else tuple(identity_trace if i in unit else 0 for i in range(len(orbits)))
+    ring = SectorRing(labels, 1, table, unit, trace, meta={"orbits": orbits, "gset": X})
     ring.check_associative()
     ring.check_unit()
     return ring
 
 
+def orbifold_string_ring(X: GSet) -> SectorRing:
+    """The G-invariant sector ring: basis = orbit sums, product = transfer then project.
+
+    The transfer sums a class over its orbit members and the projection averages
+    by 1/|G|; with this normalization the unit is the invariant vector of the
+    identity sector and the one-point case is literally the class algebra.
+    Other conventions rescale the structure constants by powers of |G|.
+    """
+    return _string_ring(X, None)
+
+
 def dw_frobenius(G: FiniteGroup) -> SectorRing:
     """Z(Q[G]) on class sums with trace = (coefficient of the identity class) / |G|."""
-    ring = orbifold_string_ring(point_gset(G))
-    data = conjugacy_classes(G)
-    assert ring.dim == len(data.classes)
-    trace = tuple(Fraction(1, G.order) if orb == ((0, 0),) else 0 for orb in ring.meta["orbits"])
-    out = SectorRing(ring.labels, 1, ring.table, ring.unit_coords, trace, {"classes": data})
-    if not out.pairing_nondegenerate():
+    ring = _string_ring(point_gset(G), Fraction(1, G.order))
+    if not ring.pairing_nondegenerate():
         raise SectorError("Frobenius pairing is degenerate")
-    return out
+    return ring
 
 
 def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
     """The center of the alpha-twisted group algebra over Q(zeta_N).
 
-    One basis vector per alpha-regular conjugacy class; coefficients are the
-    phases that make the twisted class sum central.  With alpha(x, y) =
-    zeta_N^a(x, y), each class sum is kept as root exponents mod N, so
-    centrality is exponent arithmetic and each product is a count of terms
-    per root of unity, reduced to Q(zeta_N) on integers once per coefficient.
+    One basis vector per alpha-regular conjugacy class.  With alpha(x, y) =
+    zeta_N^a(x, y), the torsion exponents T(g,h) = a(g,h) - a(h, g^h) of
+    phases._torsion_row give u_h^-1 u_g u_h = zeta_N^T(g,h) u_(g^h), and the
+    class sum of a rep r is S_r = sum of zeta_N^T(r,h) u_(r^h), read off r's
+    row.  alpha_regular_reps has checked the groupoid law T(g,hk) = T(g,h) +
+    T(g^h,k) and returns the r with T(r,c) = 0 for c in C(r).  So the exponent
+    is well defined: r^h = r^h' means h' = ch with c in C(r), and T(r,h') =
+    T(r,c) + T(r,h) = T(r,h).  And S_r is central: u_k^-1 S_r u_k has exponent
+    T(r,h) + T(r^h,k) = T(r,hk) at r^(hk).  A central sum with coefficient 1
+    at r is unique, since conjugation is transitive on the class.  A row gives
+    one conjugate two exponents exactly when its rep is not alpha-regular, as
+    r^c = r = r^e for c in C(r) and T(r,e) = 0; such a rep is refused.  Each
+    class sum is kept as root exponents mod N, so each product is a count of
+    terms per root of unity, reduced to Q(zeta_N) on integers once per
+    coefficient.
     """
+    if alpha.group is not G and alpha.group != G:
+        raise SectorError(f"cocycle is on {alpha.group.name}, not on {G.name}")
     N, a = alpha.modulus, alpha.exps
-    regular = alpha_regular_reps(alpha)
-    mul, inv = G.mult, G.inv
-
-    def conjugation(h: int, x: int) -> int:
-        """k with u_h u_x u_h^-1 = zeta_N^k u_(h x h^-1)."""
-        return a[h][x] + a[mul[h][x]][inv[h]] - a[h][inv[h]]
-
+    reps = alpha_regular_reps(alpha)
+    mul = G.mult
     exponents: list[dict[int, int]] = []  # class sum of reps[i] = sum of zeta_N^e u_x over {x: e}
-    reps: list[int] = []
-    for rep in regular:
-        exps = {rep: 0}
-        # spread the coefficient over the class by twisted conjugation; every
-        # conjugate of every member is reached, so a second phase means no central sum
-        frontier = [rep]
-        while frontier:
-            x = frontier.pop()
-            for h in range(G.order):
-                y = mul[mul[h][x]][inv[h]]
-                e = (conjugation(h, x) + exps[x]) % N
-                if y not in exps:
-                    exps[y] = e
-                    frontier.append(y)
-                elif exps[y] != e:
-                    raise SectorError(f"twisted class sum for rep {rep} is not central")
+    for rep in reps:
+        exps: dict[int, int] = {}
+        for y, e in zip(G.conjugation[rep], _torsion_row(alpha, rep)):
+            if exps.setdefault(y, e) != e:
+                raise SectorError(f"twisted class sum for rep {rep} is not central")
         exponents.append(exps)
-        reps.append(rep)
 
     dim = len(exponents)
     member = {x: (k, e) for k, exps in enumerate(exponents) for x, e in exps.items()}

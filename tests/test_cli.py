@@ -605,3 +605,89 @@ def test_bvcheck_reports_what_held_before_the_failure(capsys):
     assert (code, err, blob["ok"]) == (0, "", False)
     assert blob["failures"] == [{"axiom": "jacobi", "witness": "jacobi fails at ((1, 0, 0),(1, 1, 0),(1, 2, 0))"}]
     assert blob["checked"] == {"antisym": 228, "degree": 18, "delta2": 16, "jacobi": 42, "leibniz": 43, "skipped": 98}
+
+
+def test_group_reads_inline_json_like_a_file(capsys, tmp_path):
+    spec = '{"name": "G", "mult": [[0,1],[1,0]]}'
+    (tmp_path / "g.json").write_text(spec)
+    inline, at_file = run(capsys, "group", "--group", spec), run(capsys, "group", "--group", f"@{tmp_path / 'g.json'}")
+    assert inline == at_file and inline[0] == 0 and json.loads(inline[1])["mult"] == [[0, 1], [1, 0]]
+    cases = [
+        ('{"name": "G", "order": 3, "mult": [[0,1],[1,0]]}', "declared order 3 does not match table size 2"),
+        ('{"name": "G"}', "group JSON needs 'mult' or 'perm_gens'"),
+    ]
+    for spec, message in cases:
+        code, out, err = run(capsys, "group", "--group", spec)
+        assert (code, out, json.loads(err)) == (1, "", {"error": message, "kind": "GroupError"})
+
+
+@pytest.mark.parametrize(
+    "argv,code,payload",
+    [
+        (["string-ring", "--gset", '{"group": "Z2", "act": []}'], 1, ("GroupError", "empty G-set")),
+        (["string-ring", "--gset", '{"group": "Z2", "act": [[0]]}'], 1, ("GroupError", "action row 0 has wrong length")),
+        (
+            ["string-ring", "--gset", '{"group": "Z2", "act": [[0, 5]]}'],
+            1,
+            ("GroupError", "action entry out of range in row 0"),
+        ),
+        (
+            ["string-ring", "--gset", '{"group": "Z2", "act": [[1, 0], [0, 1]]}'],
+            1,
+            ("GroupError", "identity does not fix point 0"),
+        ),
+        (
+            ["string-ring", "--gset", '{"group": "Z3", "act": [[0, 1, 2], [1, 2, 1], [2, 0, 1]]}'],
+            1,
+            ("GroupError", "action fails at triple (point 0, 1, 2)"),
+        ),
+        (
+            ["string-ring", "--gset", '{"group": "Z2", "size": 2, "act": [[0, 0]]}'],
+            1,
+            ("GroupError", "declared size 2 does not match table"),
+        ),
+        (
+            ["string-ring", "--gset", '{"act": [[0, 0]]}'],
+            1,
+            ("GroupError", "G-set JSON needs a 'group' (name or inline)"),
+        ),
+        (
+            ["torsion", "--group", "Z2", "--cocycle", '{"num": [[0, 0], [0, 0]]}'],
+            1,
+            ("CocycleError", "cocycle JSON needs 'denominator' and 'num'"),
+        ),
+        (
+            ["torsion", "--group", "Z2", "--cocycle", '{"denominator": 0, "num": [[0, 0], [0, 0]]}'],
+            1,
+            ("CocycleError", "denominator must be positive"),
+        ),
+        (
+            ["torsion", "--group", "Z2", "--cocycle", '{"denominator": 2, "num": [[0]]}'],
+            1,
+            ("CocycleError", "num must be 2x2"),
+        ),
+        (
+            ["torsion", "--group", "Z3", "--cocycle", "nontrivial"],
+            1,
+            ("CocycleError", "no catalog cocycle 'nontrivial' for group Z3"),
+        ),
+        (["ring", "--name", "lens"], 2, ("usage", "ring lens needs --n and --p")),
+        (["ring", "--name", "sphere-quotient"], 2, ("usage", "ring sphere-quotient needs --p")),
+        (["ring", "--name", "torus"], 2, ("usage", "unknown ring 'torus' (expected lens or sphere-quotient)")),
+        (
+            ["ring", "--name", "lens", "--n", "3", "--p", "2", "--window", "3"],
+            2,
+            ("usage", "bad window '3'; expected LO:HI"),
+        ),
+        (
+            ["validate", "--diagram", '{"n": 0, "marks": []}'],
+            1,
+            ("DiagramError", "n must be at least 1", "0"),
+        ),
+    ],
+)
+def test_reader_errors_are_pinned(capsys, argv, code, payload):
+    kind, message, *witness = payload
+    want = {"error": message, "kind": kind, **({"witness": witness[0]} if witness else {})}
+    got = run(capsys, *argv)
+    assert (got[0], got[1], json.loads(got[2])) == (code, "", want)

@@ -4,7 +4,8 @@ A function, class or constant defined at the top level of a module under
 src/orbistring must be named in some Python file under src, tests, demos or
 perfbench outside its own definition, and a private (underscore) name must be
 used under src itself: a use from tests alone does not keep a helper alive.
-Dunder names are exempt.
+Dunder names are exempt.  A module other than __init__.py also uses every
+name it imports.
 """
 
 import ast
@@ -62,3 +63,23 @@ def test_no_dead_top_level_names():
 def test_private_names_are_used_in_src():
     dead = _unused(("src",), lambda name: name.startswith("_"))
     assert not dead, "private top-level names with no use in src: " + ", ".join(dead)
+
+
+def _unused_imports(path: Path):
+    """Names a module binds by import and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_modules_use_every_name_they_import():
+    modules = [m for m in sorted(PACKAGE.glob("*.py")) if m.name != "__init__.py"]
+    dead = [entry for module in modules for entry in _unused_imports(module)]
+    assert not dead, "imported names with no use: " + ", ".join(dead)

@@ -22,7 +22,15 @@ from orbistring.groups import (
     point_gset,
     translation_gset,
 )
-from orbistring.phases import catalog_cocycle, coboundary, discrete_torsion, Phase, trivial_cocycle
+from orbistring.phases import (
+    Phase,
+    _torsion_row,
+    alpha_regular_reps,
+    catalog_cocycle,
+    coboundary,
+    discrete_torsion,
+    trivial_cocycle,
+)
 from orbistring.sector import (
     SectorError,
     _crt,
@@ -35,7 +43,6 @@ from orbistring.sector import (
     orbifold_string_ring,
     sector_act,
     sector_basis,
-    sector_product,
     twisted_center,
 )
 
@@ -48,6 +55,19 @@ def group_algebra_product(G, xs, ys):
             k = G.mul(g, h)
             out[k] = out.get(k, 0) + cg * ch
     return {k: v for k, v in out.items() if v}
+
+
+def sector_product(X, a, b):
+    """Product of sector basis elements: (g,x)(h,y) = (gh,x) if x = y, else 0."""
+    g, x = a
+    h, y = b
+    if X.act[x][g] != x:
+        raise SectorError(f"point {x} is not fixed by {g}")
+    if X.act[y][h] != y:
+        raise SectorError(f"point {y} is not fixed by {h}")
+    if x != y:
+        return {}
+    return {(X.group.mul(g, h), x): Fraction(1)}
 
 
 def test_sector_product_point_is_group_algebra():
@@ -145,6 +165,35 @@ def test_string_ring_commutative_and_unital():
         ring.check_unit()
 
 
+@pytest.mark.parametrize(
+    "X",
+    [point_gset(catalog_group("S3")), translation_gset(catalog_group("Z4")), coset_gset(*catalog_subgroup("S4", "S3"))],
+    ids=["point:S3", "self:Z4", "coset:S4:S3"],
+)
+def test_string_ring_is_transfer_sector_product_projection(X):
+    # oracle: transfer each orbit to its orbit sum, multiply by the sector
+    # product, project by averaging over G, and read the orbit-sum coordinates
+    G, ring = X.group, orbifold_string_ring(X)
+    orbits = ring.meta["orbits"]
+    for orb in orbits:
+        assert {sector_act(X, p, h) for p in orb for h in range(G.order)} == set(orb)
+    for i, oi in enumerate(orbits):
+        for j, oj in enumerate(orbits):
+            prod = {}
+            for a in oi:
+                for b in oj:
+                    for q, c in sector_product(X, a, b).items():
+                        prod[q] = prod.get(q, 0) + c
+            projected = {}
+            for q, c in prod.items():
+                for h in range(G.order):
+                    r = sector_act(X, q, h)
+                    projected[r] = projected.get(r, 0) + c / G.order
+            coords = {k: projected.get(ok[0], 0) for k, ok in enumerate(orbits)}
+            assert all(projected.get(q, 0) == coords[k] for k, ok in enumerate(orbits) for q in ok)
+            assert dict(ring.table.get((i, j), ())) == {k: c for k, c in coords.items() if c}
+
+
 def test_dw_frobenius_s3_example():
     S3 = catalog_group("S3")
     ring = dw_frobenius(S3)
@@ -161,7 +210,7 @@ def test_dw_frobenius_s3_example():
         else:
             assert c.rational_part() == 3
     assert ring.pairing_nondegenerate()
-    assert ring.trace_of(ring.basis_vector(0)).rational_part() == Fraction(1, 6)
+    assert ring.trace == (Fraction(1, 6), 0, 0)
 
 
 def test_dw_dimension_matches_classes():
@@ -186,6 +235,13 @@ def test_twisted_center_dims():
             assert got == want
 
 
+def test_twisted_center_refuses_a_cocycle_on_another_group():
+    # refused before either table is read: unchecked, these read out of range or build a wrong ring
+    for group, other in (("Z2", "Z3"), ("Z3", "Z2"), ("Z4", "Z2xZ2"), ("S3", "Z6")):
+        with pytest.raises(SectorError, match=f"^cocycle is on {other}, not on {group}$"):
+            twisted_center(catalog_group(group), trivial_cocycle(catalog_group(other)))
+
+
 def test_twisted_center_abelian_dimension_formula():
     G = catalog_group("Z2xZ2")
     alpha = catalog_cocycle(G, "nontrivial")
@@ -199,7 +255,7 @@ def test_twisted_center_abelian_dimension_formula():
 
 def test_twisted_center_refuses_a_class_without_a_central_sum(monkeypatch):
     # under the nontrivial cocycle on Z2xZ2 only the identity is alpha-regular; fed
-    # every class rep, the spread of rep 1 meets a conjugate at a second phase
+    # every class rep, the torsion row of rep 1 gives one conjugate a second phase
     G = catalog_group("Z2xZ2")
     monkeypatch.setattr(sector, "alpha_regular_reps", lambda alpha: list(conjugacy_classes(G).reps))
     with pytest.raises(SectorError, match="^twisted class sum for rep 1 is not central$"):
@@ -552,7 +608,8 @@ def test_pairing_matrix_is_cyclo_trace_of_products():
             for j in range(ring.dim):
                 c = pairing[i][j]
                 assert isinstance(c, Cyclo) and c.level == ring.level
-                assert c == ring.trace_of(ring.mult(ring.basis_vector(i), ring.basis_vector(j)))
+                prod = ring.mult(ring.basis_vector(i), ring.basis_vector(j))
+                assert c == sum((a * t for a, t in zip(prod, ring.trace)), Cyclo.zero(ring.level))
 
 
 def test_dense_views_are_cyclo_at_ring_level():
@@ -600,7 +657,7 @@ def test_pairing_gates_fire_on_a_repeated_row(monkeypatch):
 def test_traceless_ring_has_no_pairing():
     ring = orbifold_string_ring(point_gset(catalog_group("S3")))
     assert ring.trace is None
-    for method in (ring.pairing_nondegenerate, ring.pairing_matrix, lambda: ring.trace_of(ring.unit)):
+    for method in (ring.pairing_nondegenerate, ring.pairing_matrix):
         with pytest.raises(SectorError, match="^ring has no trace$"):
             method()
 
@@ -696,6 +753,75 @@ def test_twisted_center_rejects_missing_class(monkeypatch):
     monkeypatch.setattr(sector, "alpha_regular_reps", lambda a: regular[:2])
     with pytest.raises(SectorError, match=r"^twisted product left the span of the twisted class sums$"):
         twisted_center(S3, alpha)
+
+
+def _frontier_exponents(G, alpha, rep):
+    """Oracle: the twisted class sum of rep as {x: e}, spread from coefficient 1
+    at rep over its class by u_h u_x u_h^-1 = zeta_N^k u_(h x h^-1); None when a
+    conjugate is reached at two phases, so that no central sum has coefficient 1 at rep."""
+    N, a, mul, inv = alpha.modulus, alpha.exps, G.mult, G.inv
+    exps = {rep: 0}
+    frontier = [rep]
+    while frontier:
+        x = frontier.pop()
+        for h in range(G.order):
+            y = mul[mul[h][x]][inv[h]]
+            e = (a[h][x] + a[mul[h][x]][inv[h]] - a[h][inv[h]] + exps[x]) % N
+            if y not in exps:
+                exps[y] = e
+                frontier.append(y)
+            elif exps[y] != e:
+                return None
+    return exps
+
+
+def _class_sum_inputs():
+    """Every catalog group, on the trivial base and on Z2xZ2's nontrivial one,
+    twisted by a coboundary at denominators 1 to 48."""
+    rng = random.Random(28)
+    for name in CATALOG_NAMES:
+        G = catalog_group(name)
+        bases = [trivial_cocycle(G)] + ([catalog_cocycle(G, "nontrivial")] if name == "Z2xZ2" else [])
+        for base in bases:
+            for den in (1, 2, 3, 4, 8, 12, 48):
+                beta = [Phase.one()] + [Phase.of(rng.randrange(den), den) for _ in range(G.order - 1)]
+                yield G, base * coboundary(G, beta)
+
+
+def test_class_sums_read_off_the_torsion_rows_match_the_frontier_oracle():
+    regular_seen = irregular_seen = 0
+    for G, alpha in _class_sum_inputs():
+        regular = alpha_regular_reps(alpha)
+        for r in G.conjugacy.reps:
+            row = _torsion_row(alpha, r)
+            read = {}
+            for h, y in enumerate(G.conjugation[r]):
+                read.setdefault(y, set()).add(row[h])
+            oracle = _frontier_exponents(G, alpha, r)
+            if r in regular:
+                regular_seen += 1
+                assert {y: e for y, (e,) in read.items()} == oracle, (G.name, alpha, r)
+            else:
+                # no central sum: the row gives some conjugate two exponents
+                irregular_seen += 1
+                assert oracle is None and any(len(es) > 1 for es in read.values()), (G.name, alpha, r)
+    assert (regular_seen, irregular_seen) == (413, 21)
+
+
+def test_twisted_center_digest_over_the_class_sum_inputs():
+    lines = [json.dumps(twisted_center(G, alpha).to_json(), sort_keys=True) for G, alpha in _class_sum_inputs()]
+    assert len(lines) == 98
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0613469070123c27cb3b4d6ed9530d0d6e492573b2ca12f7a8659870e5c398d2"
+
+
+def test_dw_frobenius_reduces_its_ring_mod_the_prime_once(monkeypatch):
+    calls = []
+    prime_root = sector._prime_root
+    monkeypatch.setattr(sector, "_prime_root", lambda *args: calls.append(args) or prime_root(*args))
+    ring = dw_frobenius(catalog_group("S3"))
+    assert len(calls) == 1
+    assert ring.meta.keys() == {"orbits", "gset"}
 
 
 _TWISTS = tuple((g, base, (8, 16, 48)) for g, base in (
