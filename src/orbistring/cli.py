@@ -49,8 +49,11 @@ def resolve_group(spec: str) -> groups.FiniteGroup:
     catalog_dir = os.environ.get("ORBISTRING_CATALOG")
     if catalog_dir:
         p = Path(catalog_dir) / f"{spec}.json"
-        if p.exists():
-            return groups.parse_group(_load_json_arg(f"@{p}"))
+        try:
+            if p.exists():
+                return groups.parse_group(_load_json_arg(f"@{p}"))
+        except OSError as e:  # a name the file system refuses, such as one too long
+            raise UsageError(f"cannot read {p}: {e.strerror}") from None
     return groups.catalog_group(spec)
 
 

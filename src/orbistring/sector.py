@@ -10,6 +10,7 @@ and the Galois orbits of its roots modulo a prime give the components.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -26,8 +27,8 @@ from .cyclo import (
     _is_prime,
     _make,
     _poly_divmod,
+    _power_rows,
     _prime_root,
-    _reduce,
     euler_phi,
 )
 from .groups import FiniteGroup, GSet, fixed_points, point_gset
@@ -84,6 +85,26 @@ def _expand(terms, sparse: dict) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
+class _Roots(dict):
+    """sum of m x^t over {t: m}, every m != 0: an element of R = Z[x]/(x^level - 1)."""
+
+    __slots__ = ("level",)
+
+    def __init__(self, level: int, terms: dict):
+        super().__init__({t: m for t, m in terms.items() if m} if 0 in terms.values() else terms)
+        self.level = level
+
+    def __add__(self, other: _Roots) -> _Roots:
+        return _Roots(self.level, {t: self.get(t, 0) + other.get(t, 0) for t in self.keys() | other.keys()})
+
+    def __mul__(self, other: _Roots) -> _Roots:
+        N, out = self.level, {}
+        for t, m in self.items():
+            for s, n in other.items():
+                out[(t + s) % N] = out.get((t + s) % N, 0) + m * n
+        return _Roots(N, out)
+
+
 def _ring_product(sparse: dict, u: dict, v: dict) -> dict:
     """Product of sparse vectors under sparse structure constants."""
     return _expand([((i, j), ci * cj) for i, ci in u.items() for j, cj in v.items()], sparse)
@@ -110,7 +131,9 @@ class SectorRing:
     lists the nonzero constants (k, c) of e_i e_j = sum_k c e_k by ascending k,
     unit_coords holds the nonzero coordinates {i: c} of the unit, and trace the
     trace of each basis element.  `structure` and `unit` are dense Cyclo views
-    derived from them.  Rings compare and hash by identity.
+    derived from them.  Rings compare and hash by identity.  A twisted center's
+    `lift` is its table over R = Z[x]/(x^level - 1), with table = pi(lift) for
+    pi: x -> zeta_level; only twisted_center sets it, the constructor and replace cannot.
     """
 
     labels: tuple[str, ...]
@@ -119,6 +142,7 @@ class SectorRing:
     unit_coords: dict
     trace: tuple | None = None
     meta: dict = field(default_factory=dict)
+    lift: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -163,24 +187,26 @@ class SectorRing:
         p > 2^31 with p = 1 (mod level) that divides no denominator in them,
         with zeta_level read as a primitive level-th root of unity omega mod p.
 
-        zeta -> omega is a ring homomorphism from Z[zeta_level] onto F_p, and
-        it extends to every coefficient whose denominator p does not divide.
-        So sums and products of reduced constants are the reductions of the
-        exact ones, and a minor that is nonzero mod p is nonzero over
-        Q(zeta_level): a rank over F_p is a lower bound for the exact rank.
+        zeta -> omega is a ring homomorphism from Z[zeta_level] onto F_p, and it extends
+        to every coefficient whose denominator p does not divide.  So sums and products of
+        reduced constants are the reductions of the exact ones, and a minor that is nonzero
+        mod p is nonzero over Q(zeta_level): a rank over F_p is a lower bound for the exact
+        rank.  A lift is reduced by x -> omega, to the same table (see check_associative).
         """
         values = [c for row in self.table.values() for _, c in row] + list(self.trace or ())
         den = lcm(*(c.den if isinstance(c, Cyclo) else c.denominator for c in values))
         p, omega = _prime_root(self.level, 2**31)
         while den % p == 0:
             p, omega = _prime_root(self.level, p)
-        powers = [pow(omega, i, p) for i in range(euler_phi(self.level))]
+        powers = [pow(omega, i, p) for i in range(self.level)]
 
         def mod(c) -> int:
+            if isinstance(c, _Roots):
+                return sum(map(mul, c.values(), map(powers.__getitem__, c))) % p
             num, d = (sum(map(mul, c.num, powers)), c.den) if isinstance(c, Cyclo) else (c.numerator, c.denominator)
             return num % p if d == 1 else num * pow(d, -1, p) % p
 
-        table = {key: tuple((k, r) for k, c in row if (r := mod(c))) for key, row in self.table.items()}
+        table = {key: tuple((k, r) for k, c in (self.lift or self.table)[key] if (r := mod(c))) for key in self.table}
         return p, table, None if self.trace is None else tuple(map(mod, self.trace))
 
     def _generators(self) -> list[int]:
@@ -235,28 +261,40 @@ class SectorRing:
         for left(k, j, i) as for right(i, j, k), and for right(k, j, i) as for
         left(i, j, k); so holds(i, j, k) iff holds(k, j, i), and holds(i, j, i)
         always.
-        """
-        T, n = self.table, range(self.dim)
 
-        def holds(i: int, j: int, k: int) -> bool:
+        A lift is checked first, in R = Z[x]/(x^level - 1); the table only if that fails.
+        - x -> zeta_level is a ring homomorphism pi: R -> Z[zeta_level], and the table is pi
+          of the lift, zero images dropped.  So every identity in R holds in Q(zeta_level).
+        - x -> omega is a ring homomorphism R -> F_p.  It factors through pi, because omega is
+          a root of Phi_level mod p.  So the F_p table does not change.
+        """
+        n = range(self.dim)
+
+        def holds(T: dict, i: int, j: int, k: int) -> bool:
             left = _expand([((m, k), c) for m, c in T.get((i, j), ())], T)
             right = _expand([((i, m), c) for m, c in T.get((j, k), ())], T)
             return left == right
 
         pairs = list(combinations(n, 2) if self.is_commutative() else product(n, repeat=2))
-        if all(holds(i, j, k) for j in self._generators() for i, k in pairs):
+        gens = self._generators()
+        if any(all(holds(T, i, j, k) for j in gens for i, k in pairs) for T in (self.lift, self.table) if T):
             return
         for i, j, k in product(n, repeat=3):
-            if not holds(i, j, k):
+            if not holds(self.table, i, j, k):
                 raise SectorError(f"associativity fails at basis triple ({i},{j},{k})")
 
     def check_unit(self) -> None:
-        S, unit = self.table, self.unit_coords
-        for i in range(self.dim):
-            left = _expand([((m, i), c) for m, c in unit.items()], S)
-            right = _expand([((i, m), c) for m, c in unit.items()], S)
-            if left != {i: 1} or right != {i: 1}:
-                raise SectorError(f"unit law fails at basis element {i}")
+        one = _Roots(self.level, {0: 1})  # a lift's unit is twisted_center's: coordinates 1
+        lifted = [(self.lift, dict.fromkeys(self.unit_coords, one), one)] if self.lift else []
+        for T, unit, one in lifted + [(self.table, self.unit_coords, 1)]:
+            for i in range(self.dim):
+                left = _expand([((m, i), c) for m, c in unit.items()], T)
+                right = _expand([((i, m), c) for m, c in unit.items()], T)
+                if left != {i: one} or right != {i: one}:
+                    break
+            else:
+                return
+        raise SectorError(f"unit law fails at basis element {i}")
 
     def pairing_matrix(self) -> list[list[Cyclo]]:
         """trace(e_i e_j)."""
@@ -363,9 +401,9 @@ def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
     at r is unique, since conjugation is transitive on the class.  A row gives
     one conjugate two exponents exactly when its rep is not alpha-regular, as
     r^c = r = r^e for c in C(r) and T(r,e) = 0; such a rep is refused.  Each
-    class sum is kept as root exponents mod N, so each product is a count of
-    terms per root of unity, reduced to Q(zeta_N) on integers once per
-    coefficient.
+    product counts its terms per root of unity at each u_z, in R = Z[x]/(x^N - 1).
+    The counts at the reps are the ring's lift, and its constants their images in
+    Q(zeta_N); the span gate and the checks fall back to Q(zeta_N) where R disagrees.
     """
     if alpha.group is not G and alpha.group != G:
         raise SectorError(f"cocycle is on {alpha.group.name}, not on {G.name}")
@@ -380,38 +418,45 @@ def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
                 raise SectorError(f"twisted class sum for rep {rep} is not central")
         exponents.append(exps)
 
-    dim = len(exponents)
-    member = {x: (k, e) for k, exps in enumerate(exponents) for x, e in exps.items()}
-    zero = Cyclo.zero(N)
+    dim, phi, powers = len(exponents), euler_phi(N), _power_rows(N)
+
+    def value(count: dict) -> Cyclo:  # sum of m zeta_N^t over {t: m}
+        num = [0] * phi
+        for t, m in count.items():
+            for i, c in powers[t]:
+                num[i] += m * c
+        return _make(N, num, 1)
+
     table: dict[tuple[int, int], tuple[tuple[int, Cyclo], ...]] = {}
+    lift: dict[tuple[int, int], tuple[tuple[int, _Roots], ...]] = {}  # table = pi(lift)
     for i in range(dim):
         for j in range(dim):
-            counts: dict[int, list[int]] = {}  # u_z -> number of terms per root of unity
+            counts: dict[int, dict[int, int]] = defaultdict(dict)  # u_z -> {t: number of terms at zeta^t}
             for x, ex in exponents[i].items():
                 for y, ey in exponents[j].items():
-                    z = mul[x][y]
-                    row = counts.get(z)
-                    if row is None:
-                        row = counts[z] = [0] * N
-                    row[(ex + ey + a[x][y]) % N] += 1
-            # coefficient 1 at each rep; integer counts reduce without Fractions
-            coords = [_make(N, _reduce(N, counts[r]), 1) if r in counts else zero for r in reps]
-            # the product is sum_k coords[k] * (class sum k): compare in Q(zeta_N)
-            zeros = [0] * N
-            for z in range(G.order):
-                k, e = member.get(z, (None, 0))
-                row = counts.get(z, zeros)
-                turned = row[e:] + row[:e]  # the term at zeta^t moves to zeta^(t - e)
-                at_rep, want = (zeros, zero) if k is None else (counts.get(reps[k], zeros), coords[k])
-                # equal counts per root are equal numbers; unequal ones may still agree in Q(zeta_N)
-                if turned != at_rep and _make(N, _reduce(N, turned), 1) != want:
-                    raise SectorError("twisted product left the span of the twisted class sums")
-            if nonzero := tuple((k, c) for k, c in enumerate(coords) if c):
+                    row = counts[mul[x][y]]
+                    t = (ex + ey + a[x][y]) % N
+                    row[t] = row.get(t, 0) + 1
+            coords = {k: counts[r] for k, r in enumerate(reps) if r in counts}  # coefficient 1 at each rep
+            values = {k: value(c) for k, c in coords.items()}
+            # the product is sum_k coords[k] * (class sum k): compare in R, then in Q(zeta_N)
+            for k, c in coords.items():
+                for z, e in exponents[k].items():
+                    row = counts.pop(z, {})
+                    turned = {(t - e) % N: m for t, m in row.items()} if e else row  # zeta^t moves to zeta^(t - e)
+                    # equal counts per root are equal numbers; unequal ones may still agree in Q(zeta_N)
+                    if turned != c and value(turned) != values[k]:
+                        raise SectorError("twisted product left the span of the twisted class sums")
+            if any(map(value, counts.values())):  # on classes whose rep has no term, or irregular
+                raise SectorError("twisted product left the span of the twisted class sums")
+            lift[i, j] = tuple((k, _Roots(N, c)) for k, c in coords.items())
+            if nonzero := tuple((k, c) for k, c in values.items() if c):
                 table[i, j] = nonzero
     unit = {k: Cyclo.one(N) for k, r in enumerate(reps) if r == 0}
-    trace = tuple(Cyclo.rational(Fraction(1, G.order), N) if r == 0 else zero for r in reps)
+    trace = tuple(Cyclo.rational(Fraction(1, G.order), N) if r == 0 else Cyclo.zero(N) for r in reps)
     labels = tuple(f"tw({G.names[r]})" for r in reps)
     ring = SectorRing(labels, N, table, unit, trace, {"regular_reps": reps, "alpha": alpha})
+    object.__setattr__(ring, "lift", lift)  # the only place a lift is set
     ring.check_associative()
     ring.check_unit()
     if not ring.pairing_nondegenerate():

@@ -347,7 +347,8 @@ def test_unreadable_catalog_entry_is_usage_error(capsys, tmp_path, monkeypatch):
     (tmp_path / "S3.json").mkdir()
     (tmp_path / "Z2.json").write_text("{not json")
     monkeypatch.setenv("ORBISTRING_CATALOG", str(tmp_path))
-    for name in ("S3", "Z2"):
+    # a name too long for the file system fails its existence probe
+    for name in ("S3", "Z2", "x" * 300):
         code, out, err = run(capsys, "group", "--group", name)
         assert code == 2 and out == ""
         blob = json.loads(err)

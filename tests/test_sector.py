@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,6 +31,7 @@ from orbistring.phases import (
     catalog_cocycle,
     coboundary,
     discrete_torsion,
+    make_cocycle,
     trivial_cocycle,
 )
 from orbistring.sector import (
@@ -1043,6 +1046,148 @@ def test_check_associative_catches_triples_off_the_generators():
         assert j not in bad._generators()
         with pytest.raises(SectorError, match=re.escape(f"associativity fails at basis triple {witness}")):
             bad.check_associative()
+
+
+def _lifted_image(ring):
+    """Oracle: the lift mapped by x -> zeta_level through Cyclo sums, zero images dropped."""
+    image = {}
+    for key, row in ring.lift.items():
+        values = [(k, sum((m * Cyclo.root(ring.level, t) for t, m in c.items()), Cyclo.zero(ring.level))) for k, c in row]
+        if nonzero := tuple((k, v) for k, v in values if v):
+            image[key] = nonzero
+    return image
+
+
+def _tables_expanded(monkeypatch, ring, check):
+    """For each sector._expand call in check(), whether it ran on the lift (True) or the table (False)."""
+    seen = []
+    expand = sector._expand
+    monkeypatch.setattr(sector, "_expand", lambda terms, sparse: seen.append(sparse is ring.lift) or expand(terms, sparse))
+    check()
+    monkeypatch.setattr(sector, "_expand", expand)
+    return seen
+
+
+def _counted_cyclo_products(monkeypatch):
+    """A list that gains one entry per Cyclo product, either operand order."""
+    calls = []
+    times = Cyclo.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return times(self, other)
+
+    monkeypatch.setattr(Cyclo, "__mul__", counted)
+    monkeypatch.setattr(Cyclo, "__rmul__", counted)
+    return calls
+
+
+def test_lift_is_set_only_by_twisted_center():
+    ring = _z8_center_16()
+    assert ring.lift is not None and _lifted_image(ring) == ring.table
+    assert "lift" not in repr(ring)
+    with pytest.raises(TypeError):
+        sector.SectorRing(ring.labels, ring.level, ring.table, ring.unit_coords, lift=ring.lift)
+    assert dataclasses.replace(ring).lift is None
+    assert _corrupt_constant(ring, 0, 1, 1, lambda c: c).lift is None
+
+
+def test_failed_lifted_checks_fall_back_to_the_exact_pass(monkeypatch):
+    # 1 + x^8 maps to 1 + zeta_16^8 = 0, so adding it to a lifted constant
+    # leaves the table as it is and breaks the lifted identities
+    ring = _z8_center_16()
+    bad = copy.copy(ring)
+    kernel = sector._Roots(16, {0: 1, 8: 1})
+    lift = dict(ring.lift)
+    assert [k for k, _ in lift[0, 1]] == [1]
+    lift[0, 1] = tuple((k, c + kernel) for k, c in lift[0, 1])
+    object.__setattr__(bad, "lift", lift)
+    assert _lifted_image(bad) == bad.table == ring.table
+    assert bad._modular == ring._modular
+    for check in ("check_associative", "check_unit"):
+        # the passing ring decides on the lift alone, without a Cyclo product
+        products = _counted_cyclo_products(monkeypatch)
+        assert set(_tables_expanded(monkeypatch, ring, getattr(ring, check))) == {True}
+        assert not products
+        # the corrupted lift fails, and the exact pass runs and accepts
+        seen = _tables_expanded(monkeypatch, bad, getattr(bad, check))
+        assert True in seen and False in seen and seen.index(False) > 0
+        assert products
+    # a ring made by dataclasses.replace has no lift and names the same witness
+    z = Cyclo.root(16, 1)
+    corrupted = _corrupt_constant(ring, 3, 4, 7, lambda c: c * z)
+    replaced = dataclasses.replace(ring, table=corrupted.table)
+    assert replaced.lift is None
+    for failing in (corrupted, replaced):
+        with pytest.raises(SectorError, match=re.escape("associativity fails at basis triple (1,2,4)")):
+            failing.check_associative()
+    with pytest.raises(SectorError, match="^unit law fails at basis element 0$"):
+        dataclasses.replace(ring, unit_coords={0: z}).check_unit()
+
+
+def _d16_section_cocycle():
+    """The cocycle s(g) s(h) s(gh)^-1 on D4 of the section s(r^i t^j) = R^i T^j
+    of D16 -> D4 = D16/<R^4>, for the rotation r = (1,2,3,4) and reflection t =
+    (1,4)(2,3) of the square and R, T of the octagon.  Its values lie in the
+    center {1, R^4} of D16, read as the phases 1 and -1."""
+    D4 = catalog_group("D4")
+    r, t = D4.index_of_name("(1,2,3,4)"), D4.index_of_name("(1,4)(2,3)")
+    powers = [0]
+    for _ in range(3):
+        powers.append(D4.mul(powers[-1], r))
+    form = {D4.mul(powers[i], t if j else 0): (i, j) for i in range(4) for j in range(2)}
+    assert len(form) == 8
+    table = []
+    for g in range(8):
+        row = []
+        for h in range(8):
+            (i, j), (k, l) = form[g], form[h]
+            # R^i T^j R^k T^l = R^(i +- k) T^(j + l), and s(gh) = R^m T^(j + l)
+            m, _ = form[D4.mul(g, h)]
+            row.append(Phase.of((i + (-k if j else k) - m) % 8 // 4, 2))
+        table.append(row)
+    return D4, make_cocycle(D4, table)
+
+
+def _lift_inputs():
+    """Every catalog group twisted by seeded coboundaries at denominators 8, 16
+    and 48, on the trivial base and on Z2xZ2's nontrivial one; Z2xZ2's
+    nontrivial cocycle itself; and D4 with the cocycle of D16 -> D4."""
+    rng = random.Random(29)
+    for name in CATALOG_NAMES:
+        G = catalog_group(name)
+        bases = [trivial_cocycle(G)] + ([catalog_cocycle(G, "nontrivial")] if name == "Z2xZ2" else [])
+        for base in bases:
+            for den in (8, 16, 48):
+                beta = [Phase.one()] + [Phase.of(rng.randrange(den), den) for _ in range(G.order - 1)]
+                yield G, base * coboundary(G, beta)
+    G = catalog_group("Z2xZ2")
+    yield G, catalog_cocycle(G, "nontrivial")
+    yield _d16_section_cocycle()
+
+
+def test_d16_section_cocycle_is_not_a_coboundary():
+    D4, alpha = _d16_section_cocycle()
+    assert alpha.modulus == 2
+    assert (alpha_regular_reps(alpha), len(D4.conjugacy.reps)) == ([0, 3], 5)
+
+
+def test_lift_invariants(monkeypatch):
+    seen = 0
+    for G, alpha in _lift_inputs():
+        products = _counted_cyclo_products(monkeypatch)
+        ring = twisted_center(G, alpha)
+        assert not products, (G.name, alpha)
+        assert _lifted_image(ring) == ring.table, (G.name, alpha)
+        exact = dataclasses.replace(ring)
+        assert exact.lift is None and exact._modular == ring._modular, (G.name, alpha)
+        # the lifted checks decide alone (a ring of dimension 1 has no pair i < k
+        # to expand), and the exact checks agree with them
+        for check in ("check_associative", "check_unit"):
+            assert set(_tables_expanded(monkeypatch, ring, getattr(ring, check))) <= {True}, (G.name, alpha, check)
+            assert set(_tables_expanded(monkeypatch, exact, getattr(exact, check))) <= {False}, (G.name, alpha, check)
+        seen += 1
+    assert seen == 3 * 14 + 2
 
 
 def _trial_division_is_prime(n):
