@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -426,6 +428,32 @@ def test_basis_window_matches_recursive_oracle():
         outcomes["nonempty" if want else "no monomial"] += 1
     assert outcomes["nonempty"] > 1000 and outcomes["no monomial"] > 100
     assert outcomes["empty"] > 100 and outcomes["generator"] > 100
+
+
+
+def test_window_bases_and_product_tables_digest():
+    # 171 windows: lens(n, p) for odd n <= 7 and p <= 5, sphere-quotient(p) for
+    # p <= 4, each on lo in {-6, -3, 0} with widths 3, 6 and 9.  Every line holds
+    # the basis and, for each ordered basis pair, the sign and monomial of the
+    # product (empty when it is zero).  Pinned before the normal-form rules were
+    # derived once per presentation.
+    rings = [(f"lens({n},{p})", lens_ring(n, p)) for n in (3, 5, 7) for p in range(1, 6)]
+    rings += [(f"sphere-quotient({p})", sphere_quotient_ring(p)) for p in range(1, 5)]
+    digest, windows = hashlib.sha256(), 0
+    for name, P in rings:
+        for lo in (-6, -3, 0):
+            for hi in (lo + 3, lo + 6, lo + 9):
+                basis = basis_window(P, lo, hi)
+                table = []
+                for a in basis:
+                    for b in basis:
+                        prod = multiply(P, {a: F(1)}, {b: F(1)})
+                        assert all(type(c) is F and abs(c) == 1 for c in prod.values())
+                        table.append([[int(c), m] for m, c in prod.items()])
+                digest.update(json.dumps([name, lo, hi, basis, table]).encode() + b"\n")
+                windows += 1
+    assert windows == 171
+    assert digest.hexdigest() == "0441a0fc791dac92b80e4f72889f4587d67c8d2e73f47a8e996d7d065f0869b1"
 
 
 # Menichi's BV operator on the loop homology of odd spheres, extended to the
