@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
-from operator import add, mul
-from typing import Callable, Sequence
+from operator import add, ge, mul
+from typing import Callable, Iterable
 
 
 class GradedError(ValueError):
@@ -26,6 +25,7 @@ class WindowOverflow(GradedError):
 
 Monomial = tuple[int, ...]
 Element = dict  # Monomial -> coefficient
+_ZERO = Fraction(0)  # multiply starts each sum here, so that every coefficient is a Fraction
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,12 @@ class GradedPresentation:
         for z in self.zero_monomials:
             if len(z) != n or min(z, default=0) < 0:
                 raise GradedError(f"zero monomial {tuple(z)} does not give one non-negative exponent per generator")
+        # normal-form rules, derived once as attributes that are not fields (so ==, hash and repr read only
+        # the fields), and set here, as a first write to the instance dict later slows every attribute read
+        object.__setattr__(self, "_degs", degs := tuple(d for _, d in self.gens))
+        object.__setattr__(self, "_rules", tuple((p, d % 2 == 1) for p, d in zip(self.root_orders, degs)))
+        odd = [i for i, d in enumerate(degs) if d % 2]
+        object.__setattr__(self, "_odd_pairs", tuple((i, j) for j in odd for i in odd if i > j))
         # Graded commutativity on generator pairs; odd exponents stay <= 1, so
         # it then holds for every pair of monomials and multiply need not recheck.
         for i in range(n):
@@ -64,11 +70,6 @@ class GradedPresentation:
                 if ab[0] != swap * ba[0]:
                     raise GradedError("graded commutativity failed; relations are inconsistent")
 
-    @cached_property
-    def _odd(self) -> tuple[int, ...]:
-        """Indices of the odd generators."""
-        return tuple(i for i, (_, d) in enumerate(self.gens) if d % 2)
-
     def index(self, name: str) -> int:
         for i, (g, _) in enumerate(self.gens):
             if g == name:
@@ -76,24 +77,22 @@ class GradedPresentation:
         raise GradedError(f"unknown generator {name}")
 
     def degree(self, mono: Monomial) -> int:
-        return sum(e * d for e, (_, d) in zip(mono, self.gens))
+        return sum(map(mul, mono, self._degs))
 
-    def normal_monomial(self, mono: Sequence[int]) -> Monomial | None:
+    def normal_monomial(self, mono: Iterable[int]) -> Monomial | None:
         """Reduced exponent vector, or None when the monomial is zero."""
         out = []
-        odd = self._odd
-        for i, e in enumerate(mono):
+        for e, (p, odd) in zip(mono, self._rules, strict=True):
             if e < 0:
                 raise GradedError("negative exponent")
-            p = self.root_orders[i]
             if p is not None:
                 e %= p
-            if e > 1 and i in odd:
+            if e > 1 and odd:
                 return None  # x odd: x*x = -x*x over Q
             out.append(e)
         mono_t = tuple(out)
         for z in self.zero_monomials:
-            if all(me >= ze for me, ze in zip(mono_t, z)):
+            if all(map(ge, mono_t, z)):
                 return None
         return mono_t
 
@@ -144,18 +143,17 @@ class GradedPresentation:
 
 def _monomial_product(P: GradedPresentation, a: Monomial, b: Monomial) -> tuple[int, Monomial] | None:
     """(sign, normal form) of a*b, or None when it is zero; b's odd generators commute leftwards past a's."""
-    nm = P.normal_monomial(list(map(add, a, b)))
+    nm = P.normal_monomial(map(add, a, b))
     if nm is None:
         return None
-    odd = P._odd
-    swaps = sum(b[j] * a[i] for j in odd if b[j] for i in odd if i > j)
+    swaps = sum(b[j] * a[i] for i, j in P._odd_pairs)
     return (-1 if swaps % 2 else 1), nm
 
 
 def multiply(P: GradedPresentation, x: Element, y: Element) -> Element:
     """Product in normal form."""
     out: Element = {}
-    zero = Fraction(0)  # so that every coefficient is a Fraction
+    zero = _ZERO
     for ma, ca in x.items():
         for mb, cb in y.items():
             prod = _monomial_product(P, ma, mb)
@@ -187,15 +185,18 @@ def el_scale(x: Element, c) -> Element:
 
 
 def basis_window(P: GradedPresentation, lo: int, hi: int) -> list[Monomial]:
-    """All normal monomials with degree in [lo, hi], sorted by (degree, exponents)."""
+    """All normal monomials with degree in [lo, hi], sorted by (degree, exponents).
+
+    Within the caps every candidate is non-negative, below each root order and at most 1 on each odd generator,
+    so normal_monomial leaves it as it is unless a zero monomial divides it: it is normal exactly when none does.
+    """
     if lo > hi:
         raise GradedError("empty degree window")
     caps: list[int | None] = []
-    for i, (name, deg) in enumerate(P.gens):
-        p = P.root_orders[i]
+    for i, ((name, deg), (p, odd)) in enumerate(zip(P.gens, P._rules)):
         if p is not None:
             caps.append(p - 1)
-        elif i in P._odd:
+        elif odd:
             caps.append(1)
         elif pure := [z[i] - 1 for z in P.zero_monomials if z[i] > 0 and not any(z[:i] + z[i + 1 :])]:
             caps.append(min(pure))
@@ -203,15 +204,19 @@ def basis_window(P: GradedPresentation, lo: int, hi: int) -> list[Monomial]:
             caps.append(None)  # bounded by the window itself
         else:
             raise GradedError(f"generator {name} has unbounded negative degree; window is infinite")
-    degs = [d for _, d in P.gens]
+    degs, zeros = P._degs, P.zero_monomials
     # the capped generators reach down to degree low, so a free one of degree d has e * d <= hi - low
     low = sum(min(0, d * cap) for d, cap in zip(degs, caps) if cap is not None)
     ranges = [range((hi - low) // d + 1 if cap is None else cap + 1) for d, cap in zip(degs, caps)]
     found = []
     for m in product(*ranges):
         deg = sum(map(mul, m, degs))
-        if lo <= deg <= hi and P.normal_monomial(m) == m:
-            found.append((deg, m))
+        if lo <= deg <= hi:
+            for z in zeros:
+                if all(map(ge, m, z)):
+                    break
+            else:
+                found.append((deg, m))
     found.sort()
     return [m for _, m in found]
 
@@ -221,8 +226,12 @@ def basis_window(P: GradedPresentation, lo: int, hi: int) -> list[Monomial]:
 
 def lens_ring(n: int, p: int) -> GradedPresentation:
     """Loop homology of the odd lens space quotient: exterior a, polynomial u, root v."""
-    if n < 1 or n % 2 == 0:
+    if n % 2 == 0:
         raise GradedError("the sphere dimension must be odd")
+    if n < 3:
+        raise GradedError(
+            f"the sphere dimension must be at least 3, got {n}: the loop homology of S^1 needs an invertible u of degree 0"
+        )
     if p < 1:
         raise GradedError("the cyclic order must be positive")
     return GradedPresentation(
@@ -242,6 +251,12 @@ def sphere_quotient_ring(p: int) -> GradedPresentation:
         (0, 1, 1, 0),  # a*v
     )
     return GradedPresentation(gens, (None, None, None, p), zero)
+
+
+def lens_delta(P: GradedPresentation, lo: int, hi: int, power: int = 1) -> dict:
+    """Delta(a u^k v^j) = k^power u^(k-1) v^j on the window basis of lens_ring(n, p): power=1 is
+    Menichi's BV operator on odd spheres (Comment. Math. Helv. 84, 2009), power=2 a Delta that fails Jacobi."""
+    return {(a, k, j): {(0, k - 1, j): Fraction(k**power)} for a, k, j in basis_window(P, lo, hi) if a and k}
 
 
 # BV checker -----------------------------------------------------------------

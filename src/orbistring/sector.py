@@ -667,8 +667,9 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
     one integer solve in the n coefficients of h (_crt), gives the h of degree
     < n with h = alpha (mod g) on every component.  The rational map
     sending probe_a^k to h(probe_b)^k is then verified exactly as a unital
-    algebra isomorphism.  Probes, the CRT, the witness solve and its checks run
-    on ints through one fraction-free elimination.  Dimension, component or field
+    algebra isomorphism, invertible modulo the least prime above 2^31 or else by
+    the exact echelon.  Probes, the CRT, the witness solve and its checks run on
+    ints through one fraction-free elimination.  Dimension, component or field
     mismatches are certified obstructions; components of degree > 2 are
     reported inconclusive.
     """
@@ -750,6 +751,12 @@ def morita_compare(X: GSet, Y: GSet, seed: int = 7) -> MoritaReport:
             if apply(dict(sa.get((i, j), ())), D) != _ring_product(sb, cols[i], cols[j]):
                 rep.detail = "witness failed the homomorphism check; inconclusive"
                 return rep
+    p, rows = _prime_root(1, 2**31)[0], {}
+    if not all(_echelon_insert_mod(rows, c, p) for c in cols):
+        rows = {}
+        if not all(_echelon_insert(rows, dict(c), 0, Fraction(1)) for c in cols):
+            rep.detail = "witness is not invertible; inconclusive"
+            return rep
     rep.isomorphic = True
     rep.witness = [list(row) for row in zip(*Tt)]
     rep.detail = "rational basis change verified on all basis pairs"

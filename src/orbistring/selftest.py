@@ -33,6 +33,7 @@ from .graded import (
     basis_window,
     bv_check,
     graded_window_bv,
+    lens_delta,
     lens_ring,
     multiply,
     ring_window_bv,
@@ -426,6 +427,13 @@ def crit_09_bv_checker(seed: int) -> CheckResult:
     rep3 = bv_check(graded_window_bv(L, -3, 6, {amono: {one: Fraction(1)}}))
     if rep3.ok or not rep3.failures:
         return CheckResult("criterion-09 bv-checker", False, "degree-violating Delta not caught")
+    menichi, squared = (bv_check(graded_window_bv(L, -3, 6, lens_delta(L, -3, 6, power))) for power in (1, 2))
+    if not menichi.ok:
+        return CheckResult("criterion-09 bv-checker", False, "Menichi's Delta on lens(3,2) fails")
+    if not all(menichi.checked.get(k) for k in ("antisym", "leibniz", "jacobi")):
+        return CheckResult("criterion-09 bv-checker", False, "Menichi's Delta on lens(3,2) checks no bracket")
+    if squared.ok or squared.failures[0]["axiom"] != "jacobi":
+        return CheckResult("criterion-09 bv-checker", False, "squared Menichi Delta not caught at jacobi")
     return CheckResult(
         "criterion-09 bv-checker",
         True,

@@ -254,18 +254,35 @@ def test_criterion_07_negative_controls(monkeypatch, enumerate_gmd, detail):
     assert result.detail == detail
 
 
+_LENS32 = graded.lens_ring(3, 2)
+_MENICHI, _MENICHI_SQUARED = (graded.lens_delta(_LENS32, -3, 6, power) for power in (1, 2))
+
+
+def _passes():
+    """A passing report that counts no instance."""
+    return graded.BVReport(True)
+
+
+def _refuses():
+    return graded.BVReport(False, [{"axiom": "patched", "witness": ""}])
+
+
 @pytest.mark.parametrize(
-    "refuses,detail",
+    "fake,detail",
     [
-        (lambda D: False, "degree-violating Delta not caught"),
-        (lambda D: D.window == (0, 0), "Z(Q[S3]) with Delta=0 fails"),
-        (lambda D: D.window == (-3, 6) and not D.delta, "lens(3,2) with Delta=0 fails"),
+        (lambda D: _passes(), "degree-violating Delta not caught"),
+        (lambda D: _refuses() if D.window == (0, 0) else _passes(), "Z(Q[S3]) with Delta=0 fails"),
+        (lambda D: _refuses() if D.window == (-3, 6) and not D.delta else _passes(), "lens(3,2) with Delta=0 fails"),
+        (lambda D: _refuses() if D.delta == _MENICHI else None, "Menichi's Delta on lens(3,2) fails"),
+        (lambda D: _passes() if D.delta == _MENICHI else None, "Menichi's Delta on lens(3,2) checks no bracket"),
+        (lambda D: _passes() if D.delta == _MENICHI_SQUARED else None, "squared Menichi Delta not caught at jacobi"),
+        (lambda D: _refuses() if D.delta == _MENICHI_SQUARED else None, "squared Menichi Delta not caught at jacobi"),
     ],
 )
-def test_criterion_09_negative_controls(monkeypatch, refuses, detail):
-    # a bv_check that refuses only the named windows and passes everything else
+def test_criterion_09_negative_controls(monkeypatch, fake, detail):
+    # a bv_check that answers with fake(D), or runs the real check where fake gives None
     def patched(D, max_failures=1):
-        return graded.BVReport(False, [{"axiom": "patched", "witness": ""}]) if refuses(D) else graded.BVReport(True)
+        return fake(D) or graded.bv_check(D, max_failures)
 
     monkeypatch.setattr(st, "bv_check", patched)
     result = st.crit_09_bv_checker(SEED)

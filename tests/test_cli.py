@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from orbistring.cli import main
-from orbistring.graded import basis_window, lens_ring
+from orbistring.graded import basis_window, lens_delta, lens_ring
 
 
 def run(capsys, *argv):
@@ -225,6 +225,19 @@ def test_gchords_input_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": message, "kind": "HolonomyError"}
+
+
+@pytest.mark.parametrize(
+    "n,message",
+    [
+        ("1", "the sphere dimension must be at least 3, got 1: "
+              "the loop homology of S^1 needs an invertible u of degree 0"),
+        ("4", "the sphere dimension must be odd"),
+    ],
+)
+def test_ring_names_a_bad_lens_dimension(capsys, n, message):
+    code, out, err = run(capsys, "ring", "--name", "lens", "--n", n, "--p", "2")
+    assert (code, out, json.loads(err)) == (1, "", {"error": message, "kind": "GradedError"})
 
 
 def test_ring_and_bvcheck_cli(capsys, tmp_path):
@@ -560,10 +573,10 @@ def test_group_table_checks_name_their_witness(capsys, tmp_path):
 
 def _menichi_delta_entries(power):
     """Menichi's Delta(a u^k v^j) = k^power u^(k-1) v^j on lens(3,2) [-3, 6], as --delta entries."""
-    basis = basis_window(lens_ring(3, 2), -3, 6)
-    entries = [
-        [i, basis.index((0, k - 1, j)), str(k**power)] for i, (a, k, j) in enumerate(basis) if a == 1 and k > 0
-    ]
+    P = lens_ring(3, 2)
+    basis = basis_window(P, -3, 6)
+    delta = lens_delta(P, -3, 6, power)
+    entries = [[basis.index(m), basis.index(t), str(c)] for m, row in delta.items() for t, c in row.items()]
     return json.dumps({"entries": entries})
 
 

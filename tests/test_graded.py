@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -19,6 +20,7 @@ from orbistring.graded import (
     el_add,
     el_scale,
     graded_window_bv,
+    lens_delta,
     lens_ring,
     multiply,
     ring_window_bv,
@@ -32,6 +34,9 @@ def test_lens_ring_requires_odd_n():
     with pytest.raises(GradedError):
         lens_ring(2, 3)
     lens_ring(5, 1)
+    for n in (1, -1):
+        with pytest.raises(GradedError, match=f"^the sphere dimension must be at least 3, got {n}: "):
+            lens_ring(n, 2)
 
 
 def test_unit_law():
@@ -187,6 +192,30 @@ def test_normal_form_confluence_random_orders():
                 break
         else:
             assert P.normal_monomial(step) == nm
+
+
+def test_normal_monomial_precedence():
+    # the odd a squares to zero before any exponent to its right is read
+    P = lens_ring(3, 2)
+    assert P.normal_monomial((2, -1, 0)) is None
+    with pytest.raises(GradedError, match="^negative exponent$"):
+        P.normal_monomial((-1, 2, 0))
+    # a monomial of the wrong length is refused, not read on a prefix
+    for mono in ((1, 0, 0, 5), (1, 0)):
+        with pytest.raises(ValueError, match="^zip"):
+            P.normal_monomial(mono)
+
+
+def test_presentations_built_apart_compare_equal_and_replace_derives_rules_again():
+    P, Q = sphere_quotient_ring(3), sphere_quotient_ring(3)
+    assert P is not Q and P == Q and hash(P) == hash(Q) and repr(P) == repr(Q)
+    assert repr(P).count("=") == 3  # the three fields, none of the derived rules
+    # a of degree -3 is odd beside b, so a * b = -b * a and a squares to zero
+    R = dataclasses.replace(P, gens=(("b", 1), ("a", -3), ("v", 2), ("y", 0)), zero_monomials=())
+    assert R != P and R._odd_pairs == ((1, 0),)
+    assert R.degree((1, 1, 1, 0)) == 0 and R.normal_monomial((0, 2, 0, 0)) is None
+    assert multiply(R, R.monomial(a=1), R.monomial(b=1)) == {(1, 1, 0, 0): F(-1)}
+    assert multiply(R, R.monomial(b=1), R.monomial(a=1)) == {(1, 1, 0, 0): F(1)}
 
 
 def test_degree0_free_generator_rejected():
@@ -363,9 +392,16 @@ def _oracle_basis_window(P, lo, hi):
         max_rest[i] = None if cap is None or above is None else above + max(0, d * cap)
     out = []
 
+    def normal(mono):
+        """Read off the relations, not through P.normal_monomial."""
+        for e, (_, d), p in zip(mono, P.gens, P.root_orders):
+            if (p is not None and e >= p) or (d % 2 and e > 1):
+                return False
+        return not any(all(e >= ze for e, ze in zip(mono, z)) for z in P.zero_monomials)
+
     def rec(i, cur, mono):
         if i == k:
-            if lo <= cur <= hi and P.normal_monomial(mono) == tuple(mono):
+            if lo <= cur <= hi and normal(mono):
                 out.append(tuple(mono))
             return
         d, cap = degs[i], caps[i]
@@ -430,7 +466,6 @@ def test_basis_window_matches_recursive_oracle():
     assert outcomes["empty"] > 100 and outcomes["generator"] > 100
 
 
-
 def test_window_bases_and_product_tables_digest():
     # 171 windows: lens(n, p) for odd n <= 7 and p <= 5, sphere-quotient(p) for
     # p <= 4, each on lo in {-6, -3, 0} with widths 3, 6 and 9.  Every line holds
@@ -456,29 +491,25 @@ def test_window_bases_and_product_tables_digest():
     assert digest.hexdigest() == "0441a0fc791dac92b80e4f72889f4587d67c8d2e73f47a8e996d7d065f0869b1"
 
 
-# Menichi's BV operator on the loop homology of odd spheres, extended to the
-# lens presentation: Delta(a u^k v^j) = k u^(k-1) v^j (Comment. Math. Helv. 84,
-# 2009).  The windows are the ones the benchmark probes use.
+# Menichi's BV operator on the lens presentations, on the windows the benchmark
+# probes use.
 MENICHI_WINDOWS = [(3, 1, -3, 6), (3, 2, -3, 6), (3, 3, -3, 4), (5, 2, -5, 8)]
 
 
-def menichi_delta(P, lo, hi, power=1):
-    """Delta(a u^k v^j) = k^power u^(k-1) v^j on the window basis."""
-    ia, iu = P.index("a"), P.index("u")
-    delta = {}
-    for mono in basis_window(P, lo, hi):
-        k = mono[iu]
-        if mono[ia] == 1 and k > 0:
-            target = list(mono)
-            target[ia], target[iu] = 0, k - 1
-            delta[mono] = {tuple(target): F(k**power)}
-    return delta
+def test_lens_delta_entries():
+    P = lens_ring(3, 2)
+    delta = lens_delta(P, -3, 6, power=2)
+    assert {P.mono_str(m): {P.mono_str(t): c for t, c in row.items()} for m, row in delta.items()} == {
+        "a*u": {"1": 1}, "a*u*v": {"v": 1}, "a*u^2": {"u": 4}, "a*u^2*v": {"u*v": 4},
+        "a*u^3": {"u^2": 9}, "a*u^3*v": {"u^2*v": 9}, "a*u^4": {"u^3": 16}, "a*u^4*v": {"u^3*v": 16},
+    }
+    assert all(type(c) is F for row in delta.values() for c in row.values())
 
 
 @pytest.mark.parametrize("n,p,lo,hi", MENICHI_WINDOWS)
 def test_bv_check_accepts_menichi_delta(n, p, lo, hi):
     P = lens_ring(n, p)
-    rep = bv_check(graded_window_bv(P, lo, hi, menichi_delta(P, lo, hi)))
+    rep = bv_check(graded_window_bv(P, lo, hi, lens_delta(P, lo, hi)))
     assert rep.ok, rep.failures
     assert rep.checked["antisym"] > 0 and rep.checked["jacobi"] > 0
 
@@ -486,14 +517,14 @@ def test_bv_check_accepts_menichi_delta(n, p, lo, hi):
 @pytest.mark.parametrize("n,p,lo,hi", MENICHI_WINDOWS)
 def test_bv_check_rejects_squared_menichi_delta(n, p, lo, hi):
     P = lens_ring(n, p)
-    rep = bv_check(graded_window_bv(P, lo, hi, menichi_delta(P, lo, hi, power=2)))
+    rep = bv_check(graded_window_bv(P, lo, hi, lens_delta(P, lo, hi, power=2)))
     assert not rep.ok
     assert rep.failures[0]["axiom"] == "jacobi"
 
 
 def test_squared_menichi_delta_also_breaks_leibniz():
     P = lens_ring(3, 1)
-    rep = bv_check(graded_window_bv(P, -3, 6, menichi_delta(P, -3, 6, power=2)), max_failures=10**6)
+    rep = bv_check(graded_window_bv(P, -3, 6, lens_delta(P, -3, 6, power=2)), max_failures=10**6)
     assert {f["axiom"] for f in rep.failures} == {"jacobi", "leibniz"}
 
 
@@ -505,11 +536,11 @@ def test_bv_check_counts_and_witnesses_are_pinned():
     zero = bv_check(graded_window_bv(P, -3, 9))
     assert zero.ok
     assert list(zero.checked.items()) == list(zip(CHECKED_KEYS, (24, 24, 456, 7824, 7824, 6120)))
-    menichi = bv_check(graded_window_bv(P, -3, 9, menichi_delta(P, -3, 9)))
+    menichi = bv_check(graded_window_bv(P, -3, 9, lens_delta(P, -3, 9)))
     assert menichi.ok
     assert list(menichi.checked.items()) == list(zip(CHECKED_KEYS, (24, 22, 356, 5112, 4272, 9774)))
     P1 = lens_ring(3, 1)
-    rep = bv_check(graded_window_bv(P1, -3, 6, menichi_delta(P1, -3, 6, power=2)), max_failures=10**6)
+    rep = bv_check(graded_window_bv(P1, -3, 6, lens_delta(P1, -3, 6, power=2)), max_failures=10**6)
     assert Counter(f["axiom"] for f in rep.failures) == {"jacobi": 84, "leibniz": 75}
     assert rep.failures[:3] == [
         {"axiom": "jacobi", "witness": "jacobi fails at ((1, 0, 0),(1, 1, 0),(1, 2, 0))"},
@@ -524,7 +555,7 @@ def _lens_window():
 
 def _lens_window_menichi():
     P = lens_ring(3, 2)
-    return graded_window_bv(P, -3, 6, menichi_delta(P, -3, 6)), True
+    return graded_window_bv(P, -3, 6, lens_delta(P, -3, 6)), True
 
 
 def _dw_ring_s3():
@@ -805,7 +836,7 @@ def test_bv_check_matches_elementwise_oracle(w):
         homogeneous = case % 3 != 2
         delta = {} if case == 0 else _random_delta(rng, D0.basis, D0.degree, homogeneous)
         if case == 1 and make is not None and "u" in (name for name, _ in P.gens):
-            delta = menichi_delta(P, lo, hi)
+            delta = lens_delta(P, lo, hi)
         for max_failures in (1, 5, 10**6):
             got, want = bv_check(build(delta), max_failures), _oracle_bv_check(build(delta), max_failures)
             assert (got.ok, got.failures, got.checked) == (want.ok, want.failures, want.checked)

@@ -553,6 +553,33 @@ def test_morita_witness_gates_fire(monkeypatch, column, detail):
     assert (rep.isomorphic, rep.obstruction, rep.witness, rep.detail) == (None, None, None, detail)
 
 
+def test_morita_singular_witness_is_inconclusive(monkeypatch):
+    # a _crt that sends every component to the root of the left ring's first
+    # linear factor gives a constant h: the witness A -> Q -> B is a unital
+    # homomorphism of rank 1, which the unit and product checks both accept
+    real = sector._crt
+    monkeypatch.setattr(sector, "_crt", lambda matched, n: real([(g, matched[0][1]) for g, _ in matched], n))
+    X = point_gset(catalog_group("S3"))
+    rep = morita_compare(X, X, seed=46)
+    assert (rep.isomorphic, rep.obstruction, rep.witness) == (None, None, None)
+    assert rep.detail == "witness is not invertible; inconclusive"
+
+
+def test_morita_invertibility_falls_back_to_exact_echelon(monkeypatch):
+    # a dependence modulo the prime is not yet a singular witness
+    X = point_gset(catalog_group("S3"))
+    want = morita_compare(X, X, seed=46).to_json()
+    real = sector._echelon_insert_mod
+
+    def dependent(rows, v, p):
+        """A dependence on every column of the witness, read from morita_compare's generator."""
+        if sys._getframe(1).f_code.co_name == "<genexpr>" and sys._getframe(2).f_code.co_name == "morita_compare":
+            return {}
+        return real(rows, v, p)
+
+    monkeypatch.setattr(sector, "_echelon_insert_mod", dependent)
+    assert morita_compare(X, X, seed=46).to_json() == want and want["isomorphic"] is True
+
 def test_probe_minimal_polynomial_gate_fires(monkeypatch):
     # a solution whose x^n column is not integral
     _patch_solve(monkeypatch, "_probe_split", lambda sol: [[row[0] + Fraction(1, 2)] + row[1:] for row in sol])
