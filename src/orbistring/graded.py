@@ -81,8 +81,13 @@ class GradedPresentation:
 
     def normal_monomial(self, mono: Iterable[int]) -> Monomial | None:
         """Reduced exponent vector, or None when the monomial is zero."""
+        _check_lengths(self, [mono := tuple(mono)])
+        return self._normal(mono)
+
+    def _normal(self, mono: Iterable[int]) -> Monomial | None:
+        """normal_monomial of a monomial known to have one exponent per generator."""
         out = []
-        for e, (p, odd) in zip(mono, self._rules, strict=True):
+        for e, (p, odd) in zip(mono, self._rules):
             if e < 0:
                 raise GradedError("negative exponent")
             if p is not None:
@@ -141,9 +146,16 @@ class GradedPresentation:
         }
 
 
+def _check_lengths(P: GradedPresentation, monos: Iterable[Monomial]) -> None:
+    """Refuse, naming it, the first monomial that does not give one exponent per generator."""
+    if (bad := next((m for m in monos if len(m) != len(P.gens)), None)) is not None:
+        raise GradedError(f"monomial {tuple(bad)} does not give one exponent per generator")
+
+
 def _monomial_product(P: GradedPresentation, a: Monomial, b: Monomial) -> tuple[int, Monomial] | None:
-    """(sign, normal form) of a*b, or None when it is zero; b's odd generators commute leftwards past a's."""
-    nm = P.normal_monomial(map(add, a, b))
+    """(sign, normal form) of a*b, or None when it is zero; b's odd generators commute leftwards past a's.
+    a and b have one exponent per generator: multiply checks its arguments, and a window's basis has them."""
+    nm = P._normal(map(add, a, b))
     if nm is None:
         return None
     swaps = sum(b[j] * a[i] for i, j in P._odd_pairs)
@@ -152,6 +164,7 @@ def _monomial_product(P: GradedPresentation, a: Monomial, b: Monomial) -> tuple[
 
 def multiply(P: GradedPresentation, x: Element, y: Element) -> Element:
     """Product in normal form."""
+    _check_lengths(P, [*x, *y])
     out: Element = {}
     zero = _ZERO
     for ma, ca in x.items():

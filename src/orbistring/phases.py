@@ -8,7 +8,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence
 
-from .groups import FiniteGroup, _json_int, _json_int_table, _load_json, conjugacy_classes
+from .groups import FiniteGroup, _json_int, _json_int_table, _load_json
 
 
 class CocycleError(ValueError):
@@ -248,13 +248,6 @@ def restrict_to_centralizer(t: TorsionCocycle, g: int) -> dict[int, Phase]:
                     f"tau(g={g},-) is not a character on the centralizer", (g, h1, h2)
                 )
     return chi
-
-
-def alpha_regular_reps(alpha: TwoCocycle) -> list[int]:
-    """Class representatives g with tau(g,-) trivial on C(g)."""
-    T = _torsion_exponents(alpha)
-    data = conjugacy_classes(alpha.group)
-    return [rep for rep, cent in zip(data.reps, data.centralizers) if not any(T[rep][h] for h in cent)]
 
 
 # JSON interchange -----------------------------------------------------------

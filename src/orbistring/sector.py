@@ -10,14 +10,13 @@ and the Galois orbits of its roots modulo a prime give the components.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cyclo import (
     Cyclo,
@@ -32,7 +31,7 @@ from .cyclo import (
     euler_phi,
 )
 from .groups import FiniteGroup, GSet, fixed_points, point_gset
-from .phases import TwoCocycle, _torsion_row, alpha_regular_reps
+from .phases import TwoCocycle, _torsion_exponents
 
 
 class SectorError(ValueError):
@@ -46,25 +45,6 @@ def sector_basis(X: GSet) -> list[tuple[int, int]]:
         for m in fixed_points(X, g):
             out.append((g, m))
     return out
-
-
-def sector_act(X: GSet, p: tuple[int, int], h: int) -> tuple[int, int]:
-    """(g, x) . h = (h^-1 g h, x h)."""
-    g, x = p
-    return (X.group.conjugate(g, h), X.act[x][h])
-
-
-def sector_orbits(X: GSet) -> list[tuple[tuple[int, int], ...]]:
-    """G-orbits of sector pairs, each sorted, listed by least member."""
-    seen: set[tuple[int, int]] = set()
-    orbits = []
-    for p in sector_basis(X):
-        if p in seen:
-            continue
-        orb = sorted({sector_act(X, p, h) for h in range(X.group.order)})
-        seen.update(orb)
-        orbits.append(tuple(orb))
-    return orbits
 
 
 def _nonzero(vec: Sequence) -> dict:
@@ -105,6 +85,15 @@ class _Roots(dict):
         return _Roots(N, out)
 
 
+def _root_sum(N: int, count: dict) -> Cyclo:
+    """sum of m zeta_N^t over {t: m}, in Q(zeta_N)."""
+    num, powers = [0] * euler_phi(N), _power_rows(N)
+    for t, m in count.items():
+        for i, c in powers[t]:
+            num[i] += m * c
+    return _make(N, num, 1)
+
+
 def _ring_product(sparse: dict, u: dict, v: dict) -> dict:
     """Product of sparse vectors under sparse structure constants."""
     return _expand([((i, j), ci * cj) for i, ci in u.items() for j, cj in v.items()], sparse)
@@ -131,9 +120,9 @@ class SectorRing:
     lists the nonzero constants (k, c) of e_i e_j = sum_k c e_k by ascending k,
     unit_coords holds the nonzero coordinates {i: c} of the unit, and trace the
     trace of each basis element.  `structure` and `unit` are dense Cyclo views
-    derived from them.  Rings compare and hash by identity.  A twisted center's
-    `lift` is its table over R = Z[x]/(x^level - 1), with table = pi(lift) for
-    pi: x -> zeta_level; only twisted_center sets it, the constructor and replace cannot.
+    derived from them.  Rings compare and hash by identity.  `lift`, set by the
+    sector-ring builder at level > 1, is the table over R = Z[x]/(x^level - 1),
+    with table = pi(lift) for pi: x -> zeta_level; the constructor and replace cannot set it.
     """
 
     labels: tuple[str, ...]
@@ -201,6 +190,8 @@ class SectorRing:
         powers = [pow(omega, i, p) for i in range(self.level)]
 
         def mod(c) -> int:
+            if type(c) is int:
+                return c % p
             if isinstance(c, _Roots):
                 return sum(map(mul, c.values(), map(powers.__getitem__, c))) % p
             num, d = (sum(map(mul, c.num, powers)), c.den) if isinstance(c, Cyclo) else (c.numerator, c.denominator)
@@ -284,7 +275,7 @@ class SectorRing:
                 raise SectorError(f"associativity fails at basis triple ({i},{j},{k})")
 
     def check_unit(self) -> None:
-        one = _Roots(self.level, {0: 1})  # a lift's unit is twisted_center's: coordinates 1
+        one = _Roots(self.level, {0: 1})  # a lift's unit has coordinates 1, as the builder sets it
         lifted = [(self.lift, dict.fromkeys(self.unit_coords, one), one)] if self.lift else []
         for T, unit, one in lifted + [(self.table, self.unit_coords, 1)]:
             for i in range(self.dim):
@@ -336,34 +327,108 @@ class SectorRing:
         return out
 
 
-def _string_ring(X: GSet, identity_trace: Fraction | None) -> SectorRing:
-    """The G-invariant sector ring of X, checked associative and unital; with
-    identity_trace, each orbit sum in the unit has that trace and the rest 0."""
-    G = X.group
-    orbits = sector_orbits(X)
-    index = {p: i for i, orb in enumerate(orbits) for p in orb}
-    table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for i, oi in enumerate(orbits):
-        for j, oj in enumerate(orbits):
-            acc: dict[tuple[int, int], int] = {}
-            for g, x in oi:
-                for h, y in oj:
-                    if x == y:
-                        key = (G.mul(g, h), x)
-                        acc[key] = acc.get(key, 0) + 1
-            # the sum is G-invariant; read off the orbit-sum coordinates
-            coords: dict[int, int] = {}
-            for p, c in acc.items():
-                if coords.setdefault(index[p], c) != c:
-                    raise SectorError("product failed to be orbit-constant")
-            if coords:
-                table[i, j] = tuple(sorted(coords.items()))
-    unit = {i: 1 for i, orb in enumerate(orbits) if orb[0][0] == 0}
-    labels = tuple("{" + ",".join(f"({G.names[g]},{x})" for g, x in orb) + "}" for orb in orbits)
-    trace = None if identity_trace is None else tuple(identity_trace if i in unit else 0 for i in range(len(orbits)))
-    ring = SectorRing(labels, 1, table, unit, trace, meta={"orbits": orbits, "gset": X})
+def _loop_orbits(X: GSet, T: Sequence[Sequence[int]]) -> tuple[list[tuple], list[set]]:
+    """The orbits of loops (g, x), x g = x, under (g, x) . h = (g^h, x h), listed by least
+    loop: each one's loops, sorted, and members (g, x, e), e = T(g',h) where the walk from
+    the least loop (g', x') reaches (g, x); only the orbits it reaches at one e per loop."""
+    seen, loop_orbits, orbits = set(), [], []
+    for g, x in sector_basis(X):
+        if (g, x) not in seen:
+            loops = set(zip(X.group.conjugation[g], X.act[x]))
+            walk = set(zip(X.group.conjugation[g], X.act[x], T[g]))
+            seen |= loops
+            if len(walk) == len(loops):
+                loop_orbits.append(tuple(sorted(loops)))
+                orbits.append(walk)
+    return loop_orbits, orbits
+
+
+def _sector_ring(X: GSet, alpha: TwoCocycle | None, frobenius: bool) -> SectorRing:
+    """The string ring of [X/G] with discrete torsion alpha (None: untwisted), the center
+    of the alpha-twisted groupoid algebra of X x G over Q(zeta_N), N = alpha.modulus;
+    checked associative and unital, and with frobenius (trace 1/|G| on the identity
+    loops, 0 elsewhere) its pairing checked nondegenerate.
+
+    The algebra has the loops (g, x), x g = x, as basis, with (g, x)(h, x) =
+    zeta_N^a(g,h) (gh, x), alpha = exp(2 pi i a/N), and (g, x)(h, y) = 0 for x != y.
+    u_h^-1 (g, x) u_h = zeta_N^T(g,h) (g^h, x h) for the torsion exponents T of
+    phases._torsion_row, with T(g,hk) = T(g,h) + T(g^h,k): _torsion_exponents checks
+    this law for N > 1, and at N = 1 every exponent is 0 mod 1, so it holds unchecked.
+    The orbit sum of p = (g, x) is S_p = sum over h of zeta_N^T(g,h) (g^h, x h).  As
+    (g^h, x h) = (g^h', x h') means h' = ch with c in C(g) n G_x, and T(g,h') = T(g,c)
+    + T(g,h), S_p is well defined exactly when T(g,-) vanishes on C(g) n G_x, p
+    alpha-regular.  S_p is central: u_k^-1 S_p u_k has exponent T(g,h) + T(g^h,k) =
+    T(g,hk) at (g^(hk), x hk).  It is the one central element with coefficient 1 at p,
+    conjugation being transitive on the orbit, and an irregular orbit carries none:
+    conjugation by c multiplies the coefficient at p by zeta_N^T(g,c) != 1.
+
+    S_i S_j is counted per root of unity at each loop, in R = Z[x]/(x^N - 1); c_k is its
+    count at orbit k's least loop, where S_k has coefficient 1.  The span gate requires
+    S_i S_j - sum_k c_k S_k to vanish at every loop, on the counts first and in Q(zeta_N)
+    only where they differ.  S_j S_i = S_i S_j, the center being commutative.  For N > 1
+    the counts are the lift, the constants their images; at N = 1 they are the constants.
+    """
+    G, n, size = X.group, X.group.order, X.size
+    N = 1 if alpha is None else alpha.modulus
+    T = _torsion_exponents(alpha) if N > 1 else [(0,) * n] * n
+    a = alpha.exps if N > 1 else T  # at N = 1 every phase is 1
+    loop_orbits, orbits = _loop_orbits(X, T)
+    least = {(g * size + x) * N: k for k, ((g, x), *_) in enumerate(loop_orbits)}  # the least loop's key -> k
+    table, lift = {}, {}  # table = pi(lift), kept for N > 1
+
+    def per_index(pairs) -> Iterator[tuple[int, dict[int, int]]]:  # sorted (i * N + t, m) -> (i, {t: m})
+        return ((i, {key % N: m for key, m in group}) for i, group in groupby(pairs, lambda km: km[0] // N))
+    for i, left in enumerate(orbits):
+        for j, right in enumerate(orbits):
+            if j < i:  # the center is commutative: S_i S_j = S_j S_i
+                lifted, row = lift.get((j, i)), table.get((j, i))
+            else:
+                counts: dict[int, int] = {}  # (g * size + x) * N + t -> the number of terms at zeta_N^t at (g, x)
+                for g, x, e in left:
+                    mg, ag = G.mult[g], a[g]
+                    for h, y, f in right:
+                        if x == y:
+                            key = (mg[h] * size + x) * N + (e + f + ag[h]) % N
+                            counts[key] = counts.get(key, 0) + 1
+                coords = []  # (k * N + t, m): m terms at zeta_N^t at the least member of orbit k
+                for key, m in counts.items():
+                    t = key % N
+                    if (k := least.get(key - t)) is not None:
+                        coords.append((k * N + t, m))
+                coords.sort()
+                for key, m in coords:  # counts becomes the product less sum_k c_k S_k
+                    k, t = divmod(key, N)
+                    for g, x, e in orbits[k]:
+                        key = (g * size + x) * N + (t + e) % N
+                        counts[key] = counts.get(key, 0) - m
+                if any(counts.values()) and any(_root_sum(N, c) for _, c in per_index(sorted(counts.items()))):
+                    raise SectorError("product left the span of the orbit sums")
+                if N == 1:
+                    lifted, row = None, tuple(coords)
+                else:
+                    c_k = list(per_index(coords))  # c_k = sum of m x^t over {t: m}
+                    lifted = tuple((k, _Roots(N, c)) for k, c in c_k)
+                    row = tuple((k, v) for k, c in c_k if (v := _root_sum(N, c)))
+            if row:
+                table[i, j] = row
+            lift[i, j] = lifted
+    one, zero, tr = (1, 0, Fraction(1, n)) if N == 1 else (Cyclo.one(N), Cyclo.zero(N), Cyclo.rational(Fraction(1, n), N))
+    unit = {k: one for k, loops in enumerate(loop_orbits) if loops[0][0] == 0}
+    trace = tuple(tr if k in unit else zero for k in range(len(orbits))) if frobenius else None
+    if alpha is None:
+        labels = tuple("{" + ",".join(f"({G.names[g]},{x})" for g, x in loops) + "}" for loops in loop_orbits)
+        meta = {"orbits": loop_orbits, "gset": X}
+    else:
+        reps = [loops[0][0] for loops in loop_orbits]
+        labels = tuple(f"tw({G.names[g]})" for g in reps)
+        meta = {"regular_reps": reps, "alpha": alpha}
+    ring = SectorRing(labels, N, table, unit, trace, meta)
+    if N > 1:
+        object.__setattr__(ring, "lift", lift)
     ring.check_associative()
     ring.check_unit()
+    if frobenius and not ring.pairing_nondegenerate():
+        raise SectorError("Frobenius pairing is degenerate")
     return ring
 
 
@@ -375,93 +440,21 @@ def orbifold_string_ring(X: GSet) -> SectorRing:
     identity sector and the one-point case is literally the class algebra.
     Other conventions rescale the structure constants by powers of |G|.
     """
-    return _string_ring(X, None)
+    return _sector_ring(X, None, False)
 
 
 def dw_frobenius(G: FiniteGroup) -> SectorRing:
     """Z(Q[G]) on class sums with trace = (coefficient of the identity class) / |G|."""
-    ring = _string_ring(point_gset(G), Fraction(1, G.order))
-    if not ring.pairing_nondegenerate():
-        raise SectorError("Frobenius pairing is degenerate")
-    return ring
+    return _sector_ring(point_gset(G), None, True)
 
 
 def twisted_center(G: FiniteGroup, alpha: TwoCocycle) -> SectorRing:
-    """The center of the alpha-twisted group algebra over Q(zeta_N).
-
-    One basis vector per alpha-regular conjugacy class.  With alpha(x, y) =
-    zeta_N^a(x, y), the torsion exponents T(g,h) = a(g,h) - a(h, g^h) of
-    phases._torsion_row give u_h^-1 u_g u_h = zeta_N^T(g,h) u_(g^h), and the
-    class sum of a rep r is S_r = sum of zeta_N^T(r,h) u_(r^h), read off r's
-    row.  alpha_regular_reps has checked the groupoid law T(g,hk) = T(g,h) +
-    T(g^h,k) and returns the r with T(r,c) = 0 for c in C(r).  So the exponent
-    is well defined: r^h = r^h' means h' = ch with c in C(r), and T(r,h') =
-    T(r,c) + T(r,h) = T(r,h).  And S_r is central: u_k^-1 S_r u_k has exponent
-    T(r,h) + T(r^h,k) = T(r,hk) at r^(hk).  A central sum with coefficient 1
-    at r is unique, since conjugation is transitive on the class.  A row gives
-    one conjugate two exponents exactly when its rep is not alpha-regular, as
-    r^c = r = r^e for c in C(r) and T(r,e) = 0; such a rep is refused.  Each
-    product counts its terms per root of unity at each u_z, in R = Z[x]/(x^N - 1).
-    The counts at the reps are the ring's lift, and its constants their images in
-    Q(zeta_N); the span gate and the checks fall back to Q(zeta_N) where R disagrees.
-    """
+    """The center of the alpha-twisted group algebra over Q(zeta_N), N = alpha.modulus:
+    one basis vector per alpha-regular conjugacy class, its twisted class sum with
+    coefficient 1 at the class's least element (see _sector_ring)."""
     if alpha.group is not G and alpha.group != G:
         raise SectorError(f"cocycle is on {alpha.group.name}, not on {G.name}")
-    N, a = alpha.modulus, alpha.exps
-    reps = alpha_regular_reps(alpha)
-    mul = G.mult
-    exponents: list[dict[int, int]] = []  # class sum of reps[i] = sum of zeta_N^e u_x over {x: e}
-    for rep in reps:
-        exps: dict[int, int] = {}
-        for y, e in zip(G.conjugation[rep], _torsion_row(alpha, rep)):
-            if exps.setdefault(y, e) != e:
-                raise SectorError(f"twisted class sum for rep {rep} is not central")
-        exponents.append(exps)
-
-    dim, phi, powers = len(exponents), euler_phi(N), _power_rows(N)
-
-    def value(count: dict) -> Cyclo:  # sum of m zeta_N^t over {t: m}
-        num = [0] * phi
-        for t, m in count.items():
-            for i, c in powers[t]:
-                num[i] += m * c
-        return _make(N, num, 1)
-
-    table: dict[tuple[int, int], tuple[tuple[int, Cyclo], ...]] = {}
-    lift: dict[tuple[int, int], tuple[tuple[int, _Roots], ...]] = {}  # table = pi(lift)
-    for i in range(dim):
-        for j in range(dim):
-            counts: dict[int, dict[int, int]] = defaultdict(dict)  # u_z -> {t: number of terms at zeta^t}
-            for x, ex in exponents[i].items():
-                for y, ey in exponents[j].items():
-                    row = counts[mul[x][y]]
-                    t = (ex + ey + a[x][y]) % N
-                    row[t] = row.get(t, 0) + 1
-            coords = {k: counts[r] for k, r in enumerate(reps) if r in counts}  # coefficient 1 at each rep
-            values = {k: value(c) for k, c in coords.items()}
-            # the product is sum_k coords[k] * (class sum k): compare in R, then in Q(zeta_N)
-            for k, c in coords.items():
-                for z, e in exponents[k].items():
-                    row = counts.pop(z, {})
-                    turned = {(t - e) % N: m for t, m in row.items()} if e else row  # zeta^t moves to zeta^(t - e)
-                    # equal counts per root are equal numbers; unequal ones may still agree in Q(zeta_N)
-                    if turned != c and value(turned) != values[k]:
-                        raise SectorError("twisted product left the span of the twisted class sums")
-            if any(map(value, counts.values())):  # on classes whose rep has no term, or irregular
-                raise SectorError("twisted product left the span of the twisted class sums")
-            lift[i, j] = tuple((k, _Roots(N, c)) for k, c in coords.items())
-            if nonzero := tuple((k, c) for k, c in values.items() if c):
-                table[i, j] = nonzero
-    unit = {k: Cyclo.one(N) for k, r in enumerate(reps) if r == 0}
-    trace = tuple(Cyclo.rational(Fraction(1, G.order), N) if r == 0 else Cyclo.zero(N) for r in reps)
-    labels = tuple(f"tw({G.names[r]})" for r in reps)
-    ring = SectorRing(labels, N, table, unit, trace, {"regular_reps": reps, "alpha": alpha})
-    object.__setattr__(ring, "lift", lift)  # the only place a lift is set
-    ring.check_associative()
-    ring.check_unit()
-    if not ring.pairing_nondegenerate():
-        raise SectorError("twisted Frobenius pairing is degenerate")
-    return ring
+    return _sector_ring(point_gset(G), alpha, True)
 
 
 # Morita comparison ----------------------------------------------------------

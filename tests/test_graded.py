@@ -200,10 +200,24 @@ def test_normal_monomial_precedence():
     assert P.normal_monomial((2, -1, 0)) is None
     with pytest.raises(GradedError, match="^negative exponent$"):
         P.normal_monomial((-1, 2, 0))
-    # a monomial of the wrong length is refused, not read on a prefix
-    for mono in ((1, 0, 0, 5), (1, 0)):
-        with pytest.raises(ValueError, match="^zip"):
+    # a monomial of the wrong length is refused by name, not read on a prefix
+    for mono in ((1, 0, 0, 5), (1, 0), (0, 2, 0, 7)):
+        with pytest.raises(GradedError) as err:
             P.normal_monomial(mono)
+        assert type(err.value) is GradedError
+        assert str(err.value) == f"monomial {mono} does not give one exponent per generator"
+
+
+def test_multiply_refuses_a_monomial_of_the_wrong_length():
+    # read on a prefix, (0, 1, 0, 7) * 1 was u on lens(3,2); each key of each argument is checked
+    P = lens_ring(3, 2)
+    assert multiply(P, {(0, 1, 0): F(1)}, P.unit()) == {(0, 1, 0): F(1)}
+    for x, y in (({(0, 1, 0, 7): 1}, P.unit()), (P.unit(), {(0, 1, 0): 1, (2,): 1}), ({(0, 0, 0): 1, (): 3}, {})):
+        bad = next(m for m in [*x, *y] if len(m) != 3)
+        with pytest.raises(GradedError) as err:
+            multiply(P, x, y)
+        assert type(err.value) is GradedError
+        assert str(err.value) == f"monomial {bad} does not give one exponent per generator"
 
 
 def test_presentations_built_apart_compare_equal_and_replace_derives_rules_again():

@@ -2,8 +2,9 @@
 
 A function, class or constant defined at the top level of a module under
 src/orbistring must be named in some Python file under src, tests, demos or
-perfbench outside its own definition, and a private (underscore) name must be
-used under src itself: a use from tests alone does not keep a helper alive.
+perfbench outside its own definition.  A private (underscore) name must be
+used under src itself, and a public one under src, demos or perfbench: a use
+from tests alone does not keep a name alive.
 Dunder names are exempt.  A module other than __init__.py also uses every
 name it imports.
 """
@@ -63,6 +64,12 @@ def test_no_dead_top_level_names():
 def test_private_names_are_used_in_src():
     dead = _unused(("src",), lambda name: name.startswith("_"))
     assert not dead, "private top-level names with no use in src: " + ", ".join(dead)
+
+
+def test_public_names_are_used_outside_tests():
+    # a public name serves the package, its demos or its benchmark, not only its tests
+    dead = _unused(("src", "demos", "perfbench"), lambda name: not name.startswith("_"))
+    assert not dead, "public top-level names used only by tests: " + ", ".join(dead)
 
 
 def _unused_imports(path: Path):

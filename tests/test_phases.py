@@ -14,7 +14,6 @@ from orbistring.phases import (
     TwoCocycle,
     _cocycle_law,
     _table_exponents,
-    alpha_regular_reps,
     catalog_cocycle,
     check_torsion_law,
     coboundary,
@@ -24,6 +23,7 @@ from orbistring.phases import (
     restrict_to_centralizer,
     trivial_cocycle,
 )
+from orbistring.sector import twisted_center
 
 
 def test_phase_arithmetic():
@@ -348,7 +348,7 @@ def test_integer_cocycles_match_phase_oracle():
                 regular = [
                     r for r, cent in zip(data.reps, data.centralizers) if all(tau[r][h].is_one() for h in cent)
                 ]
-                assert alpha_regular_reps(alpha) == regular
+                assert twisted_center(G, alpha).meta["regular_reps"] == regular
 
 
 def test_cocycle_scales_compare_and_hash_equal():
@@ -366,7 +366,7 @@ def test_cocycle_scales_compare_and_hash_equal():
         assert (alpha * inverse).modulus == 1
 
 
-def test_alpha_regular_reps_gates_the_torsion_law():
+def test_twisted_center_gates_the_torsion_law():
     # tables that are no 2-cocycle can break the groupoid law of their torsion
     rng = random.Random(16)
     broken = 0
@@ -380,8 +380,29 @@ def test_alpha_regular_reps_gates_the_torsion_law():
             if want.ok:
                 continue
             broken += 1
-            for torsion in (discrete_torsion, alpha_regular_reps):
+            for torsion in (discrete_torsion, lambda alpha: twisted_center(alpha.group, alpha)):
                 with pytest.raises(CocycleError) as got:
                     torsion(alpha)
                 assert (str(got.value), got.value.witness) == (want.reason, want.witness)
     assert broken >= 15
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: trivial_cocycle(catalog_group("Z4")) * trivial_cocycle(catalog_group("Z2xZ2")),
+         "cocycle product across different groups"),
+        (lambda: coboundary(catalog_group("Z3"), [Phase.one()] * 2), "beta must assign a phase to every element"),
+        (lambda: coboundary(catalog_group("Z3"), [Phase.one()] * 4), "beta must assign a phase to every element"),
+        (lambda: coboundary(catalog_group("Z2"), [Phase.of(1, 2), Phase.one()]), "beta(e) must be 1"),
+        (lambda: make_cocycle(catalog_group("Z2"), [[Phase.one()] * 2]), "table must be 2x2"),
+        (lambda: make_cocycle(catalog_group("Z2"), [[Phase.one()] * 2, [Phase.one()]]), "table must be 2x2"),
+    ],
+)
+def test_cocycle_input_checks_name_the_bad_input(call, message):
+    # no CLI verb reaches these: parse_cocycle checks its table's shape first,
+    # and no verb multiplies cocycles or builds a coboundary
+    with pytest.raises(CocycleError) as err:
+        call()
+    assert type(err.value) is CocycleError
+    assert (str(err.value), err.value.witness) == (message, None)

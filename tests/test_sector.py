@@ -16,18 +16,21 @@ from orbistring import sector
 from orbistring.cyclo import Cyclo, _echelon_insert, _is_prime, _poly_divmod, _prime_root, cyclotomic_poly
 from orbistring.groups import (
     CATALOG_NAMES,
+    FiniteGroup,
     GSet,
     catalog_group,
     catalog_subgroup,
     conjugacy_classes,
     coset_gset,
     point_gset,
+    subgroup_closure,
     translation_gset,
 )
 from orbistring.phases import (
     Phase,
+    TwoCocycle,
+    _torsion_exponents,
     _torsion_row,
-    alpha_regular_reps,
     catalog_cocycle,
     coboundary,
     discrete_torsion,
@@ -44,7 +47,6 @@ from orbistring.sector import (
     dw_frobenius,
     morita_compare,
     orbifold_string_ring,
-    sector_act,
     sector_basis,
     twisted_center,
 )
@@ -58,6 +60,12 @@ def group_algebra_product(G, xs, ys):
             k = G.mul(g, h)
             out[k] = out.get(k, 0) + cg * ch
     return {k: v for k, v in out.items() if v}
+
+
+def sector_act(X, p, h):
+    """(g, x) . h = (h^-1 g h, x h)."""
+    g, x = p
+    return (X.group.conjugate(g, h), X.act[x][h])
 
 
 def sector_product(X, a, b):
@@ -197,6 +205,64 @@ def test_string_ring_is_transfer_sector_product_projection(X):
             assert dict(ring.table.get((i, j), ())) == {k: c for k, c in coords.items() if c}
 
 
+def _string_ring_oracle(X):
+    """The untwisted string ring as it was built before one builder made every
+    sector ring: (labels, orbits, table) of the orbit sums of sector pairs, listed
+    by least member, each product read off as one count per orbit."""
+    G = X.group
+    seen, orbits = set(), []
+    for p in sector_basis(X):
+        if p not in seen:
+            orb = tuple(sorted({sector_act(X, p, h) for h in range(G.order)}))
+            seen.update(orb)
+            orbits.append(orb)
+    index = {p: i for i, orb in enumerate(orbits) for p in orb}
+    table = {}
+    for i, oi in enumerate(orbits):
+        for j, oj in enumerate(orbits):
+            acc = {}
+            for g, x in oi:
+                for h, y in oj:
+                    if x == y:
+                        key = (G.mul(g, h), x)
+                        acc[key] = acc.get(key, 0) + 1
+            coords = {}
+            for p, c in acc.items():
+                assert coords.setdefault(index[p], c) == c, "product is not orbit-constant"
+            if coords:
+                table[i, j] = tuple(sorted(coords.items()))
+    labels = tuple("{" + ",".join(f"({G.names[g]},{x})" for g, x in orb) + "}" for orb in orbits)
+    return labels, orbits, table
+
+
+def _subgroups(G):
+    """Every subgroup of G generated by two elements, as its sorted elements."""
+    return sorted({tuple(subgroup_closure(G, (a, b))) for a in range(G.order) for b in range(a, G.order)})
+
+
+def _disjoint_union(X, Y):
+    return GSet.from_table(X.group, [list(row) for row in X.act] + [[x + X.size for x in row] for row in Y.act])
+
+
+def test_string_ring_matches_the_orbit_sum_oracle():
+    # every subgroup of these groups is generated by two elements
+    gsets = []
+    for name, count in (("S3", 6), ("S4", 30), ("D4", 10), ("Q8", 6), ("Z2xZ2", 5), ("Z6", 4)):
+        G = catalog_group(name)
+        subgroups = _subgroups(G)
+        assert len(subgroups) == count, name
+        gsets += [coset_gset(G, H) for H in subgroups]
+    S4 = catalog_group("S4")
+    gsets.append(_disjoint_union(coset_gset(*catalog_subgroup("S4", "S3")), coset_gset(S4, subgroup_closure(S4, [1]))))
+    assert len(gsets) == 62
+    for X in gsets:
+        labels, orbits, table = _string_ring_oracle(X)
+        ring = orbifold_string_ring(X)
+        assert ring.labels == labels and ring.meta["orbits"] == orbits, X
+        assert list(ring.table.items()) == list(table.items()), X
+        assert ring.unit_coords == {i: 1 for i, orb in enumerate(orbits) if orb[0][0] == 0}
+
+
 def test_dw_frobenius_s3_example():
     S3 = catalog_group("S3")
     ring = dw_frobenius(S3)
@@ -254,15 +320,6 @@ def test_twisted_center_abelian_dimension_formula():
         if all(alpha.table[g][h] == alpha.table[h][g] for h in range(4))
     )
     assert twisted_center(G, alpha).dim == expected == 1
-
-
-def test_twisted_center_refuses_a_class_without_a_central_sum(monkeypatch):
-    # under the nontrivial cocycle on Z2xZ2 only the identity is alpha-regular; fed
-    # every class rep, the torsion row of rep 1 gives one conjugate a second phase
-    G = catalog_group("Z2xZ2")
-    monkeypatch.setattr(sector, "alpha_regular_reps", lambda alpha: list(conjugacy_classes(G).reps))
-    with pytest.raises(SectorError, match="^twisted class sum for rep 1 is not central$"):
-        twisted_center(G, catalog_cocycle(G, "nontrivial"))
 
 
 def test_twisted_center_dim_equals_regular_count_random_coboundary():
@@ -680,7 +737,7 @@ def test_pairing_gates_fire_on_a_repeated_row(monkeypatch):
     _repeat_pairing_row(monkeypatch)
     with pytest.raises(SectorError, match="^Frobenius pairing is degenerate$"):
         dw_frobenius(catalog_group("S3"))
-    with pytest.raises(SectorError, match="^twisted Frobenius pairing is degenerate$"):
+    with pytest.raises(SectorError, match="^Frobenius pairing is degenerate$"):
         _level8_center()
 
 
@@ -731,15 +788,31 @@ def test_check_associative_names_corrupted_triple():
             _corrupt_constant(ring, i, j, k, change).check_associative()
 
 
+def _split_orbit(monkeypatch, k, keep):
+    """Make _loop_orbits split orbit k in two, its first `keep` loops and the rest;
+    or drop orbit k when keep is None."""
+    walk = sector._loop_orbits
+
+    def split(X, T):
+        loop_orbits, orbits = walk(X, T)
+        loops, members = loop_orbits.pop(k), orbits.pop(k)
+        if keep is not None:
+            parts = [loops[:keep], loops[keep:]]
+            loop_orbits[k:k] = parts
+            orbits[k:k] = [{m for m in members if m[:2] in part} for part in parts]
+        return loop_orbits, orbits
+
+    monkeypatch.setattr(sector, "_loop_orbits", split)
+
+
 def test_orbit_constant_gate_fires(monkeypatch):
-    # splitting the transposition orbit of point:S4 in two makes the orbit sums
-    # fail to close: a product is no longer constant on the fake orbits
+    # the span gate on an untwisted G-set: splitting the transposition orbit of
+    # point:S4 in two makes the orbit sums fail to close, as a product is no
+    # longer constant on the fake orbits
     X = point_gset(catalog_group("S4"))
-    orbits = sector.sector_orbits(X)
-    assert [len(o) for o in orbits] == [1, 6, 8, 3, 6]
-    fake = orbits[:1] + [orbits[1][:1], orbits[1][1:]] + orbits[2:]
-    monkeypatch.setattr(sector, "sector_orbits", lambda X: fake)
-    with pytest.raises(SectorError, match="^product failed to be orbit-constant$"):
+    assert [len(loops) for loops in sector._loop_orbits(X, [(0,) * 24] * 24)[0]] == [1, 6, 8, 3, 6]
+    _split_orbit(monkeypatch, 1, 1)
+    with pytest.raises(SectorError, match="^product left the span of the orbit sums$"):
         orbifold_string_ring(X)
 
 
@@ -763,25 +836,14 @@ def test_check_unit_names_corrupted_element():
             _corrupt_constant(ring, 0, 2, 2, lambda c: c * value).check_unit()
 
 
-def test_twisted_center_rejects_non_regular_class(monkeypatch):
-    # the class of a non-alpha-regular element has no central twisted class sum
-    G = catalog_group("Z2xZ2")
-    alpha = catalog_cocycle(G, "nontrivial")
-    regular = sector.alpha_regular_reps(alpha)
-    assert regular == [0]
-    monkeypatch.setattr(sector, "alpha_regular_reps", lambda a: regular + [1])
-    with pytest.raises(SectorError, match=r"^twisted class sum for rep 1 is not central$"):
-        twisted_center(G, alpha)
-
-
 def test_twisted_center_rejects_missing_class(monkeypatch):
-    # without the 3-cycles, (sum of transpositions)^2 leaves the span
+    # the span gate on a twisted point: without the 3-cycles, (twisted sum of the
+    # transpositions)^2 leaves the span, here at level 8
     S3 = catalog_group("S3")
-    alpha = trivial_cocycle(S3)
-    regular = sector.alpha_regular_reps(alpha)
-    assert regular == [0, 1, 3]
-    monkeypatch.setattr(sector, "alpha_regular_reps", lambda a: regular[:2])
-    with pytest.raises(SectorError, match=r"^twisted product left the span of the twisted class sums$"):
+    alpha = coboundary(S3, [Phase.one()] + [Phase.of(k, 8) for k in (1, 3, 5, 2, 7)])
+    assert alpha.modulus == 8 and twisted_center(S3, alpha).meta["regular_reps"] == [0, 1, 3]
+    _split_orbit(monkeypatch, 2, None)
+    with pytest.raises(SectorError, match="^product left the span of the orbit sums$"):
         twisted_center(S3, alpha)
 
 
@@ -821,7 +883,7 @@ def _class_sum_inputs():
 def test_class_sums_read_off_the_torsion_rows_match_the_frontier_oracle():
     regular_seen = irregular_seen = 0
     for G, alpha in _class_sum_inputs():
-        regular = alpha_regular_reps(alpha)
+        regular = [loops[0][0] for loops in sector._loop_orbits(point_gset(G), _torsion_exponents(alpha))[0]]
         for r in G.conjugacy.reps:
             row = _torsion_row(alpha, r)
             read = {}
@@ -1196,7 +1258,60 @@ def _lift_inputs():
 def test_d16_section_cocycle_is_not_a_coboundary():
     D4, alpha = _d16_section_cocycle()
     assert alpha.modulus == 2
-    assert (alpha_regular_reps(alpha), len(D4.conjugacy.reps)) == ([0, 3], 5)
+    assert (twisted_center(D4, alpha).meta["regular_reps"], len(D4.conjugacy.reps)) == ([0, 3], 5)
+
+
+def _as_group(G, K):
+    """The subgroup K of G, its elements sorted with the identity first, as a group
+    of its own that keeps G's element names."""
+    at = {g: i for i, g in enumerate(K)}
+    return FiniteGroup.from_table(f"{G.name}|{len(K)}", [[at[G.mul(g, h)] for h in K] for g in K], [G.names[g] for g in K])
+
+
+def test_twisted_string_ring_of_a_coset_is_the_twisted_center_of_its_stabilizer():
+    # Morita: the string ring of [(K\G)/G] with torsion alpha is that of [pt/K]
+    # with alpha|K.  Each orbit of loops meets the coset K (point 0) in a class of
+    # K, and the restriction to point 0 is an isomorphism of twisted centers; so
+    # rescaling each orbit sum to coefficient 1 at its class's least element
+    # gives twisted_center(K, alpha|K) constant for constant
+    D4, d16 = _d16_section_cocycle()
+    rng = random.Random(31)
+    cocycles = []
+    for base in (d16, trivial_cocycle(D4)):
+        beta = [Phase.one()] + [Phase.of(rng.randrange(8), 8) for _ in range(7)]
+        cocycles += [base, base * coboundary(D4, beta)]
+    klein = []
+    compared = 0
+    for K in (K for K in _subgroups(D4) if len(K) in (2, 4)):
+        X, H = coset_gset(D4, K), _as_group(D4, K)
+        assert all(X.act[0][k] == 0 for k in K)
+        if len(K) == 4 and all(D4.element_order(k) <= 2 for k in K):
+            klein.append(K)
+        for alpha in cocycles:
+            ring = sector._sector_ring(X, alpha, False)
+            T = _torsion_exponents(alpha) if alpha.modulus > 1 else [(0,) * 8] * 8
+            orbits = sector._loop_orbits(X, T)[1]
+            restricted = TwoCocycle(H, alpha.modulus, [[alpha.exps[g][h] for h in K] for g in K])
+            center = twisted_center(H, restricted)
+            # the basis vector of center at rep r is orbit i's sum rescaled by zeta^-e
+            match, scale = {}, {}
+            for i, members in enumerate(orbits):
+                at_coset = {g: e for g, x, e in members if x == 0}
+                (r,) = [r for r in center.meta["regular_reps"] if K[r] in at_coset]
+                match[i], scale[i] = center.meta["regular_reps"].index(r), Cyclo.root(alpha.modulus, at_coset[K[r]])
+            assert sorted(match.values()) == list(range(center.dim)), (K, alpha)
+            for i, j, k in product(range(ring.dim), repeat=3):
+                rescaled = ring.structure[i][j][k] * scale[k] / (scale[i] * scale[j])
+                assert rescaled == center.structure[match[i]][match[j]][match[k]], (K, alpha, i, j, k)
+                compared += 1
+    assert compared == 676
+    # negative control: on the two Klein subgroups the D16 cocycle restricts to no
+    # coboundary, and the twisted ring is smaller than the untwisted one
+    assert len(klein) == 2
+    for K in klein:
+        X = coset_gset(D4, K)
+        assert orbifold_string_ring(X).dim == 4
+        assert [sector._sector_ring(X, alpha, False).dim for alpha in cocycles] == [1, 1, 4, 4]
 
 
 def test_lift_invariants(monkeypatch):
@@ -1205,6 +1320,10 @@ def test_lift_invariants(monkeypatch):
         products = _counted_cyclo_products(monkeypatch)
         ring = twisted_center(G, alpha)
         assert not products, (G.name, alpha)
+        seen += 1
+        if ring.level == 1:  # on Z1 every phase is 1: the constants are ints, with no lift
+            assert G.name == "Z1" and ring.lift is None and ring.table == {(0, 0): ((0, 1),)}
+            continue
         assert _lifted_image(ring) == ring.table, (G.name, alpha)
         exact = dataclasses.replace(ring)
         assert exact.lift is None and exact._modular == ring._modular, (G.name, alpha)
@@ -1213,8 +1332,25 @@ def test_lift_invariants(monkeypatch):
         for check in ("check_associative", "check_unit"):
             assert set(_tables_expanded(monkeypatch, ring, getattr(ring, check))) <= {True}, (G.name, alpha, check)
             assert set(_tables_expanded(monkeypatch, exact, getattr(exact, check))) <= {False}, (G.name, alpha, check)
-        seen += 1
     assert seen == 3 * 14 + 2
+
+
+def test_level_one_twisted_center_stores_rationals():
+    # at level 1 every phase is 1: the constants and the unit are ints, the trace
+    # 1/|G| a Fraction, and no lift is set; the JSON is the one of the Cyclo ring
+    # the builder made before it
+    S3 = catalog_group("S3")
+    ring = twisted_center(S3, trivial_cocycle(S3))
+    assert ring.level == 1 and ring.lift is None
+    assert {type(c) for row in ring.table.values() for _, c in row} == {type(c) for c in ring.unit_coords.values()} == {int}
+    assert [type(c) for c in ring.trace] == [Fraction, int, int]
+    assert json.dumps(ring.to_json(), sort_keys=True) == (
+        '{"basis": ["tw(e)", "tw((2,3))", "tw((1,2,3))"], "dim": 3, "level": 1, "structure": '
+        '[[0, 0, 0, "1"], [0, 1, 1, "1"], [0, 2, 2, "1"], [1, 0, 1, "1"], [1, 1, 0, "3"], [1, 1, 2, "3"], '
+        '[1, 2, 1, "2"], [2, 0, 2, "1"], [2, 1, 1, "2"], [2, 2, 0, "2"], [2, 2, 2, "1"]], '
+        '"trace": ["1/6", "0", "0"], "unit": ["1", "0", "0"]}'
+    )
+    assert dw_frobenius(S3).to_json() == ring.to_json() | {"basis": list(dw_frobenius(S3).labels)}
 
 
 def _trial_division_is_prime(n):
