@@ -131,8 +131,8 @@ def _clusters(chords: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
     ends, sorted, each sorted; raises on a crossing or on any cycle."""
     spans = [(x, y) if x < y else (y, x) for x, y in chords]
     if _crosses(spans):
+        # the sweep returns True only on a pair lo' < lo < hi' < hi, one the scan names
         _check_crossings(spans)
-        raise DiagramError("crossing", "chords cross, but the pairwise scan names no pair")
     parent: dict[int, int] = {}
     for x, y in spans:
         parent.setdefault(x, x)
@@ -247,13 +247,12 @@ def _label(dec: _Decomposition, marks: Sequence[int], forced_arc_labels=None) ->
             if not on_face:
                 raise DiagramError("mark-off-region", f"mark {mi + 1} is not on region {mi + 1}", mi)
     else:
-        # faces ordered by their least arc start, for deterministic matching
-        order = sorted(range(n), key=lambda f: min(u[1] for u in faces[f] if u[0] == "seg"))
-
+        # faces are already ordered by their least arc start, for deterministic matching:
+        # _face_units lists them by first arc, and the vertices ascend
         def candidates(z: int) -> list[int]:
             if z in cluster_at:
                 ci = cluster_at[z]
-                return [f for f in order if ci in touched[f]]
+                return [f for f in range(n) if ci in touched[f]]
             return [dec.face_of_point(z)]
 
         cand = [candidates(z) for z in marks]

@@ -284,13 +284,13 @@ def cmd_ring(args) -> str:
     basis = graded.basis_window(P, lo, hi)
     payload["window"] = [lo, hi]
     payload["basis"] = [{"monomial": P.mono_str(m), "degree": P.degree(m)} for m in basis]
-    table = []
+    table, in_window = [], set(basis)
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             prod = graded._monomial_product(P, a, b)
             if prod is None:
                 table.append([i, j, "0"])
-            elif prod[1] in basis:
+            elif prod[1] in in_window:
                 sign, m = prod
                 table.append([i, j, P.mono_str(m) if sign == 1 else f"-1*{P.mono_str(m)}"])
     payload["products"] = table

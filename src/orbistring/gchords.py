@@ -30,7 +30,6 @@ from .chords import (
     canonical_md,
     identity_md,
     region_walk,
-    relabel as relabel_md,
     validate_diagram,
 )
 from .groups import FiniteGroup, _json_int, _load_json
@@ -240,14 +239,6 @@ def g_identity(G: FiniteGroup, h: int) -> GDiagram:
     """The graded identity at holonomy h: no chords, mark at the base point, unit lift."""
     _check_elements(G, [h])
     return GDiagram(identity_md(), G, h, (), (0,))
-
-
-def relabel(W: GDiagram, perm: Sequence[int]) -> GDiagram:
-    base = relabel_md(W.base, perm)
-    lifts = [0] * W.n
-    for old, k in enumerate(W.lifts):
-        lifts[perm[old]] = k
-    return GDiagram(base, W.group, W.outer, W.transports, tuple(lifts))
 
 
 def _transport_to(W: GDiagram, tape: WalkTape, word: tuple, s: int) -> int:

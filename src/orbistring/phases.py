@@ -65,7 +65,8 @@ class TwoCocycle:
 
     alpha(g, h) = exp(2*pi*i*exps[g][h]/modulus) with exps[g][h] in [0, modulus).
     Construction divides modulus and exponents by their gcd, so modulus is the
-    least level of the table and equal cocycles compare and hash equal.
+    least level of the table and equal cocycles compare and hash equal, then
+    raises CocycleError where _cocycle_law fails, at the same triples.
     `table` is the same cocycle as phases.
     """
 
@@ -74,6 +75,12 @@ class TwoCocycle:
     exps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        self._reduce()
+        rep = _cocycle_law(self.group, self.modulus, self.exps)
+        if not rep.ok:
+            raise CocycleError(rep.reason, rep.witness)
+
+    def _reduce(self) -> None:
         d = gcd(self.modulus, *(e for row in self.exps for e in row))
         object.__setattr__(self, "modulus", self.modulus // d)
         object.__setattr__(self, "exps", tuple(tuple(e // d for e in row) for row in self.exps))
@@ -88,7 +95,20 @@ class TwoCocycle:
         L = lcm(self.modulus, other.modulus)
         s, t = L // self.modulus, L // other.modulus
         rows = (tuple((s * a + t * b) % L for a, b in zip(u, v)) for u, v in zip(self.exps, other.exps))
-        return TwoCocycle(self.group, L, tuple(rows))
+        return _closed_cocycle(self.group, L, tuple(rows))
+
+
+def _closed_cocycle(G: FiniteGroup, L: int, exps: tuple) -> TwoCocycle:
+    """TwoCocycle(G, L, exps) reduced but unchecked, for its three callers, whose
+    tables satisfy the law by construction.  trivial_cocycle: the zero table is
+    normalized and zeroes every term.  coboundary: delta(beta), beta(e) = 1, has
+    exponents b(g) + b(h) - b(gh), normalized as b(e) = 0, and they cancel term
+    by term in the identity.  TwoCocycle.__mul__: the identity is linear, so the
+    sum of two cocycle tables scaled to a common level is one."""
+    alpha = object.__new__(TwoCocycle)
+    alpha.__dict__.update(group=G, modulus=L, exps=exps)
+    alpha._reduce()
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -138,22 +158,18 @@ def _cocycle_law(G: FiniteGroup, L: int, a: Sequence[Sequence[int]]) -> CocycleR
 
 
 def make_cocycle(G: FiniteGroup, table: Sequence[Sequence[Phase]]) -> TwoCocycle:
-    """Normalize (divide by alpha(e,e)) and validate, on the table's exponents
-    modulo its level, from which the cocycle is built."""
+    """The cocycle of a phase table, normalized (divided by alpha(e,e)) on its
+    exponents modulo its level; TwoCocycle checks the law."""
     n = G.order
     if len(table) != n or any(len(r) != n for r in table):
         raise CocycleError(f"table must be {n}x{n}")
     L, a = _table_exponents(table)
     unit = a[0][0]
-    a = [[(e - unit) % L for e in row] for row in a]
-    rep = _cocycle_law(G, L, a)
-    if not rep.ok:
-        raise CocycleError(rep.reason, rep.witness)
-    return TwoCocycle(G, L, a)
+    return TwoCocycle(G, L, [[(e - unit) % L for e in row] for row in a])
 
 
 def trivial_cocycle(G: FiniteGroup) -> TwoCocycle:
-    return TwoCocycle(G, 1, ((0,) * G.order,) * G.order)
+    return _closed_cocycle(G, 1, ((0,) * G.order,) * G.order)
 
 
 def coboundary(G: FiniteGroup, beta: Sequence[Phase]) -> TwoCocycle:
@@ -165,7 +181,7 @@ def coboundary(G: FiniteGroup, beta: Sequence[Phase]) -> TwoCocycle:
         raise CocycleError("beta(e) must be 1")
     L, (b,) = _table_exponents([vals])
     rows = (tuple((bg + b[h] - b[gh]) % L for h, gh in enumerate(row)) for bg, row in zip(b, G.mult))
-    return TwoCocycle(G, L, tuple(rows))
+    return _closed_cocycle(G, L, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -186,13 +202,13 @@ def _torsion_row(alpha: TwoCocycle, g: int) -> list[int]:
 
 
 def _torsion_exponents(alpha: TwoCocycle) -> list[list[int]]:
-    """The rows T(g, -) of _torsion_row over every g; raises if T fails the groupoid law."""
-    G = alpha.group
-    T = [_torsion_row(alpha, g) for g in range(G.order)]
-    rep = _torsion_law(G, alpha.modulus, T)
-    if not rep.ok:
-        raise CocycleError(rep.reason, rep.witness)
-    return T
+    """The rows T(g, -) of _torsion_row over every g.  They obey the groupoid law
+    T(g,hk) = T(g,h) + T(g^h,k) mod L: the alpha-twisted group algebra is
+    associative as alpha is a cocycle, and u_(hk) = alpha(h,k)^-1 u_h u_k, so
+    conjugating by u_(hk) is conjugating by u_h, then by u_k (the scalars cancel),
+    and takes u_g to zeta_L^(T(g,h) + T(g^h,k)) u_(g^(hk)).  check_torsion_law
+    checks the law independently."""
+    return [_torsion_row(alpha, g) for g in range(alpha.group.order)]
 
 
 def discrete_torsion(alpha: TwoCocycle) -> TorsionCocycle:

@@ -352,8 +352,8 @@ def _sector_ring(X: GSet, alpha: TwoCocycle | None, frobenius: bool) -> SectorRi
     The algebra has the loops (g, x), x g = x, as basis, with (g, x)(h, x) =
     zeta_N^a(g,h) (gh, x), alpha = exp(2 pi i a/N), and (g, x)(h, y) = 0 for x != y.
     u_h^-1 (g, x) u_h = zeta_N^T(g,h) (g^h, x h) for the torsion exponents T of
-    phases._torsion_row, with T(g,hk) = T(g,h) + T(g^h,k): _torsion_exponents checks
-    this law for N > 1, and at N = 1 every exponent is 0 mod 1, so it holds unchecked.
+    phases._torsion_row, with T(g,hk) = T(g,h) + T(g^h,k), which _torsion_exponents
+    derives from the cocycle law that TwoCocycle checks when it is built.
     The orbit sum of p = (g, x) is S_p = sum over h of zeta_N^T(g,h) (g^h, x h).  As
     (g^h, x h) = (g^h', x h') means h' = ch with c in C(g) n G_x, and T(g,h') = T(g,c)
     + T(g,h), S_p is well defined exactly when T(g,-) vanishes on C(g) n G_x, p

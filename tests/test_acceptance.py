@@ -2,12 +2,15 @@
 
 All numerical checks are exact (rational and cyclotomic arithmetic); the time
 limits are the stated budgets.  Criterion 10 re-runs the selftest CLI twice
-and compares raw bytes.
+and compares raw bytes, with each other and with a pinned sha256; the demos'
+output is pinned the same way.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,10 @@ from orbistring.cli import main
 from orbistring.groups import conjugacy_classes
 
 SEED = 42
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+# sha256 of the stdout of `selftest --seed 42`, and of the demos' stdout in sorted order
+SELFTEST_SHA256 = "d6b283bcb90875c5a488c836dfb2ed6f9689565eda839fc7c8e6dd19fa68e516"
+DEMOS_SHA256 = "d7d7868314a6e729c44adf8c442c9e0556842b20594be9969e413d6dc6458923"
 
 LIMITS = {
     # crit01 ran in 0.013-0.015 s and crit02 in 0.018-0.022 s in fresh processes
@@ -325,4 +332,15 @@ def test_criterion_10_selftest_determinism():
     p2 = subprocess.run(cmd, capture_output=True, timeout=600)
     assert p1.returncode == 0, p1.stdout.decode()[-2000:]
     assert p1.stdout == p2.stdout and p1.stderr == p2.stderr
+    # and byte-identical to the output the selftest has printed since its last change
+    assert hashlib.sha256(p1.stdout).hexdigest() == SELFTEST_SHA256
     print("criterion-10 determinism: PASS (selftest --seed 42 twice is byte-identical)")
+
+
+def test_demos_print_their_pinned_output():
+    # the demos are the only callers of GradedPresentation.element_str and Phase.__str__
+    out = b"".join(
+        subprocess.run([sys.executable, str(demo)], capture_output=True, check=True, timeout=600).stdout
+        for demo in sorted(DEMOS.glob("*.py"))
+    )
+    assert hashlib.sha256(out).hexdigest() == DEMOS_SHA256

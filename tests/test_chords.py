@@ -209,13 +209,21 @@ def test_zero_measure_region_rejected(monkeypatch):
     assert str(exc.value) == "expected 3 regions, found 1"
 
 
-def test_scan_must_name_a_detected_crossing(monkeypatch):
-    # negative control: a crossing the sweep finds is rejected even when the
-    # pairwise scan that names the pair finds none
-    monkeypatch.setattr(chords, "_check_crossings", lambda cl: None)
-    with pytest.raises(DiagramError) as exc:
-        _decompose(3, 10, [(1, 4), (2, 6)])
-    assert exc.value.kind == "crossing" and exc.value.witness is None
+def test_pairwise_scan_names_every_crossing_the_sweep_finds():
+    # _clusters raises nothing of its own after the scan: the sweep finds a
+    # crossing exactly when some pair crosses, chords sharing ends included
+    rng = random.Random(32)
+    found = 0
+    for _ in range(3000):
+        spans = [tuple(sorted(rng.sample(range(10), 2))) for _ in range(rng.randint(2, 5))]
+        try:
+            chords._check_crossings(spans)
+            named = False
+        except DiagramError as exc:
+            named = exc.kind == "crossing"
+        assert chords._crosses(spans) == named, spans
+        found += named
+    assert 500 < found < 2500
 
 
 _CACTUS = {

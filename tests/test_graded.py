@@ -100,16 +100,6 @@ def test_koszul_graded_commutativity():
         assert lhs == rhs
 
 
-def test_presentation_checks_graded_commutativity(monkeypatch):
-    gens = (("a", 1), ("b", 3))
-    GradedPresentation(gens, (None, None))
-    # a sign that ignores the swap of two odd generators must refuse the build
-    real = graded._monomial_product
-    monkeypatch.setattr(graded, "_monomial_product", lambda P, a, b: (prod := real(P, a, b)) and (1, prod[1]))
-    with pytest.raises(GradedError, match="graded commutativity failed"):
-        GradedPresentation(gens, (None, None))
-
-
 def _oracle_monomial_product(P, a, b, seen):
     """(sign, exponents) of a*b, or None when it is zero, from the word of a then b.
 

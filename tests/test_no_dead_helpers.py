@@ -6,7 +6,7 @@ perfbench outside its own definition.  A private (underscore) name must be
 used under src itself, and a public one under src, demos or perfbench: a use
 from tests alone does not keep a name alive.
 Dunder names are exempt.  A module other than __init__.py also uses every
-name it imports.
+name it imports, and no two modules define one top-level name.
 """
 
 import ast
@@ -70,6 +70,16 @@ def test_public_names_are_used_outside_tests():
     # a public name serves the package, its demos or its benchmark, not only its tests
     dead = _unused(("src", "demos", "perfbench"), lambda name: not name.startswith("_"))
     assert not dead, "public top-level names used only by tests: " + ", ".join(dead)
+
+
+def test_no_two_modules_define_one_name():
+    # the word match above cannot tell two modules' definitions of one name apart
+    owners = {}
+    for module in sorted(PACKAGE.glob("*.py")):
+        for name, first, _ in _definitions(module):
+            owners.setdefault(name, []).append(f"{module.name}:{first}")
+    shared = {name: places for name, places in owners.items() if len(places) > 1}
+    assert not shared, f"names defined in more than one module: {shared}"
 
 
 def _unused_imports(path: Path):

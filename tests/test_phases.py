@@ -3,9 +3,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 
+from orbistring import phases
 from orbistring.groups import CATALOG_NAMES, catalog_group, conjugacy_classes
 from orbistring.phases import (
     CocycleError,
@@ -366,25 +368,52 @@ def test_cocycle_scales_compare_and_hash_equal():
         assert (alpha * inverse).modulus == 1
 
 
-def test_twisted_center_gates_the_torsion_law():
-    # tables that are no 2-cocycle can break the groupoid law of their torsion
+def test_two_cocycle_refuses_a_table_that_breaks_the_law():
+    # random tables refused when built, with the witness of _cocycle_law; their
+    # torsions keep a negative control for check_torsion_law, which most fail
     rng = random.Random(16)
     broken = 0
     for name in ("Z4", "S3", "Z2xZ2", "D4"):
         G = catalog_group(name)
         for _ in range(5):
             exps = [[rng.randrange(6) if g and h else 0 for h in range(G.order)] for g in range(G.order)]
-            alpha = TwoCocycle(G, 6, exps)
-            _, tau = _oracle_cocycle(alpha, [Phase.one()] * G.order)
-            want = check_torsion_law(TorsionCocycle(G, tuple(map(tuple, tau))))
-            if want.ok:
-                continue
-            broken += 1
-            for torsion in (discrete_torsion, lambda alpha: twisted_center(alpha.group, alpha)):
-                with pytest.raises(CocycleError) as got:
-                    torsion(alpha)
-                assert (str(got.value), got.value.witness) == (want.reason, want.witness)
+            want = _cocycle_law(G, 6, exps)
+            with pytest.raises(CocycleError) as got:
+                TwoCocycle(G, 6, exps)
+            assert (str(got.value), got.value.witness) == (want.reason, want.witness)
+            table = [[Phase.of(e, 6) for e in row] for row in exps]
+            _, tau = _oracle_cocycle(SimpleNamespace(group=G, table=table), [Phase.one()] * G.order)
+            broken += not check_torsion_law(TorsionCocycle(G, tuple(map(tuple, tau)))).ok
     assert broken >= 15
+
+
+def test_cocycle_law_is_checked_once_where_a_cocycle_is_made(monkeypatch):
+    calls = Counter()
+    for law in ("_cocycle_law", "_torsion_law"):
+        real = getattr(phases, law)
+        monkeypatch.setattr(phases, law, lambda *args, real=real, law=law: calls.update([law]) or real(*args))
+    rng = random.Random(32)
+    for name in CATALOG_NAMES:
+        G = catalog_group(name)
+        calls.clear()
+        bases = [trivial_cocycle(G)] + ([catalog_cocycle(G, "nontrivial")] if name == "Z2xZ2" else [])
+        assert calls == Counter(_cocycle_law=len(bases) - 1)  # the nontrivial one through make_cocycle
+        calls.clear()
+        for base in bases * 3:
+            den = rng.randint(2, 24)
+            beta = [Phase.one()] + [Phase.of(rng.randrange(den), den) for _ in range(G.order - 1)]
+            twist = coboundary(G, beta)
+            alpha = base * twist
+            assert calls == Counter()
+            # the closed operations need no check, and their results pass it
+            for made in (base, twist, alpha):
+                assert _cocycle_law(G, made.modulus, made.exps).ok
+            discrete_torsion(alpha)
+            twisted_center(G, alpha)
+            assert calls == Counter()
+            assert make_cocycle(G, alpha.table) == alpha
+            assert calls == Counter(_cocycle_law=1)
+            calls.clear()
 
 
 @pytest.mark.parametrize(
