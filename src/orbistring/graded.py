@@ -57,6 +57,7 @@ class GradedPresentation:
         object.__setattr__(self, "_rules", tuple((p, d % 2 == 1) for p, d in zip(self.root_orders, degs)))
         odd = [i for i, d in enumerate(degs) if d % 2]
         object.__setattr__(self, "_odd_pairs", tuple((i, j) for j in odd for i in odd if i > j))
+        object.__setattr__(self, "_windows", {})  # (lo, hi) -> _window's entry
         # Graded commutativity holds unchecked: a*b and b*a in _monomial_product have
         # the same exponent sum, so the same normal form.  Their swap counts add up to
         # (odd letters of a) * (odd letters of b) less the odd generators they share,
@@ -191,7 +192,20 @@ def el_scale(x: Element, c) -> Element:
 
 
 def basis_window(P: GradedPresentation, lo: int, hi: int) -> list[Monomial]:
-    """All normal monomials with degree in [lo, hi], sorted by (degree, exponents).
+    """All normal monomials with degree in [lo, hi], sorted by (degree, exponents); a fresh list each call."""
+    return list(_window(P, lo, hi)[0])
+
+
+def _window(P: GradedPresentation, lo: int, hi: int) -> tuple[tuple, frozenset, dict]:
+    """(basis, its set, BVData's product cache), built once per presentation; an error window caches nothing."""
+    if (entry := P._windows.get((lo, hi))) is None:
+        basis = _basis_window(P, lo, hi)
+        entry = P._windows[lo, hi] = (basis, frozenset(basis), {})
+    return entry
+
+
+def _basis_window(P: GradedPresentation, lo: int, hi: int) -> tuple[Monomial, ...]:
+    """The monomials of basis_window, computed afresh as a tuple.
 
     Within the caps every candidate is non-negative, below each root order and at most 1 on each odd generator,
     so normal_monomial leaves it as it is unless a zero monomial divides it: it is normal exactly when none does.
@@ -224,7 +238,7 @@ def basis_window(P: GradedPresentation, lo: int, hi: int) -> list[Monomial]:
             else:
                 found.append((deg, m))
     found.sort()
-    return [m for _, m in found]
+    return tuple(m for _, m in found)
 
 
 # shipped rings --------------------------------------------------------------
@@ -275,7 +289,8 @@ class BVData:
     basis entries are opaque hashable labels; mult returns the product as a
     dict over basis labels or raises WindowOverflow when it leaves the window.
     delta maps basis labels to elements.  Products of basis labels are read
-    through product, which calls mult once per pair for the life of the data.
+    through product, which calls mult once per pair for the life of the window:
+    graded_window_bv gives every BVData of one window the same product cache.
     """
 
     basis: tuple
@@ -283,10 +298,11 @@ class BVData:
     mult: Callable
     delta: dict
     window: tuple[int, int]
-    _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _products: dict = field(default_factory=dict, repr=False, compare=False)
 
     def product(self, a, b) -> Element:
-        """mult(a, b), computed at most once per basis pair; do not mutate the result.
+        """mult(a, b), computed at most once per basis pair for the life of the window.
+        Results are shared by every BVData of the window, so do not mutate them.
 
         An overflow is kept as its message and raised afresh on every lookup: a
         kept exception would tie the asking frame, through its traceback, into
@@ -328,8 +344,7 @@ class BVData:
 
 
 def graded_window_bv(P: GradedPresentation, lo: int, hi: int, delta: dict | None = None) -> BVData:
-    basis = tuple(basis_window(P, lo, hi))
-    basis_set = set(basis)
+    basis, basis_set, products = _window(P, lo, hi)
 
     coeff = {1: Fraction(1), -1: Fraction(-1)}  # one Fraction per sign, shared by every product
     def mult(a: Monomial, b: Monomial):
@@ -338,7 +353,7 @@ def graded_window_bv(P: GradedPresentation, lo: int, hi: int, delta: dict | None
             raise WindowOverflow(f"product {P.mono_str(a)} * {P.mono_str(b)} leaves the window")
         return {} if prod is None else {prod[1]: coeff[prod[0]]}
 
-    return BVData(basis, P.degree, mult, delta or {}, (lo, hi))
+    return BVData(basis, P.degree, mult, delta or {}, (lo, hi), products)
 
 
 def ring_window_bv(ring, delta: dict | None = None) -> BVData:
@@ -383,7 +398,7 @@ def bv_check(D: BVData, max_failures: int = 1) -> BVReport:
     nothing, the basis products y*z and the basis brackets {x,y} are tabulated
     once per check, one row per basis element, with None for an overflow.
     Products go through D.product, so each basis pair is multiplied at most
-    once for the life of D.  A bracket row is built from the product rows as
+    once for the life of D's window.  A bracket row is built from the product rows as
     {x,y} = s Delta(x y) - s Delta(x) y - x Delta(y), s = (-1)^|x|, over the
     terms b of Delta(x) and Delta(y) with a nonzero coefficient, and an entry
     is None exactly when x*y, some b*y or some x*b overflows: the elementwise

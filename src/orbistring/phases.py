@@ -64,9 +64,9 @@ class TwoCocycle:
     """A normalized U(1)-valued 2-cocycle on a finite group.
 
     alpha(g, h) = exp(2*pi*i*exps[g][h]/modulus) with exps[g][h] in [0, modulus).
-    Construction divides modulus and exponents by their gcd, so modulus is the
-    least level of the table and equal cocycles compare and hash equal, then
-    raises CocycleError where _cocycle_law fails, at the same triples.
+    Construction refuses a modulus below 1 or a table that is not |G| x |G|, reduces the exponents
+    modulo the modulus and divides all by their gcd, so modulus is the least level of the table and
+    equal cocycles compare and hash equal, then raises CocycleError where _cocycle_law fails, at its witness.
     `table` is the same cocycle as phases.
     """
 
@@ -75,15 +75,20 @@ class TwoCocycle:
     exps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.modulus < 1:
+            raise CocycleError(f"modulus {self.modulus} is not positive", self.modulus)
+        if (shape := tuple(map(len, self.exps))) != (n := self.group.order,) * n:
+            raise CocycleError(f"exponent table must be {n}x{n}, got rows of lengths {shape}", shape)
         self._reduce()
         rep = _cocycle_law(self.group, self.modulus, self.exps)
         if not rep.ok:
             raise CocycleError(rep.reason, rep.witness)
 
     def _reduce(self) -> None:
-        d = gcd(self.modulus, *(e for row in self.exps for e in row))
-        object.__setattr__(self, "modulus", self.modulus // d)
-        object.__setattr__(self, "exps", tuple(tuple(e // d for e in row) for row in self.exps))
+        L = self.modulus  # gcd(L, e) = gcd(L, e mod L), so d divides each exponent reduced modulo L
+        d = gcd(L, *(e for row in self.exps for e in row))
+        object.__setattr__(self, "modulus", L // d)
+        object.__setattr__(self, "exps", tuple(tuple(e % L // d for e in row) for row in self.exps))
 
     @cached_property
     def table(self) -> tuple[tuple[Phase, ...], ...]:

@@ -705,3 +705,25 @@ def test_reader_errors_are_pinned(capsys, argv, code, payload):
     want = {"error": message, "kind": kind, **({"witness": witness[0]} if witness else {})}
     got = run(capsys, *argv)
     assert (got[0], got[1], json.loads(got[2])) == (code, "", want)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["group", "--group", json.dumps({"name": "G", "mult": [[0, 1], [1, 0]], "names": ["e"]})],
+         "names length mismatch"),
+        (["group", "--group", json.dumps({"name": "G", "mult": [[0, 1], [1, 0]], "names": ["e", "g", "h"]})],
+         "names length mismatch"),
+        (["enumerate", "--diagram", json.dumps({"n": 1, "chords": [], "marks": [[0, 1]]}), "--group", "S3",
+          "--outer", "(1,4)"], "no element named '(1,4)' in S3"),
+        (["enumerate", "--diagram", json.dumps({"n": 1, "chords": [], "marks": [[0, 1]]}), "--group", "S3",
+          "--outer", "(1,2,3)", "--inner", "(3,2)"], "no element named '(3,2)' in S3"),
+        (["string-ring", "--gset", "coset:S3:Z5"], "unknown catalog subgroup 'Z5' of 'S3'"),
+        (["morita", "--left", "coset:Z4:Z3", "--right", "point:Z3"], "unknown catalog subgroup 'Z3' of 'Z4'"),
+    ],
+)
+def test_group_lookups_name_the_bad_input(capsys, argv, message):
+    # GroupError carries no witness, so the error payload has no witness field
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": message, "kind": "GroupError"}

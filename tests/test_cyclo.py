@@ -426,3 +426,20 @@ def test_echelon_rank_matches_determinant_oracle():
         assert _echelon_insert(rows, {j: x for j, x in combo.items() if x}, zero, one) == {}
         assert len(rows) == sum(independent)
     assert 700 <= deficient <= 1400
+
+
+@pytest.mark.parametrize(
+    "level,message",
+    [
+        (0, "level 0 is not a positive integer"),
+        (-3, "level -3 is not a positive integer"),
+        (1.5, "level 1.5 is not an integer"),
+        ("3", "level '3' is not an integer"),
+    ],
+)
+def test_cyclo_refuses_a_level_that_is_not_a_positive_integer(level, message):
+    # in-process: no CLI option is a level; sector derives each level from a group or a cocycle
+    with pytest.raises(ValueError) as err:
+        Cyclo(level, [1])
+    assert type(err.value) is ValueError and str(err.value) == message
+    assert not hasattr(err.value, "witness")

@@ -862,3 +862,100 @@ def test_bv_check_matches_elementwise_oracle(w):
     if pairs:  # lens(3,3) [-3,0] and sphere-quotient(3) [-2,1] have no product that overflows
         assert 0 < brackets["nonempty"] < brackets["empty"]
         assert bool(brackets["overflow"]) == bool(_basis_bracket_kinds(D0)["overflow"])
+
+
+# one window per presentation ------------------------------------------------
+
+
+def test_a_window_is_built_once_per_presentation(monkeypatch):
+    calls = Counter()
+    build = graded._basis_window
+
+    def counted(P, lo, hi):
+        calls[lo, hi] += 1
+        return build(P, lo, hi)
+
+    monkeypatch.setattr(graded, "_basis_window", counted)
+    P = lens_ring(3, 2)
+    bv_check(graded_window_bv(P, -3, 6))
+    assert calls == {(-3, 6): 1}
+    basis_window(P, -3, 6)
+    D = graded_window_bv(P, -3, 6, lens_delta(P, -3, 6))
+    assert calls == {(-3, 6): 1}
+    # the products are shared too: the second check on the window multiplies nothing
+    D.mult = lambda a, b: pytest.fail(f"{a} * {b} multiplied again")
+    assert bv_check(D).ok
+    graded_window_bv(P, -3, 2)
+    basis_window(P, -3, 2)
+    assert calls == {(-3, 6): 1, (-3, 2): 1}
+    graded_window_bv(lens_ring(3, 2), -3, 6)  # a presentation built apart builds its own
+    assert calls == {(-3, 6): 2, (-3, 2): 1}
+
+
+def test_basis_window_returns_a_list_the_caller_may_mutate():
+    P = lens_ring(3, 2)
+    first = basis_window(P, -3, 6)
+    want = list(first)
+    first.pop()
+    first.reverse()
+    first.append((9, 9, 9))
+    assert basis_window(P, -3, 6) == want
+    assert graded_window_bv(P, -3, 6).basis == tuple(want)
+
+
+@pytest.mark.parametrize(
+    "P,lo,hi,message",
+    [
+        (lens_ring(3, 2), 2, 1, "empty degree window"),
+        (GradedPresentation((("w", -2),), (None,)), -4, 0, "generator w has unbounded negative degree; window is infinite"),
+    ],
+)
+def test_an_error_window_raises_on_every_call(P, lo, hi, message):
+    for build in (basis_window, graded_window_bv, basis_window, graded_window_bv):
+        with pytest.raises(GradedError) as e:
+            build(P, lo, hi)
+        assert type(e.value) is GradedError and str(e.value) == message
+    assert P._windows == {}
+
+
+def test_a_warmed_window_cache_leaves_eq_hash_and_repr_alone():
+    warm, fresh = lens_ring(3, 2), lens_ring(3, 2)
+    bv_check(graded_window_bv(warm, -3, 6, lens_delta(warm, -3, 6)))
+    basis_window(warm, -3, 2)
+    assert len(warm._windows) == 2 and fresh._windows == {}
+    assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+    assert {fresh: "fresh"}[warm] == "fresh"
+    assert dataclasses.replace(warm)._windows == {}
+
+
+def _reused_matches_fresh(P, make, lo, hi, deltas) -> bool:
+    """True when bv_check on P's window, under each delta in turn, reports what it
+    reports on the window of a presentation made afresh for each delta."""
+    for delta in deltas:
+        for max_failures in (1, 10**6):
+            got = bv_check(graded_window_bv(P, lo, hi, delta), max_failures)
+            want = bv_check(graded_window_bv(make(), lo, hi, delta), max_failures)
+            if (got.ok, got.failures, got.checked) != (want.ok, want.failures, want.checked):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("w", range(6))  # the bv benchmark's six graded windows
+def test_a_reused_window_checks_as_a_fresh_one(w):
+    make, lo, hi, _ = ORACLE_WINDOWS[w]
+    P, rng = make(), random.Random(3300 + w)
+    basis = basis_window(P, lo, hi)
+    deltas = [None] + [_random_delta(rng, basis, P.degree, case % 3 != 2) for case in range(6)]
+    assert _reused_matches_fresh(P, make, lo, hi, deltas)
+
+
+def test_a_reused_lens_window_checks_menichi_deltas_as_a_fresh_one():
+    make = lambda: lens_ring(3, 2)  # noqa: E731
+    P = make()
+    deltas = [lens_delta(P, -3, 9), lens_delta(P, -3, 9, power=2), None, lens_delta(P, -3, 9)]
+    assert _reused_matches_fresh(P, make, -3, 9, deltas)
+    # negative control: a copy whose cached basis is one element short
+    short = dataclasses.replace(P)
+    basis = basis_window(P, -3, 9)[:-1]
+    short._windows[-3, 9] = (tuple(basis), frozenset(basis), {})
+    assert not _reused_matches_fresh(short, make, -3, 9, deltas)

@@ -435,3 +435,33 @@ def test_cocycle_input_checks_name_the_bad_input(call, message):
         call()
     assert type(err.value) is CocycleError
     assert (str(err.value), err.value.witness) == (message, None)
+
+
+def test_a_raw_cocycle_reduces_its_exponents_modulo_the_modulus():
+    Z2, Z4 = catalog_group("Z2"), catalog_group("Z4")
+    alpha = TwoCocycle(Z2, 2, ((0, 0), (0, 2)))
+    assert (alpha.modulus, alpha.exps) == (1, ((0, 0), (0, 0)))
+    assert alpha == trivial_cocycle(Z2) and hash(alpha) == hash(trivial_cocycle(Z2))
+    # 6/4 = 3/2 = 1/2 mod 1, and a negative exponent is read modulo the modulus too
+    assert TwoCocycle(Z2, 4, ((0, 0), (0, 6))) == TwoCocycle(Z2, 2, ((0, 0), (0, 1)))
+    beta = [Phase.one(), Phase.of(1, 4), Phase.of(1, 2), Phase.of(3, 4)]
+    twist = coboundary(Z4, beta)
+    negated = TwoCocycle(Z4, twist.modulus, tuple(tuple(e - twist.modulus for e in row) for row in twist.exps))
+    assert negated == twist
+
+
+@pytest.mark.parametrize(
+    "modulus,exps,message,witness",
+    [
+        (2, ((0, 0),), "exponent table must be 2x2, got rows of lengths (2,)", (2,)),
+        (2, ((0, 0), (0,)), "exponent table must be 2x2, got rows of lengths (2, 1)", (2, 1)),
+        (0, ((0, 0), (0, 0)), "modulus 0 is not positive", 0),
+        (-2, ((0, 0), (0, 1)), "modulus -2 is not positive", -2),
+    ],
+)
+def test_a_raw_cocycle_refuses_a_bad_shape_or_modulus(modulus, exps, message, witness):
+    # no CLI verb builds a raw TwoCocycle: parse_cocycle goes through make_cocycle
+    with pytest.raises(CocycleError) as err:
+        TwoCocycle(catalog_group("Z2"), modulus, exps)
+    assert type(err.value) is CocycleError
+    assert (str(err.value), err.value.witness) == (message, witness)
