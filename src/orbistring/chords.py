@@ -220,7 +220,11 @@ def _decompose(n: int, L: int, chords: Sequence[tuple[int, int]]) -> _Decomposit
 def _label(dec: _Decomposition, marks: Sequence[int], forced_arc_labels=None) -> Diagram:
     """Second validation step: number the regions by the marks they carry.
 
-    marks are ticks modulo dec.L, one per region.
+    marks are ticks modulo dec.L, one per region.  Without forced labels, marks are matched to
+    faces ranked by least arc start.  The graph joining each cluster to the faces it touches has
+    |C| + n nodes, V = n - 1 + |C| edges (one per passage) and is connected: it is a tree.  So every
+    perfect matching gives each cluster the same faces (two would differ by a closed trail in the
+    tree), and handing them to its marks in ascending order is the lexicographically least placement.
     """
     faces, vertices = dec.faces, dec.vertices
     n = len(faces)
@@ -247,34 +251,30 @@ def _label(dec: _Decomposition, marks: Sequence[int], forced_arc_labels=None) ->
             if not on_face:
                 raise DiagramError("mark-off-region", f"mark {mi + 1} is not on region {mi + 1}", mi)
     else:
-        # faces are already ordered by their least arc start, for deterministic matching:
-        # _face_units lists them by first arc, and the vertices ascend
-        def candidates(z: int) -> list[int]:
-            if z in cluster_at:
-                ci = cluster_at[z]
-                return [f for f in range(n) if ci in touched[f]]
-            return [dec.face_of_point(z)]
-
-        cand = [candidates(z) for z in marks]
-        assignment: list[int | None] = [None] * n  # mark index -> face index
-
-        def backtrack(mi: int, used: set[int]) -> bool:
-            if mi == n:
-                return True
-            for f in cand[mi]:
-                if f not in used:
-                    assignment[mi] = f
-                    if backtrack(mi + 1, used | {f}):
-                        return True
-            assignment[mi] = None
-            return False
-
-        if not backtrack(0, set()):
-            bad = next(i for i in range(n) if assignment[i] is None)
-            raise DiagramError(
-                "mark-off-region", f"mark {bad + 1} cannot be placed on its own region", bad
-            )
-        face_of_label = {mi + 1: assignment[mi] for mi in range(n)}
+        cand = [[f for f in range(n) if cluster_at[z] in touched[f]] if z in cluster_at else [dec.face_of_point(z)]
+                for z in marks]
+        owner, match = [None] * n, [None] * n  # face -> its mark, mark -> its face
+        for mi in range(n):  # each mark joins along a shortest alternating path, searched breadth first
+            came, reached = {}, [mi]  # came: face -> the mark the search reached it from
+            for m in reached:
+                for free in cand[m]:
+                    if free not in came:
+                        came[free] = m
+                        if owner[free] is None:
+                            break
+                        reached.append(owner[free])
+                else:
+                    continue
+                break
+            else:  # a Hall set: the faces these marks reach are matched to all of them but mi
+                hall = tuple(sorted(reached))
+                raise DiagramError("mark-off-region", f"marks {[m + 1 for m in hall]} outnumber their regions", hall)
+            while free is not None:
+                owner[free] = m = came[free]
+                match[m], free = free, match[m]
+        group = [cluster_at.get(z, -1 - mi) for mi, z in enumerate(marks)]  # its cluster, or alone off the vertices
+        in_order = zip(sorted(zip(group, range(n))), sorted(zip(group, match)))  # a group's marks and faces, ascending
+        face_of_label = {mi + 1: f for (_, mi), (_, f) in in_order}
 
     regions = tuple(tuple(faces[face_of_label[lab]]) for lab in range(1, n + 1))
     label_of_face = {f: lab for lab, f in face_of_label.items()}
@@ -290,10 +290,10 @@ def validate_diagram(
 ) -> Diagram:
     """Check all diagram invariants and compute the labeled region decomposition.
 
-    Region labels are implied by the marks: region i is the one carrying z_i.
-    A mark sitting on a cluster vertex is ambiguous between the regions that
-    touch the cluster; the lexicographically least perfect matching is used.
-    Canonical-class input carries explicit interval labels instead.
+    Region i is the one carrying z_i; a mark on a cluster vertex may go to any region touching
+    the cluster.  One bipartite matching places the marks and keeps the lexicographically least
+    placement; without one, mark-off-region's witness is a Hall set, marks outnumbering the
+    regions they reach.  Canonical-class input carries explicit interval labels instead.
     """
     ml = [Fraction(z) % 1 for z in marks]
     if len(ml) != n:

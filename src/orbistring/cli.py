@@ -281,10 +281,10 @@ def cmd_ring(args) -> str:
     P = _resolve_presentation(args)
     payload = P.to_json()
     lo, hi = _parse_window(args.window)
-    basis = graded.basis_window(P, lo, hi)
+    basis, in_window, _ = graded._window(P, lo, hi)
     payload["window"] = [lo, hi]
     payload["basis"] = [{"monomial": P.mono_str(m), "degree": P.degree(m)} for m in basis]
-    table, in_window = [], set(basis)
+    table = []
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             prod = graded._monomial_product(P, a, b)

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction as F
 from itertools import permutations
 from math import lcm
@@ -377,6 +378,112 @@ def test_mark_placement_matches_permutation_oracle():
             validate_diagram(m + 1, chords, marks)
         assert exc.value.kind == kind, (chords, marks)
     assert min(seen["placed"], seen["mark-off-region"], seen["ambiguous"]) >= 400 and seen["cycle"] >= 30, seen
+
+
+def _backtrack_placement(dec, marks):
+    """(face of each mark or None, candidate faces of each mark) by the recursive
+    backtracker _label ran before it placed marks by one matching: candidates in
+    ascending order, so the first placement found is the lexicographically least."""
+    n = len(dec.faces)
+    touched = [{u[1] for u in units if u[0] == "pass"} for units in dec.faces]
+    cluster_at = {u[2]: u[1] for units in dec.faces for u in units if u[0] == "pass"}
+    cand = [[f for f in range(n) if cluster_at[z] in touched[f]] if z in cluster_at else [dec.face_of_point(z)]
+            for z in marks]
+    assignment = [None] * n
+
+    def backtrack(mi, used):
+        if mi == n:
+            return True
+        for f in cand[mi]:
+            if f not in used:
+                assignment[mi] = f
+                if backtrack(mi + 1, used | {f}):
+                    return True
+        assignment[mi] = None
+        return False
+
+    return (assignment if backtrack(0, set()) else None), cand
+
+
+def test_mark_matching_matches_the_backtracking_oracle():
+    # forests of up to 7 chords on 24ths (ticks of 48ths, so a mark off the
+    # vertices sits on an odd tick), adjacent vertices merged so clusters grow,
+    # and about 70% of the marks on a chord vertex
+    rng = random.Random(3434)
+    seen = {"placed": 0, "shared cluster": 0, "refused": 0, "hall of 3+": 0}
+    for _ in range(6000):
+        m = rng.randint(0, 7)
+        ends = sorted(2 * t for t in rng.sample(range(24), 2 * m))
+        chords = [(ends[a], ends[b]) for a, b in _random_noncrossing_matching(rng, m)]
+        for _ in range(rng.randint(0, 3) if m > 1 else 0):
+            verts = sorted({v for c in chords for v in c})
+            i = rng.randrange(len(verts) - 1)
+            merged = [tuple(verts[i] if v == verts[i + 1] else v for v in c) for c in chords]
+            if all(x != y for x, y in merged):
+                chords = merged
+        try:
+            dec = _decompose(m + 1, 48, chords)
+        except DiagramError:  # a merge closed a cycle
+            continue
+        verts = dec.vertices
+        marks = [
+            rng.choice(verts) if verts and rng.random() < 0.7 else 2 * rng.randrange(24) + 1 for _ in range(m + 1)
+        ]
+        placement, cand = _backtrack_placement(dec, marks)
+        if placement is None:
+            with pytest.raises(DiagramError) as exc:
+                _label(dec, marks)
+            hall = exc.value.witness
+            assert exc.value.kind == "mark-off-region" and hall == tuple(sorted(set(hall))), (chords, marks)
+            assert len(set().union(*(cand[i] for i in hall))) < len(hall), (chords, marks, hall)
+            seen["refused"] += 1
+            seen["hall of 3+"] += len(hall) >= 3
+            continue
+        d = _label(dec, marks)
+        label_of_face = {f: mi + 1 for mi, f in enumerate(placement)}
+        assert d.arc_labels == tuple(label_of_face[f] for f in dec.arc_face), (chords, marks)
+        assert d.regions == tuple(tuple(dec.faces[f]) for f in placement), (chords, marks)
+        seen["placed"] += 1
+        on = [ci for z in marks for ci, grp in enumerate(dec.clusters) if z in grp]
+        seen["shared cluster"] += len(on) > len(set(on))
+    assert min(seen.values()) >= 250, seen
+
+
+def test_fan_refusal_names_a_hall_set():
+    # n-1 chords from 0 to k/n, n-2 marks at 0 and two marks inside (0, 1/n):
+    # both inner marks need the one region on that arc
+    for n in (10, 40):
+        chords = [(F(0), F(k, n)) for k in range(1, n)]
+        marks = [F(0)] * (n - 2) + [F(1, 3 * n), F(2, 3 * n)]
+        start = time.perf_counter()
+        with pytest.raises(DiagramError) as exc:
+            validate_diagram(n, chords, marks)
+        assert time.perf_counter() - start < 0.05, n
+        assert (exc.value.kind, str(exc.value), exc.value.witness) == (
+            "mark-off-region", f"marks [{n - 1}, {n}] outnumber their regions", (n - 2, n - 1)
+        )
+
+
+def test_large_nested_diagram_validates():
+    # 1,100 regions cut by nested chords k/L to 1 - k/L, each mark inside an arc of
+    # its own region: one recursion per mark would overflow the stack here
+    n, L = 1100, 4400
+    d = validate_diagram(n, [(F(k, L), F(L - k, L)) for k in range(1, n)], [F(2 * k + 1, 2 * L) for k in range(n)])
+    assert d.arc_labels == tuple(range(2, 1101)) + tuple(range(1099, 0, -1))
+
+
+def test_input_checks_off_the_cli_name_their_witness():
+    # relabel and the walk-position check are reached by no CLI verb
+    md = random_md(random.Random(1), 2)
+    with pytest.raises(DiagramError) as exc:
+        relabel(md, [0, 0])
+    assert (exc.value.kind, str(exc.value), exc.value.witness) == ("arity", "not a permutation of the labels", (0, 0))
+    tape = region_walk(md, 1)
+    for s in (tape.total, -1):
+        with pytest.raises(DiagramError) as exc:
+            locate(tape, s)
+        want = ("bad-coordinate", "walk position out of range", s)
+        assert (exc.value.kind, str(exc.value), exc.value.witness) == want
 
 
 def test_region_digest():

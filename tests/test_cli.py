@@ -101,6 +101,21 @@ def test_interval_label_errors_name_their_witness(capsys):
         assert json.loads(err) == {"error": message, "kind": "DiagramError", "witness": witness}
 
 
+def test_validate_places_marks_by_one_matching(capsys):
+    # a refusal names a Hall set of marks, and 1,100 nested regions validate,
+    # more than one recursion per mark would leave room for on the stack
+    two = {"n": 2, "chords": [[1, 4, 3, 4]], "marks": [[1, 8], [7, 8]]}  # both in the outer region
+    code, out, err = run(capsys, "validate", "--diagram", json.dumps(two))
+    assert (code, out) == (1, "")
+    want = {"error": "marks [1, 2] outnumber their regions", "kind": "DiagramError", "witness": "(0, 1)"}
+    assert json.loads(err) == want
+    n, L = 1100, 4400
+    chords, marks = [[k, L, L - k, L] for k in range(1, n)], [[2 * k + 1, 2 * L] for k in range(n)]
+    nested = {"n": n, "chords": chords, "marks": marks}
+    code, out, err = run(capsys, "validate", "--diagram", json.dumps(nested))
+    assert (code, err) == (0, "") and json.loads(out)["n"] == n
+
+
 def test_compose_and_cactus_cli(capsys, tmp_path):
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"n": 2, "chords": [[1, 4, 3, 4]], "marks": [[1, 2], [0, 1]]}))
@@ -245,6 +260,11 @@ def test_ring_and_bvcheck_cli(capsys, tmp_path):
     assert code == 0
     blob = json.loads(out)
     assert {"monomial": "v", "degree": 0} in blob["basis"]
+    # a whole product table: 75 basis monomials, 1,600 zero products, the products leaving the window left out
+    code, out, _ = run(capsys, "ring", "--name", "lens", "--n", "3", "--p", "5", "--window=-3:12")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "727e52ecea136b6a3149327a6c0db314b047cbe860db632f87752f5318ae1569"
     code, out, _ = run(capsys, "bvcheck", "--name", "lens", "--n", "3", "--p", "2", "--window=-3:6")
     assert code == 0 and json.loads(out)["ok"]
     delta = tmp_path / "delta.json"
@@ -629,6 +649,8 @@ def test_group_reads_inline_json_like_a_file(capsys, tmp_path):
     cases = [
         ('{"name": "G", "order": 3, "mult": [[0,1],[1,0]]}', "declared order 3 does not match table size 2"),
         ('{"name": "G"}', "group JSON needs 'mult' or 'perm_gens'"),
+        ('{"name": "X", "perm_gens": []}', "empty generator list"),
+        ('{"name": "X", "perm_gens": [[1, 0], [1, 2, 0]]}', "generator [1, 2, 0] is not a permutation of 0..1"),
     ]
     for spec, message in cases:
         code, out, err = run(capsys, "group", "--group", spec)
